@@ -298,24 +298,23 @@ def cmd_power(args) -> int:
             beta_star=tuple(cfg["beta_star"]),
             treatment_margins=tuple(cfg["treatment_margins"]),
         )
+        delta = tuple(cfg.get("delta", (0, 1, 1)))
     except OSError as exc:
         raise CliError(f"cannot read {args.config}: {exc}", EXIT_BAD_INPUT) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed power config: {exc}", EXIT_BAD_INPUT) from exc
     grid = _gamma_grid(args)
     if args.suite:
-        specs = standard_test_suite(dgp.alpha_star, dgp.beta_star,
-                                    tuple(cfg.get("delta", (0, 1, 1))))
+        specs = standard_test_suite(dgp.alpha_star, dgp.beta_star, delta)
     else:
-        specs = [
-            PowerTestSpec(
-                "3x3-opt",
-                dgp.alpha_star,
-                dgp.beta_star,
-                tuple(cfg.get("delta", (0, 1, 1))),
-            )
-        ]
-    curves = power_curve(args.seed, dgp, specs, grid, args.iterations, args.level)
+        specs = [PowerTestSpec("3x3-opt", dgp.alpha_star, dgp.beta_star, delta)]
+    try:
+        curves = power_curve(args.seed, dgp, specs, grid, args.iterations, args.level)
+    except SensitivityError as exc:
+        raise CliError(str(exc), EXIT_MODEL_MISMATCH) from exc
+    except ValueError as exc:
+        # e.g. DGP scores that are not monotone cannot define the ordinal test
+        raise CliError(f"malformed power config: {exc}", EXIT_BAD_INPUT) from exc
     lines = ["test,gamma,Gamma,rate,mc_sigma"]
     for name, curve in curves.items():
         for g, r, s in zip(curve.grid, curve.rates, curve.mc_sigma):

@@ -29,9 +29,23 @@ therefore costs one enumeration.
 
 ``brute_force_alpha`` is the independent oracle: direct enumeration of every
 multiset permutation of the treatment vector, supporting real-valued u and
-dose models.  ``mvehg_*`` implement the multivariate extended (Fisher
-noncentral) hypergeometric law that the I x 2 column counts follow at the
-sign-score worst case.
+dose models.
+
+Each closed-form law the package shares is implemented once, here:
+
+* ``_bounded_compositions``: the bounded-composition supports behind
+  ``omega_q``, ``mvehg_support`` and the per-column allocations;
+* ``_mvehg_law``: the multivariate extended (Fisher noncentral)
+  hypergeometric law that the I x 2 column counts follow at the sign-score
+  worst case, with its gamma-free support and binomial log-terms cached per
+  (margins, total).  ``mvehg_pmf``, ``signscore_tail``, the sign-score worst
+  case (``worstcase``), the stratified bounds (``stratified``) and the size
+  study (``simulate``) all take their probabilities from it;
+* ``_sequential_weighted_draw``: the suffix-normalizer sampler behind
+  ``mvehg_sample_many`` / ``mvehg_sample`` and the tilted SIS proposal
+  (``montecarlo``);
+* ``_block_sum_normalizer``: the binary-delta normalizer C(u) in closed block
+  form, shared by ``RejectionAggregate`` and the SIS estimator.
 """
 
 from __future__ import annotations
@@ -81,23 +95,28 @@ def statistic_tolerance(critical: float) -> float:
 
 def omega_q(ubar: int, rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Support of the per-treatment u=1 counts: sum q_i = ubar within bounds."""
-    rows = tuple(int(v) for v in rows)
-    N = sum(rows)
-    I = len(rows)
+    return _bounded_compositions(ubar, tuple(int(v) for v in rows))
 
-    def bounds(i: int) -> tuple[int, int]:
-        return max(0, ubar + rows[i] - N), min(ubar, rows[i])
+
+def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Non-negative integer vectors with given sum and per-entry caps.
+
+    Yields them in lexicographic order; nothing when ``total`` lies outside
+    ``[0, sum(bounds)]``.  The single enumerator behind ``omega_q``,
+    ``mvehg_support`` and the per-column splits of ``_table_q_weights``.
+    """
+    n = len(bounds)
+    tails = [sum(bounds[i + 1 :]) for i in range(n)]
 
     def rec(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        lo, hi = bounds(i)
-        if i == I - 1:
-            if lo <= rem <= hi:
+        if i == n - 1:
+            if 0 <= rem <= bounds[i]:
                 yield (rem,)
             return
-        for v in range(lo, min(hi, rem) + 1):
+        for v in range(max(0, rem - tails[i]), min(bounds[i], rem) + 1):
             yield from ((v,) + rest for rest in rec(i + 1, rem - v))
 
-    yield from rec(0, ubar)
+    yield from rec(0, total)
 
 
 def kernel_q(q: Sequence[int], ubar_total: int, m: Margins) -> int:
@@ -255,22 +274,6 @@ def exact_alpha(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Non-negative integer vectors with given sum and per-entry caps."""
-    n = len(bounds)
-
-    def rec(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if i == n - 1:
-            if 0 <= rem <= bounds[i]:
-                yield (rem,)
-            return
-        tail = sum(bounds[i + 1 :])
-        for v in range(max(0, rem - tail), min(bounds[i], rem) + 1):
-            yield from ((v,) + rest for rest in rec(i + 1, rem - v))
-
-    yield from rec(0, total)
-
-
 def _table_q_weights(
     arr: np.ndarray, ubar_j: Sequence[int], cols: Sequence[int]
 ) -> dict[tuple[int, ...], int]:
@@ -350,6 +353,27 @@ def _exact_alpha_integer(
 # --------------------------------------------------------------------------
 # fast gamma-free aggregation
 # --------------------------------------------------------------------------
+
+
+def _block_sum_normalizer(m: Margins, block_total: int, ubar: int) -> tuple[np.ndarray, float]:
+    """Closed form of C(u) = sum_q e^{gamma delta'q} kernel_q(q) for binary delta.
+
+    Grouping q by d = delta'q gives C(u) = sum_d K_d e^{gamma d} with
+    K_d = C(ubar, d) C(N - ubar, B - d) B! (N - B)! / prod_i N_i.! and B the
+    delta-block treatment total.  Returns (log C(ubar, d) C(N - ubar, B - d)
+    for d = 0..ubar, -inf where it vanishes; the shared log scale), so
+    log K_d = logk[d] + scale.
+    """
+    N = m.N
+    scale = lgamma(block_total + 1) + lgamma(N - block_total + 1) - fsum(
+        lgamma(r + 1) for r in m.rows
+    )
+    logk = np.full(ubar + 1, -np.inf)
+    for d in range(ubar + 1):
+        k = _c(ubar, d) * _c(N - ubar, block_total - d)
+        if k:
+            logk[d] = math.log2(k) * math.log(2.0)
+    return logk, scale
 
 
 class RejectionAggregate:
@@ -437,17 +461,8 @@ class RejectionAggregate:
 
     def denominator_buckets(self, c: ConfounderClass) -> np.ndarray:
         """log K_d array for d = 0..ubar (exact closed form)."""
-        m = self.margins
-        ubar = c.total
-        B = self.block_total
-        N = m.N
-        scale = lgamma(B + 1) + lgamma(N - B + 1) - fsum(lgamma(r + 1) for r in m.rows)
-        logK = np.full(ubar + 1, -np.inf)
-        for d in range(ubar + 1):
-            k = _c(ubar, d) * _c(N - ubar, B - d)
-            if k:
-                logK[d] = math.log2(k) * math.log(2.0) + scale
-        return logK
+        logk, scale = _block_sum_normalizer(self.margins, self.block_total, c.total)
+        return logk + scale
 
     def alpha(self, c: ConfounderClass, gamma: float) -> float:
         return self.alpha_grid(c, [gamma])[0]
@@ -567,33 +582,53 @@ def brute_force_alpha(
 
 def mvehg_support(m_rows: Sequence[int], n: int) -> list[tuple[int, ...]]:
     """All count vectors t with sum t_i = n, 0 <= t_i <= m_i."""
+    return list(_bounded_compositions(n, tuple(int(v) for v in m_rows)))
+
+
+@lru_cache(maxsize=16)
+def _log_binomials(m_rows: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
+    """Per level i, log C(m_i, x) for x = 0..min(m_i, n) (gamma-free, read-only)."""
+    out = []
+    for mi in m_rows:
+        tab = np.array([math.log(comb(mi, x)) for x in range(min(mi, n) + 1)])
+        tab.flags.writeable = False
+        out.append(tab)
+    return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _mvehg_base(m_rows: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(support as an (S, I) array, sum_i log C(m_i, t_i) over it), read-only."""
+    support = np.array(list(_bounded_compositions(n, m_rows)), dtype=np.int64)
+    support = support.reshape(-1, len(m_rows))
+    logc = np.zeros(len(support))
+    for i, tab in enumerate(_log_binomials(m_rows, n)):
+        logc += tab[support[:, i]]
+    support.flags.writeable = False
+    logc.flags.writeable = False
+    return support, logc
+
+
+def _mvehg_law(
+    m_rows: Sequence[int], n: int, weights: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(support, probabilities) of the multivariate extended hypergeometric law.
+
+    P(t) is proportional to prod_i C(m_i, t_i) e^{w_i t_i} on the simplex slice
+    sum t_i = n.  The support and its binomial log-terms are gamma-free and
+    cached per (m_rows, n), so a Gamma sweep only redoes the weight product
+    and the normalization.
+    """
     m_rows = tuple(int(v) for v in m_rows)
-    if n < 0 or n > sum(m_rows):
-        return []
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, rem: int, prefix: tuple[int, ...]) -> None:
-        if i == len(m_rows) - 1:
-            if 0 <= rem <= m_rows[i]:
-                out.append(prefix + (rem,))
-            return
-        tail = sum(m_rows[i + 1 :])
-        for v in range(max(0, rem - tail), min(m_rows[i], rem) + 1):
-            rec(i + 1, rem - v, prefix + (v,))
-
-    rec(0, n, ())
-    return out
-
-
-def _mvehg_logterms(
-    support: list[tuple[int, ...]], m_rows: Sequence[int], weights: Sequence[float]
-) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    arr = np.asarray(support, dtype=np.int64)
-    logc = np.array(
-        [fsum(math.log(_c(mi, ti)) for mi, ti in zip(m_rows, t)) for t in support]
-    )
-    return logc + arr @ w
+    if len(weights) != len(m_rows):
+        raise ValueError("weights must match m_rows length")
+    support, logc = _mvehg_base(m_rows, int(n))
+    if not len(support):
+        raise ValueError("empty support")
+    logterms = logc + support @ np.asarray(weights, dtype=float)
+    probs = np.exp(logterms - logterms.max())
+    probs /= probs.sum()
+    return support, probs
 
 
 def mvehg_pmf(
@@ -610,32 +645,65 @@ def mvehg_pmf(
         raise ValueError("counts, m_rows, weights must share a length")
     if sum(counts) != n or any(t < 0 or t > mi for t, mi in zip(counts, m_rows)):
         return 0.0
-    support = mvehg_support(m_rows, n)
-    logterms = _mvehg_logterms(support, m_rows, weights)
-    target = _mvehg_logterms([counts], m_rows, weights)[0]
-    return float(np.exp(target - logsumexp(logterms)))
+    support, probs = _mvehg_law(m_rows, n, weights)
+    return float(probs[(support == counts).all(axis=1)][0])
 
 
-def _mvehg_suffix_normalizers(
-    m_rows: tuple[int, ...], n: int, w: Sequence[float]
-) -> list[np.ndarray]:
-    """logf[i][r] = log sum_x C(m_i, x) e^{w_i x} f_{i+1}(r - x), r = 0..n."""
-    I = len(m_rows)
-    logf = [np.full(n + 1, -np.inf) for _ in range(I + 1)]
-    logf[I][0] = 0.0
-    for i in range(I - 1, -1, -1):
-        xs = np.arange(0, min(m_rows[i], n) + 1)
-        logbin = gammaln(m_rows[i] + 1) - gammaln(xs + 1) - gammaln(m_rows[i] - xs + 1)
-        rr = np.arange(n + 1)
+def _sequential_weighted_draw(
+    U: np.ndarray,
+    logweights: list[np.ndarray],
+    total: int,
+    ucol0: int = 0,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Draw (x_1, ..., x_J) with sum = total and P proportional to
+    prod_j w_j[x_j], sequentially with exact suffix normalizers.
+
+    ``logweights[j]`` gives log w_j over x_j = 0..len-1 (-inf = infeasible).
+    Level j consumes uniform column ``ucol0 + j`` of U; the last level is
+    forced.  Returns (draws (size, J), exact log-probabilities, next uniform
+    column).
+    """
+    size = U.shape[0]
+    J = len(logweights)
+    # suffix[j][r] = log sum over allocations of r to columns j..J-1
+    suffix = [np.full(total + 1, -np.inf) for _ in range(J + 1)]
+    suffix[J][0] = 0.0
+    for j in range(J - 1, -1, -1):
+        wj = logweights[j]
+        xs = np.arange(len(wj))
+        rr = np.arange(total + 1)
         diff = rr[:, None] - xs[None, :]
         terms = np.where(
-            diff >= 0,
-            logbin[None, :] + w[i] * xs[None, :]
-            + np.take(logf[i + 1], np.maximum(diff, 0)),
-            -np.inf,
+            diff >= 0, wj[None, :] + np.take(suffix[j + 1], np.maximum(diff, 0)), -np.inf
         )
-        logf[i] = logsumexp(terms, axis=1)
-    return logf
+        suffix[j] = logsumexp(terms, axis=1)
+    out = np.zeros((size, J), dtype=np.int64)
+    log_p = np.zeros(size)
+    rem = np.full(size, total, dtype=np.int64)
+    ucol = ucol0
+    for j in range(J - 1):
+        wj = logweights[j]
+        xs = np.arange(len(wj))
+        rr = np.arange(total + 1)
+        diff = rr[:, None] - xs[None, :]
+        logp = np.where(
+            diff >= 0, wj[None, :] + np.take(suffix[j + 1], np.maximum(diff, 0)), -np.inf
+        )
+        # rows for unreachable remainders normalize to nan and are never picked
+        with np.errstate(invalid="ignore"):
+            norm = logsumexp(logp, axis=1, keepdims=True)
+            logp_n = logp - norm
+            cdf = np.cumsum(np.exp(logp_n), axis=1)
+            cdf /= cdf[:, -1:]
+        rows_cdf = cdf[rem]
+        pick = (U[:, ucol, None] > rows_cdf).sum(axis=1)
+        pick = np.minimum(pick, len(xs) - 1)
+        ucol += 1
+        out[:, j] = pick
+        log_p += logp[rem, pick] - norm[rem, 0]
+        rem = rem - out[:, j]
+    out[:, J - 1] = rem
+    return out, log_p, ucol
 
 
 def mvehg_sample_many(
@@ -645,41 +713,25 @@ def mvehg_sample_many(
     weights: Sequence[float],
     size: int,
 ) -> np.ndarray:
-    """(size, I) exact draws; sequential conditionals shared across the batch."""
+    """(size, I) exact draws; sequential conditionals shared across the batch.
+
+    Level i takes its exact conditional given the remaining total from the
+    suffix-normalizer sampler with log-weights log C(m_i, x) + w_i x, using
+    the i-th block of ``size`` uniforms; the last level is forced.
+    """
     m_rows = tuple(int(v) for v in m_rows)
     I = len(m_rows)
     if len(weights) != I:
         raise ValueError("weights must match m_rows length")
     if not 0 <= n <= sum(m_rows):
         raise ValueError("infeasible total n")
-    w = [float(v) for v in weights]
-    logf = _mvehg_suffix_normalizers(m_rows, n, w)
-    out = np.zeros((size, I), dtype=np.int64)
-    rem = np.full(size, n, dtype=np.int64)
-    for i in range(I - 1):
-        xs = np.arange(0, min(m_rows[i], n) + 1)
-        logbin = gammaln(m_rows[i] + 1) - gammaln(xs + 1) - gammaln(m_rows[i] - xs + 1)
-        rr = np.arange(n + 1)
-        diff = rr[:, None] - xs[None, :]
-        logp = np.where(
-            diff >= 0,
-            logbin[None, :] + w[i] * xs[None, :]
-            + np.take(logf[i + 1], np.maximum(diff, 0)),
-            -np.inf,
-        )
-        # rows for unreachable remainders normalize to nan and are never picked
-        with np.errstate(invalid="ignore"):
-            logp -= logsumexp(logp, axis=1, keepdims=True)
-            cdf = np.cumsum(np.exp(logp), axis=1)
-            cdf /= cdf[:, -1:]
-        rows_cdf = cdf[rem]
-        u = rng.random(size)
-        pick = (u[:, None] > rows_cdf).sum(axis=1)
-        pick = np.minimum(pick, len(xs) - 1)
-        out[:, i] = xs[pick]
-        rem = rem - out[:, i]
-    out[:, I - 1] = rem
-    return out
+    logweights = [
+        tab + float(w) * np.arange(len(tab))
+        for tab, w in zip(_log_binomials(m_rows, int(n)), weights)
+    ]
+    U = rng.random((I - 1, size)).T
+    draws, _, _ = _sequential_weighted_draw(U, logweights, n)
+    return draws
 
 
 def mvehg_sample(
@@ -688,12 +740,7 @@ def mvehg_sample(
     n: int,
     weights: Sequence[float],
 ) -> np.ndarray:
-    """One exact draw via sequential conditional sampling of each level.
-
-    Level i is drawn from its exact conditional given the remaining total,
-    computed from the suffix normalizers of the pmf recursion; the last level
-    is forced.
-    """
+    """One exact draw via sequential conditional sampling of each level."""
     return mvehg_sample_many(rng, m_rows, n, weights, 1)[0]
 
 
@@ -705,13 +752,6 @@ def signscore_tail(
     critical: float,
 ) -> float:
     """P(sum_i alpha_i M_i >= critical) with M multivariate extended hypergeometric."""
-    support = mvehg_support(m_rows, n)
-    if not support:
-        raise ValueError("empty support")
-    logterms = _mvehg_logterms(support, m_rows, weights)
-    tvals = np.asarray(support, dtype=float) @ np.asarray(alpha_scores, dtype=float)
-    tol = statistic_tolerance(critical)
-    mask = tvals >= critical - tol
-    if not mask.any():
-        return 0.0
-    return float(np.exp(logsumexp(logterms[mask]) - logsumexp(logterms)))
+    support, probs = _mvehg_law(m_rows, n, weights)
+    tvals = support @ np.asarray(alpha_scores, dtype=float)
+    return float(probs[tvals >= critical - statistic_tolerance(critical)].sum())

@@ -20,7 +20,10 @@ sums, which keeps the batch evaluator fully vectorized.  The same
 factorization yields a confounder-aware proposal (draw the block sums from
 their exact tilted marginal, then fill each block uniformly) whose
 importance ratios are flat; the estimators use it by default and record the
-choice in the trace, with the baseline selectable via ``proposal=``.
+choice in the trace, with the baseline selectable via ``proposal=``.  The
+block sums are drawn by the shared suffix-normalizer sampler and C(u) comes
+from the closed block form, both implemented in ``exactdist``
+(``_sequential_weighted_draw``, ``_block_sum_normalizer``).
 
 Reproducibility: sample m always consumes uniforms from the stream seeded by
 (seed, m), so traces are identical under any batching or scheduling.
@@ -35,7 +38,11 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from exactsens.exactdist import statistic_tolerance
+from exactsens.exactdist import (
+    _block_sum_normalizer,
+    _sequential_weighted_draw,
+    statistic_tolerance,
+)
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
 from exactsens.stats import TestStatistic
 from exactsens.tables import ContingencyTable, Margins
@@ -126,60 +133,6 @@ def _sis_fill(
         crem[:, J - 1] -= rrem
     out[:, I - 1, :] = crem  # last row forced
     return out, log_h, ucol
-
-
-def _sequential_weighted_draw(
-    U: np.ndarray,
-    logweights: list[np.ndarray],
-    total: int,
-    ucol0: int = 0,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Draw (x_1, ..., x_J) with sum = total and P proportional to
-    prod_j w_j[x_j], sequentially with exact suffix normalizers.
-
-    ``logweights[j]`` gives log w_j over x_j = 0..len-1 (-inf = infeasible).
-    Returns (draws (size, J), exact log-probabilities, next uniform column).
-    """
-    size = U.shape[0]
-    J = len(logweights)
-    # suffix[j][r] = log sum over allocations of r to columns j..J-1
-    suffix = [np.full(total + 1, -np.inf) for _ in range(J + 1)]
-    suffix[J][0] = 0.0
-    for j in range(J - 1, -1, -1):
-        wj = logweights[j]
-        xs = np.arange(len(wj))
-        rr = np.arange(total + 1)
-        diff = rr[:, None] - xs[None, :]
-        terms = np.where(
-            diff >= 0, wj[None, :] + np.take(suffix[j + 1], np.maximum(diff, 0)), -np.inf
-        )
-        suffix[j] = logsumexp(terms, axis=1)
-    out = np.zeros((size, J), dtype=np.int64)
-    log_p = np.zeros(size)
-    rem = np.full(size, total, dtype=np.int64)
-    ucol = ucol0
-    for j in range(J - 1):
-        wj = logweights[j]
-        xs = np.arange(len(wj))
-        rr = np.arange(total + 1)
-        diff = rr[:, None] - xs[None, :]
-        logp = np.where(
-            diff >= 0, wj[None, :] + np.take(suffix[j + 1], np.maximum(diff, 0)), -np.inf
-        )
-        with np.errstate(invalid="ignore"):
-            norm = logsumexp(logp, axis=1, keepdims=True)
-            logp_n = logp - norm
-            cdf = np.cumsum(np.exp(logp_n), axis=1)
-            cdf /= cdf[:, -1:]
-        rows_cdf = cdf[rem]
-        pick = (U[:, ucol, None] > rows_cdf).sum(axis=1)
-        pick = np.minimum(pick, len(xs) - 1)
-        ucol += 1
-        out[:, j] = pick
-        log_p += logp[rem, pick] - norm[rem, 0]
-        rem = rem - out[:, j]
-    out[:, J - 1] = rem
-    return out, log_p, ucol
 
 
 def _tilted_fill(
@@ -342,26 +295,6 @@ def _log_v_batch(
     return logv
 
 
-def _log_normalizer(c: ConfounderClass, m: Margins, model: SensitivityModel) -> float:
-    """log C(u) = log sum_q e^{gamma delta'q} kernel_q(q) in closed block form."""
-    delta = model.delta
-    assert delta is not None
-    N = m.N
-    ubar = c.total
-    B = sum(r for r, dv in zip(m.rows, delta) if dv == 1)
-    scale = (
-        math.lgamma(B + 1)
-        + math.lgamma(N - B + 1)
-        - math.fsum(math.lgamma(r + 1) for r in m.rows)
-    )
-    terms = []
-    for d in range(ubar + 1):
-        k = math.comb(ubar, d) * math.comb(N - ubar, B - d) if 0 <= B - d <= N - ubar else 0
-        if k:
-            terms.append(math.log2(k) * math.log(2.0) + model.gamma * d)
-    return float(logsumexp(np.asarray(terms)) + scale)
-
-
 def _validate_sampling_call(
     t_obs: ContingencyTable, c: ConfounderClass, model: SensitivityModel, M: int
 ) -> Margins:
@@ -412,7 +345,11 @@ def estimate_alpha_sis(
     if critical is None:
         critical = test(t_obs)
     keep, log_ratio = _sample_and_weight(seed, test, m, c, model, critical, M, proposal)
-    logC = _log_normalizer(c, m, model)
+    # log C(u) from the closed block form, summed over the d with K_d > 0
+    B = sum(r for r, dv in zip(m.rows, model.delta) if dv == 1)  # type: ignore[arg-type]
+    logk, scale = _block_sum_normalizer(m, B, c.total)
+    d = np.flatnonzero(np.isfinite(logk))
+    logC = float(logsumexp(logk[d] + model.gamma * d) + scale)
     terms = np.where(keep, np.exp(log_ratio - logC), 0.0)
     running = np.cumsum(terms) / np.arange(1, M + 1)
     return EstimatorTrace("SIS", running, float(running[-1]), proposal)

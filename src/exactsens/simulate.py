@@ -32,9 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from exactsens.exactdist import mvehg_support, _mvehg_logterms, statistic_tolerance
+from exactsens.exactdist import _mvehg_law, statistic_tolerance
 from exactsens.moments import test_moments
-from exactsens.sensmodel import SensitivityModel
+from exactsens.sensmodel import SensitivityError, SensitivityModel
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, collapse, crosscut
 from exactsens.worstcase import signscore_u_plus, worst_case_grid
@@ -221,14 +221,19 @@ def _power_one_iteration(args) -> list[list[bool]]:
     for spec in spec_list:
         try:
             tt = spec.transform(t)
-            stat = spec.statistic()
-            model = SensitivityModel(gamma=gammas[0], delta=spec.delta)
-            results = worst_case_grid(stat, tt, model, gammas)
+            tt.margins()
         except ValueError:
             # a draw can leave a transformed table degenerate (e.g. an empty
             # cross-cut row); no retained data means no rejection
             out.append([False] * len(gammas))
             continue
+        if len(spec.delta) != tt.I:
+            raise SensitivityError(
+                f"test variant {spec.name!r}: delta has {len(spec.delta)} entries "
+                f"but the transformed table has {tt.I} rows"
+            )
+        model = SensitivityModel(gamma=gammas[0], delta=spec.delta)
+        results = worst_case_grid(spec.statistic(), tt, model, gammas)
         out.append([res.pvalue <= alpha_level for res in results])
     return out
 
@@ -302,16 +307,9 @@ def size_curve(
         raise ValueError("iterations must be at least 1")
     if method not in ("exact", "normal"):
         raise ValueError("method must be 'exact' or 'normal'")
-    rows = margins.rows
-    n2 = margins.cols[1]
     weights = [model.gamma * b for b in model.bias]
-    support = mvehg_support(rows, n2)
-    logterms = _mvehg_logterms(support, rows, weights)
-    logterms -= logterms.max()
-    probs = np.exp(logterms)
-    probs /= probs.sum()
-    a = np.asarray(alpha_scores, dtype=float)
-    tvals = np.asarray(support, dtype=float) @ a
+    support, probs = _mvehg_law(margins.rows, margins.cols[1], weights)
+    tvals = support @ np.asarray(alpha_scores, dtype=float)
     uplus = signscore_u_plus(margins)
 
     stat = ordinal_statistic(alpha_scores, (0.0, 1.0))

@@ -35,10 +35,6 @@ __all__ = [
     "g2_statistic",
     "cell_statistic",
     "permutation_invariant_statistic",
-    "eval_ordinal",
-    "eval_chi2",
-    "eval_g2",
-    "eval_fisher_cell",
 ]
 
 
@@ -79,16 +75,6 @@ def _require_monotone(scores: Sequence[float], what: str) -> tuple[float, ...]:
     return vals
 
 
-def eval_ordinal(
-    t: ContingencyTable, alpha: Sequence[float], beta: Sequence[float]
-) -> float:
-    """T = sum_ij alpha_i beta_j N_ij."""
-    arr = t.as_array()
-    if len(alpha) != t.I or len(beta) != t.J:
-        raise ValueError("score lengths must match table dimensions")
-    return float(np.asarray(alpha, dtype=float) @ arr @ np.asarray(beta, dtype=float))
-
-
 def ordinal_statistic(alpha: Sequence[float], beta: Sequence[float]) -> TestStatistic:
     a = _require_monotone(alpha, "row")
     b = _require_monotone(beta, "column")
@@ -123,10 +109,6 @@ def _check_positive_margins(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return rows, cols
 
 
-def eval_chi2(t: ContingencyTable) -> float:
-    return chi2_statistic()(t)
-
-
 def chi2_statistic() -> TestStatistic:
     def batch(tables: np.ndarray) -> np.ndarray:
         arr = tables.astype(float)
@@ -136,10 +118,6 @@ def chi2_statistic() -> TestStatistic:
         return ((arr - expected) ** 2 / expected).sum(axis=(1, 2))
 
     return TestStatistic(TestFamily.PERMUTATION_INVARIANT, "chi2", batch)
-
-
-def eval_g2(t: ContingencyTable) -> float:
-    return g2_statistic()(t)
 
 
 def g2_statistic() -> TestStatistic:
@@ -178,10 +156,6 @@ def weighted_sum_statistic(alpha: Sequence[float], beta: Sequence[float]) -> Tes
         TestFamily.PERMUTATION_INVARIANT, f"weighted[{a}x{b}]", batch,
         alpha=a, beta=b,
     )
-
-
-def eval_fisher_cell(t: ContingencyTable, i: int, j: int) -> float:
-    return cell_statistic(i, j)(t)
 
 
 def cell_statistic(i: int, j: int) -> TestStatistic:

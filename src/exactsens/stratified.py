@@ -14,7 +14,9 @@ product.
 For binary outcomes, each stratum's sign-score statistic is stochastically
 bounded by its worst-case multivariate extended hypergeometric transform;
 ``signscore_bound_distribution`` exposes those exact per-stratum laws so any
-monotone combination of the K statistics can be bounded by Monte Carlo.
+monotone combination of the K statistics can be bounded by Monte Carlo.  The
+laws come from ``exactdist._mvehg_law``, the same code that gives the
+single-table sign-score worst case.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from exactsens.exactdist import mvehg_support, _mvehg_logterms
+from exactsens.exactdist import _mvehg_law, statistic_tolerance
 from exactsens.sensmodel import SensitivityModel
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable
@@ -215,7 +217,7 @@ class SignScoreBound:
     probs: np.ndarray
 
     def tail(self, critical: float) -> float:
-        keep = self.values >= critical - 1e-9 * max(1.0, abs(critical))
+        keep = self.values >= critical - statistic_tolerance(critical)
         return float(self.probs[keep].sum())
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -238,13 +240,7 @@ def signscore_bound_distribution(study: StratifiedStudy) -> list[SignScoreBound]
     weights = [study.model.gamma * b for b in study.model.bias]
     for k in range(study.K):
         t = study.strata[k]
-        rows = t.row_margins()
-        n2 = t.col_margins()[1]
-        support = mvehg_support(rows, n2)
-        logterms = _mvehg_logterms(support, rows, weights)
-        logterms -= logterms.max()
-        probs = np.exp(logterms)
-        probs /= probs.sum()
-        values = np.asarray(support, dtype=float) @ np.asarray(study.alphas[k])
+        support, probs = _mvehg_law(t.row_margins(), t.col_margins()[1], weights)
+        values = support @ np.asarray(study.alphas[k], dtype=float)
         out.append(SignScoreBound(values=values, probs=probs))
     return out

@@ -26,12 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from exactsens.exactdist import (
-    RejectionAggregate,
-    mvehg_support,
-    _mvehg_logterms,
-    statistic_tolerance,
-)
+from exactsens.exactdist import RejectionAggregate, _mvehg_law, statistic_tolerance
 from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
 from exactsens.stats import TestFamily, TestStatistic
 from exactsens.tables import ContingencyTable, Margins
@@ -123,24 +118,11 @@ def _signscore_result(
 ) -> WorstCaseResult:
     # T is affine in the column-2 count vector M when J = 2, so evaluate the
     # statistic on the reconstructed tables over the MVEHG support
-    rows = m.rows
-    n2 = m.cols[1]
-    support = mvehg_support(rows, n2)
-    tabs = np.zeros((len(support), m.I, 2), dtype=np.int64)
-    marr = np.asarray(support, dtype=np.int64)
-    tabs[:, :, 1] = marr
-    tabs[:, :, 0] = np.asarray(rows)[None, :] - marr
-    tvals = test.evaluate_batch(tabs)
     weights = [model.gamma * b for b in model.bias]
-    logterms = _mvehg_logterms(support, rows, weights)
-    tol = statistic_tolerance(critical)
-    mask = tvals >= critical - tol
-    if mask.any():
-        from scipy.special import logsumexp
-
-        p = float(np.exp(logsumexp(logterms[mask]) - logsumexp(logterms)))
-    else:
-        p = 0.0
+    support, probs = _mvehg_law(m.rows, m.cols[1], weights)
+    tabs = np.stack([np.asarray(m.rows)[None, :] - support, support], axis=2)
+    tvals = test.evaluate_batch(tabs)
+    p = float(probs[tvals >= critical - statistic_tolerance(critical)].sum())
     return WorstCaseResult(
         pvalue=min(p, 1.0),
         argmax_class=signscore_u_plus(m),

@@ -64,17 +64,25 @@ def test_analyze_gamma_grid_one_is_randomization(girls_csv, tmp_path):
     assert code == 0
 
 
-def test_byte_identical_reruns(girls_csv, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{girls}", "--test", "ordinal", "--alpha", "0,0.25,1.5",
+     "--beta", "0,1,1.5", "--delta", "0,1,1", "--Gamma-grid", "1,2"],
+    ["size", "--rows", "20,5,10", "--cols", "10,25", "--delta", "0,0,1",
+     "--alpha", "0,1,2", "--gamma-grid", "0.5", "--nominal", "0.05,0.5",
+     "--iterations", "200"],
+    ["sample", "{girls}", "--test", "ordinal", "--alpha", "0,0.25,1.5",
+     "--beta", "0,1,1.5", "--delta", "0,1,1", "--gamma-grid", "0.5",
+     "--fixed-ubar", "0,10,3", "--iterations", "300", "--with-exact"],
+], ids=["analyze", "size", "sample"])
+def test_byte_identical_reruns(argv, girls_csv, tmp_path):
     outs = []
-    for name in ("a.csv", "b.csv"):
-        out = tmp_path / name
-        code = run([
-            "analyze", girls_csv,
-            "--test", "ordinal", "--alpha", "0,0.25,1.5", "--beta", "0,1,1.5",
-            "--delta", "0,1,1", "--Gamma-grid", "1,2", "--out", str(out),
-        ])
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        summary = tmp_path / f"{name}.json"
+        code = run([a.format(girls=girls_csv) for a in argv]
+                   + ["--out", str(out), "--summary", str(summary)])
         assert code == 0
-        outs.append(out.read_bytes())
+        outs.append((out.read_bytes(), summary.read_bytes()))
     assert outs[0] == outs[1]
 
 
@@ -170,6 +178,29 @@ def test_power_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[1] == "test,gamma,Gamma,rate,mc_sigma"
     assert len(lines) == 4
+
+
+def test_power_misconfiguration_exit_codes(tmp_path):
+    # misconfigured variants are reported, not counted as "no rejection":
+    # a 2-entry delta on the 3-row full-table variant is a model mismatch,
+    # non-monotone DGP scores cannot define the ordinal test
+    cfg = {
+        "lambda_z": [1.0, 0.0, 0.0],
+        "lambda_r": [1.0, 0.2, 0.0],
+        "alpha_star": [0.0, 1.7, 2.45],
+        "beta_star": [0.0, 1.25, 1.4],
+        "treatment_margins": [10, 10, 10],
+        "delta": [0, 1],
+    }
+    cp = tmp_path / "dgp.json"
+    out = tmp_path / "power.csv"
+    cp.write_text(json.dumps(cfg))
+    assert run(["power", str(cp), "--iterations", "2", "--out", str(out)]) == 3
+    cfg.update(delta=[0, 1, 1], alpha_star=[0.0, 2.45, 1.7])
+    cp.write_text(json.dumps(cfg))
+    with pytest.warns(UserWarning, match="not monotone"):
+        assert run(["power", str(cp), "--iterations", "2", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_size_command(tmp_path):

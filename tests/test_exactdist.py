@@ -1,5 +1,6 @@
 """Kernels, exact significance levels, the brute-force oracle, and MVEHG."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from exactsens.exactdist import (
     ORACLE_CAP,
     RejectionAggregate,
+    _sequential_weighted_draw,
     _table_q_weights,
     brute_force_alpha,
     exact_alpha,
@@ -219,6 +221,42 @@ def test_mvehg_normalization(rng):
 def test_mvehg_off_support_zero():
     assert mvehg_pmf((3, 0), (2, 2), 3, (0.0, 0.0)) == 0.0
     assert mvehg_pmf((1, 1), (2, 2), 3, (0.0, 0.0)) == 0.0
+
+
+def _product_filter(total, caps):
+    """Bounded compositions by brute force, in lexicographic order."""
+    return [
+        v for v in itertools.product(*(range(c + 1) for c in caps)) if sum(v) == total
+    ]
+
+
+def test_compositions_match_product_filter(rng):
+    cases = [((0, 3, 0), 2), ((0, 0), 0), ((2, 0, 1), 4), ((2, 3), -1), ((2, 3), 6), ((4,), 4)]
+    for _ in range(40):
+        caps = tuple(int(v) for v in rng.integers(0, 4, size=int(rng.integers(1, 5))))
+        cases.append((caps, int(rng.integers(-2, sum(caps) + 3))))
+    for caps, total in cases:
+        want = _product_filter(total, caps)
+        assert mvehg_support(caps, total) == want, (caps, total)
+        assert list(omega_q(total, caps)) == want, (caps, total)
+
+
+def test_sequential_draw_logprob_is_mvehg_pmf(rng):
+    # the shared suffix-normalizer sampler, fed MVEHG log-weights, reports the
+    # exact log-probability of each draw
+    for _ in range(10):
+        m_rows = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(2, 5))))
+        n = int(rng.integers(0, sum(m_rows) + 1))
+        w = rng.normal(size=len(m_rows)).tolist()
+        logweights = [
+            np.array([math.log(math.comb(mi, x)) + wi * x for x in range(min(mi, n) + 1)])
+            for mi, wi in zip(m_rows, w)
+        ]
+        U = rng.random((50, len(m_rows) - 1))
+        draws, log_p, ucol = _sequential_weighted_draw(U, logweights, n)
+        assert ucol == len(m_rows) - 1
+        for row, lp in zip(draws, log_p):
+            assert lp == pytest.approx(math.log(mvehg_pmf(row, m_rows, n, w)), abs=1e-12)
 
 
 def test_mvehg_sample_degenerate(rng):

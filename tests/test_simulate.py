@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from exactsens.sensmodel import SensitivityModel
+from exactsens.sensmodel import SensitivityError, SensitivityModel
 from exactsens.simulate import (
     LogLinearDGP,
     PowerTestSpec,
@@ -102,6 +102,33 @@ def test_power_rejects_everything_at_level_one():
     assert curves["t"].rates == (1.0,)
     with pytest.raises(ValueError):
         power_curve(1, CASE_I, spec, [0.0], iterations=0)
+
+
+def test_power_delta_mismatch_raises():
+    spec = PowerTestSpec("short-delta", CASE_I.alpha_star, CASE_I.beta_star, (0, 1))
+    with pytest.raises(SensitivityError, match="3 rows"):
+        power_curve(1, CASE_I, spec, [0.0], iterations=3)
+    # the check is on the transformed row count: (0, 1) suits a 2-row collapse
+    # and a 3-entry delta does not
+    suite = standard_test_suite(CASE_I.alpha_star, CASE_I.beta_star)
+    power_curve(1, CASE_I, suite[3], [0.0], iterations=2)
+    bad = PowerTestSpec("2x2-long", (0.0, 1.0), (0.0, 1.0), (0, 1, 1),
+                        row_groups=((0,), (1, 2)), col_groups=((0, 1), (2,)))
+    with pytest.raises(SensitivityError, match="2 rows"):
+        power_curve(1, CASE_I, bad, [0.0], iterations=2)
+
+
+def test_power_degenerate_crosscut_counts_as_no_rejection():
+    # row 1 always lands in the middle outcome, so every cross-cut draw keeps
+    # an empty row: nothing is retained to test, which counts as no rejection
+    dgp = LogLinearDGP(0.0, (0.0,) * 3, (-60.0, 0.0, -60.0), 1.0, (0, 1, 2), (0, 0, 61),
+                       (4, 4, 4))
+    t = sample_table_fixed_treatment(np.random.default_rng(0), dgp)
+    assert t.counts[0] == (0, 4, 0) and t.counts[2] == (0, 0, 4)
+    spec = PowerTestSpec("crosscut", (0.0, 1.0), (0.0, 1.0), (0, 1),
+                         keep_rows=(0, 2), keep_cols=(0, 2))
+    curves = power_curve(3, dgp, spec, [0.0], iterations=3, alpha_level=1.0)
+    assert curves["crosscut"].rates == (0.0,)
 
 
 def test_standard_suite_shapes():
