@@ -345,6 +345,8 @@ def cmd_size(args) -> int:
         raise CliError(str(exc), EXIT_BAD_INPUT) from exc
     model = _model(args, len(rows)).with_gamma(_gamma_grid(args)[0])
     alpha_scores = _parse_floats(args.alpha) if args.alpha else list(range(len(rows)))
+    if len(alpha_scores) != len(rows):
+        raise CliError("--alpha length must match --rows", EXIT_BAD_INPUT)
     nominal = _parse_floats(args.nominal) if args.nominal else [v / 100 for v in range(1, 100)]
     lines = ["method,nominal_alpha,rate,mc_sigma"]
     for method in ("exact", "normal"):

@@ -23,9 +23,15 @@ fast path exploits that a binary delta only enters through the scalar
 d = delta'q and that, once q is summed out subject to d, the within-column
 choices telescope into closed-form binomials.  Each table then contributes a
 weight that factors through its per-column delta-block sums, so one pass over
-the reference set builds a gamma-free tensor from which any (ubar, gamma)
-evaluation is a few small contractions.  A full Gamma sweep or candidate scan
-therefore costs one enumeration.
+the reference set builds a gamma-free tensor R.  A whole candidate scan over
+a Gamma grid is then one batched log-domain pass
+(``RejectionAggregate.alpha_table``): the per-column binomial profiles of
+every class come from one log-factorial table, R is contracted column by
+column as a matmul batched over the classes while the d = delta'q buckets are
+convolved, and one log-sum-exp over d yields every (class, gamma) pair.  No
+exact integer is converted to float on this path, so large column margins
+cannot overflow it, and classes go through in chunks of bounded memory.  A
+full Gamma sweep or candidate scan therefore costs one enumeration.
 
 ``brute_force_alpha`` is the independent oracle: direct enumeration of every
 multiset permutation of the treatment vector, supporting real-valued u and
@@ -95,28 +101,36 @@ def statistic_tolerance(critical: float) -> float:
 
 def omega_q(ubar: int, rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Support of the per-treatment u=1 counts: sum q_i = ubar within bounds."""
-    return _bounded_compositions(ubar, tuple(int(v) for v in rows))
+    return iter(map(tuple, _bounded_compositions(ubar, rows).tolist()))
 
 
-def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _bounded_compositions(total: int, bounds: Sequence[int]) -> np.ndarray:
     """Non-negative integer vectors with given sum and per-entry caps.
 
-    Yields them in lexicographic order; nothing when ``total`` lies outside
-    ``[0, sum(bounds)]``.  The single enumerator behind ``omega_q``,
-    ``mvehg_support`` and the per-column splits of ``_table_q_weights``.
+    Returns them as the rows of an (S, n) int64 array in lexicographic order;
+    no rows when ``total`` lies outside ``[0, sum(bounds)]``.  Prefixes grow
+    one entry at a time: each prefix is repeated once per feasible value of
+    the next entry (those that leave a remainder the later caps can absorb),
+    in ascending order, so the rows stay sorted.  The single enumerator
+    behind ``omega_q``, ``mvehg_support`` and the per-column splits of
+    ``_table_q_weights``.
     """
+    bounds = np.asarray(bounds, dtype=np.int64).reshape(-1)
     n = len(bounds)
-    tails = [sum(bounds[i + 1 :]) for i in range(n)]
-
-    def rec(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if i == n - 1:
-            if 0 <= rem <= bounds[i]:
-                yield (rem,)
-            return
-        for v in range(max(0, rem - tails[i]), min(bounds[i], rem) + 1):
-            yield from ((v,) + rest for rest in rec(i + 1, rem - v))
-
-    yield from rec(0, total)
+    if not 0 <= total <= int(bounds.sum()):
+        return np.zeros((0, n), dtype=np.int64)
+    tails = np.cumsum(bounds[::-1])[::-1] - bounds  # sum of the caps after entry i
+    out = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([total], dtype=np.int64)
+    for i in range(n):
+        lo = np.maximum(0, rem - tails[i])
+        count = np.minimum(bounds[i], rem) - lo + 1
+        parent = np.repeat(np.arange(len(rem)), count)
+        first = np.cumsum(count) - count
+        v = lo[parent] + np.arange(len(parent)) - first[parent]
+        out = np.column_stack((out[parent], v))
+        rem = rem[parent] - v
+    return out
 
 
 def kernel_q(q: Sequence[int], ubar_total: int, m: Margins) -> int:
@@ -289,7 +303,7 @@ def _table_q_weights(
     for j, (uj, cj) in enumerate(zip(ubar_j, cols)):
         col_counts = []
         base = math.factorial(uj) * math.factorial(cj - uj)
-        for split in _bounded_compositions(uj, arr[:, j].tolist()):
+        for split in _bounded_compositions(uj, arr[:, j]).tolist():
             w = base
             for i in range(I):
                 w //= math.factorial(split[i]) * math.factorial(int(arr[i, j]) - split[i])
@@ -355,25 +369,45 @@ def _exact_alpha_integer(
 # --------------------------------------------------------------------------
 
 
-def _block_sum_normalizer(m: Margins, block_total: int, ubar: int) -> tuple[np.ndarray, float]:
+# Bytes of intermediates the batched candidate scan holds at once: classes are
+# contracted in chunks no larger than this allows (one class at a time when a
+# single class needs more).  Unchunked, a 61-class scan raised a power study's
+# peak resident memory by about a quarter.
+_SCAN_CHUNK_BYTES = 2 << 20
+
+
+@lru_cache(maxsize=1024)
+def _block_sum_normalizer(
+    rows: tuple[int, ...], block_total: int, ubar: int
+) -> tuple[np.ndarray, float]:
     """Closed form of C(u) = sum_q e^{gamma delta'q} kernel_q(q) for binary delta.
 
     Grouping q by d = delta'q gives C(u) = sum_d K_d e^{gamma d} with
     K_d = C(ubar, d) C(N - ubar, B - d) B! (N - B)! / prod_i N_i.! and B the
     delta-block treatment total.  Returns (log C(ubar, d) C(N - ubar, B - d)
     for d = 0..ubar, -inf where it vanishes; the shared log scale), so
-    log K_d = logk[d] + scale.
+    log K_d = logk[d] + scale.  Exact integers up to the final log; cached
+    per (rows, B, ubar) as a read-only array, since a candidate scan and a
+    power study meet the same totals again and again.
     """
-    N = m.N
+    N = sum(rows)
     scale = lgamma(block_total + 1) + lgamma(N - block_total + 1) - fsum(
-        lgamma(r + 1) for r in m.rows
+        lgamma(r + 1) for r in rows
     )
     logk = np.full(ubar + 1, -np.inf)
     for d in range(ubar + 1):
         k = _c(ubar, d) * _c(N - ubar, block_total - d)
         if k:
             logk[d] = math.log2(k) * math.log(2.0)
+    logk.flags.writeable = False
     return logk, scale
+
+
+def _log_binom(logfact: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """log C(n, k) from a log-factorial table, -inf outside 0 <= k <= n (broadcasts)."""
+    ok = (k >= 0) & (k <= n)
+    kk = np.where(ok, k, 0)
+    return np.where(ok, logfact[n] - logfact[kk] - logfact[np.where(ok, n - kk, 0)], -np.inf)
 
 
 class RejectionAggregate:
@@ -382,11 +416,22 @@ class RejectionAggregate:
     One pass over the fixed-margin reference set accumulates, for every
     vector b of per-column delta-block sums, the total of
     prod_j a_j! b_j! / prod_ij t_ij! over rejected tables (log-offset floats;
-    all terms positive).  ``alpha(ubar, gamma)`` then contracts this tensor
-    against per-column binomial profiles of the confounder class, yielding the
-    d-bucketed numerator for any gamma at negligible cost.  The denominator
-    has the closed form C(ubar, d) C(N - ubar, B - d) B! (N - B)! / prod N_i.!
-    with B the delta-block treatment total.
+    all terms positive).  The numerator of alpha at a confounder class ubar
+    is S_d = sum_b R[b] sum_{d_1 + ... + d_J = d} prod_j chi_j[b_j, d_j] with
+    the per-column binomial profiles chi_j[b, d] = C(ubar_j, d)
+    C(N_.j - ubar_j, b - d).  The denominator has the closed form
+    C(ubar, d) C(N - ubar, B - d) B! (N - B)! / prod N_i.! with B the
+    delta-block treatment total.
+
+    ``alpha_table`` evaluates a whole candidate scan in one batched pass.
+    The chi profiles come from one log-factorial table, each (class, column)
+    profile scaled by its maximum, so no exact integer is ever converted to
+    float and large column margins cannot overflow.  R is contracted column
+    by column as a matmul batched over the classes, convolving d as it goes,
+    and one log-sum-exp over d gives every (class, gamma) pair.  Classes are
+    processed in chunks whose intermediates fit in ``_SCAN_CHUNK_BYTES``.
+    ``alpha_grid`` and ``numerator_buckets`` are the one-class calls of the
+    same code.
     """
 
     def __init__(
@@ -419,6 +464,7 @@ class RejectionAggregate:
         self.nrejected = int(mask.sum())
         shape = tuple(int(cj) + 1 for cj in cols)
         self._shape = shape
+        self._logfact = gammaln(np.arange(m.N + 1) + 1.0)
         if self.nrejected == 0:
             self._R = np.zeros(shape)
             self._offset = 0.0
@@ -436,46 +482,92 @@ class RejectionAggregate:
         np.add.at(R, tuple(b.T), np.exp(logw - self._offset))
         self._R = R
 
+    def _class_array(self, classes: Sequence[ConfounderClass]) -> np.ndarray:
+        for c in classes:
+            c.validate_for(self.margins)
+        return np.array([c.ubar for c in classes], dtype=np.int64).reshape(-1, self.margins.J)
+
+    def _floats_per_class(self) -> int:
+        """Floats per class live at once in ``_log_numerators`` at its widest column.
+
+        That is the column's input plus its padded output, sized for
+        ubar_j = N_.j, the widest profile a class can have.
+        """
+        widest, D = 1, 1
+        for j, cj in enumerate(self.margins.cols):
+            P = math.prod(self._shape[j + 1 :])
+            widest = max(widest, D * (cj + 1) * P + D * (cj + 1 + D) * P)
+            D += cj
+        return widest
+
+    def _log_numerators(self, U: np.ndarray) -> np.ndarray:
+        """log S_d for each class row of U, d = 0..sum_j max_k U[k, j]; -inf where S_d = 0."""
+        K = len(U)
+        logscale = np.full(K, self._offset)
+        # M[k, e, b_j, rest]: R with columns < j contracted and their d convolved
+        M = self._R.reshape(1, 1, self._shape[0], -1)
+        for j, cj in enumerate(self.margins.cols):
+            n = int(U[:, j].max()) + 1
+            u = U[:, j, None, None]
+            d = np.arange(n)
+            bd = np.arange(cj + 1)[:, None] - d  # b - d
+            logchi = _log_binom(self._logfact, u, d) + _log_binom(self._logfact, cj - u, bd)
+            top = logchi.max(axis=(1, 2))
+            logscale += top
+            chiT = np.exp(logchi - top[:, None, None]).transpose(0, 2, 1)
+            D, P = M.shape[1], M.shape[3]
+            # sum over b_j into the first n of n + D columns: (K, D, n, rest);
+            # the d convolution then skews row i of each (D, n) block right by
+            # i and sums the rows, and re-reading the zero-padded buffer with
+            # rows of n + D - 1 does the skew without a copy
+            pad = np.zeros((K, D, n + D, P))
+            np.matmul(chiT[:, None], M, out=pad[:, :, :n])
+            E = n + D - 1
+            M = pad.reshape(K, -1)[:, : D * E * P].reshape(K, D, E, P).sum(axis=1)
+            if j + 1 < len(self._shape):
+                M = M.reshape(K, E, self._shape[j + 1], -1)
+        S = M[:, :, 0]
+        logS = np.full(S.shape, -np.inf)
+        nz = S > 0
+        logS[nz] = np.log(S[nz])
+        return logS + logscale[:, None]
+
     def numerator_buckets(self, c: ConfounderClass) -> tuple[np.ndarray, float]:
         """(log S_d array indexed by d = 0..ubar, shared log offset)."""
-        c.validate_for(self.margins)
-        cols = self.margins.cols
-        ubar = c.total
-        M = self._R
-        for j, (cj, uj) in enumerate(zip(cols, c.ubar)):
-            bj = np.arange(cj + 1)
-            chi = np.zeros((cj + 1, uj + 1))
-            for d in range(uj + 1):
-                cu = _c(uj, d)
-                chi[:, d] = [cu * _c(cj - uj, int(bb) - d) for bb in bj]
-            M = np.tensordot(M, chi, axes=([0], [0]))
-        # M axes are now (d_1, ..., d_J); collapse to d = sum_j d_j
-        S = np.zeros(ubar + 1)
-        if M.size:
-            grid = np.indices(M.shape).reshape(len(M.shape), -1).sum(axis=0)
-            np.add.at(S, grid, M.ravel())
-        logS = np.full(ubar + 1, -np.inf)
-        nz = S > 0
-        logS[nz] = np.log(S[nz]) + self._offset
-        return logS, 0.0
+        return self._log_numerators(self._class_array([c]))[0], 0.0
 
     def denominator_buckets(self, c: ConfounderClass) -> np.ndarray:
         """log K_d array for d = 0..ubar (exact closed form)."""
-        logk, scale = _block_sum_normalizer(self.margins, self.block_total, c.total)
+        logk, scale = _block_sum_normalizer(self.margins.rows, self.block_total, c.total)
         return logk + scale
 
     def alpha(self, c: ConfounderClass, gamma: float) -> float:
         return self.alpha_grid(c, [gamma])[0]
 
     def alpha_grid(self, c: ConfounderClass, gammas: Sequence[float]) -> list[float]:
-        logS, _ = self.numerator_buckets(c)
-        logK = self.denominator_buckets(c)
-        d = np.arange(c.total + 1, dtype=float)
-        out = []
-        for g in gammas:
-            num = logsumexp(logS + g * d)
-            den = logsumexp(logK + g * d)
-            out.append(float(np.exp(num - den)) if np.isfinite(num) else 0.0)
+        return self.alpha_table([c], gammas)[0].tolist()
+
+    def alpha_table(
+        self, classes: Sequence[ConfounderClass], gammas: Sequence[float]
+    ) -> np.ndarray:
+        """(K, G) array: exact alpha of class k (row) at gamma g (column)."""
+        U = self._class_array(classes)
+        g = np.asarray(gammas, dtype=float)
+        out = np.zeros((len(U), len(g)))
+        per_class = max(self._floats_per_class(), len(g) * (self.margins.N + 1))
+        chunk = max(1, _SCAN_CHUNK_BYTES // (8 * per_class))
+        for start in range(0, len(U), chunk):
+            Uc = U[start : start + chunk]
+            logS = self._log_numerators(Uc)
+            logK = np.full(logS.shape, -np.inf)
+            totals = Uc.sum(axis=1)
+            for total in np.unique(totals).tolist():
+                logk, scale = _block_sum_normalizer(self.margins.rows, self.block_total, total)
+                logK[totals == total, : total + 1] = logk + scale
+            tilt = g[:, None] * np.arange(logS.shape[1])
+            num = logsumexp(logS[:, None, :] + tilt, axis=-1)
+            den = logsumexp(logK[:, None, :] + tilt, axis=-1)
+            out[start : start + chunk] = np.exp(num - den)
         return out
 
 
@@ -582,7 +674,7 @@ def brute_force_alpha(
 
 def mvehg_support(m_rows: Sequence[int], n: int) -> list[tuple[int, ...]]:
     """All count vectors t with sum t_i = n, 0 <= t_i <= m_i."""
-    return list(_bounded_compositions(n, tuple(int(v) for v in m_rows)))
+    return list(map(tuple, _bounded_compositions(n, m_rows).tolist()))
 
 
 @lru_cache(maxsize=16)
@@ -599,8 +691,7 @@ def _log_binomials(m_rows: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=16)
 def _mvehg_base(m_rows: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(support as an (S, I) array, sum_i log C(m_i, t_i) over it), read-only."""
-    support = np.array(list(_bounded_compositions(n, m_rows)), dtype=np.int64)
-    support = support.reshape(-1, len(m_rows))
+    support = _bounded_compositions(n, m_rows)
     logc = np.zeros(len(support))
     for i, tab in enumerate(_log_binomials(m_rows, n)):
         logc += tab[support[:, i]]

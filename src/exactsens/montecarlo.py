@@ -347,7 +347,7 @@ def estimate_alpha_sis(
     keep, log_ratio = _sample_and_weight(seed, test, m, c, model, critical, M, proposal)
     # log C(u) from the closed block form, summed over the d with K_d > 0
     B = sum(r for r, dv in zip(m.rows, model.delta) if dv == 1)  # type: ignore[arg-type]
-    logk, scale = _block_sum_normalizer(m, B, c.total)
+    logk, scale = _block_sum_normalizer(m.rows, B, c.total)
     d = np.flatnonzero(np.isfinite(logk))
     logC = float(logsumexp(logk[d] + model.gamma * d) + scale)
     terms = np.where(keep, np.exp(log_ratio - logC), 0.0)

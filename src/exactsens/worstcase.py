@@ -11,9 +11,12 @@ admissible confounders.  The search space collapses by test family:
   ubar = (0, N_.2), a single class, where the column-2 counts follow a
   multivariate extended hypergeometric law.
 
-``worst_case_pvalue`` picks the cheapest valid strategy, reuses one
-gamma-free table aggregation across the whole candidate scan, and
-tie-breaks deterministically toward the lexicographically smallest class.
+``worst_case_pvalue`` picks the cheapest valid strategy and builds one
+gamma-free table aggregation, which evaluates every candidate class at every
+gamma in one batched log-domain pass (``RejectionAggregate.alpha_table``).
+The maximum is then taken row by row in candidate order, keeping the first
+maximizer up to ``_TIE_REL``, so ties break deterministically toward the
+lexicographically smallest class.
 Dose (phi) models are refused outside the sign-score family: interior
 confounders can beat every corner there, so a corner scan would be wrong.
 """
@@ -184,8 +187,7 @@ def worst_case_grid(
     # while the reported p stays equal to alpha at the reported class
     best_p = [-1.0] * len(gammas)
     best_c: list[ConfounderClass | None] = [None] * len(gammas)
-    for cand in cands:
-        vals = agg.alpha_grid(cand, gammas)
+    for cand, vals in zip(cands, agg.alpha_table(cands, gammas).tolist()):
         for k, v in enumerate(vals):
             if v > best_p[k] * (1.0 + _TIE_REL):
                 best_p[k] = v

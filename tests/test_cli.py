@@ -86,7 +86,7 @@ def test_byte_identical_reruns(argv, girls_csv, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_malformed_input_exits_2(tmp_path):
+def test_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\nx,4\n")
     code = run(["analyze", str(bad), "--test", "chi2", "--delta", "0,1"])
@@ -94,6 +94,12 @@ def test_malformed_input_exits_2(tmp_path):
     code = run(["analyze", str(tmp_path / "missing.csv"), "--test", "chi2",
                 "--delta", "0,1"])
     assert code == 2
+    capsys.readouterr()
+    # one treatment score per row: a short --alpha is bad input, not a model mismatch
+    code = run(["size", "--rows", "20,5,10", "--cols", "10,25", "--delta", "0,0,1",
+                "--alpha", "0,1", "--iterations", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --alpha length must match --rows\n"
 
 
 def test_model_family_mismatch_exits_3(girls_csv):

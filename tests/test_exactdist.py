@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from exactsens.exactdist import (
+    _SCAN_CHUNK_BYTES,
     ORACLE_CAP,
     RejectionAggregate,
     _sequential_weighted_draw,
@@ -26,6 +27,7 @@ from exactsens.oracle import run_battery, valid_deltas
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
 from exactsens.stats import ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_tables
+from exactsens.worstcase import candidates_ordinal, candidates_pi
 
 
 def test_kernel_q_uniform_case():
@@ -146,14 +148,57 @@ def test_exact_alpha_monotone_in_critical():
 
 
 def test_exact_vs_fast_paths_agree():
-    t = ContingencyTable.from_array([[2, 3, 0], [0, 1, 4], [0, 1, 4]])
-    stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
-    for ub in [(0, 0, 3), (0, 5, 8), (2, 5, 8), (1, 2, 3)]:
-        for g in [0.0, 0.5, 1.0, 2.5]:
-            model = SensitivityModel(gamma=g, delta=(0, 1, 1))
+    # every row of the batched scan, over every pi class (the ordinal suffix
+    # classes among them), against the integer path
+    gammas = [0.0, 0.5, 1.0, 2.5]
+    for arr, delta in [
+        ([[2, 3, 0], [0, 1, 4], [0, 1, 4]], (0, 1, 1)),
+        ([[2, 3, 0], [0, 1, 4], [0, 1, 4]], (0, 0, 1)),
+        ([[2, 0, 1, 1], [1, 0, 3, 0]], (0, 1)),  # an empty outcome level
+    ]:
+        t = ContingencyTable.from_array(arr)
+        m = t.margins()
+        stat = ordinal_statistic(tuple(range(m.I)), tuple(range(m.J)))
+        classes = list(candidates_pi(m))
+        table = RejectionAggregate(m, stat, stat(t), delta).alpha_table(classes, gammas)
+        assert table.shape == (len(classes), len(gammas))
+        for c, row in zip(classes, table):
+            for g, b in zip(gammas, row):
+                model = SensitivityModel(gamma=g, delta=delta)
+                a = exact_alpha(stat, t, c, model, method="exact")
+                assert b == pytest.approx(a, rel=1e-10), (arr, delta, c.ubar, g)
+        for ub in [(0,) * m.J, m.cols]:
+            model = SensitivityModel(gamma=1.0, delta=delta)
             a = exact_alpha(stat, t, ConfounderClass(ub), model, method="exact")
-            b = exact_alpha(stat, t, ConfounderClass(ub), model, method="fast")
-            assert b == pytest.approx(a, rel=1e-10)
+            f = exact_alpha(stat, t, ConfounderClass(ub), model, method="fast")
+            assert f == pytest.approx(a, rel=1e-10)
+
+
+def test_alpha_table_chunks_match_single_class_calls():
+    # N = 60 gives more ordinal classes than one chunk holds
+    t = ContingencyTable.from_array([[10, 6, 4], [5, 8, 7], [5, 6, 9]])
+    m = t.margins()
+    stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
+    agg = RejectionAggregate(m, stat, stat(t), (0, 1, 1))
+    classes = list(candidates_ordinal(m))
+    assert len(classes) > _SCAN_CHUNK_BYTES // (8 * agg._floats_per_class())
+    gammas = [0.0, 0.7, 3.0]
+    table = agg.alpha_table(classes, gammas)
+    for c, row in zip(classes, table):
+        np.testing.assert_allclose(row, agg.alpha_grid(c, gammas), rtol=1e-13, atol=0)
+
+
+def test_fast_path_large_column_margins():
+    # column margins of 1200: exact-integer chi profiles overflowed float here
+    stat = ordinal_statistic((0, 1), (0, 1))
+    for arr, ub in [([[700, 500], [500, 700]], (0, 1200)), ([[70, 50], [50, 70]], (0, 120))]:
+        t = ContingencyTable.from_array(arr)
+        for g in (0.0, 0.5):
+            model = SensitivityModel(gamma=g, delta=(0, 1))
+            f = exact_alpha(stat, t, ConfounderClass(ub), model, method="fast")
+            assert math.isfinite(f) and 0.0 <= f <= 1.0
+            a = exact_alpha(stat, t, ConfounderClass(ub), model, method="exact")
+            assert f == pytest.approx(a, rel=1e-10), (arr, g)
 
 
 def test_confounder_class_sufficiency():
