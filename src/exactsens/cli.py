@@ -150,6 +150,8 @@ def _build_statistic(args, table: ContingencyTable) -> TestStatistic:
 def _model(args, I: int) -> SensitivityModel:
     if args.delta is None and args.phi is None:
         raise CliError("a bias vector is required (--delta or --phi)", EXIT_BAD_INPUT)
+    if args.delta is not None and args.phi is not None:
+        raise CliError("give only one of --delta / --phi", EXIT_BAD_INPUT)
     try:
         if args.delta is not None:
             delta = _parse_ints(args.delta)
@@ -263,6 +265,9 @@ def cmd_stratified(args) -> int:
             res = analyze_study(study_g, tau, rng, args.iterations, args.level)
         except SensitivityError as exc:
             raise CliError(str(exc), EXIT_MODEL_MISMATCH) from exc
+        except ValueError as exc:
+            # e.g. --iterations below 1 or --tau outside (0, 1)
+            raise CliError(str(exc), EXIT_BAD_INPUT) from exc
         lines.append(
             f"{_fmt(g)},{_fmt(math.exp(g))},"
             + ",".join(_fmt(p) for p in res.per_stratum_p)
@@ -353,8 +358,11 @@ def cmd_size(args) -> int:
         try:
             curve = size_curve(args.seed, margins, model, alpha_scores, nominal,
                                args.iterations, method)
-        except ValueError as exc:
+        except SensitivityError as exc:
             raise CliError(str(exc), EXIT_MODEL_MISMATCH) from exc
+        except ValueError as exc:
+            # e.g. a non-binary outcome, --iterations below 1, non-monotone --alpha
+            raise CliError(str(exc), EXIT_BAD_INPUT) from exc
         for g, r, s in zip(curve.grid, curve.rates, curve.mc_sigma):
             lines.append(f"{method},{_fmt(g)},{_fmt(r)},{_fmt(s)}")
     config = {
@@ -381,6 +389,8 @@ def cmd_sample(args) -> int:
     model = _model(args, table.I).with_gamma(_gamma_grid(args)[0])
     if args.fixed_ubar is None:
         raise CliError("sample requires --fixed-ubar", EXIT_BAD_INPUT)
+    if args.iterations < 1:
+        raise CliError("--iterations must be at least 1", EXIT_BAD_INPUT)
     ubar = ConfounderClass(tuple(_parse_ints(args.fixed_ubar)))
     try:
         ubar.validate_for(table.margins())

@@ -45,13 +45,19 @@ Each closed-form law the package shares is implemented once, here:
   hypergeometric law that the I x 2 column counts follow at the sign-score
   worst case, with its gamma-free support and binomial log-terms cached per
   (margins, total).  ``mvehg_pmf``, ``signscore_tail``, the sign-score worst
-  case (``worstcase``), the stratified bounds (``stratified``) and the size
-  study (``simulate``) all take their probabilities from it;
+  case (``worstcase``), the stratified bounds (``stratified``), the size
+  study (``simulate``) and the Q law (``moments.dist_q``, at weights
+  gamma * delta) all take their probabilities from it;
 * ``_sequential_weighted_draw``: the suffix-normalizer sampler behind
   ``mvehg_sample_many`` / ``mvehg_sample`` and the tilted SIS proposal
   (``montecarlo``);
 * ``_block_sum_normalizer``: the binary-delta normalizer C(u) in closed block
-  form, shared by ``RejectionAggregate`` and the SIS estimator.
+  form, shared by ``RejectionAggregate`` and the SIS estimator;
+* ``_log_table_weight`` and ``_log_column_profile``: the binary-delta
+  factorization v(t) = w(t) prod_j sum_d chi_j[b_j, d] e^{gamma d} into the
+  gamma-free table weight w(t) = prod_j a_j! b_j! / prod_ij t_ij! and the
+  column profiles chi_j[b, d] = C(ubar_j, d) C(N_.j - ubar_j, b - d), for
+  ``RejectionAggregate`` and the SIS estimator and proposal (``montecarlo``).
 """
 
 from __future__ import annotations
@@ -410,22 +416,51 @@ def _log_binom(logfact: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(ok, logfact[n] - logfact[kk] - logfact[np.where(ok, n - kk, 0)], -np.inf)
 
 
+def _log_table_weight(
+    tables: np.ndarray, one_rows: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log w(t), b) over an (M, I, J) stack, w(t) = prod_j a_j! b_j! / prod_ij t_ij!.
+
+    b (a) holds the (M, J) column sums over the delta = 1 rows ``one_rows``
+    (over the other rows).
+    """
+    b = tables[:, one_rows, :].sum(axis=1)
+    a = tables.sum(axis=1) - b
+    logw = (
+        gammaln(a + 1).sum(axis=1)
+        + gammaln(b + 1).sum(axis=1)
+        - gammaln(tables + 1).sum(axis=(1, 2))
+    )
+    return logw, b
+
+
+def _log_column_profile(logfact: np.ndarray, cj: int, u: np.ndarray) -> np.ndarray:
+    """log chi[b, d] = log C(u, d) C(cj - u, b - d) for the (K,) ubar_j values u.
+
+    Returns (K, cj + 1, max(u) + 1), indexed by (class, b, d), -inf where
+    chi vanishes.
+    """
+    u = np.asarray(u, dtype=np.int64)[:, None, None]
+    d = np.arange(int(u.max()) + 1)
+    bd = np.arange(cj + 1)[:, None] - d  # b - d
+    return _log_binom(logfact, u, d) + _log_binom(logfact, cj - u, bd)
+
+
 class RejectionAggregate:
     """Gamma-free summary of a rejection region for one (margins, test, critical, delta).
 
     One pass over the fixed-margin reference set accumulates, for every
-    vector b of per-column delta-block sums, the total of
-    prod_j a_j! b_j! / prod_ij t_ij! over rejected tables (log-offset floats;
-    all terms positive).  The numerator of alpha at a confounder class ubar
-    is S_d = sum_b R[b] sum_{d_1 + ... + d_J = d} prod_j chi_j[b_j, d_j] with
-    the per-column binomial profiles chi_j[b, d] = C(ubar_j, d)
-    C(N_.j - ubar_j, b - d).  The denominator has the closed form
+    vector b of per-column delta-block sums, the total R[b] of the table
+    weights w(t) (``_log_table_weight``) over rejected tables (log-offset
+    floats; all terms positive).  The numerator of alpha at a confounder
+    class ubar is S_d = sum_b R[b] sum_{d_1 + ... + d_J = d} prod_j
+    chi_j[b_j, d_j] with the column profiles of ``_log_column_profile``.
+    The denominator has the closed form
     C(ubar, d) C(N - ubar, B - d) B! (N - B)! / prod N_i.! with B the
     delta-block treatment total.
 
     ``alpha_table`` evaluates a whole candidate scan in one batched pass.
-    The chi profiles come from one log-factorial table, each (class, column)
-    profile scaled by its maximum, so no exact integer is ever converted to
+    Each (class, column) chi profile is scaled by its maximum, so no exact integer is ever converted to
     float and large column margins cannot overflow.  R is contracted column
     by column as a matmul batched over the classes, convolving d as it goes,
     and one log-sum-exp over d gives every (class, gamma) pair.  Classes are
@@ -469,14 +504,7 @@ class RejectionAggregate:
             self._R = np.zeros(shape)
             self._offset = 0.0
             return
-        sel = tables[mask].astype(np.int64)
-        b = sel[:, one_rows, :].sum(axis=1)
-        a = sel.sum(axis=1) - b
-        logw = (
-            gammaln(a + 1).sum(axis=1)
-            + gammaln(b + 1).sum(axis=1)
-            - gammaln(sel + 1).sum(axis=(1, 2))
-        )
+        logw, b = _log_table_weight(tables[mask].astype(np.int64), one_rows)
         self._offset = float(logw.max())
         R = np.zeros(shape)
         np.add.at(R, tuple(b.T), np.exp(logw - self._offset))
@@ -507,11 +535,8 @@ class RejectionAggregate:
         # M[k, e, b_j, rest]: R with columns < j contracted and their d convolved
         M = self._R.reshape(1, 1, self._shape[0], -1)
         for j, cj in enumerate(self.margins.cols):
-            n = int(U[:, j].max()) + 1
-            u = U[:, j, None, None]
-            d = np.arange(n)
-            bd = np.arange(cj + 1)[:, None] - d  # b - d
-            logchi = _log_binom(self._logfact, u, d) + _log_binom(self._logfact, cj - u, bd)
+            logchi = _log_column_profile(self._logfact, cj, U[:, j])
+            n = logchi.shape[2]
             top = logchi.max(axis=(1, 2))
             logscale += top
             chiT = np.exp(logchi - top[:, None, None]).transpose(0, 2, 1)

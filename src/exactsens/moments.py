@@ -3,8 +3,9 @@
 Conditioning on Q_i (the number of u = 1 subjects receiving treatment i)
 makes each cell count a two-stratum sample-sum: Q_i outcome indicators drawn
 from the u = 1 pool plus N_i. - Q_i from the u = 0 pool.  The law of Q is a
-kernel-weighted tilt on a small support, so its moments are exact finite
-sums, and the cell means, variances, and covariances follow in closed form.
+kernel-weighted tilt on a small support (``exactdist._mvehg_law`` at weights
+gamma * delta), so its moments are exact finite sums, and the cell means,
+variances, and covariances follow in closed form.
 The covariance formulas branch on ubar: the within-pool pair terms need at
 least two subjects in a pool, so the cases ubar in {0, N}, ubar = 1,
 ubar = N - 1, and the interior all differ and are dispatched explicitly.
@@ -28,7 +29,7 @@ from math import erfc
 
 import numpy as np
 
-from exactsens.exactdist import kernel_q, omega_q
+from exactsens.exactdist import _mvehg_law
 from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
 from exactsens.stats import TestFamily, TestStatistic
 from exactsens.tables import ContingencyTable, Margins
@@ -70,28 +71,18 @@ class CellMoments:
 
 
 def dist_q(c: ConfounderClass, m: Margins, model: SensitivityModel) -> QDistribution:
-    """Probabilities proportional to e^{gamma delta'q} kernel_q(q) over the support."""
+    """Probabilities proportional to e^{gamma delta'q} kernel_q(q) over the support.
+
+    kernel_q(q) is prod_i C(N_i., q_i) up to a constant: the MVEHG law.
+    """
     if not model.is_binary:
         raise SensitivityError("the Q distribution is derived for binary delta models")
     if len(model.delta) != m.I:  # type: ignore[arg-type]
         raise ValueError("delta length must match the number of treatment levels")
     c.validate_for(m)
-    ubar = c.total
-    support = tuple(omega_q(ubar, m.rows))
-    logs = []
-    delta = model.delta
-    for q in support:
-        k = kernel_q(q, ubar, m)
-        if k == 0:
-            logs.append(-np.inf)
-            continue
-        logs.append(math.log2(k) * math.log(2.0)
-                    + model.gamma * sum(d * v for d, v in zip(delta, q)))  # type: ignore[arg-type]
-    logs = np.asarray(logs)
-    logs -= logs.max()
-    p = np.exp(logs)
-    p /= p.sum()
-    return QDistribution(support=support, probs=p)
+    weights = [model.gamma * dv for dv in model.delta]  # type: ignore[union-attr]
+    support, probs = _mvehg_law(m.rows, c.total, weights)
+    return QDistribution(support=tuple(map(tuple, support.tolist())), probs=probs)
 
 
 def _pool_summaries(c: ConfounderClass, m: Margins) -> tuple[np.ndarray, ...]:

@@ -15,11 +15,13 @@ C(u) = sum_q e^{gamma delta'q} kernel_q(q), the estimators are
     PermTreat : self-normalized importance ratio over uniformly sampled
                 treatment permutations (no kernels; slow-converging baseline)
 
-For binary delta, v(t) factors per outcome column through the delta-block
-sums, which keeps the batch evaluator fully vectorized.  The same
-factorization yields a confounder-aware proposal (draw the block sums from
-their exact tilted marginal, then fill each block uniformly) whose
-importance ratios are flat; the estimators use it by default and record the
+For binary delta, v(t) = w(t) prod_j e^{G_j[b_j]} factors per outcome column
+through the delta-block sums b_j, with w(t) from ``exactdist._log_table_weight``
+and G_j[b] = log sum_d chi_j[b, d] e^{gamma d} from the column profiles of
+``exactdist._log_column_profile``; the batch evaluator gathers G_j.  The
+same factorization yields a confounder-aware proposal (draw the block sums
+from their exact tilted marginal prod_j e^{G_j[b_j]}, then fill each block
+uniformly) whose importance ratios are flat; the estimators use it by default and record the
 choice in the trace, with the baseline selectable via ``proposal=``.  The
 block sums are drawn by the shared suffix-normalizer sampler and C(u) comes
 from the closed block form, both implemented in ``exactdist``
@@ -40,6 +42,8 @@ from scipy.special import gammaln, logsumexp
 
 from exactsens.exactdist import (
     _block_sum_normalizer,
+    _log_column_profile,
+    _log_table_weight,
     _sequential_weighted_draw,
     statistic_tolerance,
 )
@@ -135,6 +139,17 @@ def _sis_fill(
     return out, log_h, ucol
 
 
+def _tilted_column_weights(
+    m: Margins, c: ConfounderClass, gamma: float
+) -> list[np.ndarray]:
+    """G_j[b] = log sum_d chi_j[b, d] e^{gamma d} over b = 0..N_.j, per column j."""
+    logfact = gammaln(np.arange(m.N + 1) + 1.0)
+    return [
+        logsumexp(_log_column_profile(logfact, cj, [uj])[0] + gamma * np.arange(uj + 1), axis=1)
+        for cj, uj in zip(m.cols, c.ubar)
+    ]
+
+
 def _tilted_fill(
     m: Margins,
     c: ConfounderClass,
@@ -144,11 +159,11 @@ def _tilted_fill(
     """Confounder-aware proposal: exact block-sum marginal, uniform block fills.
 
     The target table law factorizes through the per-column sums b_j of the
-    delta = 1 rows: P(b) ~ prod_j F_j(b_j) / (a_j! b_j!) with
-    F_j(b) = sum_d C(a_j, u_j - d) C(b, d) e^{gamma d}, after which each block
-    is a plain fixed-margin fill.  Drawing b from that exact marginal and the
-    blocks uniformly reproduces the target law itself, so importance ratios
-    v/h are flat; h stays exact and every table keeps positive probability.
+    delta = 1 rows: P(b) ~ prod_j e^{G_j[b_j]} (``_tilted_column_weights``),
+    after which each block is a plain fixed-margin fill.  Drawing b from that
+    exact marginal and the blocks uniformly reproduces the target law itself,
+    so importance ratios v/h are flat; h stays exact and every table keeps
+    positive probability.
     """
     delta = model.delta
     assert delta is not None
@@ -157,24 +172,9 @@ def _tilted_fill(
     B = sum(m.rows[i] for i in one_rows)
     size = U.shape[0]
     J = m.J
-    logweights = []
-    for cj, uj in zip(m.cols, c.ubar):
-        lw = np.full(cj + 1, -np.inf)
-        for b in range(cj + 1):
-            a = cj - b
-            terms = []
-            for d in range(min(b, uj) + 1):
-                if uj - d > a:
-                    continue
-                k = math.comb(a, uj - d) * math.comb(b, d)
-                if k:
-                    terms.append(math.log(k) + model.gamma * d)
-            if terms:
-                lw[b] = logsumexp(np.asarray(terms)) - (
-                    math.lgamma(a + 1) + math.lgamma(b + 1)
-                )
-        logweights.append(lw)
-    bdraw, log_hb, ucol = _sequential_weighted_draw(U, logweights, B)
+    bdraw, log_hb, ucol = _sequential_weighted_draw(
+        U, _tilted_column_weights(m, c, model.gamma), B
+    )
     adraw = np.asarray(m.cols, dtype=np.int64)[None, :] - bdraw
     out = np.zeros((size, m.I, J), dtype=np.int64)
     log_h = log_hb
@@ -254,44 +254,19 @@ def _stream_uniforms(seed: int, M: int, ncols: int) -> np.ndarray:
 
 
 def _log_v_batch(
-    tables: np.ndarray, c: ConfounderClass, model: SensitivityModel
+    tables: np.ndarray, m: Margins, c: ConfounderClass, model: SensitivityModel
 ) -> np.ndarray:
     """log v(t) = log sum_q e^{gamma delta'q} kernel_t_q(t, q), vectorized.
 
-    Per column j the within-column allocation telescopes to
-    C(a_j, u_j - d) C(b_j, d) with (a_j, b_j) the per-column delta-block sums:
-    v(t) = prod_j [ u_j! (N_.j - u_j)! / prod_i t_ij! ]
-                  * sum_d C(a_j, u_j - d) C(b_j, d) e^{gamma d}.
+    v(t) = w(t) prod_j e^{G_j[b_j]}, with G_j gathered at the block sums b_j.
     """
     delta = model.delta
     if delta is None:
         raise SensitivityError("the v(t) factorization requires a binary delta")
     one_rows = [i for i, dv in enumerate(delta) if dv == 1]
-    cols = tables.sum(axis=1)
-    b = tables[:, one_rows, :].sum(axis=1)
-    a = cols - b
-    uj = np.asarray(c.ubar, dtype=np.int64)
-    logv = (
-        float(gammaln(uj + 1).sum())
-        + gammaln(cols - uj[None, :] + 1).sum(axis=1)
-        - gammaln(tables + 1).sum(axis=(1, 2))
-    )
-    for j, u in enumerate(uj.tolist()):
-        ds = np.arange(u + 1)
-        keep1 = u - ds[None, :]
-        bad = (a[:, j, None] < keep1) | (b[:, j, None] < ds[None, :])
-        la = (
-            gammaln(a[:, j, None] + 1)
-            - gammaln(keep1 + 1)
-            - gammaln(np.maximum(a[:, j, None] - keep1, 0) + 1)
-        )
-        lb = (
-            gammaln(b[:, j, None] + 1)
-            - gammaln(ds[None, :] + 1)
-            - gammaln(np.maximum(b[:, j, None] - ds[None, :], 0) + 1)
-        )
-        terms = np.where(bad, -np.inf, la + lb + model.gamma * ds[None, :])
-        logv += logsumexp(terms, axis=1)
+    logv, b = _log_table_weight(tables, one_rows)
+    for j, G in enumerate(_tilted_column_weights(m, c, model.gamma)):
+        logv = logv + G[b[:, j]]
     return logv
 
 
@@ -326,7 +301,7 @@ def _sample_and_weight(
         raise ValueError(f"unknown proposal {proposal!r}")
     tol = statistic_tolerance(critical)
     keep = test.evaluate_batch(tables) >= critical - tol
-    log_ratio = _log_v_batch(tables, c, model) - log_h
+    log_ratio = _log_v_batch(tables, m, c, model) - log_h
     return keep, log_ratio
 
 

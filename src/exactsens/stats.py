@@ -78,17 +78,10 @@ def _require_monotone(scores: Sequence[float], what: str) -> tuple[float, ...]:
 def ordinal_statistic(alpha: Sequence[float], beta: Sequence[float]) -> TestStatistic:
     a = _require_monotone(alpha, "row")
     b = _require_monotone(beta, "column")
-    av = np.asarray(a)
-    bv = np.asarray(b)
-
-    def batch(tables: np.ndarray) -> np.ndarray:
-        if tables.shape[1] != len(a) or tables.shape[2] != len(b):
-            raise ValueError("score lengths must match table dimensions")
-        return np.einsum("i,j,mij->m", av, bv, tables.astype(float))
-
     # with two outcome levels T is a non-decreasing affine map of the
     # sign-score statistic, so the O(1) worst case applies
     fam = TestFamily.SIGN_SCORE if len(b) == 2 else TestFamily.ORDINAL
+    batch = weighted_sum_statistic(a, b).batch
     return TestStatistic(fam, f"ordinal[{a}x{b}]", batch, alpha=a, beta=b)
 
 

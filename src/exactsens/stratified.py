@@ -170,6 +170,8 @@ def combined_pvalue(
         raise ValueError("tau must lie in (0, 1)")
     if K < 1:
         raise ValueError("K must be at least 1")
+    if M < 1:
+        raise ValueError("the number of Monte Carlo draws must be at least 1")
     if W_obs >= 1.0:
         return 1.0
     if W_obs <= 0.0:

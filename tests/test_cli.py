@@ -100,6 +100,25 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                 "--alpha", "0,1", "--iterations", "10"])
     assert code == 2
     assert capsys.readouterr().err == "error: --alpha length must match --rows\n"
+    size = ["size", "--rows", "20,5,10", "--delta", "0,0,1"]
+    for extra, message in [
+        (["--cols", "10,20,5", "--iterations", "10"], "the size study needs a binary outcome"),
+        (["--cols", "10,25", "--iterations", "0"], "iterations must be at least 1"),
+        (["--cols", "10,25", "--alpha", "0,2,1", "--iterations", "10"],
+         "row scores must be non-decreasing"),
+    ]:
+        assert run(size + extra) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    table = tmp_path / "t.csv"
+    table.write_text("2,3,0\n0,1,4\n0,1,4\n")
+    sample = ["sample", str(table), "--test", "ordinal", "--alpha", "0,1,2",
+              "--beta", "0,1,2", "--fixed-ubar", "0,0,3"]
+    assert run(sample + ["--delta", "0,1,1", "--iterations", "0"]) == 2
+    assert capsys.readouterr().err == "error: --iterations must be at least 1\n"
+    # a model is one bias vector: --delta and --phi together are refused, not
+    # resolved silently in favour of --delta
+    assert run(sample + ["--delta", "0,1,1", "--phi", "0,1,2", "--iterations", "10"]) == 2
+    assert capsys.readouterr().err == "error: give only one of --delta / --phi\n"
 
 
 def test_model_family_mismatch_exits_3(girls_csv):
@@ -108,6 +127,10 @@ def test_model_family_mismatch_exits_3(girls_csv):
         "analyze", girls_csv, "--test", "chi2", "--phi", "1,2,3",
         "--gamma-grid", "0.5",
     ])
+    assert code == 3
+    # the normal approximation's Q law needs a binary delta
+    code = run(["size", "--rows", "20,5,10", "--cols", "10,25", "--phi", "0,1,2",
+                "--gamma-grid", "0.5", "--iterations", "10"])
     assert code == 3
 
 
@@ -144,6 +167,25 @@ def test_stratified_malformed_exits_2(tmp_path):
     inp = tmp_path / "bad.json"
     inp.write_text(json.dumps({"strata": [{"counts": [[1, 2], [3, 4]]}]}))
     assert run(["stratified", str(inp)]) == 2
+
+
+def test_stratified_bad_iterations_or_tau_exits_2(tmp_path, capsys):
+    # no Monte Carlo draws would print combined_p = nan and flag nothing
+    doc = {
+        "strata": [{"counts": [[5, 1], [1, 5]], "alpha": [0, 1], "beta": [0, 1]}] * 2,
+        "gamma": 0.0,
+        "delta": [0, 1],
+    }
+    inp = tmp_path / "study.json"
+    inp.write_text(json.dumps(doc))
+    for extra, message in [
+        (["--iterations", "0"], "the number of Monte Carlo draws must be at least 1"),
+        (["--iterations", "-3"], "the number of Monte Carlo draws must be at least 1"),
+        (["--tau", "1.5"], "tau must lie in (0, 1)"),
+        (["--tau", "0"], "tau must lie in (0, 1)"),
+    ]:
+        assert run(["stratified", str(inp)] + extra) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sample_command(tmp_path):

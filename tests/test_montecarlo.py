@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from exactsens.exactdist import exact_alpha
+from exactsens.exactdist import exact_alpha, kernel_q, kernel_t_q, omega_q
 from exactsens.montecarlo import (
+    _free_cells,
+    _log_v_batch,
+    _tilted_fill,
     estimate_alpha_permtreat,
     estimate_alpha_sis,
     estimate_alpha_snsis,
@@ -17,7 +20,12 @@ from exactsens.montecarlo import (
 )
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityModel
 from exactsens.stats import ordinal_statistic
-from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_tables
+from exactsens.tables import (
+    ContingencyTable,
+    Margins,
+    enumerate_fixed_margin_array,
+    enumerate_fixed_margin_tables,
+)
 
 
 def test_proposal_sums_to_one():
@@ -163,3 +171,52 @@ def test_sis_unbiased_under_plain_proposal():
     ])
     se = finals.std(ddof=1) / math.sqrt(len(finals))
     assert abs(finals.mean() - exact) <= 4 * se
+
+
+# (margins, delta, ubar): an empty outcome level, a delta with two one-rows,
+# and a 2 x 3 table whose single one-row is the last
+FACTORIZATION_CASES = [
+    (Margins((2, 3, 2), (3, 0, 4)), (0, 1, 1), (1, 0, 2)),
+    (Margins((2, 2, 3), (2, 3, 2)), (1, 0, 1), (1, 2, 1)),
+    (Margins((3, 2), (2, 1, 2)), (0, 1), (2, 0, 1)),
+]
+
+
+def _log_kernel_sum(weights, delta, gamma):
+    """log sum_q e^{gamma delta'q} weights[q] over the q with positive weight."""
+    terms = [
+        math.log(w) + gamma * sum(dv * qv for dv, qv in zip(delta, q))
+        for q, w in weights
+        if w
+    ]
+    return float(logsumexp(np.array(terms)))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.7, 2.0])
+def test_log_v_batch_matches_kernel_sum(gamma):
+    # every table of the reference set: w(t) prod_j e^{G_j[b_j]} against the
+    # integer kernel sum over q
+    for m, delta, ubar in FACTORIZATION_CASES:
+        c = ConfounderClass(ubar)
+        model = SensitivityModel(gamma=gamma, delta=delta)
+        tables = enumerate_fixed_margin_array(m)
+        got = _log_v_batch(tables, m, c, model)
+        qs = list(omega_q(c.total, m.rows))
+        for tab, lv in zip(tables, got):
+            t = ContingencyTable.from_array(tab)
+            want = _log_kernel_sum([(q, kernel_t_q(t, q, c)) for q in qs], delta, gamma)
+            assert lv == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.7, 2.0])
+def test_tilted_proposal_ratios_are_flat(gamma, rng):
+    # h(t) = v(t) / C(u) for every draw: the proposal is the target law
+    for m, delta, ubar in FACTORIZATION_CASES:
+        c = ConfounderClass(ubar)
+        model = SensitivityModel(gamma=gamma, delta=delta)
+        tables, log_h = _tilted_fill(m, c, model, rng.random((300, _free_cells(m))))
+        assert (tables.sum(axis=2) == m.rows).all() and (tables.sum(axis=1) == m.cols).all()
+        qs = list(omega_q(c.total, m.rows))
+        log_c = _log_kernel_sum([(q, kernel_q(q, c.total, m)) for q in qs], delta, gamma)
+        want = _log_v_batch(tables, m, c, model) - log_c
+        np.testing.assert_allclose(log_h, want, rtol=1e-12, atol=1e-12)

@@ -9,6 +9,7 @@ from exactsens.stats import (
     g2_statistic,
     ordinal_statistic,
     sign_score_statistic,
+    weighted_sum_statistic,
 )
 from exactsens.stats import TestFamily as Family  # avoid pytest class collection
 from exactsens.tables import ContingencyTable
@@ -22,6 +23,21 @@ def test_ordinal_arithmetic():
     assert ordinal_statistic((0, 0, 0), (0, 1, 2))(T1) == 0.0
     with pytest.raises(ValueError):
         ordinal_statistic((0, 1), (0, 1, 2))(T1)
+
+
+def test_ordinal_is_weighted_sum_with_monotone_scores():
+    tables = np.array([T1.counts, [[1, 2, 3], [2, 2, 2], [3, 2, 1]]])
+    a, b = (0, 1, 2.5), (0, 1, 2)
+    np.testing.assert_array_equal(
+        ordinal_statistic(a, b).evaluate_batch(tables),
+        weighted_sum_statistic(a, b).evaluate_batch(tables),
+    )
+    assert ordinal_statistic(a, b).family is Family.ORDINAL
+    assert weighted_sum_statistic(a, b).family is Family.PERMUTATION_INVARIANT
+    with pytest.raises(ValueError, match="non-decreasing"):
+        ordinal_statistic((0, 2, 1), b)
+    with pytest.raises(ValueError, match="finite"):
+        ordinal_statistic(a, (0, 1, float("nan")))
 
 
 def test_sign_score_reduction():

@@ -56,6 +56,13 @@ def test_combined_pvalue_k1_analytic(rng):
     assert combined_pvalue(0.0, 2, 0.2, rng) == 0.0
 
 
+def test_combined_pvalue_needs_draws(rng):
+    # no draws is an error, not a NaN p-value that rejects nothing
+    for M in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            combined_pvalue(0.05, 2, 0.2, rng, M=M)
+
+
 def test_combined_pvalue_k2_closed_form(rng):
     # for w <= tau^2: P = 2(1-tau) w + w (1 + log(tau^2 / w))
     tau = 0.2
