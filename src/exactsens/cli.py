@@ -14,7 +14,8 @@ Subcommands:
 Outputs are CSV (probabilities printed with 12 significant digits) plus a
 JSON summary embedding the full configuration and package version, so a rerun
 with the same config is byte-identical.  Exit codes: 0 success, 1 oracle
-counterexample, 2 malformed input, 3 model/family mismatch.
+counterexample, 2 malformed input, 3 model/family mismatch; ``main`` maps a
+``SensitivityError`` to 3 and any other ``ValueError`` to 2.
 """
 
 from __future__ import annotations
@@ -120,30 +121,25 @@ def _gamma_grid(args) -> list[float]:
 
 def _build_statistic(args, table: ContingencyTable) -> TestStatistic:
     spec = args.test
-    try:
-        if spec == "chi2":
-            return chi2_statistic()
-        if spec == "g2":
-            return g2_statistic()
-        if spec.startswith("cell:"):
-            i, j = (int(v) for v in spec[len("cell:"):].split(","))
-            return cell_statistic(i - 1, j - 1)  # CLI is 1-based
-        if spec == "ordinal":
-            if args.alpha is None or args.beta is None:
-                raise CliError("--test ordinal needs --alpha and --beta", EXIT_BAD_INPUT)
-            alpha = _parse_floats(args.alpha)
-            beta = _parse_floats(args.beta)
-            if len(alpha) != table.I or len(beta) != table.J:
-                raise CliError("score lengths must match the table", EXIT_BAD_INPUT)
-            try:
-                return ordinal_statistic(alpha, beta)
-            except ValueError:
-                # non-monotone scores stay usable, at full-scan cost
-                return weighted_sum_statistic(alpha, beta)
-    except CliError:
-        raise
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+    if spec == "chi2":
+        return chi2_statistic()
+    if spec == "g2":
+        return g2_statistic()
+    if spec.startswith("cell:"):
+        i, j = (int(v) for v in spec[len("cell:"):].split(","))
+        return cell_statistic(i - 1, j - 1)  # CLI is 1-based
+    if spec == "ordinal":
+        if args.alpha is None or args.beta is None:
+            raise CliError("--test ordinal needs --alpha and --beta", EXIT_BAD_INPUT)
+        alpha = _parse_floats(args.alpha)
+        beta = _parse_floats(args.beta)
+        if len(alpha) != table.I or len(beta) != table.J:
+            raise CliError("score lengths must match the table", EXIT_BAD_INPUT)
+        try:
+            return ordinal_statistic(alpha, beta)
+        except ValueError:
+            # non-monotone scores stay usable, at full-scan cost
+            return weighted_sum_statistic(alpha, beta)
     raise CliError(f"unknown test spec {args.test!r}", EXIT_BAD_INPUT)
 
 
@@ -152,18 +148,15 @@ def _model(args, I: int) -> SensitivityModel:
         raise CliError("a bias vector is required (--delta or --phi)", EXIT_BAD_INPUT)
     if args.delta is not None and args.phi is not None:
         raise CliError("give only one of --delta / --phi", EXIT_BAD_INPUT)
-    try:
-        if args.delta is not None:
-            delta = _parse_ints(args.delta)
-            if len(delta) != I:
-                raise CliError("--delta length must match the table rows", EXIT_BAD_INPUT)
-            return SensitivityModel(gamma=0.0, delta=tuple(delta))
-        phi = _parse_floats(args.phi)
-        if len(phi) != I:
-            raise CliError("--phi length must match the table rows", EXIT_BAD_INPUT)
-        return SensitivityModel(gamma=0.0, phi=tuple(phi))
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+    if args.delta is not None:
+        delta = _parse_ints(args.delta)
+        if len(delta) != I:
+            raise CliError("--delta length must match the table rows", EXIT_BAD_INPUT)
+        return SensitivityModel(gamma=0.0, delta=tuple(delta))
+    phi = _parse_floats(args.phi)
+    if len(phi) != I:
+        raise CliError("--phi length must match the table rows", EXIT_BAD_INPUT)
+    return SensitivityModel(gamma=0.0, phi=tuple(phi))
 
 
 def _write_csv(path: str | None, lines: list[str], config: dict) -> None:
@@ -196,25 +189,16 @@ def cmd_analyze(args) -> int:
     lines = []
     if args.fixed_ubar is not None:
         ubar = ConfounderClass(tuple(_parse_ints(args.fixed_ubar)))
-        try:
-            ubar.validate_for(table.margins())
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+        ubar.validate_for(table.margins())
         lines.append("gamma,Gamma,pvalue,ubar")
         for g in grid:
-            try:
-                p = exact_alpha(stat, table, ubar, model.with_gamma(g))
-            except SensitivityError as exc:
-                raise CliError(str(exc), EXIT_MODEL_MISMATCH) from exc
+            p = exact_alpha(stat, table, ubar, model.with_gamma(g))
             ub = ";".join(str(v) for v in ubar.ubar)
             lines.append(f"{_fmt(g)},{_fmt(math.exp(g))},{_fmt(p)},{ub}")
         mode = "fixed-ubar"
     else:
-        try:
-            results = worst_case_grid(stat, table, model.with_gamma(grid[0]), grid,
-                                      strategy=args.strategy)
-        except SensitivityError as exc:
-            raise CliError(str(exc), EXIT_MODEL_MISMATCH) from exc
+        results = worst_case_grid(stat, table, model.with_gamma(grid[0]), grid,
+                                  strategy=args.strategy)
         lines.append("gamma,Gamma,worst_case_p,argmax_ubar,candidates_scanned")
         for g, res in zip(grid, results):
             ub = ";".join(str(v) for v in res.argmax_class.ubar)
@@ -249,8 +233,6 @@ def cmd_stratified(args) -> int:
         study, tau = StratifiedStudy.from_json(Path(args.input).read_text())
     except OSError as exc:
         raise CliError(f"cannot read {args.input}: {exc}", EXIT_BAD_INPUT) from exc
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
     if args.tau is not None:
         tau = args.tau
     grid = _gamma_grid(args)
@@ -261,13 +243,7 @@ def cmd_stratified(args) -> int:
         study_g = StratifiedStudy(
             study.strata, study.alphas, study.betas, study.model.with_gamma(g)
         )
-        try:
-            res = analyze_study(study_g, tau, rng, args.iterations, args.level)
-        except SensitivityError as exc:
-            raise CliError(str(exc), EXIT_MODEL_MISMATCH) from exc
-        except ValueError as exc:
-            # e.g. --iterations below 1 or --tau outside (0, 1)
-            raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+        res = analyze_study(study_g, tau, rng, args.iterations, args.level)
         lines.append(
             f"{_fmt(g)},{_fmt(math.exp(g))},"
             + ",".join(_fmt(p) for p in res.per_stratum_p)
@@ -313,13 +289,7 @@ def cmd_power(args) -> int:
         specs = standard_test_suite(dgp.alpha_star, dgp.beta_star, delta)
     else:
         specs = [PowerTestSpec("3x3-opt", dgp.alpha_star, dgp.beta_star, delta)]
-    try:
-        curves = power_curve(args.seed, dgp, specs, grid, args.iterations, args.level)
-    except SensitivityError as exc:
-        raise CliError(str(exc), EXIT_MODEL_MISMATCH) from exc
-    except ValueError as exc:
-        # e.g. DGP scores that are not monotone cannot define the ordinal test
-        raise CliError(f"malformed power config: {exc}", EXIT_BAD_INPUT) from exc
+    curves = power_curve(args.seed, dgp, specs, grid, args.iterations, args.level)
     lines = ["test,gamma,Gamma,rate,mc_sigma"]
     for name, curve in curves.items():
         for g, r, s in zip(curve.grid, curve.rates, curve.mc_sigma):
@@ -344,10 +314,7 @@ def cmd_power(args) -> int:
 def cmd_size(args) -> int:
     rows = _parse_ints(args.rows)
     cols = _parse_ints(args.cols)
-    try:
-        margins = Margins(tuple(rows), tuple(cols))
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+    margins = Margins(tuple(rows), tuple(cols))
     model = _model(args, len(rows)).with_gamma(_gamma_grid(args)[0])
     alpha_scores = _parse_floats(args.alpha) if args.alpha else list(range(len(rows)))
     if len(alpha_scores) != len(rows):
@@ -355,14 +322,8 @@ def cmd_size(args) -> int:
     nominal = _parse_floats(args.nominal) if args.nominal else [v / 100 for v in range(1, 100)]
     lines = ["method,nominal_alpha,rate,mc_sigma"]
     for method in ("exact", "normal"):
-        try:
-            curve = size_curve(args.seed, margins, model, alpha_scores, nominal,
-                               args.iterations, method)
-        except SensitivityError as exc:
-            raise CliError(str(exc), EXIT_MODEL_MISMATCH) from exc
-        except ValueError as exc:
-            # e.g. a non-binary outcome, --iterations below 1, non-monotone --alpha
-            raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+        curve = size_curve(args.seed, margins, model, alpha_scores, nominal,
+                           args.iterations, method)
         for g, r, s in zip(curve.grid, curve.rates, curve.mc_sigma):
             lines.append(f"{method},{_fmt(g)},{_fmt(r)},{_fmt(s)}")
     config = {
@@ -392,15 +353,9 @@ def cmd_sample(args) -> int:
     if args.iterations < 1:
         raise CliError("--iterations must be at least 1", EXIT_BAD_INPUT)
     ubar = ConfounderClass(tuple(_parse_ints(args.fixed_ubar)))
-    try:
-        ubar.validate_for(table.margins())
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
-    try:
-        sis = estimate_alpha_sis(args.seed, stat, table, ubar, model, M=args.iterations)
-        snsis = estimate_alpha_snsis(args.seed, stat, table, ubar, model, M=args.iterations)
-    except SensitivityError as exc:
-        raise CliError(str(exc), EXIT_MODEL_MISMATCH) from exc
+    ubar.validate_for(table.margins())
+    sis = estimate_alpha_sis(args.seed, stat, table, ubar, model, M=args.iterations)
+    snsis = estimate_alpha_snsis(args.seed, stat, table, ubar, model, M=args.iterations)
     # permutation baseline on the equivalent subject-level data
     outcomes = []
     for j, cnt in enumerate(table.col_margins()):
@@ -563,8 +518,13 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
+    except SensitivityError as exc:
+        code, message = EXIT_MODEL_MISMATCH, str(exc)
+    except ValueError as exc:
+        code, message = EXIT_BAD_INPUT, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -781,42 +781,36 @@ def _sequential_weighted_draw(
     """
     size = U.shape[0]
     J = len(logweights)
-    # suffix[j][r] = log sum over allocations of r to columns j..J-1
+    # suffix[j][r] = log sum over allocations of r to columns j..J-1;
+    # terms[j][r, x] = log of the allocations that give x to column j
     suffix = [np.full(total + 1, -np.inf) for _ in range(J + 1)]
     suffix[J][0] = 0.0
+    terms: list[np.ndarray] = [np.empty(0)] * J
+    rr = np.arange(total + 1)
     for j in range(J - 1, -1, -1):
         wj = logweights[j]
-        xs = np.arange(len(wj))
-        rr = np.arange(total + 1)
-        diff = rr[:, None] - xs[None, :]
-        terms = np.where(
+        diff = rr[:, None] - np.arange(len(wj))[None, :]
+        terms[j] = np.where(
             diff >= 0, wj[None, :] + np.take(suffix[j + 1], np.maximum(diff, 0)), -np.inf
         )
-        suffix[j] = logsumexp(terms, axis=1)
+        suffix[j] = logsumexp(terms[j], axis=1)
     out = np.zeros((size, J), dtype=np.int64)
     log_p = np.zeros(size)
     rem = np.full(size, total, dtype=np.int64)
     ucol = ucol0
     for j in range(J - 1):
-        wj = logweights[j]
-        xs = np.arange(len(wj))
-        rr = np.arange(total + 1)
-        diff = rr[:, None] - xs[None, :]
-        logp = np.where(
-            diff >= 0, wj[None, :] + np.take(suffix[j + 1], np.maximum(diff, 0)), -np.inf
-        )
+        logp = terms[j]
         # rows for unreachable remainders normalize to nan and are never picked
         with np.errstate(invalid="ignore"):
-            norm = logsumexp(logp, axis=1, keepdims=True)
-            logp_n = logp - norm
+            logp_n = logp - suffix[j][:, None]
             cdf = np.cumsum(np.exp(logp_n), axis=1)
             cdf /= cdf[:, -1:]
         rows_cdf = cdf[rem]
         pick = (U[:, ucol, None] > rows_cdf).sum(axis=1)
-        pick = np.minimum(pick, len(xs) - 1)
+        pick = np.minimum(pick, logp.shape[1] - 1)
         ucol += 1
         out[:, j] = pick
-        log_p += logp[rem, pick] - norm[rem, 0]
+        log_p += logp[rem, pick] - suffix[j][rem]
         rem = rem - out[:, j]
     out[:, J - 1] = rem
     return out, log_p, ucol

@@ -1,20 +1,12 @@
 """Exact moments of cell counts and ordinal tests; normal-approximation p-value.
 
-Conditioning on Q_i (the number of u = 1 subjects receiving treatment i)
-makes each cell count a two-stratum sample-sum: Q_i outcome indicators drawn
-from the u = 1 pool plus N_i. - Q_i from the u = 0 pool.  The law of Q is a
+Q_i is the number of u = 1 subjects receiving treatment i.  Its law is a
 kernel-weighted tilt on a small support (``exactdist._mvehg_law`` at weights
-gamma * delta), so its moments are exact finite sums, and the cell means,
-variances, and covariances follow in closed form.
-The covariance formulas branch on ubar: the within-pool pair terms need at
-least two subjects in a pool, so the cases ubar in {0, N}, ubar = 1,
-ubar = N - 1, and the interior all differ and are dispatched explicitly.
-
-Pool summaries (with the stated zero conventions for empty/degenerate pools):
-
-    rho_{j,1} = ubar_j / ubar            rho_{j,0} = (N_.j - ubar_j) / (N - ubar)
-    w_{j,1}   = pool-1 indicator variance (denominator ubar - 1)
-    w_{j,0}   = pool-0 indicator variance (denominator N - ubar - 1)
+gamma * delta), so its moments are exact finite sums.  Given Q, the u = 1 and
+u = 0 subjects form two independent uniformly permuted fixed-margin tables,
+whose means and covariances are the classical hypergeometric ones.  The law
+of total covariance over Q then gives the cell means and the full cell
+covariance in one closed form (``cell_moments``).
 
 An ordinal statistic is a linear functional of the vectorized table, so its
 mean and variance are A'mu and A'Sigma A with the row-major index map
@@ -85,183 +77,45 @@ def dist_q(c: ConfounderClass, m: Margins, model: SensitivityModel) -> QDistribu
     return QDistribution(support=tuple(map(tuple, support.tolist())), probs=probs)
 
 
-def _pool_summaries(c: ConfounderClass, m: Margins) -> tuple[np.ndarray, ...]:
-    """(rho1, rho0, w1, w0) per outcome level with the degenerate-pool conventions."""
-    N = m.N
-    ubar = c.total
-    cols = np.asarray(m.cols, dtype=float)
-    uj = np.asarray(c.ubar, dtype=float)
-    if ubar > 0:
-        rho1 = uj / ubar
-    else:
-        rho1 = np.zeros_like(uj)
-    if ubar < N:
-        rho0 = (cols - uj) / (N - ubar)
-    else:
-        rho0 = np.zeros_like(uj)
-    if ubar > 1:
-        w1 = (uj * (1 - rho1) ** 2 + (ubar - uj) * rho1**2) / (ubar - 1)
-    else:
-        w1 = np.zeros_like(uj)
-    if ubar < N - 1:
-        w0 = ((cols - uj) * (1 - rho0) ** 2 + (N - ubar - cols + uj) * rho0**2) / (
-            N - ubar - 1
-        )
-    else:
-        w0 = np.zeros_like(uj)
-    return rho1, rho0, w1, w0
-
-
 def cell_moments(
     c: ConfounderClass, m: Margins, model: SensitivityModel
 ) -> CellMoments:
     """Exact mean matrix and (IJ x IJ) covariance of the cell counts.
 
-    All Q moments come from exact summation over the Q support; nothing is
-    approximated.  Covariance branches are keyed strictly on ubar.
+    Law of total covariance over Q.  Given Q, the u = 1 pool (rows Q,
+    columns ubar_j, n1 = ubar subjects) and the u = 0 pool (rows N_i. - Q,
+    columns N_.j - ubar_j, n0 = N - ubar) are independent uniformly permuted
+    fixed-margin tables, so with rho = columns / n per pool:
+
+        mean = E[Q] rho1' + (N_i. - E[Q]) rho0'
+        cov  = kron(Cov Q, drho drho') + sum over pools with n >= 2 of
+               kron(n diag(E r) - E[r r'], n diag(c) - c c') / (n^2 (n - 1))
+
+    with drho = rho1 - rho0.  A pool of 0 or 1 subjects is a fixed table
+    given Q and adds nothing; an empty pool takes rho = 0.  Every Q moment
+    is an exact sum over the Q support.
     """
     c.validate_for(m)
-    N = m.N
-    I, J = m.I, m.J
-    ubar = c.total
-    rows = np.asarray(m.rows, dtype=float)
-    cols = np.asarray(m.cols, dtype=float)
-    uj = np.asarray(c.ubar, dtype=float)
-    rho1, rho0, w1, w0 = _pool_summaries(c, m)
-
     qd = dist_q(c, m, model)
     EQ = qd.mean()
     EQQ = qd.second_moments()
-    CQ = qd.cov()
-    VarQ = np.diag(CQ)
-    EQ2 = np.diag(EQQ)
-
-    mean = rho1[None, :] * EQ[:, None] + rho0[None, :] * (rows - EQ)[:, None]
-
-    # per-cell variance (law of total variance; w terms vanish per conventions)
-    var = np.zeros((I, J))
-    for i in range(I):
-        for j in range(J):
-            t1 = (w1[j] - w0[j]) * EQ[i]
-            frac = (w1[j] / ubar if ubar > 0 else 0.0) + (
-                w0[j] / (N - ubar) if ubar < N else 0.0
+    CQ = EQQ - np.outer(EQ, EQ)
+    n1 = c.total
+    n0 = m.N - n1
+    c1 = np.asarray(c.ubar, dtype=float)
+    c0 = np.asarray(m.cols, dtype=float) - c1
+    r0 = np.asarray(m.rows, dtype=float) - EQ  # E of the u = 0 pool's rows
+    rho1 = c1 / n1 if n1 > 0 else np.zeros_like(c1)
+    rho0 = c0 / n0 if n0 > 0 else np.zeros_like(c0)
+    drho = rho1 - rho0
+    mean = np.outer(EQ, rho1) + np.outer(r0, rho0)
+    cov = np.kron(CQ, np.outer(drho, drho))
+    # (n, E r, E[r r'], columns) per pool; E[r r'] of N_i. - Q is Cov Q + r0 r0'
+    for n, Er, Err, cj in ((n1, EQ, EQQ, c1), (n0, r0, CQ + np.outer(r0, r0), c0)):
+        if n >= 2:
+            cov += np.kron(n * np.diag(Er) - Err, n * np.diag(cj) - np.outer(cj, cj)) / (
+                n * n * (n - 1)
             )
-            t2 = frac * (EQ[i] ** 2 + VarQ[i])
-            t3 = (
-                rows[i] * (N - ubar - rows[i] + 2 * EQ[i]) * w0[j] / (N - ubar)
-                if ubar < N
-                else 0.0
-            )
-            t4 = VarQ[i] * (rho1[j] - rho0[j]) ** 2
-            var[i, j] = t1 - t2 + t3 + t4
-
-    cov = np.zeros((I * J, I * J))
-
-    def idx(i: int, j: int) -> int:
-        return i * J + j
-
-    hyper = ubar in (0, N)
-
-    for i in range(I):
-        for j in range(J):
-            cov[idx(i, j), idx(i, j)] = var[i, j]
-
-    # same treatment, different outcomes
-    for i in range(I):
-        for j in range(J):
-            for jp in range(j + 1, J):
-                if hyper:
-                    v = -cols[j] * cols[jp] * rows[i] * (N - rows[i]) / (
-                        N**2 * (N - 1)
-                    )
-                else:
-                    cross = (
-                        rho1[j] * rho1[jp]
-                        + rho0[j] * rho0[jp]
-                        - rho1[j] * rho0[jp]
-                        - rho1[jp] * rho0[j]
-                    ) * VarQ[i]
-                    v = cross
-                    if ubar > 1:
-                        v += rho1[j] * rho1[jp] / (ubar - 1) * (EQ2[i] - ubar * EQ[i])
-                    if ubar < N - 1:
-                        v += (
-                            rho0[j]
-                            * rho0[jp]
-                            / (N - ubar - 1)
-                            * (
-                                rows[i] * (rows[i] - N + ubar)
-                                + EQ2[i]
-                                - (2 * rows[i] - N + ubar) * EQ[i]
-                            )
-                        )
-                cov[idx(i, j), idx(i, jp)] = cov[idx(i, jp), idx(i, j)] = v
-
-    # same outcome, different treatments
-    for j in range(J):
-        for i in range(I):
-            for ip in range(i + 1, I):
-                if hyper:
-                    v = -cols[j] * (N - cols[j]) * rows[i] * rows[ip] / (
-                        N**2 * (N - 1)
-                    )
-                else:
-                    v = (rho1[j] ** 2 + rho0[j] ** 2 - 2 * rho1[j] * rho0[j]) * CQ[i, ip]
-                    if ubar > 1:
-                        v += (
-                            -uj[j]
-                            * (ubar - uj[j])
-                            / (ubar**2 * (ubar - 1))
-                            * EQQ[i, ip]
-                        )
-                    if ubar < N - 1:
-                        f = (
-                            (cols[j] - uj[j])
-                            * (cols[j] - uj[j] - N + ubar)
-                            / ((N - ubar) ** 2 * (N - ubar - 1))
-                        )
-                        v += f * (
-                            EQQ[i, ip]
-                            + rows[i] * rows[ip]
-                            - rows[i] * EQ[ip]
-                            - rows[ip] * EQ[i]
-                        )
-                cov[idx(i, j), idx(ip, j)] = cov[idx(ip, j), idx(i, j)] = v
-
-    # different treatment and outcome
-    for i in range(I):
-        for ip in range(I):
-            if ip == i:
-                continue
-            for j in range(J):
-                for jp in range(J):
-                    if jp == j:
-                        continue
-                    if hyper:
-                        v = cols[j] * cols[jp] * rows[i] * rows[ip] / (N**2 * (N - 1))
-                    else:
-                        v = (
-                            rho1[j] * rho1[jp]
-                            + rho0[j] * rho0[jp]
-                            - rho1[j] * rho0[jp]
-                            - rho1[jp] * rho0[j]
-                        ) * CQ[i, ip]
-                        if ubar > 1:
-                            v += rho1[j] * rho1[jp] / (ubar - 1) * EQQ[i, ip]
-                        if ubar < N - 1:
-                            v += (
-                                rho0[j]
-                                * rho0[jp]
-                                / (N - ubar - 1)
-                                * (
-                                    EQQ[i, ip]
-                                    + rows[i] * rows[ip]
-                                    - rows[i] * EQ[ip]
-                                    - rows[ip] * EQ[i]
-                                )
-                            )
-                    cov[idx(i, j), idx(ip, jp)] = v
-
     return CellMoments(mean=mean, cov=cov)
 
 

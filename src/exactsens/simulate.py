@@ -16,17 +16,13 @@ normal-approximation p-values is traced over nominal levels.  The exact
 method stays below the diagonal; the normal approximation can cross it.
 
 Every iteration uses the RNG stream (seed, iteration), so all Gamma grid
-points share simulated tables and results are independent of scheduling;
-``SENS_THREADS`` bounds optional process parallelism without changing
-output.
+points share simulated tables.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,17 +44,7 @@ __all__ = [
     "standard_test_suite",
     "power_curve",
     "size_curve",
-    "thread_count",
 ]
-
-
-def thread_count() -> int:
-    """Worker processes for simulations; SENS_THREADS caps it (default 1)."""
-    raw = os.environ.get("SENS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -213,8 +199,14 @@ class RejectionCurve:
         return np.sqrt(r * (1 - r) / self.iterations)
 
 
-def _power_one_iteration(args) -> list[list[bool]]:
-    (dgp, spec_list, gammas, alpha_level, seed, it) = args
+def _power_one_iteration(
+    dgp: LogLinearDGP,
+    spec_list: Sequence[PowerTestSpec],
+    gammas: list[float],
+    alpha_level: float,
+    seed: int,
+    it: int,
+) -> list[list[bool]]:
     rng = np.random.default_rng([seed, it])
     t = sample_table_fixed_treatment(rng, dgp)
     out: list[list[bool]] = []
@@ -262,13 +254,10 @@ def power_curve(
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
         raise ValueError("gamma grid must be non-empty")
-    jobs = [(dgp, specs, gammas, alpha_level, seed, it) for it in range(iterations)]
-    nworkers = thread_count()
-    if nworkers > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            rejections = list(pool.map(_power_one_iteration, jobs, chunksize=8))
-    else:
-        rejections = [_power_one_iteration(j) for j in jobs]
+    rejections = [
+        _power_one_iteration(dgp, specs, gammas, alpha_level, seed, it)
+        for it in range(iterations)
+    ]
     out: dict[str, RejectionCurve] = {}
     arr = np.asarray(rejections, dtype=float)  # (iters, spec, gamma)
     for si, spec in enumerate(specs):

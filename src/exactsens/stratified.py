@@ -88,9 +88,9 @@ class StratifiedStudy:
                 delta=tuple(data["delta"]) if "delta" in data else None,
                 phi=tuple(data["phi"]) if "phi" in data else None,
             )
+            tau = float(data.get("tau", DEFAULT_TAU))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed stratified input: {exc}") from exc
-        tau = float(data.get("tau", DEFAULT_TAU))
         return cls(tuple(strata), alphas, betas, model), tau
 
 

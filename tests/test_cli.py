@@ -119,6 +119,17 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     # resolved silently in favour of --delta
     assert run(sample + ["--delta", "0,1,1", "--phi", "0,1,2", "--iterations", "10"]) == 2
     assert capsys.readouterr().err == "error: give only one of --delta / --phi\n"
+    # an empty outcome level and an out-of-range cell are refused, not a traceback
+    empty = tmp_path / "empty.csv"
+    empty.write_text("3,0,2\n1,0,4\n")
+    two_rows = tmp_path / "two.csv"
+    two_rows.write_text("1,2\n3,4\n")
+    for path, test, message in [
+        (empty, "chi2", "chi2/G2 need every row and column margin positive"),
+        (two_rows, "cell:3,1", "cell index out of range"),
+    ]:
+        assert run(["analyze", str(path), "--test", test, "--delta", "0,1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_model_family_mismatch_exits_3(girls_csv):
@@ -166,6 +177,10 @@ def test_stratified_command(tmp_path):
 def test_stratified_malformed_exits_2(tmp_path):
     inp = tmp_path / "bad.json"
     inp.write_text(json.dumps({"strata": [{"counts": [[1, 2], [3, 4]]}]}))
+    assert run(["stratified", str(inp)]) == 2
+    stratum = {"counts": [[5, 1], [1, 5]], "alpha": [0, 1], "beta": [0, 1]}
+    inp.write_text(json.dumps({"strata": [stratum], "gamma": 0.0, "delta": [0, 1],
+                               "tau": None}))
     assert run(["stratified", str(inp)]) == 2
 
 

@@ -33,15 +33,21 @@ def ubar_for(m, ubar_total, rng):
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 def test_cell_moments_all_ubar_branches(gamma, rng):
-    m = Margins((4, 3, 3), (3, 4, 3))
-    N = m.N
-    for ubar_total in [0, 1, 5, N - 1, N]:
-        cclass = ubar_for(m, ubar_total, rng)
-        model = SensitivityModel(gamma=gamma, delta=(0, 1, 1))
-        got = cell_moments(cclass, m, model)
-        mean, cov = oracle_moments(m, cclass, model)
-        np.testing.assert_allclose(got.mean, mean, atol=1e-10)
-        np.testing.assert_allclose(got.cov, cov, atol=1e-9)
+    m1 = Margins((4, 3, 3), (3, 4, 3))
+    # an empty outcome level and two non-adjacent one-rows
+    m2 = Margins((2, 3, 2, 3), (4, 0, 6))
+    cases = [
+        (m1, (0, 1, 1), [0, 1, 5, m1.N - 1, m1.N]),
+        (m2, (1, 0, 1, 0), [0, 1, m2.N - 1, m2.N]),
+    ]
+    for m, delta, totals in cases:
+        model = SensitivityModel(gamma=gamma, delta=delta)
+        for ubar_total in totals:
+            cclass = ubar_for(m, ubar_total, rng)
+            got = cell_moments(cclass, m, model)
+            mean, cov = oracle_moments(m, cclass, model)
+            np.testing.assert_allclose(got.mean, mean, atol=1e-10)
+            np.testing.assert_allclose(got.cov, cov, atol=1e-9)
 
 
 def test_cell_moments_binary_outcome_branches(rng):

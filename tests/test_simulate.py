@@ -165,15 +165,6 @@ def test_size_curve_normal_runs(rng):
                        method="normal")
     assert all(0 <= r <= 1 for r in curve.rates)
 
-def test_power_thread_count_invariance(monkeypatch):
-    spec = PowerTestSpec("t", CASE_I.alpha_star, CASE_I.beta_star, (0, 1, 1))
-    monkeypatch.setenv("SENS_THREADS", "1")
-    seq = power_curve(7, CASE_I, spec, [0.0, 0.7], iterations=6)
-    monkeypatch.setenv("SENS_THREADS", "2")
-    par = power_curve(7, CASE_I, spec, [0.0, 0.7], iterations=6)
-    assert seq["t"].rates == par["t"].rates
-
-
 def test_sample_rows_deterministic_when_probability_concentrates(rng):
     # a huge interaction weight pushes each row's conditional mass onto one cell
     dgp = LogLinearDGP(0.0, (0.0,) * 3, (0.0,) * 3, 60.0, (0, 1, 2), (0, 1, 2),
