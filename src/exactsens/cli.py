@@ -26,15 +26,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import exactsens
 from exactsens.exactdist import ORACLE_CAP, exact_alpha
-from exactsens.montecarlo import (
-    estimate_alpha_permtreat,
-    estimate_alpha_sis,
-    estimate_alpha_snsis,
-)
+from exactsens.montecarlo import _estimate_sis_pair, estimate_alpha_permtreat
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
 from exactsens.simulate import (
     LogLinearDGP,
@@ -236,14 +230,13 @@ def cmd_stratified(args) -> int:
     if args.tau is not None:
         tau = args.tau
     grid = _gamma_grid(args)
-    rng = np.random.default_rng(args.seed)
     lines = ["gamma,Gamma," + ",".join(f"p_{k+1}" for k in range(study.K))
              + ",W,combined_p," + ",".join(f"reject_{k+1}" for k in range(study.K))]
     for g in grid:
         study_g = StratifiedStudy(
             study.strata, study.alphas, study.betas, study.model.with_gamma(g)
         )
-        res = analyze_study(study_g, tau, rng, args.iterations, args.level)
+        res = analyze_study(study_g, tau, args.level)
         lines.append(
             f"{_fmt(g)},{_fmt(math.exp(g))},"
             + ",".join(_fmt(p) for p in res.per_stratum_p)
@@ -255,8 +248,6 @@ def cmd_stratified(args) -> int:
         "input": args.input,
         "tau": tau,
         "gamma_grid": grid,
-        "iterations": args.iterations,
-        "seed": args.seed,
         "level": args.level,
     }
     _write_csv(args.out, lines, config)
@@ -354,8 +345,7 @@ def cmd_sample(args) -> int:
         raise CliError("--iterations must be at least 1", EXIT_BAD_INPUT)
     ubar = ConfounderClass(tuple(_parse_ints(args.fixed_ubar)))
     ubar.validate_for(table.margins())
-    sis = estimate_alpha_sis(args.seed, stat, table, ubar, model, M=args.iterations)
-    snsis = estimate_alpha_snsis(args.seed, stat, table, ubar, model, M=args.iterations)
+    sis, snsis = _estimate_sis_pair(args.seed, stat, table, ubar, model, M=args.iterations)
     # permutation baseline on the equivalent subject-level data
     outcomes = []
     for j, cnt in enumerate(table.col_margins()):
@@ -458,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("input", help="stratified JSON document")
     ps.add_argument("--tau", type=float, default=None,
                     help="truncation threshold (default from input or 0.2)")
-    ps.add_argument("--iterations", type=int, default=200_000,
-                    help="Monte Carlo iterations for the combined p-value")
+    ps.add_argument("--iterations", type=int, default=None,
+                    help="ignored: the combined p-value is exact")
     ps.add_argument("--level", type=float, default=0.05,
                     help="familywise level for closed testing")
     _add_common(ps)

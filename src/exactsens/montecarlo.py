@@ -305,6 +305,37 @@ def _sample_and_weight(
     return keep, log_ratio
 
 
+def _estimate_sis_pair(
+    seed: int,
+    test: TestStatistic,
+    t_obs: ContingencyTable,
+    c: ConfounderClass,
+    model: SensitivityModel,
+    critical: float | None = None,
+    M: int = 10_000,
+    proposal: str = TILTED_PROPOSAL_NAME,
+) -> tuple[EstimatorTrace, EstimatorTrace]:
+    """SIS and snSIS traces from one set of M draws and their weights."""
+    m = _validate_sampling_call(t_obs, c, model, M)
+    if critical is None:
+        critical = test(t_obs)
+    keep, log_ratio = _sample_and_weight(seed, test, m, c, model, critical, M, proposal)
+    # SIS: log C(u) from the closed block form, summed over the d with K_d > 0
+    B = sum(r for r, dv in zip(m.rows, model.delta) if dv == 1)  # type: ignore[arg-type]
+    logk, scale = _block_sum_normalizer(m.rows, B, c.total)
+    d = np.flatnonzero(np.isfinite(logk))
+    logC = float(logsumexp(logk[d] + model.gamma * d) + scale)
+    terms = np.where(keep, np.exp(log_ratio - logC), 0.0)
+    running = np.cumsum(terms) / np.arange(1, M + 1)
+    sis = EstimatorTrace("SIS", running, float(running[-1]), proposal)
+    # snSIS: weighted rejected mass over total weighted mass
+    w = np.exp(log_ratio - log_ratio.max())
+    denom = np.cumsum(w)
+    assert np.all(denom > 0), "positive proposal weights cannot vanish"
+    running = np.cumsum(np.where(keep, w, 0.0)) / denom
+    return sis, EstimatorTrace("snSIS", running, float(running[-1]), proposal)
+
+
 def estimate_alpha_sis(
     seed: int,
     test: TestStatistic,
@@ -316,18 +347,7 @@ def estimate_alpha_sis(
     proposal: str = TILTED_PROPOSAL_NAME,
 ) -> EstimatorTrace:
     """Unbiased kernel-weighted estimator (1/(M C(u))) sum 1{T>=c} v/h."""
-    m = _validate_sampling_call(t_obs, c, model, M)
-    if critical is None:
-        critical = test(t_obs)
-    keep, log_ratio = _sample_and_weight(seed, test, m, c, model, critical, M, proposal)
-    # log C(u) from the closed block form, summed over the d with K_d > 0
-    B = sum(r for r, dv in zip(m.rows, model.delta) if dv == 1)  # type: ignore[arg-type]
-    logk, scale = _block_sum_normalizer(m.rows, B, c.total)
-    d = np.flatnonzero(np.isfinite(logk))
-    logC = float(logsumexp(logk[d] + model.gamma * d) + scale)
-    terms = np.where(keep, np.exp(log_ratio - logC), 0.0)
-    running = np.cumsum(terms) / np.arange(1, M + 1)
-    return EstimatorTrace("SIS", running, float(running[-1]), proposal)
+    return _estimate_sis_pair(seed, test, t_obs, c, model, critical, M, proposal)[0]
 
 
 def estimate_alpha_snsis(
@@ -341,15 +361,7 @@ def estimate_alpha_snsis(
     proposal: str = TILTED_PROPOSAL_NAME,
 ) -> EstimatorTrace:
     """Self-normalized variant: weighted rejected mass over total weighted mass."""
-    m = _validate_sampling_call(t_obs, c, model, M)
-    if critical is None:
-        critical = test(t_obs)
-    keep, log_ratio = _sample_and_weight(seed, test, m, c, model, critical, M, proposal)
-    w = np.exp(log_ratio - log_ratio.max())
-    denom = np.cumsum(w)
-    assert np.all(denom > 0), "positive proposal weights cannot vanish"
-    running = np.cumsum(np.where(keep, w, 0.0)) / denom
-    return EstimatorTrace("snSIS", running, float(running[-1]), proposal)
+    return _estimate_sis_pair(seed, test, t_obs, c, model, critical, M, proposal)[1]
 
 
 def estimate_alpha_permtreat(

@@ -1,20 +1,31 @@
 """Stratified (I x J x K) inference: per-stratum worst cases and combining.
 
 Treatment assignments are independent across strata, so each stratum gets its
-own exact worst-case p-value and evidence is pooled afterwards.  The default
-combiner is the truncated product W = prod_k p_k^{1{p_k <= tau}}; its null
-distribution is simulated by replacing the p-vector with independent
-uniforms, which is valid (conservative) because each worst-case p-value is
-stochastically no smaller than uniform under the joint sharp null.  Closed
-testing turns the combiner into per-stratum familywise-error decisions: a
-stratum is rejected only if every subset containing it rejects, singletons
-using the raw p-value and larger subsets the subset-restricted truncated
-product.
+own exact worst-case p-value and evidence is pooled afterwards.  The combiner
+is the truncated product W = prod_l p_l^{1{p_l <= tau}} of L p-values (the K
+strata, or a subset of them in closed testing).  Its null law is taken with
+the p-values replaced by independent uniforms, which is valid (conservative)
+because each worst-case p-value is stochastically no smaller than uniform
+under the joint sharp null.  For 0 < w < 1 that law has a closed form
+(Zaykin et al., Genet. Epidemiol. 22:170-185, 2002):
+
+    P(W <= w) = sum_{k=1..L} C(L, k) (1 - tau)^(L-k) F_k(w),
+    F_k(w) = w sum_{s<k} (k ln tau - ln w)^s / s!   if w <= tau^k, else tau^k,
+
+where F_k(w) is the probability that k given uniforms all fall at or below
+tau with product at most w.  Every term is positive, so the sum is formed in
+the log domain, where neither C(L, k) at large L nor the series at a
+subnormal w overflows.  The combined p-value is exact: no simulation and no
+random numbers.
+
+Closed testing turns the combiner into per-stratum familywise-error
+decisions: a stratum is rejected only if every subset containing it rejects,
+singletons using the raw p-value and larger subsets the subset-restricted
+truncated product.
 
 For binary outcomes, each stratum's sign-score statistic is stochastically
 bounded by its worst-case multivariate extended hypergeometric transform;
-``signscore_bound_distribution`` exposes those exact per-stratum laws so any
-monotone combination of the K statistics can be bounded by Monte Carlo.  The
+``signscore_bound_distribution`` exposes those exact per-stratum laws.  The
 laws come from ``exactdist._mvehg_law``, the same code that gives the
 single-table sign-score worst case.
 """
@@ -27,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from exactsens.exactdist import _mvehg_law, statistic_tolerance
 from exactsens.sensmodel import SensitivityModel
@@ -47,7 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_TAU = 0.2
-DEFAULT_COMBINE_ITERATIONS = 200_000
 
 
 @dataclass(frozen=True)
@@ -100,27 +111,19 @@ class CombinedResult:
     W: float
     combined_p: float
     tau: float
-    mc_iterations: int
     closed_testing_rejections: tuple[bool, ...]
 
 
 def analyze_study(
-    study: StratifiedStudy,
-    tau: float = DEFAULT_TAU,
-    rng: np.random.Generator | None = None,
-    mc_iterations: int = DEFAULT_COMBINE_ITERATIONS,
-    alpha_level: float = 0.05,
+    study: StratifiedStudy, tau: float = DEFAULT_TAU, alpha_level: float = 0.05
 ) -> CombinedResult:
     """Per-stratum worst cases, truncated-product combination, closed testing."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     pvals = stratified_worst_case(study)
     W = truncated_product(pvals, tau)
-    combined = combined_pvalue(W, study.K, tau, rng, mc_iterations)
+    combined = combined_pvalue(W, study.K, tau)
 
     def subset_comb(ps: Sequence[float]) -> float:
-        return combined_pvalue(truncated_product(ps, tau), len(ps), tau, rng,
-                               mc_iterations)
+        return combined_pvalue(truncated_product(ps, tau), len(ps), tau)
 
     flags = closed_testing(list(pvals), subset_comb, alpha_level)
     return CombinedResult(
@@ -128,21 +131,16 @@ def analyze_study(
         W=float(W),
         combined_p=float(combined),
         tau=float(tau),
-        mc_iterations=int(mc_iterations),
         closed_testing_rejections=flags,
     )
 
 
-def stratified_worst_case(
-    study: StratifiedStudy, critical_per_stratum: Sequence[float] | None = None
-) -> np.ndarray:
+def stratified_worst_case(study: StratifiedStudy) -> np.ndarray:
     """Independent per-stratum worst-case p-values."""
-    out = []
-    for k in range(study.K):
-        crit = None if critical_per_stratum is None else critical_per_stratum[k]
-        res = worst_case_pvalue(study.statistic(k), study.strata[k], study.model, crit)
-        out.append(res.pvalue)
-    return np.asarray(out)
+    return np.asarray([
+        worst_case_pvalue(study.statistic(k), study.strata[k], study.model).pvalue
+        for k in range(study.K)
+    ])
 
 
 def truncated_product(pvals: Sequence[float], tau: float) -> float:
@@ -159,26 +157,36 @@ def truncated_product(pvals: Sequence[float], tau: float) -> float:
 
 
 def combined_pvalue(
-    W_obs: float,
-    K: int,
-    tau: float,
-    rng: np.random.Generator,
-    M: int = DEFAULT_COMBINE_ITERATIONS,
+    W_obs: float, K: int, tau: float, rng: object = None, M: object = None
 ) -> float:
-    """Monte Carlo P(W' <= W_obs) with W' built from K iid uniforms."""
+    """Exact P(W' <= W_obs) with W' the truncated product of K iid uniforms.
+
+    The law is the closed form in the module docstring.  ``rng`` and ``M``
+    are ignored; they remain so that callers written for the former Monte
+    Carlo signature ``(W_obs, K, tau, rng, M)`` keep working.
+    """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     if K < 1:
         raise ValueError("K must be at least 1")
-    if M < 1:
-        raise ValueError("the number of Monte Carlo draws must be at least 1")
     if W_obs >= 1.0:
         return 1.0
     if W_obs <= 0.0:
         return 0.0
-    U = rng.random((M, K))
-    logW = np.where(U <= tau, np.log(U), 0.0).sum(axis=1)
-    return float(np.mean(logW <= math.log(W_obs) + 1e-12))
+    log_tau, log_w = math.log(tau), math.log(W_obs)
+    k = np.arange(1, K + 1)
+    log_F = k * log_tau  # F_k = tau^k where W_obs > tau^k
+    x = k * log_tau - log_w  # decreasing in k; W_obs <= tau^k iff x >= 0
+    n = int(np.count_nonzero(x >= 0.0))
+    if n:
+        s = np.arange(n)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_xs = np.where(s == 0, 0.0, s * np.log(x[:n]))  # log x^s, 0^0 = 1
+        terms = np.where(s < k[:n], log_xs - gammaln(s + 1), -np.inf)
+        log_F[:n] = log_w + np.logaddexp.reduce(terms, axis=0)
+    log_binom = gammaln(K + 1) - gammaln(k + 1) - gammaln(K - k + 1)
+    total = np.logaddexp.reduce(log_binom + (K - k) * math.log1p(-tau) + log_F)
+    return min(1.0, math.exp(total))
 
 
 def closed_testing(
@@ -222,17 +230,12 @@ class SignScoreBound:
         keep = self.values >= critical - statistic_tolerance(critical)
         return float(self.probs[keep].sum())
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self.values, p=self.probs, size=size)
-
 
 def signscore_bound_distribution(study: StratifiedStudy) -> list[SignScoreBound]:
     """Per-stratum stochastic bounds for I x 2 x K studies.
 
     Stratum k's bound is alpha_(k)' M with M multivariate extended
-    hypergeometric at margins (N_(k)I., N_(k).2) and weights gamma * bias;
-    any monotone increasing combination of the bounded statistics yields a
-    valid joint tail by Monte Carlo over these exact laws.
+    hypergeometric at margins (N_(k)I., N_(k).2) and weights gamma * bias.
     """
     if study.strata[0].J != 2:
         raise ValueError("the sign-score bound requires binary outcomes")

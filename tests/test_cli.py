@@ -172,6 +172,13 @@ def test_stratified_command(tmp_path):
     combined = float(cells[5])
     assert combined == pytest.approx(0.001, abs=0.0015)
     assert cells[6] == "1" and cells[7] == "1"
+    # the combined p-value is exact: --seed and --iterations change no byte
+    other = tmp_path / "other.csv"
+    assert run([
+        "stratified", str(inp), "--Gamma-grid", "1", "--iterations", "7",
+        "--seed", "99", "--out", str(other),
+    ]) == 0
+    assert other.read_text() == out.read_text()
 
 
 def test_stratified_malformed_exits_2(tmp_path):
@@ -185,7 +192,6 @@ def test_stratified_malformed_exits_2(tmp_path):
 
 
 def test_stratified_bad_iterations_or_tau_exits_2(tmp_path, capsys):
-    # no Monte Carlo draws would print combined_p = nan and flag nothing
     doc = {
         "strata": [{"counts": [[5, 1], [1, 5]], "alpha": [0, 1], "beta": [0, 1]}] * 2,
         "gamma": 0.0,
@@ -194,8 +200,6 @@ def test_stratified_bad_iterations_or_tau_exits_2(tmp_path, capsys):
     inp = tmp_path / "study.json"
     inp.write_text(json.dumps(doc))
     for extra, message in [
-        (["--iterations", "0"], "the number of Monte Carlo draws must be at least 1"),
-        (["--iterations", "-3"], "the number of Monte Carlo draws must be at least 1"),
         (["--tau", "1.5"], "tau must lie in (0, 1)"),
         (["--tau", "0"], "tau must lie in (0, 1)"),
     ]:

@@ -48,28 +48,47 @@ def test_truncated_product_monotone():
     assert truncated_product((0.04, 0.10), 0.2) < base
 
 
-def test_combined_pvalue_k1_analytic(rng):
+def monte_carlo_combined_pvalue(w, L, tau, rng, M):
+    """P(W' <= w) estimated from M draws of L iid uniforms."""
+    U = rng.random((M, L))
+    logW = np.where(U <= tau, np.log(U), 0.0).sum(axis=1)
+    return float(np.mean(logW <= math.log(w)))
+
+
+def test_combined_pvalue_k1_analytic():
     # K = 1: P(W' <= w) = w for w <= tau
-    got = combined_pvalue(0.05, 1, 0.2, rng, M=200_000)
-    assert got == pytest.approx(0.05, abs=3 * math.sqrt(0.05 * 0.95 / 200_000))
-    assert combined_pvalue(1.0, 2, 0.2, rng) == 1.0
-    assert combined_pvalue(0.0, 2, 0.2, rng) == 0.0
+    for w in (0.05, 0.2, 1e-300):
+        assert combined_pvalue(w, 1, 0.2) == pytest.approx(w, rel=1e-12)
+    assert combined_pvalue(1.0, 2, 0.2) == 1.0
+    assert combined_pvalue(0.0, 2, 0.2) == 0.0
 
 
-def test_combined_pvalue_needs_draws(rng):
-    # no draws is an error, not a NaN p-value that rejects nothing
-    for M in (0, -5):
-        with pytest.raises(ValueError, match="at least 1"):
-            combined_pvalue(0.05, 2, 0.2, rng, M=M)
-
-
-def test_combined_pvalue_k2_closed_form(rng):
+def test_combined_pvalue_k2_closed_form():
     # for w <= tau^2: P = 2(1-tau) w + w (1 + log(tau^2 / w))
     tau = 0.2
-    w = 7.8e-5
-    want = 2 * (1 - tau) * w + w * (1 + math.log(tau**2 / w))
-    got = combined_pvalue(w, 2, tau, rng, M=400_000)
-    assert got == pytest.approx(want, abs=3 * math.sqrt(want * (1 - want) / 400_000))
+    for w in (7.8e-5, 0.04, 1e-300):
+        want = 2 * (1 - tau) * w + w * (1 + math.log(tau**2 / w))
+        assert combined_pvalue(w, 2, tau) == pytest.approx(want, rel=1e-12)
+
+
+def test_combined_pvalue_above_tau_is_any_p_below_tau():
+    # for tau <= w < 1, W' <= w unless every uniform exceeds tau; at L = 1500
+    # C(L, k) overflows a float, so only a log-domain sum gets this right
+    for L in (1, 2, 6, 1500):
+        for tau in (0.05, 0.2, 0.5):
+            for w in (tau, 0.5 * (1 + tau), 0.999):
+                want = -math.expm1(L * math.log1p(-tau))
+                assert combined_pvalue(w, L, tau) == pytest.approx(want, rel=1e-10)
+
+
+def test_combined_pvalue_matches_monte_carlo(rng):
+    M = 200_000
+    for L in (2, 3, 6):
+        for tau in (0.05, 0.2, 0.5):
+            for w in (1e-4, 1e-3, 1e-2, 0.05, 0.3):
+                want = combined_pvalue(w, L, tau)
+                got = monte_carlo_combined_pvalue(w, L, tau, rng, M)
+                assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / M)
 
 
 def test_stratified_worst_case_study_rows():
@@ -92,9 +111,9 @@ def test_stratified_k1_degenerates():
     assert len(ps) == 1 and round(ps[0], 3) == 0.006
 
 
-def test_closed_testing_patterns(rng):
+def test_closed_testing_patterns():
     def comb(ps):
-        return combined_pvalue(truncated_product(ps, 0.2), len(ps), 0.2, rng, 50_000)
+        return combined_pvalue(truncated_product(ps, 0.2), len(ps), 0.2)
 
     # both singletons and the joint reject
     assert closed_testing([0.004, 0.046], comb, 0.05) == (True, True)
@@ -104,7 +123,7 @@ def test_closed_testing_patterns(rng):
     assert closed_testing([1.0, 1.0], comb, 0.05) == (False, False)
 
 
-def test_closed_testing_never_rejects_high_raw_p(rng):
+def test_closed_testing_never_rejects_high_raw_p():
     def comb(ps):
         return 0.0  # maximally favorable joint evidence
 
@@ -153,8 +172,9 @@ def test_signscore_bound_tail_equals_exact_alpha():
     assert bound.tail(crit) == pytest.approx(want, rel=1e-10)
 
 
-def test_signscore_bound_dominates_true_tail(rng):
-    # the bound's tail is >= the simulated true tail at any admissible u
+def test_signscore_bound_dominates_true_tail():
+    # the bound's tail of g = T1 + T2 is >= the true tail at any admissible u;
+    # both laws of g are exact outer sums of two per-stratum laws
     t1 = ContingencyTable.from_array([[3, 1], [2, 2], [1, 3]])
     gamma = 0.8
     model = SensitivityModel(gamma=gamma, delta=(0, 1, 1))
@@ -162,23 +182,20 @@ def test_signscore_bound_dominates_true_tail(rng):
         strata=(t1, t1), alphas=((0.0, 1.0, 2.0),) * 2, betas=((0.0, 1.0),) * 2,
         model=model,
     )
-    bounds = signscore_bound_distribution(study)
-    # Monte Carlo of g = T1 + T2 under the bound law
-    draws = 200_000
-    g_bound = bounds[0].sample(rng, draws) + bounds[1].sample(rng, draws)
-    # true law simulated at an interior confounder class via the exact table law
+    b1, b2 = signscore_bound_distribution(study)
+    g_bound = np.add.outer(b1.values, b2.values).ravel()
+    p_bound = np.multiply.outer(b1.probs, b2.probs).ravel()
+    # true law at an interior confounder class via the exact table law
     from tests.conftest import table_law
 
-    cclass = ConfounderClass((1, 2))
-    tables, p = table_law(t1.margins(), cclass, model)
-    stat = ordinal_statistic((0, 1, 2), (0, 1))
-    tv = stat.evaluate_batch(tables)
-    idx = rng.choice(len(tables), p=p, size=draws)
-    g_true = tv[idx] + tv[rng.choice(len(tables), p=p, size=draws)]
+    tables, p = table_law(t1.margins(), ConfounderClass((1, 2)), model)
+    tv = ordinal_statistic((0, 1, 2), (0, 1)).evaluate_batch(tables)
+    g_true = np.add.outer(tv, tv).ravel()
+    p_true = np.multiply.outer(p, p).ravel()
     for c in np.unique(tv)[1:]:
-        tail_bound = np.mean(g_bound >= 2 * c - 1e-9)
-        tail_true = np.mean(g_true >= 2 * c - 1e-9)
-        assert tail_bound >= tail_true - 3 * math.sqrt(0.25 / draws)
+        tail_bound = p_bound[g_bound >= 2 * c - 1e-9].sum()
+        tail_true = p_true[g_true >= 2 * c - 1e-9].sum()
+        assert tail_bound >= tail_true - 1e-12
 
 
 def test_from_json():
