@@ -30,6 +30,7 @@ from exactsens.stats import (
 from exactsens.exactdist import (
     brute_force_alpha,
     exact_alpha,
+    kernel_alpha,
     kernel_q,
     kernel_t_q,
     mvehg_pmf,
@@ -73,6 +74,7 @@ __all__ = [
     "kernel_q",
     "kernel_t_q",
     "exact_alpha",
+    "kernel_alpha",
     "brute_force_alpha",
     "mvehg_pmf",
     "mvehg_sample",

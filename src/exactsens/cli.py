@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle-check", help="kernel vs permutation equivalence battery")
     po.add_argument("--nmax", type=int, default=ORACLE_CAP,
-                    help="largest N in the battery (cap respected)")
+                    help=f"largest N in the battery, 4 to {ORACLE_CAP}")
     po.add_argument("--cases", type=int, default=60,
                     help="number of seeded random instances")
     po.add_argument("--tolerance", type=float, default=1e-12)

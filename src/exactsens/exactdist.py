@@ -16,26 +16,23 @@ without branching).  The significance level of an upper-tail test T >= c is
             -----------------------------------------------------------
                       sum_q e^{gamma delta'q} kernel_q(q)
 
-Two evaluation paths are provided.  The reference path aggregates exact
-integer kernels per q and applies the gamma weights with compensated float
-summation; it is the 1e-12-grade oracle used for small and moderate N.  The
-fast path exploits that a binary delta only enters through the scalar
-d = delta'q and that, once q is summed out subject to d, the within-column
-choices telescope into closed-form binomials.  Each table then contributes a
-weight that factors through its per-column delta-block sums, so one pass over
-the reference set builds a gamma-free tensor R.  A whole candidate scan over
-a Gamma grid is then one batched log-domain pass
-(``RejectionAggregate.alpha_table``): the per-column binomial profiles of
-every class come from one log-factorial table, R is contracted column by
-column as a matmul batched over the classes while the d = delta'q buckets are
-convolved, and one log-sum-exp over d yields every (class, gamma) pair.  No
-exact integer is converted to float on this path, so large column margins
-cannot overflow it, and classes go through in chunks of bounded memory.  A
-full Gamma sweep or candidate scan therefore costs one enumeration.
+``exact_alpha`` has one evaluation path, ``RejectionAggregate``.  A binary
+delta only enters through the scalar d = delta'q, and once q is summed out
+subject to d the within-column choices telescope into closed-form binomials,
+so each table's weight factors through its per-column delta-block sums and
+one pass over the reference set builds a gamma-free tensor R.  A candidate
+scan over a Gamma grid is then one batched log-domain pass
+(``RejectionAggregate.alpha_table``): R is contracted column by column
+against the per-column binomial profiles, batched over the classes, while
+the d buckets are convolved, and one log-sum-exp over d yields every
+(class, gamma) pair.  No exact integer becomes a float, so large column
+margins cannot overflow it, and classes go through in chunks of bounded
+memory.
 
-``brute_force_alpha`` is the independent oracle: direct enumeration of every
-multiset permutation of the treatment vector, supporting real-valued u and
-dose models.
+Two references check it; only the oracle battery and the tests call them.
+``kernel_alpha`` sums the exact integer kernels per q over the rejected
+tables.  ``brute_force_alpha`` visits every treatment assignment, level by
+level, and also supports real-valued u and dose models.
 
 Each closed-form law the package shares is implemented once, here:
 
@@ -80,13 +77,13 @@ __all__ = [
     "kernel_t_q",
     "omega_q",
     "exact_alpha",
+    "kernel_alpha",
     "brute_force_alpha",
     "RejectionAggregate",
     "mvehg_support",
     "mvehg_pmf",
     "mvehg_sample",
     "signscore_tail",
-    "multiset_permutations",
     "statistic_tolerance",
     "ORACLE_CAP",
 ]
@@ -225,8 +222,50 @@ def kernel_t_q(t: ContingencyTable, q: Sequence[int], c: ConfounderClass) -> int
     return total
 
 
+def _checked_critical(
+    test: TestStatistic,
+    t_obs: ContingencyTable,
+    c: ConfounderClass,
+    model: SensitivityModel,
+    critical: float | None,
+) -> float:
+    """Validate an exact-alpha request; return the critical value to use."""
+    if not model.is_binary:
+        raise SensitivityError(
+            "exact alphas require a binary delta model; dose models are supported "
+            "only by the sign-score closed form and the brute-force oracle"
+        )
+    m = t_obs.margins()
+    c.validate_for(m)
+    if len(model.delta) != m.I:  # type: ignore[arg-type]
+        raise ValueError("delta length must match the number of treatment levels")
+    if critical is None:
+        critical = test(t_obs)
+    if not math.isfinite(critical):
+        raise ValueError("critical value must be finite")
+    return float(critical)
+
+
+def exact_alpha(
+    test: TestStatistic,
+    t_obs: ContingencyTable,
+    c: ConfounderClass,
+    model: SensitivityModel,
+    critical: float | None = None,
+) -> float:
+    """P(T >= critical) under the sensitivity model at confounder class c.
+
+    ``critical`` defaults to the observed statistic, making this the exact
+    one-sided p-value.  Evaluated through ``RejectionAggregate``; rounding
+    above 1 (every table rejected) is clipped, as in ``worst_case_grid``.
+    """
+    critical = _checked_critical(test, t_obs, c, model, critical)
+    agg = RejectionAggregate(t_obs.margins(), test, critical, model.delta)  # type: ignore[arg-type]
+    return min(agg.alpha(c, model.gamma), 1.0)
+
+
 # --------------------------------------------------------------------------
-# reference (exact-integer) evaluation
+# exact-integer reference
 # --------------------------------------------------------------------------
 
 
@@ -256,42 +295,30 @@ def _ratio_from_buckets(
     return float(np.exp(logsumexp(np.array(num)) - logsumexp(np.array(den))))
 
 
-def exact_alpha(
+def kernel_alpha(
     test: TestStatistic,
     t_obs: ContingencyTable,
     c: ConfounderClass,
     model: SensitivityModel,
     critical: float | None = None,
-    method: str = "auto",
 ) -> float:
-    """P(T >= critical) under the sensitivity model at confounder class c.
+    """``exact_alpha`` from exact integer kernels per q (the reference path).
 
-    ``critical`` defaults to the observed statistic, making this the exact
-    one-sided p-value.  ``method`` is one of ``auto``, ``exact`` (integer
-    kernels per q; the reference path), or ``fast`` (gamma-free tensor
-    aggregation; preferred for large reference sets).
+    Independent of ``RejectionAggregate`` and far slower; the gamma weights
+    are applied per d = delta'q to exact integer bucket sums.
     """
-    if not model.is_binary:
-        raise SensitivityError(
-            "exact_alpha requires a binary delta model; dose models are supported "
-            "only by the sign-score closed form and the brute-force oracle"
-        )
+    critical = _checked_critical(test, t_obs, c, model, critical)
     m = t_obs.margins()
-    c.validate_for(m)
-    if len(model.delta) != m.I:  # type: ignore[arg-type]
-        raise ValueError("delta length must match the number of treatment levels")
-    if critical is None:
-        critical = test(t_obs)
-    if not math.isfinite(critical):
-        raise ValueError("critical value must be finite")
-    if method == "auto":
-        method = "exact" if m.N <= 30 else "fast"
-    if method == "exact":
-        return _exact_alpha_integer(test, m, c, model, critical)
-    if method == "fast":
-        agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]
-        return agg.alpha(c, model.gamma)
-    raise ValueError(f"unknown method {method!r}")
+
+    def by_d(items) -> dict[float, float]:
+        buckets: dict[float, float] = {}
+        for q, count in items:
+            d = float(sum(dd * qq for dd, qq in zip(model.delta, q)))  # type: ignore[arg-type]
+            buckets[d] = buckets.get(d, 0) + count
+        return buckets
+
+    S_items, K_items = _integer_buckets(test, m.rows, m.cols, c.ubar, critical)
+    return _ratio_from_buckets(by_d(S_items), by_d(K_items), model.gamma)
 
 
 def _table_q_weights(
@@ -350,28 +377,8 @@ def _integer_buckets(
     return tuple(S.items()), tuple(K.items())
 
 
-def _exact_alpha_integer(
-    test: TestStatistic,
-    m: Margins,
-    c: ConfounderClass,
-    model: SensitivityModel,
-    critical: float,
-) -> float:
-    delta = model.delta
-    S_items, K_items = _integer_buckets(test, m.rows, m.cols, c.ubar, float(critical))
-    num_buckets: dict[float, float] = {}
-    den_buckets: dict[float, float] = {}
-    for q, s in S_items:
-        d = float(sum(dd * qq for dd, qq in zip(delta, q)))  # type: ignore[arg-type]
-        num_buckets[d] = num_buckets.get(d, 0) + s
-    for q, k in K_items:
-        d = float(sum(dd * qq for dd, qq in zip(delta, q)))  # type: ignore[arg-type]
-        den_buckets[d] = den_buckets.get(d, 0) + k
-    return _ratio_from_buckets(num_buckets, den_buckets, model.gamma)
-
-
 # --------------------------------------------------------------------------
-# fast gamma-free aggregation
+# gamma-free aggregation
 # --------------------------------------------------------------------------
 
 
@@ -601,24 +608,6 @@ class RejectionAggregate:
 # --------------------------------------------------------------------------
 
 
-def multiset_permutations(base: Sequence[int]) -> Iterator[list[int]]:
-    """All distinct permutations of ``base`` in lexicographic order."""
-    a = sorted(int(v) for v in base)
-    n = len(a)
-    while True:
-        yield list(a)
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
-
-
 def brute_force_alpha(
     test: TestStatistic,
     t_obs: ContingencyTable,
@@ -627,12 +616,14 @@ def brute_force_alpha(
     model: SensitivityModel,
     critical: float | None = None,
     allow_large: bool = False,
-    chunk: int = 65536,
 ) -> float:
     """Direct enumeration of every treatment assignment (the oracle).
 
     Accepts any real-valued confounder vector and either bias form.  Refuses
-    N above ORACLE_CAP unless ``allow_large=True`` (factorial cost).
+    N above ORACLE_CAP unless ``allow_large=True`` (factorial cost).  Each
+    treatment level i < I - 1 picks its N_i. subjects among those still
+    unassigned, and the last level takes the rest; the innermost picking
+    level runs as one vectorized block per choice of the levels above it.
     """
     m = t_obs.margins()
     N = m.N
@@ -644,10 +635,8 @@ def brute_force_alpha(
             "to run anyway"
         )
     outcomes = [int(r) for r in outcome_vector]
-    counted = [0] * m.J
-    for r in outcomes:
-        counted[r] += 1
-    if tuple(counted) != m.cols:
+    # codes outside 0..J-1 are left uncounted, so the counts cannot sum to N
+    if tuple(outcomes.count(j) for j in range(m.J)) != m.cols:
         raise ValueError("outcome vector does not match the table's column margins")
     if critical is None:
         critical = test(t_obs)
@@ -656,40 +645,40 @@ def brute_force_alpha(
     if len(bias) != m.I:
         raise ValueError("bias length must match the number of treatment levels")
     uvec = np.asarray(u.u, dtype=float)
-    rvec = np.asarray(outcomes)
+    onehot = np.eye(m.J, dtype=np.int64)[outcomes]
 
-    base = []
-    for i, cnt in enumerate(m.rows):
-        base.extend([i] * cnt)
+    # per picking level: (C, N_i.) combinations of positions among the n
+    # subjects still unassigned, and the (C, n - N_i.) complements
+    picks = []
+    n = N
+    for r in m.rows[:-1]:
+        chosen = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp)
+        free = np.ones((len(chosen), n), dtype=bool)
+        free[np.arange(len(chosen))[:, None], chosen] = False
+        picks.append((chosen, np.nonzero(free)[1].reshape(len(chosen), n - r)))
+        n -= r
 
-    num_terms: list[float] = []
-    den_terms: list[float] = []
+    num_blocks: list[float] = []
+    den_blocks: list[float] = []
 
-    def flush(zbuf: list[list[int]]) -> None:
-        if not zbuf:
+    def walk(levels: list[np.ndarray], unassigned: np.ndarray) -> None:
+        chosen, rest = picks[len(levels)]
+        if len(levels) + 1 < len(picks):
+            for pick, left in zip(unassigned[chosen], unassigned[rest]):
+                walk(levels + [pick], left)
             return
-        Z = np.asarray(zbuf, dtype=np.int64)
-        # induced tables, vectorized over the chunk
-        tab = np.zeros((len(Z), m.I, m.J), dtype=np.int64)
-        np.add.at(
-            tab,
-            (np.repeat(np.arange(len(Z)), N), Z.ravel(), np.tile(rvec, len(Z))),
-            1,
-        )
-        tv = test.evaluate_batch(tab)
-        w = model.gamma * (bias[Z] @ uvec)
-        ok = tv >= critical - tol
-        den_terms.extend(np.exp(w).tolist())
-        num_terms.extend(np.exp(w[ok]).tolist())
+        # the innermost picking level, over all its choices at once, and the
+        # last level, which takes the rest
+        levels = levels + [unassigned[chosen], unassigned[rest]]
+        rows = np.broadcast_arrays(*(onehot[s].sum(axis=-2) for s in levels))
+        tilt = sum(b * uvec[s].sum(axis=-1) for b, s in zip(bias, levels))
+        w = np.exp(model.gamma * tilt)
+        ok = test.evaluate_batch(np.stack(rows, axis=-2)) >= critical - tol
+        num_blocks.append(fsum(w[ok].tolist()))
+        den_blocks.append(fsum(w.tolist()))
 
-    buf: list[list[int]] = []
-    for z in multiset_permutations(base):
-        buf.append(z)
-        if len(buf) >= chunk:
-            flush(buf)
-            buf = []
-    flush(buf)
-    return fsum(num_terms) / fsum(den_terms)
+    walk([], np.arange(N))
+    return fsum(num_blocks) / fsum(den_blocks)
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,12 @@ The table-law oracle computes the exact joint distribution of the table under
 the sensitivity model at a confounder class by integer assignment counting
 (per-column multinomial sweeps), independently of the production aggregation
 order.  Moment and pmf checks compare against direct summation over this law.
+``multiset_permutations`` walks treatment assignments one at a time for the
+tests that group them by hand.
 """
 
 import math
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -33,6 +36,24 @@ def table_law(m: Margins, cclass: ConfounderClass, model: SensitivityModel):
     p = np.exp(logw)
     p /= p.sum()
     return tables, p
+
+
+def multiset_permutations(base: Sequence[int]) -> Iterator[list[int]]:
+    """All distinct permutations of ``base`` in lexicographic order."""
+    a = sorted(int(v) for v in base)
+    n = len(a)
+    while True:
+        yield list(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 @pytest.fixture

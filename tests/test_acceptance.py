@@ -258,7 +258,7 @@ def test_criterion_08_sis_convergence():
     stat = ordinal_statistic((0, 1, 2.5), (0, 1, 2))
     model = SensitivityModel(gamma=1.0, delta=(0, 1, 1))
     c = ConfounderClass((0, 10, 20))
-    exact = exact_alpha(stat, t, c, model, method="fast")
+    exact = exact_alpha(stat, t, c, model)
     hits = 0
     for seed in range(30):
         tr = estimate_alpha_snsis(seed, stat, t, c, model, M=10_000)
@@ -365,7 +365,7 @@ def test_criterion_12_kernel_speedup():
     model = SensitivityModel(gamma=1.0, delta=(0, 1, 1))
     c = ConfounderClass((0, 0, 10))
     t0 = time.time()
-    p_kernel = exact_alpha(stat, t, c, model, method="fast")
+    p_kernel = exact_alpha(stat, t, c, model)
     dt_kernel = time.time() - t0
     outcomes = [0] * 3 + [1] * 5 + [2] * 10
     u = RawConfounder(tuple([0.0] * 8 + [1.0] * 10))

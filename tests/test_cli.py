@@ -289,6 +289,19 @@ def test_oracle_check_command(capsys):
     assert "oracle battery passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--cases", "0"], "at least one case"),
+    (["--tolerance", "-1"], "non-negative"),
+    (["--nmax", "3"], "4..12"),
+    (["--nmax", "13"], "4..12"),
+])
+def test_oracle_check_refuses_vacuous_settings(capsys, args, message):
+    assert run(["oracle-check", "--cases", "1", *args]) == 2
+    out = capsys.readouterr()
+    assert message in out.err
+    assert "passed" not in out.out and "COUNTEREXAMPLE" not in out.out
+
+
 def test_gamma_grid_validation(girls_csv):
     assert run([
         "analyze", girls_csv, "--test", "chi2", "--delta", "0,1,1",

@@ -14,6 +14,7 @@ from exactsens.exactdist import (
     _table_q_weights,
     brute_force_alpha,
     exact_alpha,
+    kernel_alpha,
     kernel_q,
     kernel_t_q,
     mvehg_pmf,
@@ -25,9 +26,10 @@ from exactsens.exactdist import (
 )
 from exactsens.oracle import run_battery, valid_deltas
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
-from exactsens.stats import ordinal_statistic
+from exactsens.stats import chi2_statistic, ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_tables
 from exactsens.worstcase import candidates_ordinal, candidates_pi
+from tests.conftest import multiset_permutations
 
 
 def test_kernel_q_uniform_case():
@@ -122,8 +124,6 @@ def test_exact_alpha_gamma_zero_is_randomization_pvalue():
         m = t.margins()
         crit = stat(t)
         num = den = 0
-        from exactsens.exactdist import multiset_permutations
-
         outcomes = [0] * m.cols[0] + [1] * m.cols[1]
         base = [0] * m.rows[0] + [1] * m.rows[1]
         for z in multiset_permutations(base):
@@ -165,12 +165,12 @@ def test_exact_vs_fast_paths_agree():
         for c, row in zip(classes, table):
             for g, b in zip(gammas, row):
                 model = SensitivityModel(gamma=g, delta=delta)
-                a = exact_alpha(stat, t, c, model, method="exact")
+                a = kernel_alpha(stat, t, c, model)
                 assert b == pytest.approx(a, rel=1e-10), (arr, delta, c.ubar, g)
         for ub in [(0,) * m.J, m.cols]:
             model = SensitivityModel(gamma=1.0, delta=delta)
-            a = exact_alpha(stat, t, ConfounderClass(ub), model, method="exact")
-            f = exact_alpha(stat, t, ConfounderClass(ub), model, method="fast")
+            a = kernel_alpha(stat, t, ConfounderClass(ub), model)
+            f = exact_alpha(stat, t, ConfounderClass(ub), model)
             assert f == pytest.approx(a, rel=1e-10)
 
 
@@ -195,9 +195,9 @@ def test_fast_path_large_column_margins():
         t = ContingencyTable.from_array(arr)
         for g in (0.0, 0.5):
             model = SensitivityModel(gamma=g, delta=(0, 1))
-            f = exact_alpha(stat, t, ConfounderClass(ub), model, method="fast")
+            f = exact_alpha(stat, t, ConfounderClass(ub), model)
             assert math.isfinite(f) and 0.0 <= f <= 1.0
-            a = exact_alpha(stat, t, ConfounderClass(ub), model, method="exact")
+            a = kernel_alpha(stat, t, ConfounderClass(ub), model)
             assert f == pytest.approx(a, rel=1e-10), (arr, g)
 
 
@@ -234,6 +234,36 @@ def test_brute_force_cap():
     assert ORACLE_CAP == 12
 
 
+def test_brute_force_rejects_outcome_codes_outside_levels():
+    # codes -1 and J lie outside 0..J-1, so no column margin counts them
+    t = ContingencyTable.from_array([[2, 1], [0, 3]])
+    stat = ordinal_statistic((0, 1), (0, 1))
+    model = SensitivityModel(gamma=1.0, delta=(0, 1))
+    u = RawConfounder((0.0,) * 6)
+    for outcomes in ([0, 0, -1, -1, -1, -1], [0, 0, 2, 2, 2, 2]):
+        with pytest.raises(ValueError, match="column margins"):
+            brute_force_alpha(stat, t, u, outcomes, model)
+
+
+def test_exact_alpha_clipped_when_every_table_rejected():
+    # every table is rejected, and the aggregate's ratio rounds to 1.000000000000007
+    t = ContingencyTable.from_array([[2, 2, 1, 1], [1, 2, 2, 1], [1, 1, 2, 2], [2, 1, 1, 2]])
+    stat = chi2_statistic()
+    model = SensitivityModel(gamma=1.0, delta=(0, 0, 0, 1))
+    assert exact_alpha(stat, t, ConfounderClass((3, 3, 3, 3)), model) == 1.0
+
+
+def test_exact_alpha_is_the_aggregate_at_n30():
+    # small N takes the aggregate too, not the integer path (which differs in the last bits)
+    t = ContingencyTable.from_array([[4, 3, 3], [3, 4, 3], [3, 3, 4]])
+    stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
+    model = SensitivityModel(gamma=1.0, delta=(0, 0, 1))
+    c = ConfounderClass((5, 5, 5))
+    p = exact_alpha(stat, t, c, model)
+    assert p == RejectionAggregate(t.margins(), stat, stat(t), model.delta).alpha(c, 1.0)
+    assert p == pytest.approx(kernel_alpha(stat, t, c, model), rel=1e-10)
+
+
 def test_valid_deltas():
     assert valid_deltas(2) == [(0, 1), (1, 0)]
     assert len(valid_deltas(3)) == 6
@@ -243,8 +273,9 @@ def test_dose_model_refused_by_exact_alpha():
     t = ContingencyTable.from_array([[2, 1], [1, 2]])
     stat = ordinal_statistic((0, 1), (0, 1))
     model = SensitivityModel(gamma=1.0, phi=(1.0, 2.0))
-    with pytest.raises(SensitivityError):
-        exact_alpha(stat, t, ConfounderClass((0, 3)), model)
+    for alpha_fn in (exact_alpha, kernel_alpha):
+        with pytest.raises(SensitivityError):
+            alpha_fn(stat, t, ConfounderClass((0, 3)), model)
 
 
 # ---------------------------------------------------------------- MVEHG
@@ -391,7 +422,7 @@ def test_published_fixed_class_pvalues_n86_to_n112():
     ]
     for t, ub, gamma, want in cases:
         model = SensitivityModel(gamma=gamma, delta=(0, 1, 1))
-        p = exact_alpha(stat, t, ConfounderClass(ub), model, method="fast")
+        p = exact_alpha(stat, t, ConfounderClass(ub), model)
         assert round(p, 2) == want, (ub, gamma, p)
 
 
@@ -418,8 +449,8 @@ def test_fast_path_extreme_gamma_stable():
     c = ConfounderClass((0, 4, 10))
     for gamma in (6.0, 12.0):
         model = SensitivityModel(gamma=gamma, delta=(0, 1, 1))
-        a = exact_alpha(stat, t, c, model, method="exact")
-        b = exact_alpha(stat, t, c, model, method="fast")
+        a = kernel_alpha(stat, t, c, model)
+        b = exact_alpha(stat, t, c, model)
         assert 0.0 <= b <= 1.0
         assert b == pytest.approx(a, rel=1e-9)
 
@@ -437,9 +468,9 @@ def test_equivalence_wide_and_tall_shapes():
         for delta in [(0, 1, 1, 1), (0, 0, 1, 1), (1, 0, 0, 1)]:
             for g in (0.0, 0.9):
                 model = SensitivityModel(gamma=g, delta=delta)
-                a = exact_alpha(stat1, t1, ConfounderClass(ub), model, method="exact")
+                a = kernel_alpha(stat1, t1, ConfounderClass(ub), model)
                 b = brute_force_alpha(stat1, t1, u, outcomes1, model)
-                f = exact_alpha(stat1, t1, ConfounderClass(ub), model, method="fast")
+                f = exact_alpha(stat1, t1, ConfounderClass(ub), model)
                 assert a == pytest.approx(b, rel=1e-12)
                 assert f == pytest.approx(a, rel=1e-10)
     t2 = ContingencyTable.from_array([[2, 1, 0, 1], [0, 1, 2, 2]])
@@ -451,9 +482,9 @@ def test_equivalence_wide_and_tall_shapes():
             u += [0.0] * (c - k) + [1.0] * k
         for g in (0.0, 1.2):
             model = SensitivityModel(gamma=g, delta=(0, 1))
-            a = exact_alpha(stat2, t2, ConfounderClass(ub), model, method="exact")
+            a = kernel_alpha(stat2, t2, ConfounderClass(ub), model)
             b = brute_force_alpha(stat2, t2, RawConfounder(tuple(u)), outcomes2, model)
-            f = exact_alpha(stat2, t2, ConfounderClass(ub), model, method="fast")
+            f = exact_alpha(stat2, t2, ConfounderClass(ub), model)
             assert a == pytest.approx(b, rel=1e-12)
             assert f == pytest.approx(a, rel=1e-10)
 
@@ -463,6 +494,6 @@ def test_exact_vs_fast_n24():
     stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
     model = SensitivityModel(gamma=1.0, delta=(0, 1, 1))
     c = ConfounderClass((2, 4, 6))
-    a = exact_alpha(stat, t, c, model, method="exact")
-    f = exact_alpha(stat, t, c, model, method="fast")
+    a = kernel_alpha(stat, t, c, model)
+    f = exact_alpha(stat, t, c, model)
     assert f == pytest.approx(a, rel=1e-10)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from exactsens.exactdist import multiset_permutations
 from exactsens.tables import (
     ContingencyTable,
     Margins,
@@ -12,6 +11,7 @@ from exactsens.tables import (
     enumerate_fixed_margin_array,
     enumerate_fixed_margin_tables,
 )
+from tests.conftest import multiset_permutations
 
 
 def tables_set(m):
