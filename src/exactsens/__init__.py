@@ -30,6 +30,7 @@ from exactsens.stats import (
 from exactsens.exactdist import (
     brute_force_alpha,
     exact_alpha,
+    exact_alpha_grid,
     kernel_alpha,
     kernel_q,
     kernel_t_q,
@@ -74,6 +75,7 @@ __all__ = [
     "kernel_q",
     "kernel_t_q",
     "exact_alpha",
+    "exact_alpha_grid",
     "kernel_alpha",
     "brute_force_alpha",
     "mvehg_pmf",

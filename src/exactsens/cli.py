@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 import exactsens
-from exactsens.exactdist import ORACLE_CAP, exact_alpha
+from exactsens.exactdist import ORACLE_CAP, exact_alpha, exact_alpha_grid
 from exactsens.montecarlo import _estimate_sis_pair, estimate_alpha_permtreat
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
 from exactsens.simulate import (
@@ -185,9 +185,8 @@ def cmd_analyze(args) -> int:
         ubar = ConfounderClass(tuple(_parse_ints(args.fixed_ubar)))
         ubar.validate_for(table.margins())
         lines.append("gamma,Gamma,pvalue,ubar")
-        for g in grid:
-            p = exact_alpha(stat, table, ubar, model.with_gamma(g))
-            ub = ";".join(str(v) for v in ubar.ubar)
+        ub = ";".join(str(v) for v in ubar.ubar)
+        for g, p in zip(grid, exact_alpha_grid(stat, table, ubar, model, grid)):
             lines.append(f"{_fmt(g)},{_fmt(math.exp(g))},{_fmt(p)},{ub}")
         mode = "fixed-ubar"
     else:

@@ -19,8 +19,13 @@ without branching).  The significance level of an upper-tail test T >= c is
 ``exact_alpha`` has one evaluation path, ``RejectionAggregate``.  A binary
 delta only enters through the scalar d = delta'q, and once q is summed out
 subject to d the within-column choices telescope into closed-form binomials,
-so each table's weight factors through its per-column delta-block sums and
-one pass over the reference set builds a gamma-free tensor R.  A candidate
+so each table's weight factors through its per-column delta-block sums into
+a gamma-free tensor R.  R is built from a stream over the reference set that
+never holds it: the table weight, the block sums and the built-in statistics
+are sums of per-column terms, so a table is a path of per-column vector ids
+through a column-by-column network (after Mehta & Patel, JASA 78:427-434,
+1983), and prefixes of those paths are expanded in chunks of bounded memory
+that carry only a few scalars each.  A candidate
 scan over a Gamma grid is then one batched log-domain pass
 (``RejectionAggregate.alpha_table``): R is contracted column by column
 against the per-column binomial profiles, batched over the classes, while
@@ -63,7 +68,7 @@ import itertools
 import math
 from functools import lru_cache
 from math import comb, fsum, lgamma
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -77,6 +82,7 @@ __all__ = [
     "kernel_t_q",
     "omega_q",
     "exact_alpha",
+    "exact_alpha_grid",
     "kernel_alpha",
     "brute_force_alpha",
     "RejectionAggregate",
@@ -111,29 +117,48 @@ def _bounded_compositions(total: int, bounds: Sequence[int]) -> np.ndarray:
     """Non-negative integer vectors with given sum and per-entry caps.
 
     Returns them as the rows of an (S, n) int64 array in lexicographic order;
-    no rows when ``total`` lies outside ``[0, sum(bounds)]``.  Prefixes grow
-    one entry at a time: each prefix is repeated once per feasible value of
-    the next entry (those that leave a remainder the later caps can absorb),
-    in ascending order, so the rows stay sorted.  The single enumerator
-    behind ``omega_q``, ``mvehg_support`` and the per-column splits of
-    ``_table_q_weights``.
+    no rows when ``total`` lies outside ``[0, sum(bounds)]``.  The one-owner
+    case of ``_bounded_compositions_many``, behind ``omega_q``,
+    ``mvehg_support`` and the per-column splits of ``_table_q_weights``.
     """
-    bounds = np.asarray(bounds, dtype=np.int64).reshape(-1)
-    n = len(bounds)
+    bounds = np.asarray(bounds, dtype=np.int64).reshape(1, -1)
     if not 0 <= total <= int(bounds.sum()):
-        return np.zeros((0, n), dtype=np.int64)
-    tails = np.cumsum(bounds[::-1])[::-1] - bounds  # sum of the caps after entry i
-    out = np.zeros((1, 0), dtype=np.int64)
-    rem = np.array([total], dtype=np.int64)
-    for i in range(n):
-        lo = np.maximum(0, rem - tails[i])
-        count = np.minimum(bounds[i], rem) - lo + 1
+        return np.zeros((0, bounds.shape[1]), dtype=np.int64)
+    return _bounded_compositions_many(np.array([total]), bounds)[0]
+
+
+def _bounded_compositions_many(
+    totals: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded compositions for K (total, caps) owners at once.
+
+    Returns (vectors, owner): the rows of ``vectors`` are every non-negative
+    integer vector with sum ``totals[k]`` and entries at most ``bounds[k]``,
+    grouped by ``owner`` k ascending and lexicographic within a group.
+    Prefixes grow one entry at a time: each prefix is repeated once per
+    feasible value of the next entry (those that leave a remainder the later
+    caps can absorb), in ascending order, so only feasible prefixes are ever
+    made, and the last entry takes the remainder.  An owner whose total its
+    caps cannot meet gets no rows.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    rem = np.asarray(totals, dtype=np.int64)
+    tails = np.cumsum(bounds[:, ::-1], axis=1)[:, ::-1] - bounds  # caps after entry i
+    n = bounds.shape[1]
+    owner = np.flatnonzero((rem >= 0) & (rem <= (tails[:, 0] + bounds[:, 0] if n else 0)))
+    rem = rem[owner]
+    cols: list[np.ndarray] = []
+    for i in range(n - 1):
+        lo = np.maximum(0, rem - tails[owner, i])
+        count = np.minimum(bounds[owner, i], rem) - lo + 1
         parent = np.repeat(np.arange(len(rem)), count)
-        first = np.cumsum(count) - count
-        v = lo[parent] + np.arange(len(parent)) - first[parent]
-        out = np.column_stack((out[parent], v))
+        v = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(parent))
+        cols = [c[parent] for c in cols] + [v]
         rem = rem[parent] - v
-    return out
+        owner = owner[parent]
+    if n:
+        cols.append(rem)
+    return np.stack(cols, axis=1) if n else np.zeros((len(owner), 0), dtype=np.int64), owner
 
 
 def kernel_q(q: Sequence[int], ubar_total: int, m: Margins) -> int:
@@ -259,9 +284,24 @@ def exact_alpha(
     one-sided p-value.  Evaluated through ``RejectionAggregate``; rounding
     above 1 (every table rejected) is clipped, as in ``worst_case_grid``.
     """
+    return exact_alpha_grid(test, t_obs, c, model, [model.gamma], critical)[0]
+
+
+def exact_alpha_grid(
+    test: TestStatistic,
+    t_obs: ContingencyTable,
+    c: ConfounderClass,
+    model: SensitivityModel,
+    gammas: Sequence[float],
+    critical: float | None = None,
+) -> list[float]:
+    """``exact_alpha`` at each gamma of ``gammas`` (``model.gamma`` is ignored).
+
+    One gamma-free ``RejectionAggregate`` serves the whole grid.
+    """
     critical = _checked_critical(test, t_obs, c, model, critical)
     agg = RejectionAggregate(t_obs.margins(), test, critical, model.delta)  # type: ignore[arg-type]
-    return min(agg.alpha(c, model.gamma), 1.0)
+    return [min(p, 1.0) for p in agg.alpha_grid(c, gammas)]
 
 
 # --------------------------------------------------------------------------
@@ -388,6 +428,13 @@ def _integer_buckets(
 # peak resident memory by about a quarter.
 _SCAN_CHUNK_BYTES = 2 << 20
 
+# Bytes the streamed aggregate build lets one prefix expansion make: prefix
+# batches are split so that their expanded rows, at about _BUILD_ROW_BYTES
+# each (the carried per-row scalars and the expansion's temporaries), fit.
+# Depth first, the build holds at most one such expansion per column.
+_BUILD_CHUNK_BYTES = 2 << 20
+_BUILD_ROW_BYTES = 96
+
 
 @lru_cache(maxsize=1024)
 def _block_sum_normalizer(
@@ -453,18 +500,133 @@ def _log_column_profile(logfact: np.ndarray, cj: int, u: np.ndarray) -> np.ndarr
     return _log_binom(logfact, u, d) + _log_binom(logfact, cj - u, bd)
 
 
+class _ColumnLevel(NamedTuple):
+    """Edges of the column network from the states before column j.
+
+    Edge e leaves state s (edges are grouped by state; s owns
+    ``ptr[s]:ptr[s + 1]``) and reaches state ``child[e]`` of the next level
+    (None on the last level).  The edge fills column j, and on the last level
+    also the forced last column; ``logw``, ``ridx`` and ``tterm`` sum those
+    vectors' log w factors, flat offsets into R and statistic terms.  For an
+    opaque statistic ``vids`` holds, per filled column, the ids of the
+    vectors in that column's list, from which tables are rebuilt (empty
+    otherwise).
+    """
+
+    ptr: np.ndarray
+    child: np.ndarray | None
+    vids: tuple[np.ndarray, ...]
+    logw: np.ndarray
+    ridx: np.ndarray
+    tterm: np.ndarray
+
+
+def _place_values(sizes: np.ndarray) -> np.ndarray:
+    """C-order place values of a mixed radix with the given digit ranges."""
+    return np.cumprod(sizes[::-1])[::-1] // sizes
+
+
+@lru_cache(maxsize=64)
+def _column_vectors(
+    cj: int, rows: tuple[int, ...], one_rows: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One column's feasible vectors and their gamma-free scores, read-only.
+
+    Returns (vectors, keys, log w factors, delta-block sums b): the vectors
+    are ``_bounded_compositions(cj, rows)``, lexicographic, so their
+    mixed-radix keys in radices rows_i + 1 ascend; the factor is
+    log a! + log b! - sum_i log t_i! (``_log_table_weight`` of the column).
+    Cached per (cj, rows, delta), since equal column margins recur within a
+    table and across the calls of a scan or a simulation.
+    """
+    vec = _bounded_compositions(cj, rows)
+    key = vec @ _place_values(np.asarray(rows, dtype=np.int64) + 1)
+    logw, b = _log_table_weight(vec[:, :, None], one_rows)
+    out = (vec, key, logw, b[:, 0])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _column_network(
+    m: Margins, one_rows: Sequence[int], test: TestStatistic
+) -> tuple[list[_ColumnLevel], list[np.ndarray]] | None:
+    """The fixed-margin tables as paths through a column-by-column network.
+
+    Column j's feasible vectors (``_column_vectors``) are scored once: the
+    log w factor, the flat offset b_j stride_j into R and the statistic term
+    (zero for an opaque statistic).  The states before column j are the
+    distinct vectors of row sums still to fill, level 0 being the row
+    margins, under which every column-0 vector fits.  A later state's edges
+    are the column vectors that fit under it, made from per-cell bounds, so
+    every edge lies on a complete table and each table is one path.  The last
+    column is forced by its state and is folded into the edges that reach it,
+    so the network has max(J - 1, 1) levels.  States and vectors are matched
+    by their mixed-radix keys, under which a child state's key is its
+    parent's minus the edge vector's.  Returns (levels, the per-column vector
+    lists), or None when the key range overflows int64.
+    """
+    if math.prod(r + 1 for r in m.rows) >= 2**63:
+        return None
+    rows = np.asarray(m.rows, dtype=np.int64)
+    radix = _place_values(rows + 1)
+    strides = _place_values(np.asarray(m.cols, dtype=np.int64) + 1)  # of R
+    vectors, keys, scores = [], [], []
+    for j, cj in enumerate(m.cols):
+        vec, key, logw, b = _column_vectors(cj, m.rows, tuple(one_rows))
+        tterm = (np.zeros(len(vec)) if test.column_terms is None
+                 else np.asarray(test.column_terms(vec, j, m), dtype=float))
+        vectors.append(vec)
+        keys.append(key)
+        scores.append((logw, b * strides[j], tterm))
+
+    state = rows[None, :]
+    state_key = state @ radix
+    levels = []
+    for j in range(max(m.J - 1, 1)):
+        if j == 0:
+            vec, owner = vectors[0], np.zeros(len(vectors[0]), dtype=np.int64)
+        else:
+            vec, owner = _bounded_compositions_many(np.full(len(state), m.cols[j]), state)
+        vkey = vec @ radix
+        child_key = state_key[owner] - vkey
+        ptr = np.searchsorted(owner, np.arange(len(state) + 1))
+        vids = {j: np.searchsorted(keys[j], vkey)}  # column -> vector ids
+        child = None
+        if j + 2 < m.J:
+            state_key, first, child = np.unique(child_key, return_index=True, return_inverse=True)
+            state = state[owner[first]] - vec[first]
+        elif m.J > 1:  # the child state is the forced last column
+            vids[m.J - 1] = np.searchsorted(keys[-1], child_key)
+        logw, ridx, tterm = (sum(scores[k][q][v] for k, v in vids.items()) for q in range(3))
+        opaque_ids = tuple(vids.values()) if test.column_terms is None else ()
+        levels.append(_ColumnLevel(ptr, child, opaque_ids, logw, ridx, tterm))
+    return levels, vectors
+
+
 class RejectionAggregate:
     """Gamma-free summary of a rejection region for one (margins, test, critical, delta).
 
-    One pass over the fixed-margin reference set accumulates, for every
-    vector b of per-column delta-block sums, the total R[b] of the table
-    weights w(t) (``_log_table_weight``) over rejected tables (log-offset
-    floats; all terms positive).  The numerator of alpha at a confounder
-    class ubar is S_d = sum_b R[b] sum_{d_1 + ... + d_J = d} prod_j
-    chi_j[b_j, d_j] with the column profiles of ``_log_column_profile``.
-    The denominator has the closed form
+    R accumulates, for every vector b of per-column delta-block sums, the
+    total R[b] of the table weights w(t) (``_log_table_weight``) over the
+    rejected tables (log-offset floats; all terms positive).  The numerator
+    of alpha at a confounder class ubar is S_d = sum_b R[b] sum_{d_1 + ... +
+    d_J = d} prod_j chi_j[b_j, d_j] with the column profiles of
+    ``_log_column_profile``.  The denominator has the closed form
     C(ubar, d) C(N - ubar, B - d) B! (N - B)! / prod N_i.! with B the
     delta-block treatment total.
+
+    R is built from a stream over the reference set that never holds the
+    tables.  log w, b and the built-in statistics are sums of per-column
+    terms (``TestStatistic.column_terms``), so a table is a path of column
+    ids through ``_column_network`` and each prefix carries only its state,
+    partial log w, partial statistic and partial flat index of R.  Prefixes
+    are expanded column by column in batches whose expansion stays within
+    ``_BUILD_CHUNK_BYTES`` (one prefix at least), depth first, and every
+    completed chunk is added to R under a running log offset that only grows,
+    so no weight overflows at large margins.  An opaque statistic gets each
+    chunk's tables rebuilt from their column-vector ids.  Precomputed
+    ``tables`` (and ``tvals``) feed the same accumulator as one chunk.
 
     ``alpha_table`` evaluates a whole candidate scan in one batched pass.
     Each (class, column) chi profile is scaled by its maximum, so no exact integer is ever converted to
@@ -492,30 +654,89 @@ class RejectionAggregate:
         self.margins = m
         self.critical = float(critical)
         self.delta = tuple(int(v) for v in delta)
-        cols = np.asarray(m.cols, dtype=np.int64)
-        rows = np.asarray(m.rows, dtype=np.int64)
         one_rows = [i for i, dv in enumerate(self.delta) if dv == 1]
-        self.block_total = int(rows[one_rows].sum())
-        if tables is None:
-            tables = enumerate_fixed_margin_array(m)
-        if tvals is None:
-            tvals = test.evaluate_batch(tables)
-        tol = statistic_tolerance(self.critical)
-        mask = tvals >= self.critical - tol
-        self.ntables = int(tables.shape[0])
-        self.nrejected = int(mask.sum())
-        shape = tuple(int(cj) + 1 for cj in cols)
-        self._shape = shape
+        self.block_total = int(np.asarray(m.rows)[one_rows].sum())
+        self._shape = tuple(int(cj) + 1 for cj in m.cols)
         self._logfact = gammaln(np.arange(m.N + 1) + 1.0)
+        self._threshold = self.critical - statistic_tolerance(self.critical)
+        self.ntables = 0
+        self.nrejected = 0
+        self._R = np.zeros(self._shape)
+        self._offset = -math.inf
+        network = None
+        if tables is None and tvals is None:
+            network = _column_network(m, one_rows, test)
+        if network is not None:
+            self._stream(test, *network)
+        else:  # precomputed tables, or margins whose network keys overflow
+            if tables is None:
+                tables = enumerate_fixed_margin_array(m)
+            if tvals is None:
+                tvals = test.evaluate_batch(tables)
+            mask = np.asarray(tvals) >= self._threshold
+            logw, b = _log_table_weight(np.asarray(tables)[mask].astype(np.int64), one_rows)
+            self._add(len(mask), np.ravel_multi_index(tuple(b.T), self._shape), logw)
         if self.nrejected == 0:
-            self._R = np.zeros(shape)
             self._offset = 0.0
+
+    def _add(self, ntables: int, ridx: np.ndarray, logw: np.ndarray) -> None:
+        """Count a chunk of ``ntables`` tables and add its rejected ones to R."""
+        self.ntables += ntables
+        self.nrejected += len(logw)
+        if not len(logw):
             return
-        logw, b = _log_table_weight(tables[mask].astype(np.int64), one_rows)
-        self._offset = float(logw.max())
-        R = np.zeros(shape)
-        np.add.at(R, tuple(b.T), np.exp(logw - self._offset))
-        self._R = R
+        top = float(logw.max())
+        if top > self._offset:
+            self._R *= math.exp(self._offset - top)
+            self._offset = top
+        np.add.at(self._R.reshape(-1), ridx, np.exp(logw - self._offset))
+
+    def _stream(
+        self, test: TestStatistic, levels: list[_ColumnLevel], vectors: list[np.ndarray]
+    ) -> None:
+        """Accumulate R over the paths of the column network, chunk by chunk."""
+        m = self.margins
+        opaque = test.column_terms is None
+        # an opaque statistic's rows also carry J ids and a rebuilt table
+        row_bytes = _BUILD_ROW_BYTES + (8 * (m.J + 3 * m.I * m.J) if opaque else 0)
+        budget = max(1, _BUILD_CHUNK_BYTES // row_bytes)
+        root = np.zeros(1, dtype=np.int64)
+        prefixes = (root, np.zeros(1), np.zeros(1), root, [] if opaque else None)
+        self._descend(test, levels, vectors, budget, 0, *prefixes)
+
+    def _descend(self, test, levels, vectors, budget, j, state, logw, tterm, ridx, ids) -> None:
+        """Expand the prefixes at network level j in batches, depth first.
+
+        Prefix p sits at ``state[p]`` with partial sums ``logw[p]``,
+        ``tterm[p]`` and ``ridx[p]``; for an opaque statistic ``ids`` holds
+        its column-vector ids so far, one array per column (else None).
+        """
+        lev = levels[j]
+        counts = lev.ptr[state + 1] - lev.ptr[state]
+        ends = np.cumsum(counts)
+        start = 0
+        while start < len(state):
+            done = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + budget, "right")))
+            c = counts[start:stop]
+            parent = np.repeat(np.arange(start, stop), c)
+            edge = np.repeat(lev.ptr[state[start:stop]] - (ends[start:stop] - c - done), c)
+            edge += np.arange(len(edge))
+            ids_e = None if ids is None else [v[parent] for v in ids] + [v[edge] for v in lev.vids]
+            if j + 1 < len(levels):
+                self._descend(test, levels, vectors, budget, j + 1, lev.child[edge],
+                              logw[parent] + lev.logw[edge], tterm[parent] + lev.tterm[edge],
+                              ridx[parent] + lev.ridx[edge], ids_e)
+            else:
+                if ids_e is not None:
+                    cols = [vectors[k][v] for k, v in enumerate(ids_e)]
+                    tv = test.evaluate_batch(np.stack(cols, axis=-1))
+                else:
+                    tv = tterm[parent] + lev.tterm[edge]
+                keep = tv >= self._threshold
+                parent, edge = parent[keep], edge[keep]
+                self._add(len(keep), ridx[parent] + lev.ridx[edge], logw[parent] + lev.logw[edge])
+            start = stop
 
     def _class_array(self, classes: Sequence[ConfounderClass]) -> np.ndarray:
         for c in classes:

@@ -193,9 +193,10 @@ def _enumerate_rec(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[lis
 def enumerate_fixed_margin_array(m: Margins, dtype=np.int32) -> np.ndarray:
     """All fixed-margin tables as one (ntables, I, J) array, in stream order.
 
-    Batched version of :func:`enumerate_fixed_margin_tables` used by the exact
-    engine; materializes the reference set, so intended for table counts that
-    fit in memory.
+    Batched version of :func:`enumerate_fixed_margin_tables`.  It materializes
+    the reference set, so it is the small-instance and test reference path:
+    the exact engine (``exactdist.RejectionAggregate``) streams the set by
+    column ids instead and never holds it.
     """
     I, J = m.I, m.J
     rows = np.asarray(m.rows, dtype=dtype)

@@ -54,6 +54,37 @@ def test_analyze_fixed_ubar_mode(tmp_path):
     assert round(val, 2) == 0.05
 
 
+@pytest.mark.parametrize("test_args, ubar", [
+    (["--test", "ordinal", "--alpha", "0,0.25,1.5", "--beta", "0,1,1.5"], (0, 20, 7)),
+    (["--test", "chi2"], (5, 9, 2)),
+])
+def test_analyze_fixed_ubar_grid_equals_per_gamma_exact_alpha(girls_csv, tmp_path, test_args,
+                                                                ubar):
+    # one aggregate serves the whole grid; each row is exact_alpha at its Gamma
+    import math
+
+    from exactsens.exactdist import exact_alpha
+    from exactsens.sensmodel import ConfounderClass, SensitivityModel
+    from exactsens.stats import chi2_statistic, ordinal_statistic
+    from exactsens.tables import ContingencyTable
+
+    out = tmp_path / "o.csv"
+    gammas = [1.0, 1.5, 2.0, 3.0, 6.0]
+    assert run([
+        "analyze", girls_csv, *test_args, "--delta", "0,1,1",
+        "--Gamma-grid", ",".join(map(str, gammas)),
+        "--fixed-ubar", ",".join(map(str, ubar)), "--out", str(out),
+    ]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    table = ContingencyTable.from_csv(GIRLS_CSV)
+    stat = (chi2_statistic() if test_args[1] == "chi2"
+            else ordinal_statistic((0, 0.25, 1.5), (0, 1, 1.5)))
+    for row, G in zip(rows, gammas, strict=True):
+        model = SensitivityModel(gamma=math.log(G), delta=(0, 1, 1))
+        p = exact_alpha(stat, table, ConfounderClass(ubar), model)
+        assert row[2] == format(p, ".12g")
+
+
 def test_analyze_gamma_grid_one_is_randomization(girls_csv, tmp_path):
     out = tmp_path / "o.csv"
     code = run([

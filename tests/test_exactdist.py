@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from exactsens import exactdist
 from exactsens.exactdist import (
     _SCAN_CHUNK_BYTES,
     ORACLE_CAP,
@@ -26,8 +27,20 @@ from exactsens.exactdist import (
 )
 from exactsens.oracle import run_battery, valid_deltas
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
-from exactsens.stats import chi2_statistic, ordinal_statistic
-from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_tables
+from exactsens.stats import (
+    cell_statistic,
+    chi2_statistic,
+    g2_statistic,
+    ordinal_statistic,
+    permutation_invariant_statistic,
+    weighted_sum_statistic,
+)
+from exactsens.tables import (
+    ContingencyTable,
+    Margins,
+    enumerate_fixed_margin_array,
+    enumerate_fixed_margin_tables,
+)
 from exactsens.worstcase import candidates_ordinal, candidates_pi
 from tests.conftest import multiset_permutations
 
@@ -497,3 +510,87 @@ def test_exact_vs_fast_n24():
     a = kernel_alpha(stat, t, c, model)
     f = exact_alpha(stat, t, c, model)
     assert f == pytest.approx(a, rel=1e-10)
+
+
+# margins of tables in this module and in test_worstcase.py: every shape the
+# two modules use (I x J for I, J in 2..4) and a study table
+STREAM_MARGINS = [
+    Margins((3, 3), (2, 4)),
+    Margins((3, 2, 2), (2, 3, 2)),
+    Margins((5, 5, 5), (2, 5, 8)),
+    Margins((6, 6, 6), (3, 5, 10)),
+    Margins((3, 2, 2, 2), (4, 5)),
+    Margins((4, 5), (2, 2, 2, 3)),
+    Margins((6, 6, 6, 6), (6, 6, 6, 6)),
+    Margins((15, 33, 46), (47, 40, 7)),
+]
+
+
+def _stream_statistics(m: Margins, with_opaque: bool):
+    stats = [
+        ordinal_statistic(range(m.I), np.linspace(0.0, 2.0, m.J)),
+        weighted_sum_statistic(np.arange(m.I)[::-1] * 0.5, np.arange(m.J) % 2 + 0.25),
+        chi2_statistic(),
+        g2_statistic(),
+        cell_statistic(0, m.J - 1),
+    ]
+    if with_opaque:
+        stats.append(permutation_invariant_statistic(
+            lambda t: float(np.abs(np.diff(t, axis=0)).sum()), "rowdiff"))
+    return stats
+
+
+@pytest.mark.parametrize("m", STREAM_MARGINS, ids=str)
+def test_streamed_build_matches_precomputed_tables(monkeypatch, m):
+    # R, ntables and nrejected of the streamed build against the route that
+    # is handed the materialized reference set (one chunk).  Budget 1 makes
+    # every prefix its own batch, smaller than any expansion; 3000 bytes cuts
+    # the expansions into chunks of a few dozen rows; the default budget runs
+    # in every other test.  Above 10000 tables only one delta and one
+    # critical value run, without the Python-looped opaque statistic, to keep
+    # this test short.
+    tables = enumerate_fixed_margin_array(m)
+    small = len(tables) < 10000
+    deltas = [(0,) * (m.I - 1) + (1,), (1,) + (0,) * (m.I - 1)][: 2 if small else 1]
+    for stat in _stream_statistics(m, with_opaque=small):
+        tvals = stat.evaluate_batch(tables)
+        for critical in np.quantile(tvals, [0.5, 0.9] if small else [0.9]):
+            for delta in deltas:
+                ref = RejectionAggregate(m, stat, critical, delta, tables, tvals)
+                for budget in (1, 3000):
+                    monkeypatch.setattr(exactdist, "_BUILD_CHUNK_BYTES", budget)
+                    got = RejectionAggregate(m, stat, critical, delta)
+                    assert got.ntables == ref.ntables == len(tables)
+                    assert got.nrejected == ref.nrejected > 0
+                    np.testing.assert_allclose(
+                        got._R * math.exp(got._offset - ref._offset), ref._R,
+                        rtol=1e-12, atol=0, err_msg=f"{stat.name} {delta} {budget}",
+                    )
+
+
+def test_streamed_build_with_overflowing_state_keys():
+    # eight rows of 250 put the network's mixed-radix keys past int64, so the
+    # reference set is materialized; one subject in column 2 gives 8 tables
+    m = Margins((250,) * 8, (1999, 1))
+    stat = cell_statistic(7, 1)
+    agg = RejectionAggregate(m, stat, 1.0, (0,) * 7 + (1,))
+    assert (agg.ntables, agg.nrejected) == (8, 1)
+    c = ConfounderClass((0, 1))
+    assert agg.alpha(c, 0.0) == pytest.approx(1 / 8, rel=1e-12)
+    assert agg.alpha(c, 2.0) == pytest.approx(math.exp(2.0) / (7 + math.exp(2.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("stat", [chi2_statistic(), g2_statistic()])
+def test_streamed_build_refuses_empty_outcome_level(stat):
+    # the column-term hook keeps the batch's positive-margin refusal, also
+    # when the critical value is given and the observed table never evaluated
+    with pytest.raises(ValueError, match="margin positive"):
+        RejectionAggregate(Margins((3, 4), (5, 0, 2)), stat, 1.0, (0, 1))
+
+
+def test_column_terms_sum_to_the_batch_statistic():
+    m = Margins((5, 5, 5), (2, 5, 8))
+    tables = enumerate_fixed_margin_array(m)
+    for stat in _stream_statistics(m, with_opaque=False):
+        summed = sum(stat.column_terms(tables[:, :, j], j, m) for j in range(m.J))
+        np.testing.assert_allclose(summed, stat.evaluate_batch(tables), rtol=1e-12, atol=1e-12)
