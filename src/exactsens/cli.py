@@ -312,10 +312,10 @@ def cmd_size(args) -> int:
     nominal = _parse_floats(args.nominal) if args.nominal else [v / 100 for v in range(1, 100)]
     lines = ["method,nominal_alpha,rate,mc_sigma"]
     for method in ("exact", "normal"):
-        curve = size_curve(args.seed, margins, model, alpha_scores, nominal,
-                           args.iterations, method)
-        for g, r, s in zip(curve.grid, curve.rates, curve.mc_sigma):
-            lines.append(f"{method},{_fmt(g)},{_fmt(r)},{_fmt(s)}")
+        rates = size_curve(margins, model, alpha_scores, nominal, method)
+        # the rates are exact sums over the null law, so mc_sigma is 0
+        for g, r in zip(nominal, rates):
+            lines.append(f"{method},{_fmt(g)},{_fmt(r)},0")
     config = {
         "command": "size",
         "rows": rows,
@@ -323,8 +323,6 @@ def cmd_size(args) -> int:
         "gamma": model.gamma,
         "delta": args.delta,
         "alpha": args.alpha,
-        "iterations": args.iterations,
-        "seed": args.seed,
     }
     _write_csv(args.out, lines, config)
     _summary(args.summary, config)
@@ -471,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--alpha", default=None, help="sign-score treatment scores")
     pz.add_argument("--nominal", default=None,
                     help="comma-separated nominal levels (default 0.01..0.99)")
-    pz.add_argument("--iterations", type=int, default=1000)
     _add_common(pz)
     pz.set_defaults(fn=cmd_size)
 

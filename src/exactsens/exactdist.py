@@ -103,9 +103,12 @@ def _c(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def statistic_tolerance(critical: float) -> float:
-    """Tie tolerance for T >= c comparisons; shared by all evaluation paths."""
-    return 1e-9 * max(1.0, abs(critical))
+def statistic_tolerance(critical: float | np.ndarray) -> float | np.ndarray:
+    """Tie tolerance for T >= c comparisons; shared by all evaluation paths.
+
+    Elementwise on an array of critical values.
+    """
+    return 1e-9 * np.maximum(1.0, np.abs(critical))
 
 
 def omega_q(ubar: int, rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -634,8 +637,7 @@ class RejectionAggregate:
     by column as a matmul batched over the classes, convolving d as it goes,
     and one log-sum-exp over d gives every (class, gamma) pair.  Classes are
     processed in chunks whose intermediates fit in ``_SCAN_CHUNK_BYTES``.
-    ``alpha_grid`` and ``numerator_buckets`` are the one-class calls of the
-    same code.
+    ``alpha_grid`` is its one-class call.
     """
 
     def __init__(
@@ -784,15 +786,6 @@ class RejectionAggregate:
         nz = S > 0
         logS[nz] = np.log(S[nz])
         return logS + logscale[:, None]
-
-    def numerator_buckets(self, c: ConfounderClass) -> tuple[np.ndarray, float]:
-        """(log S_d array indexed by d = 0..ubar, shared log offset)."""
-        return self._log_numerators(self._class_array([c]))[0], 0.0
-
-    def denominator_buckets(self, c: ConfounderClass) -> np.ndarray:
-        """log K_d array for d = 0..ubar (exact closed form)."""
-        logk, scale = _block_sum_normalizer(self.margins.rows, self.block_total, c.total)
-        return logk + scale
 
     def alpha(self, c: ConfounderClass, gamma: float) -> float:
         return self.alpha_grid(c, [gamma])[0]

@@ -11,22 +11,25 @@ collapsed / cross-cut alternatives, each carrying its own bias vector.
 
 Size: with a binary outcome, data are generated *adversarially* from the
 worst-case assignment law itself (the multivariate extended hypergeometric
-at the sign-score maximizer), and the rejection rate of the exact and
-normal-approximation p-values is traced over nominal levels.  The exact
-method stays below the diagonal; the normal approximation can cross it.
+at the sign-score maximizer).  That law's support is small and enumerated
+exactly, so the rejection rate at nominal level g is the sum of P(t) over
+the support points t whose p-value is at most g, for the exact tail p-value
+and for the normal approximation; no tables are drawn.  The exact method
+stays below the diagonal; the normal approximation can cross it.
 
-Every iteration uses the RNG stream (seed, iteration), so all Gamma grid
-points share simulated tables.
+Every power iteration uses the RNG stream (seed, iteration), so all Gamma
+grid points share simulated tables.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import erfc
 
 from exactsens.exactdist import _mvehg_law, statistic_tolerance
 from exactsens.moments import test_moments
@@ -187,16 +190,12 @@ def standard_test_suite(
 
 @dataclass(frozen=True)
 class RejectionCurve:
-    grid: tuple[float, ...]  # gamma values (power) or nominal levels (size)
+    grid: tuple[float, ...]  # gamma values
     rates: tuple[float, ...]
     iterations: int
     seed: int
     alpha_level: float
-    mc_sigma: tuple[float, ...] = field(default=())
-
-    def sigma(self) -> np.ndarray:
-        r = np.asarray(self.rates)
-        return np.sqrt(r * (1 - r) / self.iterations)
+    mc_sigma: tuple[float, ...]
 
 
 def _power_one_iteration(
@@ -276,64 +275,37 @@ def power_curve(
 
 
 def size_curve(
-    seed: int,
     margins: Margins,
     model: SensitivityModel,
     alpha_scores: Sequence[float],
     nominal_grid: Sequence[float],
-    iterations: int,
     method: str = "exact",
-) -> RejectionCurve:
-    """Empirical P(p <= nominal) under the adversarial binary-outcome null.
+) -> list[float]:
+    """Exact P(p <= g) at each nominal level g under the adversarial binary-outcome null.
 
-    Tables are drawn from the multivariate extended hypergeometric law at the
-    sign-score worst case; ``method`` selects the exact tail p-value or the
-    moment-based normal approximation.
+    The null law is the multivariate extended hypergeometric at the
+    sign-score worst case; the rate at g sums its probabilities over the
+    support points whose p-value is at most g.  ``method`` selects the exact
+    tail p-value or the moment-based normal approximation.
     """
     if margins.J != 2:
         raise ValueError("the size study needs a binary outcome")
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
     if method not in ("exact", "normal"):
         raise ValueError("method must be 'exact' or 'normal'")
+    stat = ordinal_statistic(alpha_scores, (0.0, 1.0))
     weights = [model.gamma * b for b in model.bias]
     support, probs = _mvehg_law(margins.rows, margins.cols[1], weights)
-    tvals = support @ np.asarray(alpha_scores, dtype=float)
-    uplus = signscore_u_plus(margins)
-
-    stat = ordinal_statistic(alpha_scores, (0.0, 1.0))
-    if method == "normal":
-        mean, var = test_moments(stat, uplus, margins, model)
-        sd = math.sqrt(var) if var > 0 else 0.0
-
-    rng = np.random.default_rng([seed, 0])
-    draws = rng.choice(len(support), p=probs, size=iterations)
-    pvals = np.empty(iterations)
-    order = np.argsort(tvals)
-    sorted_t = tvals[order]
-    sorted_p = probs[order]
-    # exact upper tail by suffix sums over the statistic's support
-    suffix = np.cumsum(sorted_p[::-1])[::-1]
-    for it in range(iterations):
-        t_obs = tvals[draws[it]]
-        if method == "exact":
-            tol = statistic_tolerance(t_obs)
-            k = np.searchsorted(sorted_t, t_obs - tol, side="left")
-            pvals[it] = suffix[k] if k < len(suffix) else 0.0
+    tvals = support @ np.asarray(stat.alpha)
+    if method == "exact":
+        # upper tail P(T >= t) of every support point by suffix sums
+        order = np.argsort(tvals)
+        suffix = np.cumsum(probs[order][::-1])[::-1]
+        k = np.searchsorted(tvals[order], tvals - statistic_tolerance(tvals), side="left")
+        pvals = suffix[k]
+    else:
+        mean, var = test_moments(stat, signscore_u_plus(margins), margins, model)
+        if var > 0:
+            pvals = 0.5 * erfc((tvals - mean) / math.sqrt(var) / math.sqrt(2.0))
         else:
-            if sd == 0.0:
-                pvals[it] = 1.0 if t_obs <= mean else 0.0
-            else:
-                pvals[it] = 0.5 * math.erfc((t_obs - mean) / sd / math.sqrt(2.0))
-    grid = [float(g) for g in nominal_grid]
-    rates = [float(np.mean(pvals <= g)) for g in grid]
-    return RejectionCurve(
-        grid=tuple(grid),
-        rates=tuple(rates),
-        iterations=iterations,
-        seed=seed,
-        alpha_level=float("nan"),
-        mc_sigma=tuple(
-            float(v) for v in np.sqrt(np.asarray(rates) * (1 - np.asarray(rates)) / iterations)
-        ),
-    )
+            pvals = np.where(tvals <= mean, 1.0, 0.0)
+    return [float(probs[pvals <= g].sum()) for g in nominal_grid]

@@ -11,7 +11,8 @@ admissible confounders.  The search space collapses by test family:
   ubar = (0, N_.2), a single class, where the column-2 counts follow a
   multivariate extended hypergeometric law.
 
-``worst_case_pvalue`` picks the cheapest valid strategy and builds one
+``worst_case_pvalue`` picks the cheapest valid strategy (a requested one is
+checked against the same conditions and refused if they fail) and builds one
 gamma-free table aggregation, which evaluates every candidate class at every
 gamma in one batched log-domain pass (``RejectionAggregate.alpha_table``).
 The maximum is then taken row by row in candidate order, keeping the first
@@ -97,19 +98,43 @@ def signscore_u_plus(m: Margins) -> ConfounderClass:
     return ConfounderClass((0, m.cols[1]))
 
 
-def _pick_strategy(test: TestStatistic, model: SensitivityModel, m: Margins) -> str:
-    if not model.is_binary:
-        if test.family is TestFamily.SIGN_SCORE and m.J == 2 and model.monotone_bias():
-            return "signscore"
+# what each strategy's candidate set needs to contain the worst case,
+# cheapest strategy first; ``auto`` takes the first that holds
+_STRATEGY_NEEDS = {
+    "signscore": "a sign-score statistic, a binary outcome and monotone bias",
+    "ordinal": "an ordinal or sign-score statistic, monotone bias and a binary delta",
+    "pi": "a binary delta",
+}
+
+
+def _resolve_strategy(
+    test: TestStatistic, model: SensitivityModel, m: Margins, strategy: str
+) -> str:
+    """The requested strategy once vetted, or the cheapest valid one for ``auto``.
+
+    A strategy whose candidate set can miss the worst case for this test,
+    model and table shape raises ``SensitivityError``.
+    """
+    monotone = model.monotone_bias()
+    holds = {
+        "signscore": test.family is TestFamily.SIGN_SCORE and m.J == 2 and monotone,
+        "ordinal": model.is_binary and monotone
+        and test.family in (TestFamily.ORDINAL, TestFamily.SIGN_SCORE),
+        "pi": model.is_binary,
+    }
+    if strategy == "auto":
+        for name, ok in holds.items():
+            if ok:
+                return name
         raise SensitivityError(
             "dose (phi) models admit interior worst cases outside the sign-score "
             "family; refusing a corner scan"
         )
-    if test.family is TestFamily.SIGN_SCORE and m.J == 2 and model.monotone_bias():
-        return "signscore"
-    if test.family in (TestFamily.ORDINAL, TestFamily.SIGN_SCORE) and model.monotone_bias():
-        return "ordinal"
-    return "pi"
+    if strategy not in holds:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if not holds[strategy]:
+        raise SensitivityError(f"the {strategy} strategy needs {_STRATEGY_NEEDS[strategy]}")
+    return strategy
 
 
 def _signscore_result(
@@ -157,29 +182,13 @@ def worst_case_grid(
     m = t_obs.margins()
     if critical is None:
         critical = test(t_obs)
-    if strategy == "auto":
-        strategy = _pick_strategy(test, model, m)
+    strategy = _resolve_strategy(test, model, m, strategy)
     if strategy == "signscore":
-        if m.J != 2:
-            raise SensitivityError("sign-score strategy requires a binary outcome")
-        if not model.monotone_bias():
-            raise SensitivityError("sign-score strategy requires monotone bias")
         return [
             _signscore_result(test, t_obs, model.with_gamma(g), critical, m)
             for g in gammas
         ]
-    if not model.is_binary:
-        raise SensitivityError("candidate scans require a binary delta model")
-    if strategy == "ordinal":
-        if test.family not in (TestFamily.ORDINAL, TestFamily.SIGN_SCORE):
-            raise SensitivityError("ordinal strategy needs an ordinal test statistic")
-        if not model.monotone_bias():
-            raise SensitivityError("ordinal strategy requires non-decreasing delta")
-        cands = list(candidates_ordinal(m))
-    elif strategy == "pi":
-        cands = list(candidates_pi(m))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    cands = list(candidates_ordinal(m) if strategy == "ordinal" else candidates_pi(m))
 
     agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]
     # candidate streams are lexicographically ascending, so keeping the first

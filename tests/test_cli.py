@@ -99,8 +99,7 @@ def test_analyze_gamma_grid_one_is_randomization(girls_csv, tmp_path):
     ["analyze", "{girls}", "--test", "ordinal", "--alpha", "0,0.25,1.5",
      "--beta", "0,1,1.5", "--delta", "0,1,1", "--Gamma-grid", "1,2"],
     ["size", "--rows", "20,5,10", "--cols", "10,25", "--delta", "0,0,1",
-     "--alpha", "0,1,2", "--gamma-grid", "0.5", "--nominal", "0.05,0.5",
-     "--iterations", "200"],
+     "--alpha", "0,1,2", "--gamma-grid", "0.5", "--nominal", "0.05,0.5"],
     ["sample", "{girls}", "--test", "ordinal", "--alpha", "0,0.25,1.5",
      "--beta", "0,1,1.5", "--delta", "0,1,1", "--gamma-grid", "0.5",
      "--fixed-ubar", "0,10,3", "--iterations", "300", "--with-exact"],
@@ -128,15 +127,13 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     capsys.readouterr()
     # one treatment score per row: a short --alpha is bad input, not a model mismatch
     code = run(["size", "--rows", "20,5,10", "--cols", "10,25", "--delta", "0,0,1",
-                "--alpha", "0,1", "--iterations", "10"])
+                "--alpha", "0,1"])
     assert code == 2
     assert capsys.readouterr().err == "error: --alpha length must match --rows\n"
     size = ["size", "--rows", "20,5,10", "--delta", "0,0,1"]
     for extra, message in [
-        (["--cols", "10,20,5", "--iterations", "10"], "the size study needs a binary outcome"),
-        (["--cols", "10,25", "--iterations", "0"], "iterations must be at least 1"),
-        (["--cols", "10,25", "--alpha", "0,2,1", "--iterations", "10"],
-         "row scores must be non-decreasing"),
+        (["--cols", "10,20,5"], "the size study needs a binary outcome"),
+        (["--cols", "10,25", "--alpha", "0,2,1"], "row scores must be non-decreasing"),
     ]:
         assert run(size + extra) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -163,7 +160,7 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_model_family_mismatch_exits_3(girls_csv):
+def test_model_family_mismatch_exits_3(girls_csv, tmp_path, capsys):
     # dose model with a permutation-invariant scan is refused
     code = run([
         "analyze", girls_csv, "--test", "chi2", "--phi", "1,2,3",
@@ -172,8 +169,16 @@ def test_model_family_mismatch_exits_3(girls_csv):
     assert code == 3
     # the normal approximation's Q law needs a binary delta
     code = run(["size", "--rows", "20,5,10", "--cols", "10,25", "--phi", "0,1,2",
-                "--gamma-grid", "0.5", "--iterations", "10"])
+                "--gamma-grid", "0.5"])
     assert code == 3
+    # the sign-score worst case is only exact for a sign-score statistic
+    table = tmp_path / "t.csv"
+    table.write_text("6,4\n4,2\n2,1\n")
+    capsys.readouterr()
+    code = run(["analyze", str(table), "--test", "cell:1,2", "--delta", "0,1,1",
+                "--gamma-grid", "1", "--strategy", "signscore"])
+    assert code == 3
+    assert "signscore strategy needs a sign-score statistic" in capsys.readouterr().err
 
 
 def test_stratified_command(tmp_path):
@@ -306,12 +311,14 @@ def test_size_command(tmp_path):
     code = run([
         "size", "--rows", "20,5,10", "--cols", "10,25", "--delta", "0,0,1",
         "--alpha", "0,1,2", "--gamma-grid", "0.5", "--nominal", "0.05,0.5",
-        "--iterations", "100", "--out", str(out),
+        "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[1] == "method,nominal_alpha,rate,mc_sigma"
     assert len(lines) == 6  # metadata + header + 2 methods x 2 nominal levels
+    # the rates are exact, so there is no Monte Carlo error to report
+    assert all(line.endswith(",0") for line in lines[2:])
 
 
 def test_oracle_check_command(capsys):

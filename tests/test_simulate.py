@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from exactsens.exactdist import mvehg_pmf, mvehg_support, signscore_tail, statistic_tolerance
+from exactsens.moments import test_moments as ordinal_moments
 from exactsens.sensmodel import SensitivityError, SensitivityModel
 from exactsens.simulate import (
     LogLinearDGP,
@@ -15,7 +17,9 @@ from exactsens.simulate import (
     size_curve,
     standard_test_suite,
 )
+from exactsens.stats import ordinal_statistic
 from exactsens.tables import Margins
+from exactsens.worstcase import signscore_u_plus
 
 CASE_I = LogLinearDGP(
     lambda0=0.0,
@@ -145,25 +149,100 @@ def test_standard_suite_shapes():
     assert suite[5].transform(t).counts == ((12, 0), (17, 4))
 
 
-def test_size_curve_exact_below_diagonal(rng):
+def test_size_curve_exact_below_diagonal():
     margins = Margins((20, 5, 10), (10, 25))
     model = SensitivityModel(gamma=0.8, delta=(0, 0, 1))
     nominal = [0.05, 0.2, 0.5, 0.8]
-    curve = size_curve(9, margins, model, (0, 1, 2), nominal, iterations=400,
-                       method="exact")
-    for nom, rate in zip(curve.grid, curve.rates):
+    rates = size_curve(margins, model, (0, 1, 2), nominal, method="exact")
+    for nom, rate in zip(nominal, rates):
         sigma = math.sqrt(nom * (1 - nom) / 400)
         assert rate <= nom + 3 * sigma
     with pytest.raises(ValueError):
-        size_curve(9, Margins((5, 5), (2, 4, 4)), model, (0, 1), nominal, 10)
+        size_curve(Margins((5, 5), (2, 4, 4)), model, (0, 1), nominal)
 
 
-def test_size_curve_normal_runs(rng):
+def test_size_curve_normal_runs():
     margins = Margins((20, 5, 10), (10, 25))
     model = SensitivityModel(gamma=0.5, delta=(0, 0, 1))
-    curve = size_curve(9, margins, model, (0, 1, 2), [0.1, 0.5], iterations=200,
-                       method="normal")
-    assert all(0 <= r <= 1 for r in curve.rates)
+    rates = size_curve(margins, model, (0, 1, 2), [0.1, 0.5], method="normal")
+    assert all(0 <= r <= 1 for r in rates)
+
+
+# criterion 9's instance and the instances of the size tests in this file
+SIZE_CASES = [
+    (Margins((60, 10, 20), (15, 75)), SensitivityModel(gamma=1.0, delta=(0, 0, 1))),
+    (Margins((20, 5, 10), (10, 25)), SensitivityModel(gamma=0.8, delta=(0, 0, 1))),
+    (Margins((20, 5, 10), (10, 25)), SensitivityModel(gamma=0.5, delta=(0, 0, 1))),
+    (Margins((8, 6, 6), (8, 12)), SensitivityModel(gamma=0.0, delta=(0, 0, 1))),
+]
+NOMINAL = [v / 100 for v in range(1, 100)]
+
+
+def pointwise_size(margins, model, alpha, nominal, method):
+    """Sum of mvehg_pmf(t) over the support points t whose p-value is <= g."""
+    rows, n = margins.rows, margins.cols[1]
+    weights = [model.gamma * b for b in model.bias]
+    if method == "normal":
+        stat = ordinal_statistic(alpha, (0, 1))
+        mean, var = ordinal_moments(stat, signscore_u_plus(margins), margins, model)
+    rates = [0.0] * len(nominal)
+    for t in mvehg_support(rows, n):
+        t_obs = sum(a * x for a, x in zip(alpha, t))
+        if method == "exact":
+            p = signscore_tail(alpha, rows, n, weights, t_obs)
+        else:
+            p = 0.5 * math.erfc((t_obs - mean) / math.sqrt(var) / math.sqrt(2.0))
+        prob = mvehg_pmf(t, rows, n, weights)
+        for k, g in enumerate(nominal):
+            if p <= g:
+                rates[k] += prob
+    return rates
+
+
+def monte_carlo_size(seed, margins, model, alpha, nominal, iterations, method):
+    """P(p <= g) estimated from draws of the null law, one p-value per draw."""
+    weights = [model.gamma * b for b in model.bias]
+    support = np.array(mvehg_support(margins.rows, margins.cols[1]))
+    probs = np.array([mvehg_pmf(t, margins.rows, margins.cols[1], weights) for t in support])
+    tvals = support @ np.asarray(alpha, dtype=float)
+    if method == "normal":
+        stat = ordinal_statistic(alpha, (0, 1))
+        mean, var = ordinal_moments(stat, signscore_u_plus(margins), margins, model)
+    rng = np.random.default_rng([seed, 0])
+    draws = rng.choice(len(support), p=probs / probs.sum(), size=iterations)
+    pvals = np.empty(iterations)
+    for it in range(iterations):
+        t_obs = tvals[draws[it]]
+        if method == "exact":
+            pvals[it] = probs[tvals >= t_obs - statistic_tolerance(t_obs)].sum()
+        else:
+            pvals[it] = 0.5 * math.erfc((t_obs - mean) / math.sqrt(var) / math.sqrt(2.0))
+    return [float(np.mean(pvals <= g)) for g in nominal]
+
+
+@pytest.mark.parametrize("method", ["exact", "normal"])
+@pytest.mark.parametrize("margins,model", SIZE_CASES)
+def test_size_curve_is_the_pointwise_sum_over_the_null_law(margins, model, method):
+    rates = size_curve(margins, model, (0, 1, 2), NOMINAL, method)
+    want = pointwise_size(margins, model, (0, 1, 2), NOMINAL, method)
+    np.testing.assert_allclose(rates, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("margins,model", SIZE_CASES)
+def test_size_curve_exact_is_super_uniform(margins, model):
+    rates = size_curve(margins, model, (0, 1, 2), NOMINAL, "exact")
+    assert all(r <= g + 1e-12 for g, r in zip(NOMINAL, rates))
+
+
+@pytest.mark.parametrize("method", ["exact", "normal"])
+def test_size_curve_matches_monte_carlo(method):
+    margins, model = SIZE_CASES[0]
+    iterations = 4000
+    rates = size_curve(margins, model, (0, 1, 2), NOMINAL, method)
+    got = monte_carlo_size(123, margins, model, (0, 1, 2), NOMINAL, iterations, method)
+    for r, mc in zip(rates, got):
+        assert abs(mc - r) <= 4 * math.sqrt(r * (1 - r) / iterations) + 1e-12
+
 
 def test_sample_rows_deterministic_when_probability_concentrates(rng):
     # a huge interaction weight pushes each row's conditional mass onto one cell
@@ -177,7 +256,7 @@ def test_sample_rows_deterministic_when_probability_concentrates(rng):
 def test_size_curve_gamma_zero_super_uniform():
     margins = Margins((8, 6, 6), (8, 12))
     model = SensitivityModel(gamma=0.0, delta=(0, 0, 1))
-    curve = size_curve(3, margins, model, (0, 1, 2), [0.1, 0.3, 0.5, 0.9],
-                       iterations=1000, method="exact")
-    for nom, rate in zip(curve.grid, curve.rates):
+    nominal = [0.1, 0.3, 0.5, 0.9]
+    rates = size_curve(margins, model, (0, 1, 2), nominal, method="exact")
+    for nom, rate in zip(nominal, rates):
         assert rate <= nom + 3 * math.sqrt(nom * (1 - nom) / 1000)

@@ -8,7 +8,12 @@ import pytest
 from exactsens.exactdist import RejectionAggregate, exact_alpha
 from exactsens.oracle import _random_margins
 from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
-from exactsens.stats import chi2_statistic, ordinal_statistic
+from exactsens.stats import (
+    cell_statistic,
+    chi2_statistic,
+    ordinal_statistic,
+    weighted_sum_statistic,
+)
 from exactsens.tables import ContingencyTable, Margins
 from exactsens.worstcase import (
     candidates_ordinal,
@@ -175,6 +180,20 @@ def test_strategy_family_mismatch():
         worst_case_pvalue(stat, t, model, strategy="ordinal")
     res = worst_case_pvalue(stat, t, model, strategy="pi")
     assert 0 <= res.pvalue <= 1
+    # the sign-score corner is the worst case only for sign-score statistics:
+    # here it would report 0.1726 (cell) and 0.154 (weighted sum) against
+    # true worst cases of 0.9020 and 0.842
+    t3 = ContingencyTable.from_array([[6, 4], [4, 2], [2, 1]])
+    model3 = SensitivityModel(gamma=1.0, delta=(0, 1, 1))
+    for other in (cell_statistic(0, 1), weighted_sum_statistic((2, 0, 1), (0, 1)),
+                  chi2_statistic()):
+        with pytest.raises(SensitivityError, match="sign-score statistic"):
+            worst_case_pvalue(other, t3, model3, strategy="signscore")
+        assert worst_case_pvalue(other, t3, model3).family_used is other.family
+    # nor does it hold for a sign-score statistic with non-monotone bias
+    with pytest.raises(SensitivityError, match="monotone bias"):
+        worst_case_pvalue(ordinal_statistic((0, 1, 2), (0, 1)), t3,
+                          SensitivityModel(gamma=1.0, delta=(1, 0, 1)), strategy="signscore")
 
 
 def test_aggregate_no_mask_consistency():
