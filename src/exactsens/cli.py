@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  (argparse's gettext would import it inside main)
 import math
 import sys
 from pathlib import Path
@@ -45,7 +46,7 @@ from exactsens.stats import (
     ordinal_statistic,
     weighted_sum_statistic,
 )
-from exactsens.stratified import StratifiedStudy, analyze_study
+from exactsens.stratified import StratifiedStudy, analyze_study_grid
 from exactsens.tables import ContingencyTable, Margins
 from exactsens.worstcase import worst_case_grid
 
@@ -111,6 +112,14 @@ def _gamma_grid(args) -> list[float]:
     if any(g < 0 for g in grid):
         raise CliError("gamma values must be >= 0", EXIT_BAD_INPUT)
     return grid
+
+
+def _one_gamma(args) -> float:
+    """The gamma of a command that evaluates a single model (``size``, ``sample``)."""
+    grid = _gamma_grid(args)
+    if len(grid) != 1:
+        raise CliError(f"{args.command} takes one gamma value, not {len(grid)}", EXIT_BAD_INPUT)
+    return grid[0]
 
 
 def _build_statistic(args, table: ContingencyTable) -> TestStatistic:
@@ -231,11 +240,7 @@ def cmd_stratified(args) -> int:
     grid = _gamma_grid(args)
     lines = ["gamma,Gamma," + ",".join(f"p_{k+1}" for k in range(study.K))
              + ",W,combined_p," + ",".join(f"reject_{k+1}" for k in range(study.K))]
-    for g in grid:
-        study_g = StratifiedStudy(
-            study.strata, study.alphas, study.betas, study.model.with_gamma(g)
-        )
-        res = analyze_study(study_g, tau, args.level)
+    for g, res in zip(grid, analyze_study_grid(study, grid, tau, args.level)):
         lines.append(
             f"{_fmt(g)},{_fmt(math.exp(g))},"
             + ",".join(_fmt(p) for p in res.per_stratum_p)
@@ -305,7 +310,7 @@ def cmd_size(args) -> int:
     rows = _parse_ints(args.rows)
     cols = _parse_ints(args.cols)
     margins = Margins(tuple(rows), tuple(cols))
-    model = _model(args, len(rows)).with_gamma(_gamma_grid(args)[0])
+    model = _model(args, len(rows)).with_gamma(_one_gamma(args))
     alpha_scores = _parse_floats(args.alpha) if args.alpha else list(range(len(rows)))
     if len(alpha_scores) != len(rows):
         raise CliError("--alpha length must match --rows", EXIT_BAD_INPUT)
@@ -335,7 +340,7 @@ def cmd_size(args) -> int:
 def cmd_sample(args) -> int:
     table = _read_table(args.table)
     stat = _build_statistic(args, table)
-    model = _model(args, table.I).with_gamma(_gamma_grid(args)[0])
+    model = _model(args, table.I).with_gamma(_one_gamma(args))
     if args.fixed_ubar is None:
         raise CliError("sample requires --fixed-ubar", EXIT_BAD_INPUT)
     if args.iterations < 1:

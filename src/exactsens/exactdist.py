@@ -60,6 +60,9 @@ Each closed-form law the package shares is implemented once, here:
   gamma-free table weight w(t) = prod_j a_j! b_j! / prod_ij t_ij! and the
   column profiles chi_j[b, d] = C(ubar_j, d) C(N_.j - ubar_j, b - d), for
   ``RejectionAggregate`` and the SIS estimator and proposal (``montecarlo``).
+
+The package's one log k! table (``log_factorials``) and its log-sum-exp
+(``logsumexp``) live here too, so the runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from math import comb, fsum, lgamma
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
 from exactsens.stats import TestStatistic
@@ -91,6 +93,8 @@ __all__ = [
     "mvehg_sample",
     "signscore_tail",
     "statistic_tolerance",
+    "log_factorials",
+    "logsumexp",
     "ORACLE_CAP",
 ]
 
@@ -101,6 +105,51 @@ def _c(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+# log k! for k = 0..len - 1; replaced by a longer copy when a caller needs more
+_log_factorial_table = np.zeros(1)
+_log_factorial_table.flags.writeable = False
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """Read-only array of log k! for k = 0..n.
+
+    Every entry is ``math.lgamma(k + 1)`` on its own, not a running sum of
+    log k, whose rounding error would grow with the number of terms.  One
+    table is cached for the process and grows on demand (at least doubling);
+    the result is a view of it.
+    """
+    global _log_factorial_table
+    have = len(_log_factorial_table)
+    if n >= have:
+        size = max(n + 1, 2 * have)
+        grown = np.empty(size)
+        grown[:have] = _log_factorial_table
+        grown[have:] = [lgamma(k + 1) for k in range(have, size)]
+        grown.flags.writeable = False
+        _log_factorial_table = grown
+    return _log_factorial_table[: n + 1]
+
+
+def logsumexp(a: np.ndarray | Sequence[float], axis: int | None = None) -> np.ndarray | float:
+    """log sum exp(a) over ``axis`` (every entry for None), without overflow.
+
+    Shifted by the maximum: the m entries equal to it contribute log m and
+    the rest enter through log1p of their shifted sum over m, which stays
+    accurate when one term dominates (Blanchard, Higham & Higham, IMA J.
+    Numer. Anal. 41(4), 2021).  A slice that is all -inf gives -inf, and one
+    holding +inf gives +inf, without warnings.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    at_top = a == top
+    with np.errstate(invalid="ignore"):  # inf - inf, only where a == top
+        shifted = np.where(at_top, -np.inf, a - top)
+    m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+    out = np.log1p(np.sum(np.exp(shifted), axis=axis, keepdims=True) / m) + np.log(m) + top
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def statistic_tolerance(critical: float | np.ndarray) -> float | np.ndarray:
@@ -481,13 +530,11 @@ def _log_table_weight(
     b (a) holds the (M, J) column sums over the delta = 1 rows ``one_rows``
     (over the other rows).
     """
+    cols = tables.sum(axis=1)
     b = tables[:, one_rows, :].sum(axis=1)
-    a = tables.sum(axis=1) - b
-    logw = (
-        gammaln(a + 1).sum(axis=1)
-        + gammaln(b + 1).sum(axis=1)
-        - gammaln(tables + 1).sum(axis=(1, 2))
-    )
+    a = cols - b
+    logfact = log_factorials(int(cols.max(initial=0)))
+    logw = logfact[a].sum(axis=1) + logfact[b].sum(axis=1) - logfact[tables].sum(axis=(1, 2))
     return logw, b
 
 
@@ -659,7 +706,7 @@ class RejectionAggregate:
         one_rows = [i for i, dv in enumerate(self.delta) if dv == 1]
         self.block_total = int(np.asarray(m.rows)[one_rows].sum())
         self._shape = tuple(int(cj) + 1 for cj in m.cols)
-        self._logfact = gammaln(np.arange(m.N + 1) + 1.0)
+        self._logfact = log_factorials(m.N)
         self._threshold = self.critical - statistic_tolerance(self.critical)
         self.ntables = 0
         self.nrejected = 0
@@ -807,7 +854,7 @@ class RejectionAggregate:
             logS = self._log_numerators(Uc)
             logK = np.full(logS.shape, -np.inf)
             totals = Uc.sum(axis=1)
-            for total in np.unique(totals).tolist():
+            for total in sorted(set(totals.tolist())):
                 logk, scale = _block_sum_normalizer(self.margins.rows, self.block_total, total)
                 logK[totals == total, : total + 1] = logk + scale
             tilt = g[:, None] * np.arange(logS.shape[1])

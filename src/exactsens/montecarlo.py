@@ -38,13 +38,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
 from exactsens.exactdist import (
     _block_sum_normalizer,
     _log_column_profile,
     _log_table_weight,
     _sequential_weighted_draw,
+    log_factorials,
+    logsumexp,
     statistic_tolerance,
 )
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
@@ -101,6 +103,7 @@ def _sis_fill(
     out = np.zeros((size, I, J), dtype=np.int64)
     crem = colmat.astype(np.int64).copy()
     log_h = np.zeros(size)
+    lf = log_factorials(sum(rows))
     ucol = ucol0
     for i in range(I - 1):
         rrem = np.full(size, rows[i], dtype=np.int64)
@@ -111,14 +114,14 @@ def _sis_fill(
             width = int((hi - lo).max()) + 1
             xs = lo[:, None] + np.arange(width)[None, :]
             feasible = xs <= hi[:, None]
-            xs_c = np.where(feasible, xs, 0)
+            xs_c = np.where(feasible, xs, lo[:, None])  # keeps every index below in range
             logw = (
-                gammaln(crem[:, j, None] + 1)
-                - gammaln(xs_c + 1)
-                - gammaln(crem[:, j, None] - xs_c + 1)
-                + gammaln(rest[:, None] + 1)
-                - gammaln(rrem[:, None] - xs_c + 1)
-                - gammaln(rest[:, None] - (rrem[:, None] - xs_c) + 1)
+                lf[crem[:, j, None]]
+                - lf[xs_c]
+                - lf[crem[:, j, None] - xs_c]
+                + lf[rest[:, None]]
+                - lf[rrem[:, None] - xs_c]
+                - lf[rest[:, None] - (rrem[:, None] - xs_c)]
             )
             logw = np.where(feasible, logw, -np.inf)
             norm = logsumexp(logw, axis=1)
@@ -143,7 +146,7 @@ def _tilted_column_weights(
     m: Margins, c: ConfounderClass, gamma: float
 ) -> list[np.ndarray]:
     """G_j[b] = log sum_d chi_j[b, d] e^{gamma d} over b = 0..N_.j, per column j."""
-    logfact = gammaln(np.arange(m.N + 1) + 1.0)
+    logfact = log_factorials(m.N)
     return [
         logsumexp(_log_column_profile(logfact, cj, [uj])[0] + gamma * np.arange(uj + 1), axis=1)
         for cj, uj in zip(m.cols, c.ubar)

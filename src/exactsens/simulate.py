@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
+import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
 from exactsens.exactdist import _mvehg_law, statistic_tolerance
 from exactsens.moments import test_moments
@@ -305,7 +305,9 @@ def size_curve(
     else:
         mean, var = test_moments(stat, signscore_u_plus(margins), margins, model)
         if var > 0:
-            pvals = 0.5 * erfc((tvals - mean) / math.sqrt(var) / math.sqrt(2.0))
+            # moments.normal_approx_pvalue's tail, over the support
+            z = (tvals - mean) / math.sqrt(var)
+            pvals = 0.5 * np.vectorize(math.erfc, otypes=[float])(z / math.sqrt(2.0))
         else:
             pvals = np.where(tvals <= mean, 1.0, 0.0)
     return [float(probs[pvals <= g].sum()) for g in nominal_grid]

@@ -38,19 +38,20 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
-from exactsens.exactdist import _mvehg_law, statistic_tolerance
+from exactsens.exactdist import _log_binom, _mvehg_law, log_factorials, statistic_tolerance
 from exactsens.sensmodel import SensitivityModel
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable
-from exactsens.worstcase import worst_case_pvalue
+from exactsens.worstcase import worst_case_grid
 
 __all__ = [
     "StratifiedStudy",
     "CombinedResult",
     "analyze_study",
+    "analyze_study_grid",
     "stratified_worst_case",
+    "stratified_worst_case_grid",
     "truncated_product",
     "combined_pvalue",
     "closed_testing",
@@ -118,29 +119,49 @@ def analyze_study(
     study: StratifiedStudy, tau: float = DEFAULT_TAU, alpha_level: float = 0.05
 ) -> CombinedResult:
     """Per-stratum worst cases, truncated-product combination, closed testing."""
-    pvals = stratified_worst_case(study)
-    W = truncated_product(pvals, tau)
-    combined = combined_pvalue(W, study.K, tau)
+    return analyze_study_grid(study, [study.model.gamma], tau, alpha_level)[0]
+
+
+def analyze_study_grid(
+    study: StratifiedStudy,
+    gammas: Sequence[float],
+    tau: float = DEFAULT_TAU,
+    alpha_level: float = 0.05,
+) -> list[CombinedResult]:
+    """``analyze_study`` at each gamma of ``gammas`` (``study.model.gamma`` is ignored)."""
 
     def subset_comb(ps: Sequence[float]) -> float:
         return combined_pvalue(truncated_product(ps, tau), len(ps), tau)
 
-    flags = closed_testing(list(pvals), subset_comb, alpha_level)
-    return CombinedResult(
-        per_stratum_p=tuple(float(p) for p in pvals),
-        W=float(W),
-        combined_p=float(combined),
-        tau=float(tau),
-        closed_testing_rejections=flags,
-    )
+    out = []
+    for pvals in stratified_worst_case_grid(study, gammas):
+        W = truncated_product(pvals, tau)
+        out.append(CombinedResult(
+            per_stratum_p=tuple(float(p) for p in pvals),
+            W=float(W),
+            combined_p=float(combined_pvalue(W, study.K, tau)),
+            tau=float(tau),
+            closed_testing_rejections=closed_testing(list(pvals), subset_comb, alpha_level),
+        ))
+    return out
 
 
 def stratified_worst_case(study: StratifiedStudy) -> np.ndarray:
     """Independent per-stratum worst-case p-values."""
+    return stratified_worst_case_grid(study, [study.model.gamma])[0]
+
+
+def stratified_worst_case_grid(study: StratifiedStudy, gammas: Sequence[float]) -> np.ndarray:
+    """(G, K) per-stratum worst-case p-values at each gamma of ``gammas``.
+
+    One ``worst_case_grid`` per stratum: its gamma-free aggregate serves the
+    whole grid.
+    """
     return np.asarray([
-        worst_case_pvalue(study.statistic(k), study.strata[k], study.model).pvalue
+        [res.pvalue for res in
+         worst_case_grid(study.statistic(k), study.strata[k], study.model, gammas)]
         for k in range(study.K)
-    ])
+    ]).T
 
 
 def truncated_product(pvals: Sequence[float], tau: float) -> float:
@@ -174,6 +195,7 @@ def combined_pvalue(
     if W_obs <= 0.0:
         return 0.0
     log_tau, log_w = math.log(tau), math.log(W_obs)
+    logfact = log_factorials(K)
     k = np.arange(1, K + 1)
     log_F = k * log_tau  # F_k = tau^k where W_obs > tau^k
     x = k * log_tau - log_w  # decreasing in k; W_obs <= tau^k iff x >= 0
@@ -182,9 +204,9 @@ def combined_pvalue(
         s = np.arange(n)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             log_xs = np.where(s == 0, 0.0, s * np.log(x[:n]))  # log x^s, 0^0 = 1
-        terms = np.where(s < k[:n], log_xs - gammaln(s + 1), -np.inf)
+        terms = np.where(s < k[:n], log_xs - logfact[s], -np.inf)
         log_F[:n] = log_w + np.logaddexp.reduce(terms, axis=0)
-    log_binom = gammaln(K + 1) - gammaln(k + 1) - gammaln(K - k + 1)
+    log_binom = _log_binom(logfact, K, k)
     total = np.logaddexp.reduce(log_binom + (K - k) * math.log1p(-tau) + log_F)
     return min(1.0, math.exp(total))
 

@@ -160,6 +160,23 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, grid", [
+    (["size", "--rows", "20,5,10", "--cols", "10,25", "--delta", "0,0,1",
+      "--alpha", "0,1,2", "--nominal", "0.05"], ["--gamma-grid", "0.5,1,2"]),
+    (["sample", "{girls}", "--test", "ordinal", "--alpha", "0,0.25,1.5",
+      "--beta", "0,1,1.5", "--delta", "0,1,1", "--fixed-ubar", "0,10,3",
+      "--iterations", "10"], ["--Gamma-grid", "1,2"]),
+], ids=["size", "sample"])
+def test_single_gamma_commands_refuse_a_grid(argv, grid, girls_csv, tmp_path, capsys):
+    # evaluating only the first gamma of the grid would drop the rest silently
+    out = tmp_path / "out.csv"
+    code = run([a.format(girls=girls_csv) for a in argv] + grid + ["--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    n = len(grid[1].split(","))
+    assert capsys.readouterr().err == f"error: {argv[0]} takes one gamma value, not {n}\n"
+
+
 def test_model_family_mismatch_exits_3(girls_csv, tmp_path, capsys):
     # dose model with a permutation-invariant scan is refused
     code = run([

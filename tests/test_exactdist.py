@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from exactsens import exactdist
 from exactsens.exactdist import (
@@ -19,6 +21,8 @@ from exactsens.exactdist import (
     kernel_alpha,
     kernel_q,
     kernel_t_q,
+    log_factorials,
+    logsumexp,
     mvehg_pmf,
     mvehg_sample,
     mvehg_sample_many,
@@ -293,6 +297,43 @@ def test_dose_model_refused_by_exact_alpha():
 
 
 # ---------------------------------------------------------------- MVEHG
+
+
+def test_log_factorials_match_gammaln():
+    small = log_factorials(7).copy()
+    table = log_factorials(100_000)
+    k = np.arange(100_001)
+    assert table.shape == k.shape and not table.flags.writeable
+    np.testing.assert_allclose(table, special.gammaln(k + 1.0), rtol=1e-15, atol=0)
+    # the cache grows without moving the entries it had
+    assert (table[:8] == small).all() and len(log_factorials(3)) == 4
+
+
+def logsumexp_cases(rng, shape):
+    """Arrays whose last-axis slices cover the regimes the callers meet."""
+    plain = rng.normal(size=shape)
+    ties = np.round(rng.normal(size=shape))  # several entries equal to the maximum
+    holes = np.where(rng.random(shape) < 0.5, -np.inf, rng.normal(size=shape))
+    empty_rows = np.where(np.arange(shape[0])[:, None] % 2 == 1, -np.inf, plain) \
+        if len(shape) == 2 else np.full(shape, -np.inf)
+    big = rng.choice([-1e300, -800.0, 0.0, 750.0, 1e300], size=shape)
+    with_inf = plain.copy()
+    with_inf[..., 0] = np.inf
+    return [plain, 900.0 + plain, -900.0 + plain, 300.0 * plain, ties, holes, empty_rows,
+            big, with_inf]
+
+
+@pytest.mark.parametrize("shape", [(9,), (6, 11)])
+def test_logsumexp_matches_scipy(shape):
+    rng = np.random.default_rng(12)
+    for a in logsumexp_cases(rng, shape):
+        for axis in (None, -1):
+            want = special.logsumexp(a, axis=axis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning on -inf slices or overflow
+                got = logsumexp(a, axis=axis)
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_mvehg_central_case():

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from exactsens.exactdist import exact_alpha
+from exactsens import worstcase
+from exactsens.exactdist import RejectionAggregate, exact_alpha
 from exactsens.sensmodel import ConfounderClass, SensitivityModel
 from exactsens.stats import ordinal_statistic
 from exactsens.tables import ContingencyTable
 from exactsens.stratified import (
     StratifiedStudy,
+    analyze_study,
+    analyze_study_grid,
     closed_testing,
     combined_pvalue,
     signscore_bound_distribution,
@@ -98,6 +101,24 @@ def test_stratified_worst_case_study_rows():
     ps3 = stratified_worst_case(study_at(math.log(3)))
     assert round(ps3[0], 3) == 0.054
     assert round(ps3[1], 3) == 0.106
+
+
+def test_analyze_study_grid_builds_one_aggregate_per_stratum(monkeypatch):
+    builds = []
+
+    class CountingAggregate(RejectionAggregate):
+        def __init__(self, *args, **kwargs):
+            builds.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(worstcase, "RejectionAggregate", CountingAggregate)
+    gammas = [0.0, math.log(2), math.log(3)]
+    grid = analyze_study_grid(study_at(0.0), gammas, 0.2, 0.05)
+    assert len(builds) == 2  # one per stratum, not one per (stratum, gamma)
+    builds.clear()
+    # the same results, bit for bit, as one analysis per gamma
+    assert grid == [analyze_study(study_at(g), 0.2, 0.05) for g in gammas]
+    assert len(builds) == 2 * len(gammas)
 
 
 def test_stratified_k1_degenerates():
