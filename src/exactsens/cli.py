@@ -102,15 +102,15 @@ def _gamma_grid(args) -> list[float]:
         grid = _parse_floats(args.gamma_grid)
     elif args.Gamma_grid is not None:
         Gs = _parse_floats(args.Gamma_grid)
-        if any(g < 1.0 for g in Gs):
-            raise CliError("Gamma values must be >= 1", EXIT_BAD_INPUT)
+        if not all(1.0 <= g < math.inf for g in Gs):
+            raise CliError("Gamma values must be finite and >= 1", EXIT_BAD_INPUT)
         grid = [math.log(g) for g in Gs]
     else:
         grid = [0.0]
     if not grid:
         raise CliError("empty gamma grid", EXIT_BAD_INPUT)
-    if any(g < 0 for g in grid):
-        raise CliError("gamma values must be >= 0", EXIT_BAD_INPUT)
+    if not all(0.0 <= g < math.inf for g in grid):
+        raise CliError("gamma values must be finite and >= 0", EXIT_BAD_INPUT)
     return grid
 
 

@@ -45,11 +45,12 @@ Each closed-form law the package shares is implemented once, here:
   ``omega_q``, ``mvehg_support`` and the per-column allocations;
 * ``_mvehg_law``: the multivariate extended (Fisher noncentral)
   hypergeometric law that the I x 2 column counts follow at the sign-score
-  worst case, with its gamma-free support and binomial log-terms cached per
-  (margins, total).  ``mvehg_pmf``, ``signscore_tail``, the sign-score worst
-  case (``worstcase``), the stratified bounds (``stratified``), the size
-  study (``simulate``) and the Q law (``moments.dist_q``, at weights
-  gamma * delta) all take their probabilities from it;
+  worst case: its gamma-free support and binomial log-terms (``_mvehg_base``,
+  built per call, never cached) renormalized per weights (``_mvehg_probs``).
+  ``mvehg_pmf``, ``signscore_tail``, the sign-score worst case
+  (``worstcase``, one base per Gamma grid), the stratified bounds, the size
+  study and the Q law (``moments.dist_q``) take their probabilities from it,
+  and ``tail_mass`` is their one P(T >= c) tie rule;
 * ``_sequential_weighted_draw``: the suffix-normalizer sampler behind
   ``mvehg_sample_many`` / ``mvehg_sample`` and the tilted SIS proposal
   (``montecarlo``);
@@ -75,7 +76,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
+from exactsens.sensmodel import (
+    ConfounderClass, RawConfounder, SensitivityError, SensitivityModel, check_gammas,
+)
 from exactsens.stats import TestStatistic
 from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_array
 
@@ -93,6 +96,7 @@ __all__ = [
     "mvehg_sample",
     "signscore_tail",
     "statistic_tolerance",
+    "tail_mass",
     "log_factorials",
     "logsumexp",
     "ORACLE_CAP",
@@ -351,6 +355,7 @@ def exact_alpha_grid(
 
     One gamma-free ``RejectionAggregate`` serves the whole grid.
     """
+    check_gammas(gammas)
     critical = _checked_critical(test, t_obs, c, model, critical)
     agg = RejectionAggregate(t_obs.margins(), test, critical, model.delta)  # type: ignore[arg-type]
     return [min(p, 1.0) for p in agg.alpha_grid(c, gammas)]
@@ -952,27 +957,28 @@ def mvehg_support(m_rows: Sequence[int], n: int) -> list[tuple[int, ...]]:
     return list(map(tuple, _bounded_compositions(n, m_rows).tolist()))
 
 
-@lru_cache(maxsize=16)
-def _log_binomials(m_rows: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
-    """Per level i, log C(m_i, x) for x = 0..min(m_i, n) (gamma-free, read-only)."""
-    out = []
-    for mi in m_rows:
-        tab = np.array([math.log(comb(mi, x)) for x in range(min(mi, n) + 1)])
-        tab.flags.writeable = False
-        out.append(tab)
-    return tuple(out)
+def _log_binomials(m_rows: Sequence[int], n: int) -> list[np.ndarray]:
+    """Per level i, log C(m_i, x) for x = 0..min(m_i, n) (gamma-free)."""
+    return [np.array([math.log(comb(mi, x)) for x in range(min(mi, n) + 1)]) for mi in m_rows]
 
 
-@lru_cache(maxsize=16)
-def _mvehg_base(m_rows: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(support as an (S, I) array, sum_i log C(m_i, t_i) over it), read-only."""
+def _mvehg_base(m_rows: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(support as an (S, I) array, sum_i log C(m_i, t_i) over it); gamma-free."""
     support = _bounded_compositions(n, m_rows)
+    if not len(support):
+        raise ValueError("empty support")
     logc = np.zeros(len(support))
     for i, tab in enumerate(_log_binomials(m_rows, n)):
         logc += tab[support[:, i]]
-    support.flags.writeable = False
-    logc.flags.writeable = False
     return support, logc
+
+
+def _mvehg_probs(support: np.ndarray, logc: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """The law's probabilities at ``weights`` over a ``_mvehg_base`` support."""
+    logterms = logc + support @ np.asarray(weights, dtype=float)
+    probs = np.exp(logterms - logterms.max())
+    probs /= probs.sum()
+    return probs
 
 
 def _mvehg_law(
@@ -981,20 +987,19 @@ def _mvehg_law(
     """(support, probabilities) of the multivariate extended hypergeometric law.
 
     P(t) is proportional to prod_i C(m_i, t_i) e^{w_i t_i} on the simplex slice
-    sum t_i = n.  The support and its binomial log-terms are gamma-free and
-    cached per (m_rows, n), so a Gamma sweep only redoes the weight product
-    and the normalization.
+    sum t_i = n: ``_mvehg_probs`` over ``_mvehg_base``.  A caller that needs
+    the law at several weights builds the base once and composes the two.
     """
     m_rows = tuple(int(v) for v in m_rows)
     if len(weights) != len(m_rows):
         raise ValueError("weights must match m_rows length")
     support, logc = _mvehg_base(m_rows, int(n))
-    if not len(support):
-        raise ValueError("empty support")
-    logterms = logc + support @ np.asarray(weights, dtype=float)
-    probs = np.exp(logterms - logterms.max())
-    probs /= probs.sum()
-    return support, probs
+    return support, _mvehg_probs(support, logc, weights)
+
+
+def tail_mass(values: np.ndarray, probs: np.ndarray, critical: float) -> float:
+    """P(T >= critical) over atoms ``probs`` at ``values``, ties by ``statistic_tolerance``."""
+    return float(probs[values >= critical - statistic_tolerance(critical)].sum())
 
 
 def mvehg_pmf(
@@ -1019,14 +1024,13 @@ def _sequential_weighted_draw(
     U: np.ndarray,
     logweights: list[np.ndarray],
     total: int,
-    ucol0: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Draw (x_1, ..., x_J) with sum = total and P proportional to
     prod_j w_j[x_j], sequentially with exact suffix normalizers.
 
     ``logweights[j]`` gives log w_j over x_j = 0..len-1 (-inf = infeasible).
-    Level j consumes uniform column ``ucol0 + j`` of U; the last level is
-    forced.  Returns (draws (size, J), exact log-probabilities, next uniform
+    Level j consumes uniform column j of U; the last level is forced.
+    Returns (draws (size, J), exact log-probabilities, next uniform
     column).
     """
     size = U.shape[0]
@@ -1047,7 +1051,6 @@ def _sequential_weighted_draw(
     out = np.zeros((size, J), dtype=np.int64)
     log_p = np.zeros(size)
     rem = np.full(size, total, dtype=np.int64)
-    ucol = ucol0
     for j in range(J - 1):
         logp = terms[j]
         # rows for unreachable remainders normalize to nan and are never picked
@@ -1056,14 +1059,13 @@ def _sequential_weighted_draw(
             cdf = np.cumsum(np.exp(logp_n), axis=1)
             cdf /= cdf[:, -1:]
         rows_cdf = cdf[rem]
-        pick = (U[:, ucol, None] > rows_cdf).sum(axis=1)
+        pick = (U[:, j, None] > rows_cdf).sum(axis=1)
         pick = np.minimum(pick, logp.shape[1] - 1)
-        ucol += 1
         out[:, j] = pick
         log_p += logp[rem, pick] - suffix[j][rem]
         rem = rem - out[:, j]
     out[:, J - 1] = rem
-    return out, log_p, ucol
+    return out, log_p, J - 1
 
 
 def mvehg_sample_many(
@@ -1113,5 +1115,4 @@ def signscore_tail(
 ) -> float:
     """P(sum_i alpha_i M_i >= critical) with M multivariate extended hypergeometric."""
     support, probs = _mvehg_law(m_rows, n, weights)
-    tvals = support @ np.asarray(alpha_scores, dtype=float)
-    return float(probs[tvals >= critical - statistic_tolerance(critical)].sum())
+    return tail_mass(support @ np.asarray(alpha_scores, dtype=float), probs, critical)

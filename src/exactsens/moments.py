@@ -33,6 +33,7 @@ __all__ = [
     "cell_moments",
     "test_moments",
     "normal_approx_pvalue",
+    "normal_tail",
 ]
 
 
@@ -150,10 +151,14 @@ def normal_approx_pvalue(
     model: SensitivityModel,
 ) -> float:
     """1 - Phi((T_obs - mean) / sd); degenerate sd gives the point-mass answer."""
-    m = t_obs.margins()
-    mean, var = test_moments(test, c, m, model)
-    t = test(t_obs)
+    mean, var = test_moments(test, c, t_obs.margins(), model)
+    return float(normal_tail(test(t_obs), mean, var))
+
+
+def normal_tail(values: float | np.ndarray, mean: float, var: float) -> np.ndarray:
+    """1 - Phi((values - mean) / sd) elementwise; a zero variance gives the point mass."""
+    values = np.asarray(values, dtype=float)
     if var <= 0.0:
-        return 1.0 if t <= mean else 0.0
-    z = (t - mean) / math.sqrt(var)
-    return 0.5 * erfc(z / math.sqrt(2.0))
+        return np.where(values <= mean, 1.0, 0.0)
+    z = (values - mean) / math.sqrt(var)
+    return 0.5 * np.vectorize(erfc, otypes=[float])(z / math.sqrt(2.0))

@@ -31,6 +31,7 @@ from exactsens.tables import Margins
 
 __all__ = [
     "SensitivityModel",
+    "check_gammas",
     "ConfounderClass",
     "RawConfounder",
     "assignment_probability",
@@ -44,6 +45,12 @@ class SensitivityError(ValueError):
     """Raised when a model is used outside its validity domain."""
 
 
+def check_gammas(gammas: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless every gamma is finite and >= 0."""
+    if not all(0.0 <= g < math.inf for g in gammas):
+        raise ValueError("gamma must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class SensitivityModel:
     """(gamma, bias) pair; bias is a binary ``delta`` or a monotone dose ``phi``."""
@@ -53,8 +60,7 @@ class SensitivityModel:
     phi: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma < 0 or not math.isfinite(self.gamma):
-            raise ValueError("gamma must be finite and >= 0")
+        check_gammas([self.gamma])
         if (self.delta is None) == (self.phi is None):
             raise ValueError("exactly one of delta and phi must be given")
         if self.delta is not None:

@@ -23,7 +23,6 @@ grid points share simulated tables.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,7 +31,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
 from exactsens.exactdist import _mvehg_law, statistic_tolerance
-from exactsens.moments import test_moments
+from exactsens.moments import normal_tail, test_moments
 from exactsens.sensmodel import SensitivityError, SensitivityModel
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, collapse, crosscut
@@ -105,11 +104,9 @@ def conditional_outcome_probs(dgp: LogLinearDGP) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def sample_table_fixed_treatment(
-    rng: np.random.Generator, dgp: LogLinearDGP, treatment_margins: Sequence[int] | None = None
-) -> ContingencyTable:
+def sample_table_fixed_treatment(rng: np.random.Generator, dgp: LogLinearDGP) -> ContingencyTable:
     """Row i is a multinomial draw of size N_i. from its conditional law."""
-    margins = tuple(treatment_margins) if treatment_margins is not None else dgp.treatment_margins
+    margins = dgp.treatment_margins
     if any(v < 1 for v in margins):
         raise ValueError("treatment margins must be positive")
     probs = conditional_outcome_probs(dgp)
@@ -303,11 +300,5 @@ def size_curve(
         k = np.searchsorted(tvals[order], tvals - statistic_tolerance(tvals), side="left")
         pvals = suffix[k]
     else:
-        mean, var = test_moments(stat, signscore_u_plus(margins), margins, model)
-        if var > 0:
-            # moments.normal_approx_pvalue's tail, over the support
-            z = (tvals - mean) / math.sqrt(var)
-            pvals = 0.5 * np.vectorize(math.erfc, otypes=[float])(z / math.sqrt(2.0))
-        else:
-            pvals = np.where(tvals <= mean, 1.0, 0.0)
+        pvals = normal_tail(tvals, *test_moments(stat, signscore_u_plus(margins), margins, model))
     return [float(probs[pvals <= g].sum()) for g in nominal_grid]

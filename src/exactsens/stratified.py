@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from exactsens.exactdist import _log_binom, _mvehg_law, log_factorials, statistic_tolerance
+from exactsens.exactdist import _log_binom, _mvehg_law, log_factorials, tail_mass
 from exactsens.sensmodel import SensitivityModel
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable
@@ -249,8 +249,7 @@ class SignScoreBound:
     probs: np.ndarray
 
     def tail(self, critical: float) -> float:
-        keep = self.values >= critical - statistic_tolerance(critical)
-        return float(self.probs[keep].sum())
+        return tail_mass(self.values, self.probs, critical)
 
 
 def signscore_bound_distribution(study: StratifiedStudy) -> list[SignScoreBound]:

@@ -11,13 +11,15 @@ admissible confounders.  The search space collapses by test family:
   ubar = (0, N_.2), a single class, where the column-2 counts follow a
   multivariate extended hypergeometric law.
 
-``worst_case_pvalue`` picks the cheapest valid strategy (a requested one is
+``worst_case_grid`` picks the cheapest valid strategy (a requested one is
 checked against the same conditions and refused if they fail) and builds one
-gamma-free table aggregation, which evaluates every candidate class at every
-gamma in one batched log-domain pass (``RejectionAggregate.alpha_table``).
-The maximum is then taken row by row in candidate order, keeping the first
-maximizer up to ``_TIE_REL``, so ties break deterministically toward the
-lexicographically smallest class.
+gamma-free object for the whole grid.  For a corner scan it is a table
+aggregation, which evaluates every candidate class at every gamma in one
+batched log-domain pass (``RejectionAggregate.alpha_table``); the maximum is
+then taken row by row in candidate order, keeping the first maximizer up to
+``_TIE_REL``, so ties break deterministically toward the lexicographically
+smallest class.  For the sign score it is the MVEHG support with the
+statistic evaluated on it, renormalized per gamma.
 Dose (phi) models are refused outside the sign-score family: interior
 confounders can beat every corner there, so a corner scan would be wrong.
 """
@@ -30,8 +32,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from exactsens.exactdist import RejectionAggregate, _mvehg_law, statistic_tolerance
-from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
+from exactsens.exactdist import RejectionAggregate, _mvehg_base, _mvehg_probs, tail_mass
+from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel, check_gammas
 from exactsens.stats import TestFamily, TestStatistic
 from exactsens.tables import ContingencyTable, Margins
 
@@ -137,28 +139,6 @@ def _resolve_strategy(
     return strategy
 
 
-def _signscore_result(
-    test: TestStatistic,
-    t_obs: ContingencyTable,
-    model: SensitivityModel,
-    critical: float,
-    m: Margins,
-) -> WorstCaseResult:
-    # T is affine in the column-2 count vector M when J = 2, so evaluate the
-    # statistic on the reconstructed tables over the MVEHG support
-    weights = [model.gamma * b for b in model.bias]
-    support, probs = _mvehg_law(m.rows, m.cols[1], weights)
-    tabs = np.stack([np.asarray(m.rows)[None, :] - support, support], axis=2)
-    tvals = test.evaluate_batch(tabs)
-    p = float(probs[tvals >= critical - statistic_tolerance(critical)].sum())
-    return WorstCaseResult(
-        pvalue=min(p, 1.0),
-        argmax_class=signscore_u_plus(m),
-        candidates_scanned=1,
-        family_used=TestFamily.SIGN_SCORE,
-    )
-
-
 def worst_case_pvalue(
     test: TestStatistic,
     t_obs: ContingencyTable,
@@ -178,16 +158,28 @@ def worst_case_grid(
     critical: float | None = None,
     strategy: str = "auto",
 ) -> list[WorstCaseResult]:
-    """Worst case at each gamma in one enumeration (the aggregate is gamma-free)."""
+    """Worst case at each gamma from one gamma-free build (aggregate or MVEHG support)."""
+    check_gammas(gammas)
     m = t_obs.margins()
     if critical is None:
         critical = test(t_obs)
     strategy = _resolve_strategy(test, model, m, strategy)
     if strategy == "signscore":
-        return [
-            _signscore_result(test, t_obs, model.with_gamma(g), critical, m)
-            for g in gammas
-        ]
+        # T is affine in the column-2 count vector M when J = 2, so evaluate
+        # the statistic once on the reconstructed tables over the support
+        support, logc = _mvehg_base(m.rows, m.cols[1])
+        tvals = test.evaluate_batch(
+            np.stack([np.asarray(m.rows)[None, :] - support, support], axis=2))
+        results = []
+        for g in gammas:
+            probs = _mvehg_probs(support, logc, [g * b for b in model.bias])
+            results.append(WorstCaseResult(
+                pvalue=min(tail_mass(tvals, probs, critical), 1.0),
+                argmax_class=signscore_u_plus(m),
+                candidates_scanned=1,
+                family_used=TestFamily.SIGN_SCORE,
+            ))
+        return results
     cands = list(candidates_ordinal(m) if strategy == "ordinal" else candidates_pi(m))
 
     agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]

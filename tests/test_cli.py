@@ -158,6 +158,33 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     ]:
         assert run(["analyze", str(path), "--test", test, "--delta", "0,1"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    # a gamma grid is finite: nan and inf are refused before any model is built
+    analyze = ["analyze", str(table), "--test", "ordinal", "--alpha", "0,1,2",
+               "--beta", "0,1,2", "--delta", "0,1,1"]
+    dgp = tmp_path / "dgp.json"
+    dgp.write_text(json.dumps({
+        "lambda_z": [1.0, 0.0, 0.0], "lambda_r": [1.0, 0.2, 0.0], "w": 1.0,
+        "alpha_star": [0.0, 1.7, 2.45], "beta_star": [0.0, 1.25, 1.4],
+        "treatment_margins": [10, 10, 10], "delta": [0, 1, 1],
+    }))
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({
+        "strata": [{"counts": [[2, 3, 0], [0, 1, 4], [0, 1, 4]],
+                    "alpha": [0, 1, 2], "beta": [0, 1, 2]}] * 2,
+        "gamma": 0.0, "delta": [0, 1, 1], "tau": 0.2,
+    }))
+    for argv, message in [
+        (analyze + ["--gamma-grid", "0,nan"], "gamma values must be finite and >= 0"),
+        (analyze + ["--gamma-grid", "0,inf"], "gamma values must be finite and >= 0"),
+        (analyze + ["--fixed-ubar", "0,0,3", "--Gamma-grid", "1,inf"],
+         "Gamma values must be finite and >= 1"),
+        (["power", str(dgp), "--gamma-grid", "0,nan", "--iterations", "2"],
+         "gamma values must be finite and >= 0"),
+        (["stratified", str(study), "--gamma-grid", "0,nan"],
+         "gamma values must be finite and >= 0"),
+    ]:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, grid", [

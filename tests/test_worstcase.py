@@ -1,13 +1,16 @@
 """Candidate sets and worst-case search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from exactsens.exactdist import RejectionAggregate, exact_alpha
+from exactsens.exactdist import RejectionAggregate, exact_alpha, exact_alpha_grid, signscore_tail
 from exactsens.oracle import _random_margins
 from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
+from exactsens.stats import TestFamily as Family  # avoid pytest class collection
+from exactsens.stats import TestStatistic as Statistic
 from exactsens.stats import (
     cell_statistic,
     chi2_statistic,
@@ -231,3 +234,71 @@ def test_collapsed_variant_pvalues_from_study_tables():
             model = SensitivityModel(gamma=math.log(G), delta=spec.delta)
             res = worst_case_pvalue(stat, tt, model)
             assert round(res.pvalue, 3) == want, (which, name, G, res.pvalue)
+
+
+SIGNSCORE_TABLE = ContingencyTable.from_array([[7, 3], [5, 6], [2, 9]])
+
+
+def test_signscore_grid_evaluates_the_statistic_once():
+    calls = []
+
+    class Counting(Statistic):
+        def evaluate_batch(self, tables):
+            calls.append(len(tables))
+            return super().evaluate_batch(tables)
+
+    base = ordinal_statistic((0, 1, 2), (0, 1))
+    stat = Counting(base.family, base.name, base.batch, base.alpha, base.beta, base.column_terms)
+    model = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
+    res = worst_case_grid(stat, SIGNSCORE_TABLE, model, [0.0, 0.5, 1.0])
+    assert len(res) == 3 and len(calls) == 1
+    assert {r.family_used for r in res} == {Family.SIGN_SCORE}
+
+
+@pytest.mark.parametrize("model", [
+    SensitivityModel(gamma=0.0, delta=(0, 1, 1)),
+    SensitivityModel(gamma=0.0, phi=(0.0, 0.5, 1.0)),
+])
+def test_signscore_grid_equals_single_gamma_calls(model):
+    alpha = (0.0, 1.0, 2.5)
+    stat = ordinal_statistic(alpha, (0, 1))
+    m = SIGNSCORE_TABLE.margins()
+    critical = stat(SIGNSCORE_TABLE)
+    gammas = [0.0, 0.25, 0.5, 1.0, 2.0]
+    grid = worst_case_grid(stat, SIGNSCORE_TABLE, model, gammas)
+    for g, res in zip(gammas, grid):
+        one = worst_case_pvalue(stat, SIGNSCORE_TABLE, model.with_gamma(g))
+        assert res == one  # bit for bit, class and counts included
+        assert res.argmax_class.ubar == (0, m.cols[1])
+        weights = [g * b for b in model.bias]
+        assert res.pvalue == pytest.approx(
+            signscore_tail(alpha, m.rows, m.cols[1], weights, critical), rel=1e-12)
+
+
+def test_grids_refuse_non_finite_or_negative_gamma():
+    model = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
+    ordinal = ordinal_statistic((0, 1, 2), (0, 1, 2))
+    signscore = ordinal_statistic((0, 1, 2), (0, 1))
+    for bad in (math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            worst_case_grid(signscore, SIGNSCORE_TABLE, model, [0.0, bad])
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            worst_case_grid(ordinal, GIRLS, model, [bad])
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            exact_alpha_grid(ordinal, GIRLS, ConfounderClass((0, 0, 7)), model, [0.0, bad])
+
+
+def test_signscore_grid_holds_no_memory_after_the_call():
+    # the MVEHG support (about 3e5 points here) lives only for the call
+    table = ContingencyTable.from_array([[400, 240], [320, 320], [240, 400]])
+    stat = ordinal_statistic((0, 1, 2), (0, 1))
+    model = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = worst_case_grid(stat, table, model, [0.0, 0.5, 1.0])
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(res) == 3
+    assert abs(after - before) < 1 << 20
