@@ -29,8 +29,12 @@ from pathlib import Path
 
 import exactsens
 from exactsens.exactdist import ORACLE_CAP, exact_alpha, exact_alpha_grid
-from exactsens.montecarlo import _estimate_sis_pair, estimate_alpha_permtreat
-from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
+from exactsens.montecarlo import (
+    TILTED_PROPOSAL_NAME,
+    estimate_alpha_permtreat,
+    estimate_alpha_sis_pair,
+)
+from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
 from exactsens.simulate import (
     LogLinearDGP,
     PowerTestSpec,
@@ -347,20 +351,10 @@ def cmd_sample(args) -> int:
         raise CliError("--iterations must be at least 1", EXIT_BAD_INPUT)
     ubar = ConfounderClass(tuple(_parse_ints(args.fixed_ubar)))
     ubar.validate_for(table.margins())
-    sis, snsis = _estimate_sis_pair(args.seed, stat, table, ubar, model, M=args.iterations)
+    sis, snsis = estimate_alpha_sis_pair(args.seed, stat, table, ubar, model, M=args.iterations)
     # permutation baseline on the equivalent subject-level data
-    outcomes = []
-    for j, cnt in enumerate(table.col_margins()):
-        outcomes.extend([j] * cnt)
-    uvec = []
-    for j, cnt in enumerate(table.col_margins()):
-        ones = ubar.ubar[j]
-        uvec.extend([0.0] * (cnt - ones) + [1.0] * ones)
-    perm = estimate_alpha_permtreat(
-        args.seed, stat, outcomes, RawConfounder(tuple(uvec)), model,
-        critical=stat(table), M=args.iterations,
-        treatment_margins=table.row_margins(),
-    )
+    outcomes, u = ubar.subjects(table.margins())
+    perm = estimate_alpha_permtreat(args.seed, stat, table, u, outcomes, model, M=args.iterations)
     exact_col = ""
     if args.with_exact:
         p = exact_alpha(stat, table, ubar, model)
@@ -380,7 +374,7 @@ def cmd_sample(args) -> int:
         "fixed_ubar": args.fixed_ubar,
         "iterations": args.iterations,
         "seed": args.seed,
-        "proposal": sis.proposal,
+        "proposal": TILTED_PROPOSAL_NAME,
     }
     _write_csv(args.out, lines, config)
     _summary(args.summary, config)

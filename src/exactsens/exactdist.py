@@ -874,6 +874,26 @@ class RejectionAggregate:
 # --------------------------------------------------------------------------
 
 
+def _check_subject_data(
+    m: Margins, u: RawConfounder, outcome_vector: Sequence[int], model: SensitivityModel
+) -> np.ndarray:
+    """Outcome codes of subject-level data, checked against the table and the model.
+
+    The outcome vector and u must have length N, the outcome codes must
+    reproduce the column margins, and the bias must have one entry per
+    treatment level.
+    """
+    if len(outcome_vector) != m.N or len(u.u) != m.N:
+        raise ValueError("outcome vector and confounder must have length N")
+    outcomes = [int(r) for r in outcome_vector]
+    # codes outside 0..J-1 are left uncounted, so the counts cannot sum to N
+    if tuple(outcomes.count(j) for j in range(m.J)) != m.cols:
+        raise ValueError("outcome vector does not match the table's column margins")
+    if model.I != m.I:
+        raise ValueError("bias length must match the number of treatment levels")
+    return np.asarray(outcomes, dtype=np.intp)
+
+
 def brute_force_alpha(
     test: TestStatistic,
     t_obs: ContingencyTable,
@@ -893,23 +913,16 @@ def brute_force_alpha(
     """
     m = t_obs.margins()
     N = m.N
-    if len(outcome_vector) != N or len(u.u) != N:
-        raise ValueError("outcome vector and confounder must have length N")
+    outcomes = _check_subject_data(m, u, outcome_vector, model)
     if N > ORACLE_CAP and not allow_large:
         raise ValueError(
             f"N = {N} exceeds the oracle cap {ORACLE_CAP}; pass allow_large=True "
             "to run anyway"
         )
-    outcomes = [int(r) for r in outcome_vector]
-    # codes outside 0..J-1 are left uncounted, so the counts cannot sum to N
-    if tuple(outcomes.count(j) for j in range(m.J)) != m.cols:
-        raise ValueError("outcome vector does not match the table's column margins")
     if critical is None:
         critical = test(t_obs)
     tol = statistic_tolerance(critical)
     bias = np.asarray(model.bias, dtype=float)
-    if len(bias) != m.I:
-        raise ValueError("bias length must match the number of treatment levels")
     uvec = np.asarray(u.u, dtype=float)
     onehot = np.eye(m.J, dtype=np.int64)[outcomes]
 

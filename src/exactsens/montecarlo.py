@@ -1,11 +1,13 @@
 """Sampling-based p-value estimators over the fixed-margin table space.
 
-The baseline proposal fills cells row-major: cell (i, j) is drawn from its
-feasibility interval with probability proportional to
-C(crem_j, x) * C(rest_j, rrem_i - x), the hypergeometric law of how the
-remaining row quota splits between column j and the columns after it.  Every
-fixed-margin table has positive proposal probability and the exact
-log-probability h(t) accumulates cell by cell (forced cells contribute 0).
+The row-fill proposal (Chen, Diaconis, Holmes & Liu, JASA 2005) fills cells
+row-major: cell (i, j) is drawn from its feasibility interval with
+probability proportional to C(crem_j, x) * C(rest_j, rrem_i - x), the
+hypergeometric law of how the remaining row quota splits between column j
+and the columns after it.  Every fixed-margin table has positive proposal
+probability and the exact log-probability h(t) accumulates cell by cell
+(forced cells contribute 0).  ``sis_sample_batch`` draws from it and
+``sis_log_proposal`` scores a given table under it.
 
 With v(t) = sum_q e^{gamma delta'q} kernel_t_q(t, q) and the normalizer
 C(u) = sum_q e^{gamma delta'q} kernel_q(q), the estimators are
@@ -19,13 +21,15 @@ For binary delta, v(t) = w(t) prod_j e^{G_j[b_j]} factors per outcome column
 through the delta-block sums b_j, with w(t) from ``exactdist._log_table_weight``
 and G_j[b] = log sum_d chi_j[b, d] e^{gamma d} from the column profiles of
 ``exactdist._log_column_profile``; the batch evaluator gathers G_j.  The
-same factorization yields a confounder-aware proposal (draw the block sums
-from their exact tilted marginal prod_j e^{G_j[b_j]}, then fill each block
-uniformly) whose importance ratios are flat; the estimators use it by default and record the
-choice in the trace, with the baseline selectable via ``proposal=``.  The
-block sums are drawn by the shared suffix-normalizer sampler and C(u) comes
-from the closed block form, both implemented in ``exactdist``
-(``_sequential_weighted_draw``, ``_block_sum_normalizer``).
+same factorization yields the confounder-aware proposal that SIS and snSIS
+draw from (``TILTED_PROPOSAL_NAME``): the block sums come from their exact
+tilted marginal prod_j e^{G_j[b_j]}, then each block is filled by the
+row-fill proposal, which is the uniform-assignment law of a block, so the
+importance ratios are flat.  The block sums are
+drawn by the shared suffix-normalizer sampler and C(u) comes from the closed
+block form, both implemented in ``exactdist`` (``_sequential_weighted_draw``,
+``_block_sum_normalizer``).  ``estimate_alpha_sis_pair`` returns both traces
+from one set of draws.
 
 Reproducibility: sample m always consumes uniforms from the stream seeded by
 (seed, m), so traces are identical under any batching or scheduling.
@@ -42,6 +46,7 @@ import numpy.random  # noqa: F401  (loaded at import, not lazily at the first dr
 
 from exactsens.exactdist import (
     _block_sum_normalizer,
+    _check_subject_data,
     _log_column_profile,
     _log_table_weight,
     _sequential_weighted_draw,
@@ -54,26 +59,15 @@ from exactsens.stats import TestStatistic
 from exactsens.tables import ContingencyTable, Margins
 
 __all__ = [
-    "SampledTable",
     "EstimatorTrace",
-    "sis_sample_table",
     "sis_sample_batch",
     "sis_log_proposal",
-    "estimate_alpha_sis",
-    "estimate_alpha_snsis",
+    "estimate_alpha_sis_pair",
     "estimate_alpha_permtreat",
-    "PROPOSAL_NAME",
     "TILTED_PROPOSAL_NAME",
 ]
 
-PROPOSAL_NAME = "conditional-hypergeometric-rowfill"
 TILTED_PROPOSAL_NAME = "blocksum-exact-tilted"
-
-
-@dataclass(frozen=True)
-class SampledTable:
-    table: ContingencyTable
-    log_h: float
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,6 @@ class EstimatorTrace:
     method: str
     estimates: np.ndarray  # running estimate after each iteration
     final: float
-    proposal: str = PROPOSAL_NAME
 
 
 def _free_cells(m: Margins) -> int:
@@ -232,13 +225,6 @@ def sis_log_proposal(m: Margins, table: np.ndarray | ContingencyTable) -> float:
     return float(log_h)
 
 
-def sis_sample_table(rng: np.random.Generator, m: Margins) -> SampledTable:
-    """One proposal draw with its exact log proposal probability."""
-    U = rng.random((1, _free_cells(m)))
-    tabs, log_h, _ = _sis_fill(m.rows, np.asarray([m.cols]), U)
-    return SampledTable(ContingencyTable.from_array(tabs[0]), float(log_h[0]))
-
-
 def sis_sample_batch(
     rng: np.random.Generator, m: Margins, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -273,42 +259,7 @@ def _log_v_batch(
     return logv
 
 
-def _validate_sampling_call(
-    t_obs: ContingencyTable, c: ConfounderClass, model: SensitivityModel, M: int
-) -> Margins:
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    if not model.is_binary:
-        raise SensitivityError("kernel-weighted estimators require a binary delta")
-    m = t_obs.margins()
-    c.validate_for(m)
-    return m
-
-
-def _sample_and_weight(
-    seed: int,
-    test: TestStatistic,
-    m: Margins,
-    c: ConfounderClass,
-    model: SensitivityModel,
-    critical: float,
-    M: int,
-    proposal: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    U = _stream_uniforms(seed, M, _free_cells(m))
-    if proposal == PROPOSAL_NAME:
-        tables, log_h, _ = _sis_fill(m.rows, np.tile(np.asarray(m.cols), (M, 1)), U)
-    elif proposal == TILTED_PROPOSAL_NAME:
-        tables, log_h = _tilted_fill(m, c, model, U)
-    else:
-        raise ValueError(f"unknown proposal {proposal!r}")
-    tol = statistic_tolerance(critical)
-    keep = test.evaluate_batch(tables) >= critical - tol
-    log_ratio = _log_v_batch(tables, m, c, model) - log_h
-    return keep, log_ratio
-
-
-def _estimate_sis_pair(
+def estimate_alpha_sis_pair(
     seed: int,
     test: TestStatistic,
     t_obs: ContingencyTable,
@@ -316,13 +267,23 @@ def _estimate_sis_pair(
     model: SensitivityModel,
     critical: float | None = None,
     M: int = 10_000,
-    proposal: str = TILTED_PROPOSAL_NAME,
 ) -> tuple[EstimatorTrace, EstimatorTrace]:
-    """SIS and snSIS traces from one set of M draws and their weights."""
-    m = _validate_sampling_call(t_obs, c, model, M)
+    """SIS and snSIS traces from one set of M tilted draws and their weights.
+
+    SIS is the unbiased (1/(M C(u))) sum 1{T>=c} v/h; snSIS is the weighted
+    rejected mass over the total weighted mass.
+    """
+    if M < 1:
+        raise ValueError("M must be at least 1")
+    if not model.is_binary:
+        raise SensitivityError("kernel-weighted estimators require a binary delta")
+    m = t_obs.margins()
+    c.validate_for(m)
     if critical is None:
         critical = test(t_obs)
-    keep, log_ratio = _sample_and_weight(seed, test, m, c, model, critical, M, proposal)
+    tables, log_h = _tilted_fill(m, c, model, _stream_uniforms(seed, M, _free_cells(m)))
+    keep = test.evaluate_batch(tables) >= critical - statistic_tolerance(critical)
+    log_ratio = _log_v_batch(tables, m, c, model) - log_h
     # SIS: log C(u) from the closed block form, summed over the d with K_d > 0
     B = sum(r for r, dv in zip(m.rows, model.delta) if dv == 1)  # type: ignore[arg-type]
     logk, scale = _block_sum_normalizer(m.rows, B, c.total)
@@ -330,79 +291,47 @@ def _estimate_sis_pair(
     logC = float(logsumexp(logk[d] + model.gamma * d) + scale)
     terms = np.where(keep, np.exp(log_ratio - logC), 0.0)
     running = np.cumsum(terms) / np.arange(1, M + 1)
-    sis = EstimatorTrace("SIS", running, float(running[-1]), proposal)
-    # snSIS: weighted rejected mass over total weighted mass
+    sis = EstimatorTrace("SIS", running, float(running[-1]))
     w = np.exp(log_ratio - log_ratio.max())
     denom = np.cumsum(w)
     assert np.all(denom > 0), "positive proposal weights cannot vanish"
     running = np.cumsum(np.where(keep, w, 0.0)) / denom
-    return sis, EstimatorTrace("snSIS", running, float(running[-1]), proposal)
-
-
-def estimate_alpha_sis(
-    seed: int,
-    test: TestStatistic,
-    t_obs: ContingencyTable,
-    c: ConfounderClass,
-    model: SensitivityModel,
-    critical: float | None = None,
-    M: int = 10_000,
-    proposal: str = TILTED_PROPOSAL_NAME,
-) -> EstimatorTrace:
-    """Unbiased kernel-weighted estimator (1/(M C(u))) sum 1{T>=c} v/h."""
-    return _estimate_sis_pair(seed, test, t_obs, c, model, critical, M, proposal)[0]
-
-
-def estimate_alpha_snsis(
-    seed: int,
-    test: TestStatistic,
-    t_obs: ContingencyTable,
-    c: ConfounderClass,
-    model: SensitivityModel,
-    critical: float | None = None,
-    M: int = 10_000,
-    proposal: str = TILTED_PROPOSAL_NAME,
-) -> EstimatorTrace:
-    """Self-normalized variant: weighted rejected mass over total weighted mass."""
-    return _estimate_sis_pair(seed, test, t_obs, c, model, critical, M, proposal)[1]
+    return sis, EstimatorTrace("snSIS", running, float(running[-1]))
 
 
 def estimate_alpha_permtreat(
     seed: int,
     test: TestStatistic,
-    outcome_vector: Sequence[int],
+    t_obs: ContingencyTable,
     u: RawConfounder,
+    outcome_vector: Sequence[int],
     model: SensitivityModel,
-    critical: float,
+    critical: float | None = None,
     M: int = 10_000,
-    treatment_margins: Sequence[int] | None = None,
 ) -> EstimatorTrace:
     """Kernel-free baseline: uniform treatment permutations, tilted weights.
 
-    Converges slowly because the permutation space dwarfs the table space;
-    kept as the documented comparison point, including dose models.
+    Takes the oracle's arguments (``brute_force_alpha``): the table fixes I,
+    J and the treatment margins, and the subject-level data must reproduce
+    its outcome margins.  Converges slowly because the permutation space
+    dwarfs the table space; kept as the documented comparison point,
+    including dose models.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    if treatment_margins is None:
-        raise ValueError("treatment margins are required")
-    outcomes = np.asarray([int(r) for r in outcome_vector])
-    N = len(outcomes)
-    if u.N != N:
-        raise ValueError("confounder length must match the outcome vector")
+    m = t_obs.margins()
+    outcomes = _check_subject_data(m, u, outcome_vector, model)
+    if critical is None:
+        critical = test(t_obs)
+    N = m.N
     bias = np.asarray(model.bias, dtype=float)
-    I = len(bias)
-    rows = tuple(int(v) for v in treatment_margins)
-    if sum(rows) != N:
-        raise ValueError("treatment margins must sum to N")
-    J = int(outcomes.max()) + 1
-    base = np.repeat(np.arange(I), rows)
+    base = np.repeat(np.arange(m.I), m.rows)
     uvec = np.asarray(u.u)
 
     Z = np.empty((M, N), dtype=np.int64)
     for mi in range(M):
         Z[mi] = np.random.default_rng([seed, mi]).permutation(base)
-    tabs = np.zeros((M, I, J), dtype=np.int64)
+    tabs = np.zeros((M, m.I, m.J), dtype=np.int64)
     np.add.at(
         tabs,
         (np.repeat(np.arange(M), N), Z.ravel(), np.tile(outcomes, M)),

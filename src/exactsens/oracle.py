@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from exactsens.exactdist import ORACLE_CAP, brute_force_alpha, exact_alpha, kernel_alpha
-from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityModel
+from exactsens.sensmodel import ConfounderClass, SensitivityModel
 from exactsens.stats import ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_array
 
@@ -80,16 +80,6 @@ def random_instance(rng: np.random.Generator, max_n: int) -> dict:
     }
 
 
-def _subject_data(m: Margins, ubar: Sequence[int]) -> tuple[list[int], RawConfounder]:
-    outcomes: list[int] = []
-    u: list[float] = []
-    for j, cnt in enumerate(m.cols):
-        outcomes.extend([j] * cnt)
-        ones = ubar[j]
-        u.extend([0.0] * (cnt - ones) + [1.0] * ones)
-    return outcomes, RawConfounder(tuple(u))
-
-
 def run_battery(
     seed: int = 20240901,
     max_n: int = 12,
@@ -114,7 +104,7 @@ def run_battery(
         t_obs = ContingencyTable.from_array(inst["table"])
         for ubar in inst["ubars"]:
             cclass = ConfounderClass(tuple(ubar))
-            outcomes, raw = _subject_data(m, ubar)
+            outcomes, raw = cclass.subjects(m)
             for delta in valid_deltas(m.I):
                 for gamma in gammas:
                     model = SensitivityModel(gamma=gamma, delta=delta)

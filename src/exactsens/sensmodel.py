@@ -145,6 +145,20 @@ class ConfounderClass:
             if u > c:
                 raise ValueError(f"ubar[{j}] = {u} exceeds column margin {c}")
 
+    def subjects(self, m: Margins) -> tuple[list[int], RawConfounder]:
+        """Subject-level outcomes and a binary u with this class on margins m.
+
+        Subjects are sorted by outcome level, u = 0 before u = 1 within a
+        level; the inverse of ``RawConfounder.to_class``.
+        """
+        self.validate_for(m)
+        outcomes: list[int] = []
+        u: list[float] = []
+        for j, (cnt, ones) in enumerate(zip(m.cols, self.ubar)):
+            outcomes.extend([j] * cnt)
+            u.extend([0.0] * (cnt - ones) + [1.0] * ones)
+        return outcomes, RawConfounder(tuple(u))
+
 
 @dataclass(frozen=True)
 class RawConfounder:

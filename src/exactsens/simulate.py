@@ -120,8 +120,9 @@ class PowerTestSpec:
     """One test variant in a power study: an optional transform plus scores.
 
     ``col_groups``/``row_groups`` collapse levels; ``keep_rows``/``keep_cols``
-    cross-cut.  ``delta`` is the bias vector used for this variant's
-    sensitivity analysis (dimension = rows after transform).
+    cross-cut; a spec sets one kind or neither.  ``delta`` is the bias vector
+    used for this variant's sensitivity analysis (dimension = rows after
+    transform).
     """
 
     name: str
@@ -132,6 +133,12 @@ class PowerTestSpec:
     col_groups: tuple[tuple[int, ...], ...] | None = None
     keep_rows: tuple[int, ...] | None = None
     keep_cols: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.keep_rows is not None or self.keep_cols is not None) and (
+            self.row_groups is not None or self.col_groups is not None
+        ):
+            raise ValueError(f"test {self.name!r}: set level groups or a cross-cut, not both")
 
     def transform(self, t: ContingencyTable) -> ContingencyTable:
         if self.keep_rows is not None or self.keep_cols is not None:

@@ -306,6 +306,24 @@ def test_sample_command(tmp_path):
     assert round(exact, 2) == 0.01
 
 
+def test_sample_with_an_empty_top_outcome_level(tmp_path):
+    # analyze accepts this table; the permutation baseline must size J from
+    # the table, not from the largest outcome code present
+    p = tmp_path / "t.csv"
+    p.write_text("1,2,0\n3,1,0\n")
+    out = tmp_path / "trace.csv"
+    code = run([
+        "sample", str(p), "--test", "ordinal", "--alpha", "0,1",
+        "--beta", "0,1,2", "--delta", "0,1", "--gamma-grid", "1",
+        "--fixed-ubar", "1,1,0", "--iterations", "50", "--out", str(out),
+    ])
+    assert code == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[1] == "iteration,sis,snsis,permtreat"
+    assert len(lines) == 52
+    assert all(0.0 <= float(line.split(",")[3]) <= 1.0 for line in lines[2:])
+
+
 def test_power_command(tmp_path):
     cfg = {
         "lambda_z": [1.0, 0.0, 0.0],

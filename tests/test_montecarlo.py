@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from exactsens.exactdist import exact_alpha, kernel_q, kernel_t_q, omega_q
+from exactsens.exactdist import brute_force_alpha, exact_alpha, kernel_q, kernel_t_q, omega_q
 from exactsens.montecarlo import (
     _free_cells,
     _log_v_batch,
     _tilted_fill,
     estimate_alpha_permtreat,
-    estimate_alpha_sis,
-    estimate_alpha_snsis,
+    estimate_alpha_sis_pair,
     sis_log_proposal,
     sis_sample_batch,
-    sis_sample_table,
 )
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityModel
 from exactsens.stats import ordinal_statistic
@@ -61,10 +59,10 @@ def test_forced_cells_have_zero_logprob():
 
 def test_sampler_matches_scoring(rng):
     m = Margins((3, 3, 3), (4, 3, 2))
-    for _ in range(50):
-        s = sis_sample_table(rng, m)
-        assert s.table.margins() == m
-        assert sis_log_proposal(m, s.table) == pytest.approx(s.log_h, rel=1e-10)
+    tabs, log_h = sis_sample_batch(rng, m, 50)
+    assert (tabs.sum(axis=2) == m.rows).all() and (tabs.sum(axis=1) == m.cols).all()
+    for tab, lh in zip(tabs, log_h):
+        assert sis_log_proposal(m, tab) == pytest.approx(lh, rel=1e-10)
 
 
 def test_inverse_weight_count_estimator(rng):
@@ -89,8 +87,9 @@ def test_sis_and_snsis_agree_with_exact():
     finals_sis = []
     finals_sn = []
     for seed in range(30):
-        finals_sis.append(estimate_alpha_sis(seed, STAT, T86, c, model, M=2000).final)
-        finals_sn.append(estimate_alpha_snsis(seed, STAT, T86, c, model, M=2000).final)
+        sis, snsis = estimate_alpha_sis_pair(seed, STAT, T86, c, model, M=2000)
+        finals_sis.append(sis.final)
+        finals_sn.append(snsis.final)
     for finals in (finals_sis, finals_sn):
         err = np.mean(finals) - exact
         se = np.std(finals) / math.sqrt(len(finals))
@@ -101,26 +100,26 @@ def test_gamma_zero_sis_converges_to_randomization_p():
     model = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
     c = ConfounderClass((0, 0, 0))
     exact = exact_alpha(STAT, T86, c, model)
-    tr = estimate_alpha_sis(3, STAT, T86, c, model, M=20_000)
+    tr = estimate_alpha_sis_pair(3, STAT, T86, c, model, M=20_000)[0]
     assert tr.final == pytest.approx(exact, abs=0.02)
 
 
 def test_trace_shape_and_determinism():
     model = SensitivityModel(gamma=0.6, delta=(0, 1, 1))
     c = ConfounderClass((0, 1, 3))
-    t1 = estimate_alpha_snsis(11, STAT, T86, c, model, M=500)
-    t2 = estimate_alpha_snsis(11, STAT, T86, c, model, M=500)
+    t1 = estimate_alpha_sis_pair(11, STAT, T86, c, model, M=500)[1]
+    t2 = estimate_alpha_sis_pair(11, STAT, T86, c, model, M=500)[1]
     assert len(t1.estimates) == 500
     assert t1.final == t1.estimates[-1]
     np.testing.assert_array_equal(t1.estimates, t2.estimates)
     with pytest.raises(ValueError):
-        estimate_alpha_sis(1, STAT, T86, c, model, M=0)
+        estimate_alpha_sis_pair(1, STAT, T86, c, model, M=0)
 
 
 def test_snsis_degenerate_m1():
     model = SensitivityModel(gamma=0.6, delta=(0, 1, 1))
     c = ConfounderClass((0, 1, 3))
-    tr = estimate_alpha_snsis(2, STAT, T86, c, model, M=1)
+    tr = estimate_alpha_sis_pair(2, STAT, T86, c, model, M=1)[1]
     assert tr.final in (0.0, 1.0)  # single indicator
 
 
@@ -129,10 +128,7 @@ def test_permtreat_gamma_zero():
     outcomes = [0, 0, 1, 1, 1, 1, 1, 2] + [2] * 7
     u = RawConfounder((0.0,) * 15)
     crit = STAT(T86)
-    tr = estimate_alpha_permtreat(
-        7, STAT, outcomes, u, model, crit, M=20_000,
-        treatment_margins=T86.row_margins(),
-    )
+    tr = estimate_alpha_permtreat(7, STAT, T86, u, outcomes, model, crit, M=20_000)
     exact = exact_alpha(STAT, T86, ConfounderClass((0, 0, 0)),
                         SensitivityModel(gamma=0.0, delta=(0, 1, 1)))
     assert tr.final == pytest.approx(exact, abs=0.02)
@@ -145,32 +141,38 @@ def test_permtreat_matches_exact_small():
     model = SensitivityModel(gamma=0.8, delta=(0, 1))
     outcomes = (0, 0, 0, 1, 1, 1)
     u = RawConfounder((0.0, 0.0, 1.0, 0.0, 1.0, 1.0))
-    from exactsens.exactdist import brute_force_alpha
-
     want = brute_force_alpha(stat, t, u, outcomes, model)
-    tr = estimate_alpha_permtreat(
-        5, stat, outcomes, u, model, stat(t), M=60_000,
-        treatment_margins=t.row_margins(),
-    )
+    tr = estimate_alpha_permtreat(5, stat, t, u, outcomes, model, M=60_000)
     assert tr.final == pytest.approx(want, abs=0.015)
 
-def test_sis_unbiased_under_plain_proposal():
-    # importance weights vary under the plain proposal; the mean over many
-    # seeded replications must track the exact value
-    from exactsens.montecarlo import PROPOSAL_NAME
 
-    t = ContingencyTable.from_array([[2, 1, 0], [1, 1, 1], [0, 1, 2]])
-    stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
-    model = SensitivityModel(gamma=0.9, delta=(0, 1, 1))
-    c = ConfounderClass((1, 1, 2))
-    exact = exact_alpha(stat, t, c, model)
-    finals = np.array([
-        estimate_alpha_sis(seed, stat, t, c, model, M=200,
-                           proposal=PROPOSAL_NAME).final
-        for seed in range(300)
-    ])
-    se = finals.std(ddof=1) / math.sqrt(len(finals))
-    assert abs(finals.mean() - exact) <= 4 * se
+def test_permtreat_takes_outcome_levels_from_the_table():
+    # the top outcome level is empty, so max(outcome) + 1 undercounts J
+    t = ContingencyTable.from_array([[1, 2, 0], [3, 1, 0]])
+    stat = ordinal_statistic((0, 1), (0, 1, 2))
+    model = SensitivityModel(gamma=1.0, delta=(0, 1))
+    outcomes, u = ConfounderClass((1, 1, 0)).subjects(t.margins())
+    want = brute_force_alpha(stat, t, u, outcomes, model)
+    tr = estimate_alpha_permtreat(3, stat, t, u, outcomes, model, M=20_000)
+    assert tr.final == pytest.approx(want, abs=0.015)
+
+
+@pytest.mark.parametrize("outcomes, u, delta, message", [
+    ((0, 0, 0, 1, 1), (0.0,) * 6, (0, 1), "must have length N"),
+    ((0, 0, 0, 1, 1, 1), (0.0,) * 5, (0, 1), "must have length N"),
+    ((0, 0, 1, 1, 1, 1), (0.0,) * 6, (0, 1), "column margins"),
+    ((0, 0, 0, 1, 1, 2), (0.0,) * 6, (0, 1), "column margins"),
+    ((0, 0, 0, 1, 1, 1), (0.0,) * 6, (0, 1, 1), "bias length"),
+])
+def test_permtreat_checks_subject_data_like_the_oracle(outcomes, u, delta, message):
+    t = ContingencyTable.from_array([[2, 1], [1, 2]])
+    stat = ordinal_statistic((0, 1), (0, 1))
+    model = SensitivityModel(gamma=0.5, delta=delta)
+    raw = RawConfounder(u)
+    with pytest.raises(ValueError, match=message):
+        brute_force_alpha(stat, t, raw, outcomes, model)
+    with pytest.raises(ValueError, match=message):
+        estimate_alpha_permtreat(1, stat, t, raw, outcomes, model, M=10)
 
 
 # (margins, delta, ubar): an empty outcome level, a delta with two one-rows,

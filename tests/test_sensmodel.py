@@ -156,3 +156,21 @@ def test_raw_confounder():
     assert binary.to_class((0, 0, 1, 1), 2) == ConfounderClass((1, 1))
     with pytest.raises(ValueError):
         RawConfounder((0.0, 1.2))
+
+
+@pytest.mark.parametrize("m, ubar", [
+    (Margins((2, 2), (1, 3)), (1, 2)),
+    (Margins((3, 2, 2), (3, 0, 4)), (1, 0, 4)),  # an empty outcome level
+    (Margins((2, 3), (1, 2, 2, 0)), (0, 2, 0, 0)),  # an empty top level
+])
+def test_subjects_round_trip(m, ubar):
+    c = ConfounderClass(ubar)
+    outcomes, raw = c.subjects(m)
+    assert len(outcomes) == raw.N == m.N
+    assert tuple(outcomes.count(j) for j in range(m.J)) == m.cols
+    assert raw.to_class(outcomes, m.J) == c
+
+
+def test_subjects_validates_the_class():
+    with pytest.raises(ValueError):
+        ConfounderClass((2, 0)).subjects(Margins((2, 2), (1, 3)))

@@ -135,6 +135,15 @@ def test_power_degenerate_crosscut_counts_as_no_rejection():
     assert curves["crosscut"].rates == (0.0,)
 
 
+@pytest.mark.parametrize("cut", [{"keep_rows": (0, 2)}, {"keep_cols": (0, 2)}])
+@pytest.mark.parametrize("groups", [{"row_groups": ((0,), (1, 2))},
+                                    {"col_groups": ((0, 1), (2,))}])
+def test_power_spec_refuses_groups_with_a_crosscut(cut, groups):
+    # transform would apply the cross-cut and drop the groups
+    with pytest.raises(ValueError, match="not both"):
+        PowerTestSpec("mixed", (0.0, 1.0), (0.0, 1.0), (0, 1), **cut, **groups)
+
+
 def test_standard_suite_shapes():
     suite = standard_test_suite(CASE_I.alpha_star, CASE_I.beta_star)
     assert [s.name for s in suite] == [
