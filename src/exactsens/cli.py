@@ -201,7 +201,7 @@ def cmd_analyze(args) -> int:
         ub = ";".join(str(v) for v in ubar.ubar)
         for g, p in zip(grid, exact_alpha_grid(stat, table, ubar, model, grid)):
             lines.append(f"{_fmt(g)},{_fmt(math.exp(g))},{_fmt(p)},{ub}")
-        mode = "fixed-ubar"
+        mode, strategy_used = "fixed-ubar", None
     else:
         results = worst_case_grid(stat, table, model.with_gamma(grid[0]), grid,
                                   strategy=args.strategy)
@@ -211,7 +211,7 @@ def cmd_analyze(args) -> int:
             lines.append(
                 f"{_fmt(g)},{_fmt(math.exp(g))},{_fmt(res.pvalue)},{ub},{res.candidates_scanned}"
             )
-        mode = "worst-case"
+        mode, strategy_used = "worst-case", results[0].strategy_used
     config = {
         "command": "analyze",
         "mode": mode,
@@ -227,7 +227,7 @@ def cmd_analyze(args) -> int:
         "seed": args.seed,
     }
     _write_csv(args.out, lines, config)
-    _summary(args.summary, config)
+    _summary(args.summary, {**config, "strategy_used": strategy_used})
     return EXIT_OK
 
 

@@ -30,9 +30,13 @@ scan over a Gamma grid is then one batched log-domain pass
 (``RejectionAggregate.alpha_table``): R is contracted column by column
 against the per-column binomial profiles, batched over the classes, while
 the d buckets are convolved, and one log-sum-exp over d yields every
-(class, gamma) pair.  No exact integer becomes a float, so large column
-margins cannot overflow it, and classes go through in chunks of bounded
-memory.
+(class, gamma) pair.  The ordinal scan's N + 1 suffix classes, whose columns
+are empty, full or (one of them) partial, need no per-class contraction:
+``RejectionAggregate.suffix_alpha_table`` folds R once from the last column
+down and scores each column's partial classes against that fold, so R is
+contracted J times.  No exact integer becomes a float, so large column
+margins cannot overflow either scan, and classes go through in chunks of
+bounded memory.
 
 Two references check it; only the oracle battery and the tests call them.
 ``kernel_alpha`` sums the exact integer kernels per q over the rejected
@@ -527,6 +531,12 @@ def _log_binom(logfact: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(ok, logfact[n] - logfact[kk] - logfact[np.where(ok, n - kk, 0)], -np.inf)
 
 
+def _log_scaled(x: np.ndarray, logscale: np.ndarray | float) -> np.ndarray:
+    """log(x) + logscale for non-negative x, -inf where x = 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(x) + logscale
+
+
 def _log_table_weight(
     tables: np.ndarray, one_rows: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -543,16 +553,56 @@ def _log_table_weight(
     return logw, b
 
 
-def _log_column_profile(logfact: np.ndarray, cj: int, u: np.ndarray) -> np.ndarray:
+def _log_column_profile(
+    logfact: np.ndarray, cj: int, u: np.ndarray, b_range: range | None = None
+) -> np.ndarray:
     """log chi[b, d] = log C(u, d) C(cj - u, b - d) for the (K,) ubar_j values u.
 
-    Returns (K, cj + 1, max(u) + 1), indexed by (class, b, d), -inf where
-    chi vanishes.
+    Returns (K, len(b_range), max(u) + 1), indexed by (class, b, d) for b in
+    ``b_range`` (default 0..cj), -inf where chi vanishes.  The second factor
+    depends on b - d only, so it is taken per class over that range and read
+    through a sliding-window view, and the sum is the one array of the
+    profile's size that is made.
     """
-    u = np.asarray(u, dtype=np.int64)[:, None, None]
-    d = np.arange(int(u.max()) + 1)
-    bd = np.arange(cj + 1)[:, None] - d  # b - d
-    return _log_binom(logfact, u, d) + _log_binom(logfact, cj - u, bd)
+    b_range = range(cj + 1) if b_range is None else b_range
+    u = np.asarray(u, dtype=np.int64)[:, None]
+    n = int(u.max()) + 1
+    rest = _log_binom(logfact, cj - u, np.arange(b_range.start + 1 - n, b_range.stop))
+    # window b holds b - d for d = n - 1 down to 0
+    windows = np.lib.stride_tricks.sliding_window_view(rest, n, axis=1)[:, :, ::-1]
+    return _log_binom(logfact, u, np.arange(n))[:, None, :] + windows
+
+
+def _scaled_column_profile(
+    logfact: np.ndarray, cj: int, u: np.ndarray, b_range: range | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(chi^T, log scale): each class's chi divided by its maximum, and that maximum's log.
+
+    chi^T is the (K, max(u) + 1, len(b_range)) transposed view, indexed by
+    (class, d, b), of ``_log_column_profile`` exponentiated in place.
+    """
+    chi = _log_column_profile(logfact, cj, u, b_range)
+    top = chi.max(axis=(1, 2))
+    chi -= top[:, None, None]
+    return np.exp(chi, out=chi).transpose(0, 2, 1), top
+
+
+def _matmul_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The d convolution of a batched matmul: out[k, e] = sum_i (a @ b)[k, i, e - i].
+
+    ``a @ b`` has shape (K, D, n) + rest, its axes 1 and 2 indexing two d
+    counts that add up; the result has shape (K, D + n - 1) + rest.  The
+    product is written into the first n of n + D slots of each row of a
+    zero-padded buffer, and re-reading that buffer with rows of n + D - 1
+    skews row i right by i without a copy, so one sum over axis 1 convolves.
+    """
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    K, D, n = shape[:3]
+    rest = shape[3:]
+    pad = np.zeros((K, D, n + D) + rest)
+    np.matmul(a, b, out=pad[:, :, :n])
+    E = n + D - 1
+    return pad.reshape(K, -1)[:, : D * E * math.prod(rest)].reshape((K, D, E) + rest).sum(axis=1)
 
 
 class _ColumnLevel(NamedTuple):
@@ -686,10 +736,13 @@ class RejectionAggregate:
     ``alpha_table`` evaluates a whole candidate scan in one batched pass.
     Each (class, column) chi profile is scaled by its maximum, so no exact integer is ever converted to
     float and large column margins cannot overflow.  R is contracted column
-    by column as a matmul batched over the classes, convolving d as it goes,
-    and one log-sum-exp over d gives every (class, gamma) pair.  Classes are
-    processed in chunks whose intermediates fit in ``_SCAN_CHUNK_BYTES``.
-    ``alpha_grid`` is its one-class call.
+    by column as a matmul batched over the classes, convolving d as it goes
+    (``_matmul_convolve``), and one log-sum-exp over d gives every (class,
+    gamma) pair (``_tilted_alphas``).  Classes are processed in chunks whose
+    intermediates fit in ``_SCAN_CHUNK_BYTES``.  ``alpha_grid`` is its
+    one-class call.  ``suffix_alpha_table`` gives the same alphas for the
+    N + 1 ordinal suffix classes from one sweep over R's columns instead of
+    one contraction per class, through the same convolution and tail.
     """
 
     def __init__(
@@ -817,27 +870,13 @@ class RejectionAggregate:
         # M[k, e, b_j, rest]: R with columns < j contracted and their d convolved
         M = self._R.reshape(1, 1, self._shape[0], -1)
         for j, cj in enumerate(self.margins.cols):
-            logchi = _log_column_profile(self._logfact, cj, U[:, j])
-            n = logchi.shape[2]
-            top = logchi.max(axis=(1, 2))
+            chiT, top = _scaled_column_profile(self._logfact, cj, U[:, j])
             logscale += top
-            chiT = np.exp(logchi - top[:, None, None]).transpose(0, 2, 1)
-            D, P = M.shape[1], M.shape[3]
-            # sum over b_j into the first n of n + D columns: (K, D, n, rest);
-            # the d convolution then skews row i of each (D, n) block right by
-            # i and sums the rows, and re-reading the zero-padded buffer with
-            # rows of n + D - 1 does the skew without a copy
-            pad = np.zeros((K, D, n + D, P))
-            np.matmul(chiT[:, None], M, out=pad[:, :, :n])
-            E = n + D - 1
-            M = pad.reshape(K, -1)[:, : D * E * P].reshape(K, D, E, P).sum(axis=1)
+            # sum over b_j and convolve d_j into the d of the columns before
+            M = _matmul_convolve(chiT[:, None], M)
             if j + 1 < len(self._shape):
-                M = M.reshape(K, E, self._shape[j + 1], -1)
-        S = M[:, :, 0]
-        logS = np.full(S.shape, -np.inf)
-        nz = S > 0
-        logS[nz] = np.log(S[nz])
-        return logS + logscale[:, None]
+                M = M.reshape(K, M.shape[1], self._shape[j + 1], -1)
+        return _log_scaled(M[:, :, 0], logscale[:, None])
 
     def alpha(self, c: ConfounderClass, gamma: float) -> float:
         return self.alpha_grid(c, [gamma])[0]
@@ -856,16 +895,100 @@ class RejectionAggregate:
         chunk = max(1, _SCAN_CHUNK_BYTES // (8 * per_class))
         for start in range(0, len(U), chunk):
             Uc = U[start : start + chunk]
-            logS = self._log_numerators(Uc)
-            logK = np.full(logS.shape, -np.inf)
-            totals = Uc.sum(axis=1)
-            for total in sorted(set(totals.tolist())):
-                logk, scale = _block_sum_normalizer(self.margins.rows, self.block_total, total)
-                logK[totals == total, : total + 1] = logk + scale
-            tilt = g[:, None] * np.arange(logS.shape[1])
-            num = logsumexp(logS[:, None, :] + tilt, axis=-1)
-            den = logsumexp(logK[:, None, :] + tilt, axis=-1)
-            out[start : start + chunk] = np.exp(num - den)
+            out[start : start + chunk] = self._tilted_alphas(
+                self._log_numerators(Uc), Uc.sum(axis=1), g)
+        return out
+
+    def _tilted_alphas(
+        self, logS: np.ndarray, totals: np.ndarray, g: np.ndarray, d0: int = 0
+    ) -> np.ndarray:
+        """(K, G) alphas from the log numerators of classes with ubar totals ``totals``.
+
+        Column i of ``logS`` (K, D) holds d = d0 + i; the d it does not cover
+        have S_d = 0.  One log-sum-exp per (class, gamma) for the numerator and
+        one for the closed-form denominator of the class's total
+        (``_block_sum_normalizer``).  Every term of either has d = delta'q
+        between total - (N - B) and min(total, B), so only that range of d,
+        over the chunk's classes, is summed.
+        """
+        N, B = self.margins.N, self.block_total
+        lo = max(0, int(totals.min()) - (N - B))
+        hi = min(int(totals.max()), B) + 1
+        num = np.full((len(totals), hi - lo), -np.inf)
+        first, stop = max(lo, d0), min(hi, d0 + logS.shape[1])
+        num[:, first - lo : stop - lo] = logS[:, first - d0 : stop - d0]
+        den = np.full(num.shape, -np.inf)
+        for total in sorted(set(totals.tolist())):
+            logk, scale = _block_sum_normalizer(self.margins.rows, B, total)
+            den[totals == total, : total + 1 - lo] = logk[lo:hi] + scale
+        tilt = g[:, None] * np.arange(lo, hi)
+        return np.exp(logsumexp(num[:, None, :] + tilt, axis=-1)
+                      - logsumexp(den[:, None, :] + tilt, axis=-1))
+
+    def suffix_alpha_table(self, gammas: Sequence[float]) -> np.ndarray:
+        """(N + 1, G) array: ``alpha_table`` over the ordinal suffix classes.
+
+        Row k is the class ``candidates_ordinal`` yields k-th: k ones filling
+        the outcome columns from the last down, so columns after some p are
+        full, columns before it empty and column p holds u.  An empty column
+        has chi[b, d] = [d = 0] C(c, b) and a full one [d = b] C(c, b), so
+        S_d(p, u) = sum_{b, e} chi_p[b, e] V_p[b, d - e] with V_p[b, s] the
+        sum of R times prod_{j != p} C(c_j, b_j) over the tensor cells whose
+        b_p is b and whose columns after p add up to s.  One sweep from the
+        last column down folds each column into s with its binomials (a
+        shifted add), and V_p is that fold contracted with the binomials of
+        the columns before p; the classes of column p are then scored in
+        chunks of ascending u (d_p truncated to the chunk's largest u) as one
+        batched matmul and d convolution each, over only the box of b and s
+        where V_p is nonzero.  So R is contracted J times, not once per class.
+        Binomial rows and profiles are scaled by their maxima as in
+        ``alpha_table``, and chunks keep within ``_SCAN_CHUNK_BYTES``.
+        """
+        m = self.margins
+        g = np.asarray(gammas, dtype=float)
+        out = np.zeros((m.N + 1, len(g)))
+        logb = [_log_binom(self._logfact, cj, np.arange(cj + 1)) for cj in m.cols]
+        tops = [float(lb.max()) for lb in logb]
+        binoms = [np.exp(lb - top) for lb, top in zip(logb, tops)]
+        prefix = [np.ones(1)]  # prefix[p]: prod_{j < p} C(c_j, b_j), flattened
+        for w in binoms[:-1]:
+            prefix.append(np.multiply.outer(prefix[-1], w).ravel())
+        # A[q, b_p, s]: R with the columns after p folded into s, times
+        # ``sw[s]`` (a fold into a single s is only a reweighting, kept pending)
+        A = self._R.reshape(-1, m.cols[-1] + 1, 1)
+        sw = np.ones(1)
+        for p in range(m.J - 1, -1, -1):
+            cp, ns = m.cols[p], A.shape[2]
+            V = (prefix[p] @ A.reshape(len(prefix[p]), -1)).reshape(cp + 1, ns) * sw
+            b_nz, s_nz = np.flatnonzero(V.any(axis=1)), np.flatnonzero(V.any(axis=0))
+            logscale = self._offset + math.fsum(tops) - tops[p]
+            base = ns - 1  # the ones in the full columns after p
+            u = np.arange(0 if p == m.J - 1 else 1, cp + 1)
+            if len(b_nz) and len(u):  # else every alpha of the column is 0
+                b_range = range(int(b_nz[0]), int(b_nz[-1]) + 1)
+                s0 = int(s_nz[0])
+                V = V[b_range.start : b_range.stop, s0 : int(s_nz[-1]) + 1].copy()
+                # sized from the margins alone, as in ``alpha_table``: per
+                # class at u = cp and untrimmed b and s, its profile, its
+                # padded convolution and its tail
+                per_class = max((cp + 1) * (2 * cp + ns + 2), len(g) * (base + cp + 1))
+                chunk = max(1, _SCAN_CHUNK_BYTES // (8 * per_class))
+                for start in range(0, len(u), chunk):
+                    uc = u[start : start + chunk]
+                    chiT, top = _scaled_column_profile(self._logfact, cp, uc, b_range)
+                    logS = _log_scaled(_matmul_convolve(chiT, V), logscale + top[:, None])
+                    del chiT  # so that it is freed before the next chunk's is made
+                    out[base + uc] = self._tilted_alphas(logS, base + uc, g, s0)
+            if p == 0:
+                break
+            if ns == 1:
+                A, sw = A[:, :, 0], binoms[p] * sw[0]
+            else:
+                folded = np.zeros((len(A), ns + cp))
+                for b in range(cp + 1):
+                    folded[:, b : b + ns] += A[:, b, :] * (binoms[p][b] * sw)
+                A, sw = folded, np.ones(ns + cp)
+            A = A.reshape(-1, m.cols[p - 1] + 1, A.shape[1])
         return out
 
 

@@ -12,14 +12,17 @@ admissible confounders.  The search space collapses by test family:
   multivariate extended hypergeometric law.
 
 ``worst_case_grid`` picks the cheapest valid strategy (a requested one is
-checked against the same conditions and refused if they fail) and builds one
-gamma-free object for the whole grid.  For a corner scan it is a table
-aggregation, which evaluates every candidate class at every gamma in one
-batched log-domain pass (``RejectionAggregate.alpha_table``); the maximum is
-then taken row by row in candidate order, keeping the first maximizer up to
-``_TIE_REL``, so ties break deterministically toward the lexicographically
-smallest class.  For the sign score it is the MVEHG support with the
-statistic evaluated on it, renormalized per gamma.
+checked against the same conditions and refused if they fail), records it
+in ``WorstCaseResult.strategy_used``, and builds one gamma-free object for
+the whole grid.  For a corner scan it is a table aggregation, which
+evaluates every candidate class at every gamma in one batched log-domain
+pass: ``RejectionAggregate.suffix_alpha_table`` for the ordinal suffix
+classes (one sweep over the aggregate's columns), ``alpha_table`` for the
+full per-outcome grid.  The maximum is then taken row by row in candidate
+order, keeping the first maximizer up to ``_TIE_REL``, so ties break
+deterministically toward the lexicographically smallest class.  For the
+sign score it is the MVEHG support with the statistic evaluated on it,
+renormalized per gamma.
 Dose (phi) models are refused outside the sign-score family: interior
 confounders can beat every corner there, so a corner scan would be wrong.
 """
@@ -59,6 +62,7 @@ class WorstCaseResult:
     argmax_class: ConfounderClass
     candidates_scanned: int
     family_used: TestFamily
+    strategy_used: str  # the resolved strategy: "signscore", "ordinal" or "pi"
 
 
 @dataclass(frozen=True)
@@ -178,17 +182,22 @@ def worst_case_grid(
                 argmax_class=signscore_u_plus(m),
                 candidates_scanned=1,
                 family_used=TestFamily.SIGN_SCORE,
+                strategy_used=strategy,
             ))
         return results
-    cands = list(candidates_ordinal(m) if strategy == "ordinal" else candidates_pi(m))
-
     agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]
+    if strategy == "ordinal":
+        cands = list(candidates_ordinal(m))
+        table = agg.suffix_alpha_table(gammas)
+    else:
+        cands = list(candidates_pi(m))
+        table = agg.alpha_table(cands, gammas)
     # candidate streams are lexicographically ascending, so keeping the first
     # maximizer (up to _TIE_REL jitter) realizes the lex-smallest tie-break
     # while the reported p stays equal to alpha at the reported class
     best_p = [-1.0] * len(gammas)
     best_c: list[ConfounderClass | None] = [None] * len(gammas)
-    for cand, vals in zip(cands, agg.alpha_table(cands, gammas).tolist()):
+    for cand, vals in zip(cands, table.tolist()):
         for k, v in enumerate(vals):
             if v > best_p[k] * (1.0 + _TIE_REL):
                 best_p[k] = v
@@ -199,6 +208,7 @@ def worst_case_grid(
             argmax_class=c,  # type: ignore[arg-type]
             candidates_scanned=len(cands),
             family_used=test.family,
+            strategy_used=strategy,
         )
         for p, c in zip(best_p, best_c)
     ]

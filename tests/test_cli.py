@@ -39,6 +39,39 @@ def test_analyze_worst_case_grid(girls_csv, tmp_path):
     assert meta["command"] == "analyze" and "version" in meta
 
 
+@pytest.mark.parametrize("args, used", [
+    (["--test", "ordinal", "--alpha", "0,0.25,1.5", "--beta", "0,1,1.5"], "ordinal"),
+    (["--test", "chi2"], "pi"),
+    (["--test", "ordinal", "--alpha", "0,0.25,1.5", "--beta", "0,1,1.5",
+      "--fixed-ubar", "0,10,3"], None),
+], ids=["ordinal", "pi", "fixed-ubar"])
+def test_analyze_summary_records_the_strategy_used(args, used, girls_csv, tmp_path):
+    out, summary = tmp_path / "out.csv", tmp_path / "out.json"
+    assert run(["analyze", girls_csv, "--delta", "0,1,1", "--gamma-grid", "0,1"] + args
+               + ["--out", str(out), "--summary", str(summary)]) == 0
+    meta = json.loads(summary.read_text())
+    assert meta["strategy_used"] == used and meta["strategy"] == "auto"
+    assert "strategy_used" not in out.read_text()  # the CSV echo stays as it was
+
+
+def test_binary_outcome_under_the_ordinal_strategy(tmp_path):
+    # J = 2 with a non-sign-score delta takes the suffix sweep; it must agree
+    # with the full per-outcome scan
+    p = tmp_path / "t.csv"
+    p.write_text("4,2\n3,3\n1,5\n")
+    rows = {}
+    for strategy in ("ordinal", "pi"):
+        out, summary = tmp_path / f"{strategy}.csv", tmp_path / f"{strategy}.json"
+        assert run(["analyze", str(p), "--test", "ordinal", "--alpha", "0,1,2",
+                    "--beta", "0,1", "--delta", "0,0,1", "--gamma-grid", "0,0.5,2",
+                    "--strategy", strategy, "--out", str(out), "--summary", str(summary)]) == 0
+        assert json.loads(summary.read_text())["strategy_used"] == strategy
+        rows[strategy] = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    for a, b in zip(rows["ordinal"], rows["pi"]):
+        assert float(a[2]) == pytest.approx(float(b[2]), rel=1e-10)
+    assert {int(r[4]) for r in rows["ordinal"]} == {19}  # N + 1 suffix classes
+
+
 def test_analyze_fixed_ubar_mode(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("4,6,0\n1,3,6\n")

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import exactsens.exactdist as exactdist
 from exactsens.exactdist import RejectionAggregate, exact_alpha, exact_alpha_grid, signscore_tail
 from exactsens.oracle import _random_margins
 from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
@@ -17,7 +18,7 @@ from exactsens.stats import (
     ordinal_statistic,
     weighted_sum_statistic,
 )
-from exactsens.tables import ContingencyTable, Margins
+from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_array
 from exactsens.worstcase import (
     candidates_ordinal,
     candidates_pi,
@@ -302,3 +303,133 @@ def test_signscore_grid_holds_no_memory_after_the_call():
         tracemalloc.stop()
     assert len(res) == 3
     assert abs(after - before) < 1 << 20
+
+
+# ------------------------------------------------------- ordinal suffix sweep
+
+
+def _ordinal_aggregate(arr, delta, critical=None):
+    t = ContingencyTable.from_array(arr)
+    m = t.margins()
+    stat = ordinal_statistic(tuple(range(m.I)), tuple(range(m.J)))
+    return RejectionAggregate(m, stat, stat(t) if critical is None else critical, delta)
+
+
+def _assert_same_alphas(sweep, table):
+    assert sweep.shape == table.shape
+    np.testing.assert_array_equal(sweep == 0, table == 0)
+    np.testing.assert_allclose(sweep, table, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("J", [2, 3, 4, 5])
+@pytest.mark.parametrize("I", [2, 3, 4])
+def test_suffix_sweep_equals_alpha_table(rng, I, J):
+    gammas = [0.0, 0.5, 2.0, 6.0]
+    for _ in range(3):
+        m = _random_margins(rng, int(rng.integers(max(I, J) + 2, 15)), I, J)
+        tables = enumerate_fixed_margin_array(m)
+        t = tables[rng.integers(0, len(tables))]
+        stat = ordinal_statistic(tuple(np.sort(rng.uniform(0, 2, size=I))),
+                                 tuple(np.sort(rng.uniform(0, 2, size=J))))
+        delta = tuple(int(v) for v in rng.integers(0, 2, size=I))
+        agg = RejectionAggregate(m, stat, stat(t), delta)
+        _assert_same_alphas(agg.suffix_alpha_table(gammas),
+                            agg.alpha_table(list(candidates_ordinal(m)), gammas))
+
+
+@pytest.mark.parametrize("arr", [
+    [[3, 0, 2], [1, 0, 4]], [[0, 3, 2], [0, 1, 4]], [[3, 2, 0], [1, 4, 0]],
+    [[2, 0, 1, 0], [1, 0, 3, 0]],
+], ids=["middle", "first", "last", "two"])
+def test_suffix_sweep_with_an_empty_outcome_column(arr):
+    gammas = [0.0, 1.0, 6.0]
+    agg = _ordinal_aggregate(arr, (0, 1))
+    _assert_same_alphas(agg.suffix_alpha_table(gammas),
+                        agg.alpha_table(list(candidates_ordinal(agg.margins)), gammas))
+    t = ContingencyTable.from_array(arr)
+    stat = ordinal_statistic(tuple(range(t.I)), tuple(range(t.J)))
+    model = SensitivityModel(gamma=1.0, delta=(0, 1))
+    ordinal = worst_case_grid(stat, t, model, gammas, strategy="ordinal")
+    full = worst_case_grid(stat, t, model, gammas, strategy="pi")
+    for a, b in zip(ordinal, full):
+        assert a.pvalue == pytest.approx(b.pvalue, rel=1e-11)
+
+
+def test_suffix_sweep_when_nothing_is_rejected():
+    arr = [[4, 2, 1], [1, 3, 4]]
+    agg = _ordinal_aggregate(arr, (0, 1), critical=1e9)
+    assert agg.nrejected == 0
+    assert not agg.suffix_alpha_table([0.0, 2.0]).any()
+    t = ContingencyTable.from_array(arr)
+    stat = ordinal_statistic((0, 1), (0, 1, 2))
+    for res in worst_case_grid(stat, t, SensitivityModel(gamma=0.0, delta=(0, 1)),
+                               [0.0, 2.0], critical=1e9, strategy="ordinal"):
+        assert res.pvalue == 0.0
+        assert res.argmax_class.ubar == (0, 0, 0)  # the first class
+
+
+# the 5-column table, and a wide one whose per-class profiles are large
+SWEEP_MEMORY_CASES = [
+    ([[10, 10, 10, 9, 8], [10, 10, 10, 9, 9]], (0, 1)),
+    ([[70, 80], [75, 75], [75, 75]], (0, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("arr, delta", SWEEP_MEMORY_CASES, ids=["five-columns", "wide"])
+def test_suffix_sweep_peak_memory_within_alpha_table(arr, delta):
+    gammas = [0.0, 1.0, 3.0, 6.0]
+    agg = _ordinal_aggregate(arr, delta)
+    classes = list(candidates_ordinal(agg.margins))
+
+    def peak(scan):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = scan()
+            return out, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    agg.suffix_alpha_table(gammas)  # fills the shared normalizer and factorial caches
+    sweep, sweep_peak = peak(lambda: agg.suffix_alpha_table(gammas))
+    table, table_peak = peak(lambda: agg.alpha_table(classes, gammas))
+    assert sweep_peak <= table_peak
+    _assert_same_alphas(sweep, table)
+
+
+def test_suffix_sweep_tail_sums_no_more_terms_than_alpha_table(monkeypatch):
+    # a 100-point grid at 4x4 margins 8: the log-sum-exp tail dominates both
+    # scans there, and the sweep's chunks keep only their reachable d
+    agg = _ordinal_aggregate([[2] * 4] * 4, (0, 0, 1, 1))
+    classes = list(candidates_ordinal(agg.margins))
+    gammas = np.linspace(0.0, 3.0, 100)
+    terms = []
+
+    def counting(a, axis=None):
+        terms.append(np.size(a))
+        return logsumexp(a, axis)
+
+    logsumexp = exactdist.logsumexp
+    monkeypatch.setattr(exactdist, "logsumexp", counting)
+    agg.alpha_table(classes, gammas)
+    table_terms, terms[:] = sum(terms), []
+    agg.suffix_alpha_table(gammas)
+    assert sum(terms) <= table_terms
+
+
+@pytest.mark.parametrize("strategy, calls", [("ordinal", 0), ("pi", 1)])
+def test_ordinal_scan_takes_the_suffix_sweep(monkeypatch, strategy, calls):
+    counted = []
+    alpha_table = RejectionAggregate.alpha_table
+
+    def counting(self, classes, gammas):
+        counted.append(len(classes))
+        return alpha_table(self, classes, gammas)
+
+    monkeypatch.setattr(RejectionAggregate, "alpha_table", counting)
+    table = ContingencyTable.from_array([[3, 1, 0], [2, 2, 1], [1, 2, 3]])
+    res = worst_case_grid(ordinal_statistic(*PRIOR.values()), table,
+                          SensitivityModel(gamma=0.0, delta=(0, 1, 1)), [0.0, 1.0],
+                          strategy=strategy)
+    assert len(counted) == calls
+    assert {r.strategy_used for r in res} == {strategy}
