@@ -404,12 +404,12 @@ def test_suffix_sweep_tail_sums_no_more_terms_than_alpha_table(monkeypatch):
     classes = list(candidates_ordinal(agg.margins))
     gammas = np.linspace(0.0, 3.0, 100)
     terms = []
+    logsumexp = exactdist.logsumexp
 
     def counting(a, axis=None):
         terms.append(np.size(a))
         return logsumexp(a, axis)
 
-    logsumexp = exactdist.logsumexp
     monkeypatch.setattr(exactdist, "logsumexp", counting)
     agg.alpha_table(classes, gammas)
     table_terms, terms[:] = sum(terms), []
