@@ -35,7 +35,6 @@ from exactsens.exactdist import (
     kernel_q,
     kernel_t_q,
     mvehg_pmf,
-    mvehg_sample,
 )
 from exactsens.worstcase import (
     WorstCaseResult,
@@ -79,7 +78,6 @@ __all__ = [
     "kernel_alpha",
     "brute_force_alpha",
     "mvehg_pmf",
-    "mvehg_sample",
     "candidates_pi",
     "candidates_ordinal",
     "signscore_u_plus",

@@ -118,6 +118,11 @@ def _gamma_grid(args) -> list[float]:
     return grid
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:  # also refuses nan
+        raise CliError(f"--level must lie strictly between 0 and 1, not {level}", EXIT_BAD_INPUT)
+
+
 def _one_gamma(args) -> float:
     """The gamma of a command that evaluates a single model (``size``, ``sample``)."""
     grid = _gamma_grid(args)
@@ -235,6 +240,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stratified(args) -> int:
+    _check_level(args.level)
     try:
         study, tau = StratifiedStudy.from_json(Path(args.input).read_text())
     except OSError as exc:
@@ -267,6 +273,7 @@ def cmd_stratified(args) -> int:
 
 
 def cmd_power(args) -> int:
+    _check_level(args.level)
     try:
         cfg = json.loads(Path(args.config).read_text())
         dgp = LogLinearDGP(
@@ -331,7 +338,9 @@ def cmd_size(args) -> int:
         "cols": cols,
         "gamma": model.gamma,
         "delta": args.delta,
+        "phi": args.phi,
         "alpha": args.alpha,
+        "nominal": args.nominal,
     }
     _write_csv(args.out, lines, config)
     _summary(args.summary, config)
@@ -369,9 +378,13 @@ def cmd_sample(args) -> int:
         "command": "sample",
         "table": args.table,
         "test": args.test,
+        "alpha": args.alpha,
+        "beta": args.beta,
         "gamma": model.gamma,
         "delta": args.delta,
+        "phi": args.phi,
         "fixed_ubar": args.fixed_ubar,
+        "with_exact": bool(args.with_exact),
         "iterations": args.iterations,
         "seed": args.seed,
         "proposal": TILTED_PROPOSAL_NAME,

@@ -46,18 +46,17 @@ level, and also supports real-valued u and dose models.
 Each closed-form law the package shares is implemented once, here:
 
 * ``_bounded_compositions``: the bounded-composition supports behind
-  ``omega_q``, ``mvehg_support`` and the per-column allocations;
+  ``omega_q`` and the per-column allocations;
 * ``_mvehg_law``: the multivariate extended (Fisher noncentral)
   hypergeometric law that the I x 2 column counts follow at the sign-score
   worst case: its gamma-free support and binomial log-terms (``_mvehg_base``,
   built per call, never cached) renormalized per weights (``_mvehg_probs``).
   ``mvehg_pmf``, ``signscore_tail``, the sign-score worst case
-  (``worstcase``, one base per Gamma grid), the stratified bounds, the size
-  study and the Q law (``moments.dist_q``) take their probabilities from it,
-  and ``tail_mass`` is their one P(T >= c) tie rule;
-* ``_sequential_weighted_draw``: the suffix-normalizer sampler behind
-  ``mvehg_sample_many`` / ``mvehg_sample`` and the tilted SIS proposal
-  (``montecarlo``);
+  (``worstcase``, one base per Gamma grid), the size study and the Q law
+  (``moments.dist_q``) take their probabilities from it, and ``tail_mass``
+  is their one P(T >= c) tie rule;
+* ``_sequential_weighted_draw``: the suffix-normalizer sampler behind the
+  tilted SIS proposal (``montecarlo``);
 * ``_block_sum_normalizer``: the binary-delta normalizer C(u) in closed block
   form, shared by ``RejectionAggregate`` and the SIS estimator;
 * ``_log_table_weight`` and ``_log_column_profile``: the binary-delta
@@ -95,9 +94,7 @@ __all__ = [
     "kernel_alpha",
     "brute_force_alpha",
     "RejectionAggregate",
-    "mvehg_support",
     "mvehg_pmf",
-    "mvehg_sample",
     "signscore_tail",
     "statistic_tolerance",
     "tail_mass",
@@ -178,8 +175,8 @@ def _bounded_compositions(total: int, bounds: Sequence[int]) -> np.ndarray:
 
     Returns them as the rows of an (S, n) int64 array in lexicographic order;
     no rows when ``total`` lies outside ``[0, sum(bounds)]``.  The one-owner
-    case of ``_bounded_compositions_many``, behind ``omega_q``,
-    ``mvehg_support`` and the per-column splits of ``_table_q_weights``.
+    case of ``_bounded_compositions_many``, behind ``omega_q``, the MVEHG
+    support and the per-column splits of ``_table_q_weights``.
     """
     bounds = np.asarray(bounds, dtype=np.int64).reshape(1, -1)
     if not 0 <= total <= int(bounds.sum()):
@@ -878,9 +875,6 @@ class RejectionAggregate:
                 M = M.reshape(K, M.shape[1], self._shape[j + 1], -1)
         return _log_scaled(M[:, :, 0], logscale[:, None])
 
-    def alpha(self, c: ConfounderClass, gamma: float) -> float:
-        return self.alpha_grid(c, [gamma])[0]
-
     def alpha_grid(self, c: ConfounderClass, gammas: Sequence[float]) -> list[float]:
         return self.alpha_table([c], gammas)[0].tolist()
 
@@ -1088,23 +1082,14 @@ def brute_force_alpha(
 # --------------------------------------------------------------------------
 
 
-def mvehg_support(m_rows: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    """All count vectors t with sum t_i = n, 0 <= t_i <= m_i."""
-    return list(map(tuple, _bounded_compositions(n, m_rows).tolist()))
-
-
-def _log_binomials(m_rows: Sequence[int], n: int) -> list[np.ndarray]:
-    """Per level i, log C(m_i, x) for x = 0..min(m_i, n) (gamma-free)."""
-    return [np.array([math.log(comb(mi, x)) for x in range(min(mi, n) + 1)]) for mi in m_rows]
-
-
 def _mvehg_base(m_rows: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(support as an (S, I) array, sum_i log C(m_i, t_i) over it); gamma-free."""
     support = _bounded_compositions(n, m_rows)
     if not len(support):
         raise ValueError("empty support")
     logc = np.zeros(len(support))
-    for i, tab in enumerate(_log_binomials(m_rows, n)):
+    for i, mi in enumerate(m_rows):
+        tab = np.array([math.log(comb(mi, x)) for x in range(min(mi, n) + 1)])
         logc += tab[support[:, i]]
     return support, logc
 
@@ -1202,44 +1187,6 @@ def _sequential_weighted_draw(
         rem = rem - out[:, j]
     out[:, J - 1] = rem
     return out, log_p, J - 1
-
-
-def mvehg_sample_many(
-    rng: np.random.Generator,
-    m_rows: Sequence[int],
-    n: int,
-    weights: Sequence[float],
-    size: int,
-) -> np.ndarray:
-    """(size, I) exact draws; sequential conditionals shared across the batch.
-
-    Level i takes its exact conditional given the remaining total from the
-    suffix-normalizer sampler with log-weights log C(m_i, x) + w_i x, using
-    the i-th block of ``size`` uniforms; the last level is forced.
-    """
-    m_rows = tuple(int(v) for v in m_rows)
-    I = len(m_rows)
-    if len(weights) != I:
-        raise ValueError("weights must match m_rows length")
-    if not 0 <= n <= sum(m_rows):
-        raise ValueError("infeasible total n")
-    logweights = [
-        tab + float(w) * np.arange(len(tab))
-        for tab, w in zip(_log_binomials(m_rows, int(n)), weights)
-    ]
-    U = rng.random((I - 1, size)).T
-    draws, _, _ = _sequential_weighted_draw(U, logweights, n)
-    return draws
-
-
-def mvehg_sample(
-    rng: np.random.Generator,
-    m_rows: Sequence[int],
-    n: int,
-    weights: Sequence[float],
-) -> np.ndarray:
-    """One exact draw via sequential conditional sampling of each level."""
-    return mvehg_sample_many(rng, m_rows, n, weights, 1)[0]
 
 
 def signscore_tail(

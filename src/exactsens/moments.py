@@ -52,10 +52,6 @@ class QDistribution:
         arr = np.asarray(self.support, dtype=float)
         return (arr[:, :, None] * arr[:, None, :] * self.probs[:, None, None]).sum(axis=0)
 
-    def cov(self) -> np.ndarray:
-        mu = self.mean()
-        return self.second_moments() - np.outer(mu, mu)
-
 
 @dataclass(frozen=True)
 class CellMoments:

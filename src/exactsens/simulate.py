@@ -222,11 +222,6 @@ def _power_one_iteration(
             # cross-cut row); no retained data means no rejection
             out.append([False] * len(gammas))
             continue
-        if len(spec.delta) != tt.I:
-            raise SensitivityError(
-                f"test variant {spec.name!r}: delta has {len(spec.delta)} entries "
-                f"but the transformed table has {tt.I} rows"
-            )
         model = SensitivityModel(gamma=gammas[0], delta=spec.delta)
         results = worst_case_grid(spec.statistic(), tt, model, gammas)
         out.append([res.pvalue <= alpha_level for res in results])
@@ -257,6 +252,19 @@ def power_curve(
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
         raise ValueError("gamma grid must be non-empty")
+    full = ContingencyTable.from_array(np.ones((dgp.I, dgp.J), dtype=np.int64))
+    for spec in specs:
+        # a transform's validity and row count depend on the shape alone, so a
+        # failure on a table with every cell filled is a misconfigured variant
+        try:
+            rows = spec.transform(full).I
+        except ValueError as exc:
+            raise ValueError(f"test variant {spec.name!r}: {exc}") from exc
+        if len(spec.delta) != rows:
+            raise SensitivityError(
+                f"test variant {spec.name!r}: delta has {len(spec.delta)} entries "
+                f"but the transformed table has {rows} rows"
+            )
     rejections = [
         _power_one_iteration(dgp, specs, gammas, alpha_level, seed, it)
         for it in range(iterations)

@@ -22,12 +22,6 @@ Closed testing turns the combiner into per-stratum familywise-error
 decisions: a stratum is rejected only if every subset containing it rejects,
 singletons using the raw p-value and larger subsets the subset-restricted
 truncated product.
-
-For binary outcomes, each stratum's sign-score statistic is stochastically
-bounded by its worst-case multivariate extended hypergeometric transform;
-``signscore_bound_distribution`` exposes those exact per-stratum laws.  The
-laws come from ``exactdist._mvehg_law``, the same code that gives the
-single-table sign-score worst case.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from exactsens.exactdist import _log_binom, _mvehg_law, log_factorials, tail_mass
+from exactsens.exactdist import _log_binom, log_factorials
 from exactsens.sensmodel import SensitivityModel
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable
@@ -55,8 +49,6 @@ __all__ = [
     "truncated_product",
     "combined_pvalue",
     "closed_testing",
-    "SignScoreBound",
-    "signscore_bound_distribution",
 ]
 
 DEFAULT_TAU = 0.2
@@ -239,34 +231,3 @@ def closed_testing(
     for k in range(K):
         out.append(all(rej for s, rej in subset_reject.items() if k in s))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class SignScoreBound:
-    """Exact law of the worst-case-transformed sign-score statistic of one stratum."""
-
-    values: np.ndarray  # statistic values on the support
-    probs: np.ndarray
-
-    def tail(self, critical: float) -> float:
-        return tail_mass(self.values, self.probs, critical)
-
-
-def signscore_bound_distribution(study: StratifiedStudy) -> list[SignScoreBound]:
-    """Per-stratum stochastic bounds for I x 2 x K studies.
-
-    Stratum k's bound is alpha_(k)' M with M multivariate extended
-    hypergeometric at margins (N_(k)I., N_(k).2) and weights gamma * bias.
-    """
-    if study.strata[0].J != 2:
-        raise ValueError("the sign-score bound requires binary outcomes")
-    if not study.model.monotone_bias():
-        raise ValueError("the sign-score bound requires monotone bias")
-    out = []
-    weights = [study.model.gamma * b for b in study.model.bias]
-    for k in range(study.K):
-        t = study.strata[k]
-        support, probs = _mvehg_law(t.row_margins(), t.col_margins()[1], weights)
-        values = support @ np.asarray(study.alphas[k], dtype=float)
-        out.append(SignScoreBound(values=values, probs=probs))
-    return out

@@ -174,12 +174,12 @@ def test_criterion_05_candidate_sets():
             delta = (0,) * (I - 1) + (1,)
         gamma = float(rng.uniform(0.1, 2.0))
         agg = RejectionAggregate(m, stat, stat(t), delta)
-        p_ord = max(agg.alpha(c, gamma) for c in candidates_ordinal(m))
-        p_pi = max(agg.alpha(c, gamma) for c in candidates_pi(m))
+        p_ord = max(agg.alpha_grid(c, [gamma])[0] for c in candidates_ordinal(m))
+        p_pi = max(agg.alpha_grid(c, [gamma])[0] for c in candidates_pi(m))
         rel = abs(p_ord - p_pi) / max(p_pi, 1e-300)
         worst_rel = max(worst_rel, rel)
         if J == 2:
-            p_ss = agg.alpha(signscore_u_plus(m), gamma)
+            p_ss = agg.alpha_grid(signscore_u_plus(m), [gamma])[0]
             ss_worst = max(ss_worst, abs(p_ss - p_pi) / max(p_pi, 1e-300))
         checked += 1
     ok = worst_rel < 1e-12 and ss_worst < 1e-12

@@ -401,6 +401,85 @@ def test_power_misconfiguration_exit_codes(tmp_path):
     assert not out.exists()
 
 
+def test_power_misconfigured_variant_exits_2(tmp_path, capsys):
+    # the suite's 3 x 3 level groups cannot partition a 4 x 4 table; every
+    # draw would fail the same way, so the run stops before simulating
+    cfg = {
+        "lambda_z": [0.0] * 4,
+        "lambda_r": [0.0] * 4,
+        "alpha_star": [0.0, 1.0, 2.0, 3.0],
+        "beta_star": [0.0, 1.0, 2.0, 3.0],
+        "treatment_margins": [5, 5, 5, 5],
+        "delta": [0, 1, 1, 1],
+    }
+    cp = tmp_path / "dgp4.json"
+    cp.write_text(json.dumps(cfg))
+    out = tmp_path / "power.csv"
+    assert run(["power", str(cp), "--suite", "--gamma-grid", "0", "--iterations", "3",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: test variant '3x2-v1': column blocks must partition 0..3\n")
+    assert not out.exists()
+
+
+@pytest.fixture
+def level_inputs(tmp_path):
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({
+        "strata": [{"counts": [[5, 1], [1, 5]], "alpha": [0, 1], "beta": [0, 1]}] * 2,
+        "gamma": 0.0,
+        "delta": [0, 1],
+    }))
+    dgp = tmp_path / "dgp.json"
+    dgp.write_text(json.dumps({
+        "lambda_z": [1.0, 0.0, 0.0],
+        "lambda_r": [1.0, 0.2, 0.0],
+        "alpha_star": [0.0, 1.7, 2.45],
+        "beta_star": [0.0, 1.25, 1.4],
+        "treatment_margins": [10, 10, 10],
+    }))
+    return {"stratified": ["stratified", str(study)],
+            "power": ["power", str(dgp), "--iterations", "2"]}
+
+
+@pytest.mark.parametrize("command", ["stratified", "power"])
+@pytest.mark.parametrize("level", ["nan", "inf", "-0.05", "0", "1", "1.5"])
+def test_level_outside_the_unit_interval_exits_2(command, level, level_inputs, tmp_path,
+                                                  capsys):
+    # nan wrote invalid JSON into the metadata line and flagged nothing; a
+    # level of 1 or more rejected every stratum or every draw
+    out = tmp_path / "out.csv"
+    assert run(level_inputs[command] + ["--level", level, "--out", str(out)]) == 2
+    assert "--level must lie strictly between 0 and 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _config_echo(path):
+    meta = path.read_text().splitlines()[0]
+    assert meta.startswith("# exactsens ")
+    return json.loads(meta.split(" ", 3)[3])
+
+
+def test_size_and_sample_echo_their_full_configuration(tmp_path):
+    out = tmp_path / "size.csv"
+    assert run(["size", "--rows", "4,3", "--cols", "3,4", "--delta", "0,1",
+                "--gamma-grid", "0.5", "--nominal", "0.05,0.5", "--out", str(out)]) == 0
+    echo = _config_echo(out)
+    assert (echo["nominal"], echo["delta"], echo["phi"]) == ("0.05,0.5", "0,1", None)
+
+    p = tmp_path / "t.csv"
+    p.write_text("2,3\n1,4\n")
+    echoes = []
+    for beta, extra in [("0,1", []), ("0,2", ["--with-exact"])]:
+        out = tmp_path / f"sample{len(echoes)}.csv"
+        assert run(["sample", str(p), "--test", "ordinal", "--alpha", "0,1", "--beta", beta,
+                    "--delta", "0,1", "--gamma-grid", "1", "--fixed-ubar", "1,2",
+                    "--iterations", "5", "--out", str(out)] + extra) == 0
+        echoes.append(_config_echo(out))
+    assert [(e["alpha"], e["beta"], e["with_exact"]) for e in echoes] == [
+        ("0,1", "0,1", False), ("0,1", "0,2", True)]
+
+
 def test_size_command(tmp_path):
     out = tmp_path / "size.csv"
     code = run([

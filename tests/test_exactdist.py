@@ -24,9 +24,6 @@ from exactsens.exactdist import (
     log_factorials,
     logsumexp,
     mvehg_pmf,
-    mvehg_sample,
-    mvehg_sample_many,
-    mvehg_support,
     omega_q,
     signscore_tail,
 )
@@ -278,7 +275,8 @@ def test_exact_alpha_is_the_aggregate_at_n30():
     model = SensitivityModel(gamma=1.0, delta=(0, 0, 1))
     c = ConfounderClass((5, 5, 5))
     p = exact_alpha(stat, t, c, model)
-    assert p == RejectionAggregate(t.margins(), stat, stat(t), model.delta).alpha(c, 1.0)
+    agg = RejectionAggregate(t.margins(), stat, stat(t), model.delta)
+    assert p == agg.alpha_grid(c, [1.0])[0]
     assert p == pytest.approx(kernel_alpha(stat, t, c, model), rel=1e-10)
 
 
@@ -345,7 +343,7 @@ def test_mvehg_normalization(rng):
         m_rows = rng.integers(1, 6, size=3).tolist()
         n = int(rng.integers(0, sum(m_rows) + 1))
         w = rng.normal(size=3).tolist()
-        total = sum(mvehg_pmf(t, m_rows, n, w) for t in mvehg_support(m_rows, n))
+        total = sum(mvehg_pmf(t, m_rows, n, w) for t in omega_q(n, m_rows))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -368,7 +366,6 @@ def test_compositions_match_product_filter(rng):
         cases.append((caps, int(rng.integers(-2, sum(caps) + 3))))
     for caps, total in cases:
         want = _product_filter(total, caps)
-        assert mvehg_support(caps, total) == want, (caps, total)
         assert list(omega_q(total, caps)) == want, (caps, total)
 
 
@@ -388,38 +385,6 @@ def test_sequential_draw_logprob_is_mvehg_pmf(rng):
         assert ucol == len(m_rows) - 1
         for row, lp in zip(draws, log_p):
             assert lp == pytest.approx(math.log(mvehg_pmf(row, m_rows, n, w)), abs=1e-12)
-
-
-def test_mvehg_sample_degenerate(rng):
-    assert tuple(mvehg_sample(rng, (3, 4), 0, (0.0, 1.0))) == (0, 0)
-    assert tuple(mvehg_sample(rng, (3, 4), 7, (0.0, 1.0))) == (3, 4)
-
-
-def test_mvehg_sample_frequencies():
-    rng = np.random.default_rng(5)
-    m_rows, n, w = (3, 2, 2), 4, (0.0, 0.6, 1.2)
-    support = mvehg_support(m_rows, n)
-    pmf = np.array([mvehg_pmf(t, m_rows, n, w) for t in support])
-    index = {t: k for k, t in enumerate(support)}
-    draws = 200_000
-    sample = mvehg_sample_many(rng, m_rows, n, w, draws)
-    counts = np.zeros(len(support))
-    for row in sample:
-        counts[index[tuple(row)]] += 1
-    freq = counts / draws
-    sigma = np.sqrt(pmf * (1 - pmf) / draws)
-    assert np.all(np.abs(freq - pmf) <= 3 * sigma + 1e-4)
-    # the one-draw form follows the same conditionals
-    one = mvehg_sample(np.random.default_rng(5), m_rows, n, w)
-    assert tuple(one) in index
-
-
-def test_mvehg_mean_weightless(rng):
-    m_rows, n = (4, 2, 2), 3
-    draws = mvehg_sample_many(rng, m_rows, n, (0.0, 0.0, 0.0), 20000)
-    expect = n * np.asarray(m_rows) / sum(m_rows)
-    se = draws.std(axis=0) / math.sqrt(len(draws))
-    assert np.all(np.abs(draws.mean(axis=0) - expect) < 4 * se + 1e-9)
 
 
 def test_signscore_worstcase_law_is_mvehg():
@@ -618,8 +583,9 @@ def test_streamed_build_with_overflowing_state_keys():
     agg = RejectionAggregate(m, stat, 1.0, (0,) * 7 + (1,))
     assert (agg.ntables, agg.nrejected) == (8, 1)
     c = ConfounderClass((0, 1))
-    assert agg.alpha(c, 0.0) == pytest.approx(1 / 8, rel=1e-12)
-    assert agg.alpha(c, 2.0) == pytest.approx(math.exp(2.0) / (7 + math.exp(2.0)), rel=1e-12)
+    p0, p2 = agg.alpha_grid(c, [0.0, 2.0])
+    assert p0 == pytest.approx(1 / 8, rel=1e-12)
+    assert p2 == pytest.approx(math.exp(2.0) / (7 + math.exp(2.0)), rel=1e-12)
 
 
 @pytest.mark.parametrize("stat", [chi2_statistic(), g2_statistic()])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from exactsens.exactdist import mvehg_pmf, mvehg_support, signscore_tail, statistic_tolerance
+from exactsens.exactdist import mvehg_pmf, omega_q, signscore_tail, statistic_tolerance
 from exactsens.moments import test_moments as ordinal_moments
 from exactsens.sensmodel import SensitivityError, SensitivityModel
 from exactsens.simulate import (
@@ -122,6 +122,19 @@ def test_power_delta_mismatch_raises():
         power_curve(1, CASE_I, bad, [0.0], iterations=2)
 
 
+def test_power_misconfigured_variant_raises_before_simulating(monkeypatch):
+    # the suite's 3 x 3 level groups cannot partition a 4 x 4 table: that is
+    # reported with the variant's name, not counted as "no rejection"
+    dgp4 = LogLinearDGP(0.0, (0.0,) * 4, (0.0,) * 4, 1.0, (0, 1, 2, 3), (0, 1, 2, 3),
+                        (5, 5, 5, 5))
+    suite = standard_test_suite(dgp4.alpha_star, dgp4.beta_star, (0, 1, 1, 1))
+    monkeypatch.setattr("exactsens.simulate.sample_table_fixed_treatment", None)
+    with pytest.raises(ValueError, match="test variant '3x2-v1': column blocks"):
+        power_curve(1, dgp4, suite, [0.0], iterations=3)
+    with pytest.raises(ValueError, match="test variant '2x2-v1': row blocks"):
+        power_curve(1, dgp4, suite[3], [0.0], iterations=3)
+
+
 def test_power_degenerate_crosscut_counts_as_no_rejection():
     # row 1 always lands in the middle outcome, so every cross-cut draw keeps
     # an empty row: nothing is retained to test, which counts as no rejection
@@ -195,7 +208,7 @@ def pointwise_size(margins, model, alpha, nominal, method):
         stat = ordinal_statistic(alpha, (0, 1))
         mean, var = ordinal_moments(stat, signscore_u_plus(margins), margins, model)
     rates = [0.0] * len(nominal)
-    for t in mvehg_support(rows, n):
+    for t in omega_q(n, rows):
         t_obs = sum(a * x for a, x in zip(alpha, t))
         if method == "exact":
             p = signscore_tail(alpha, rows, n, weights, t_obs)
@@ -211,7 +224,7 @@ def pointwise_size(margins, model, alpha, nominal, method):
 def monte_carlo_size(seed, margins, model, alpha, nominal, iterations, method):
     """P(p <= g) estimated from draws of the null law, one p-value per draw."""
     weights = [model.gamma * b for b in model.bias]
-    support = np.array(mvehg_support(margins.rows, margins.cols[1]))
+    support = np.array(list(omega_q(margins.cols[1], margins.rows)))
     probs = np.array([mvehg_pmf(t, margins.rows, margins.cols[1], weights) for t in support])
     tvals = support @ np.asarray(alpha, dtype=float)
     if method == "normal":

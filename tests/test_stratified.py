@@ -1,4 +1,4 @@
-"""Stratified inference: combining, closed testing, sign-score bounds."""
+"""Stratified inference: combining and closed testing."""
 
 import math
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from exactsens import worstcase
-from exactsens.exactdist import RejectionAggregate, exact_alpha
-from exactsens.sensmodel import ConfounderClass, SensitivityModel
-from exactsens.stats import ordinal_statistic
+from exactsens.exactdist import RejectionAggregate
+from exactsens.sensmodel import SensitivityModel
 from exactsens.tables import ContingencyTable
 from exactsens.stratified import (
     StratifiedStudy,
@@ -16,7 +15,6 @@ from exactsens.stratified import (
     analyze_study_grid,
     closed_testing,
     combined_pvalue,
-    signscore_bound_distribution,
     stratified_worst_case,
     truncated_product,
 )
@@ -155,68 +153,6 @@ def test_closed_testing_never_rejects_high_raw_p():
 def test_closed_testing_k_cap():
     with pytest.raises(ValueError):
         closed_testing([0.1] * 11, lambda ps: 0.5, 0.05)
-
-
-def test_signscore_bound_central_case():
-    t1 = ContingencyTable.from_array([[3, 1], [2, 2], [1, 3]])
-    study = StratifiedStudy(
-        strata=(t1,),
-        alphas=((0.0, 1.0, 2.0),),
-        betas=((0.0, 1.0),),
-        model=SensitivityModel(gamma=0.0, delta=(0, 1, 1)),
-    )
-    (bound,) = signscore_bound_distribution(study)
-    assert bound.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    # gamma = 0 is the central multivariate hypergeometric: mean of counts
-    # matches n * m_i / N
-    mean_counts = (bound.values * bound.probs).sum()
-    # E[T] = sum_i alpha_i * n2 * m_i / N
-    n2, rows, N = 6, (4, 4, 4), 12
-    want = sum(a * n2 * r / N for a, r in zip((0, 1, 2), rows))
-    assert mean_counts == pytest.approx(want, rel=1e-12)
-
-
-def test_signscore_bound_tail_equals_exact_alpha():
-    t1 = ContingencyTable.from_array([[3, 1], [2, 2], [1, 3]])
-    gamma = 0.9
-    study = StratifiedStudy(
-        strata=(t1,),
-        alphas=((0.0, 1.0, 2.0),),
-        betas=((0.0, 1.0),),
-        model=SensitivityModel(gamma=gamma, delta=(0, 1, 1)),
-    )
-    (bound,) = signscore_bound_distribution(study)
-    stat = ordinal_statistic((0, 1, 2), (0, 1))
-    crit = stat(t1)
-    uplus = ConfounderClass((0, t1.col_margins()[1]))
-    want = exact_alpha(stat, t1, uplus, SensitivityModel(gamma=gamma, delta=(0, 1, 1)))
-    assert bound.tail(crit) == pytest.approx(want, rel=1e-10)
-
-
-def test_signscore_bound_dominates_true_tail():
-    # the bound's tail of g = T1 + T2 is >= the true tail at any admissible u;
-    # both laws of g are exact outer sums of two per-stratum laws
-    t1 = ContingencyTable.from_array([[3, 1], [2, 2], [1, 3]])
-    gamma = 0.8
-    model = SensitivityModel(gamma=gamma, delta=(0, 1, 1))
-    study = StratifiedStudy(
-        strata=(t1, t1), alphas=((0.0, 1.0, 2.0),) * 2, betas=((0.0, 1.0),) * 2,
-        model=model,
-    )
-    b1, b2 = signscore_bound_distribution(study)
-    g_bound = np.add.outer(b1.values, b2.values).ravel()
-    p_bound = np.multiply.outer(b1.probs, b2.probs).ravel()
-    # true law at an interior confounder class via the exact table law
-    from tests.conftest import table_law
-
-    tables, p = table_law(t1.margins(), ConfounderClass((1, 2)), model)
-    tv = ordinal_statistic((0, 1, 2), (0, 1)).evaluate_batch(tables)
-    g_true = np.add.outer(tv, tv).ravel()
-    p_true = np.multiply.outer(p, p).ravel()
-    for c in np.unique(tv)[1:]:
-        tail_bound = p_bound[g_bound >= 2 * c - 1e-9].sum()
-        tail_true = p_true[g_true >= 2 * c - 1e-9].sum()
-        assert tail_bound >= tail_true - 1e-12
 
 
 def test_from_json():

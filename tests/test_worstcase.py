@@ -207,7 +207,7 @@ def test_aggregate_no_mask_consistency():
     agg = RejectionAggregate(t.margins(), stat, -100.0, (0, 1))
     for c in candidates_pi(t.margins()):
         for g in (0.0, 1.3):
-            assert agg.alpha(c, g) == pytest.approx(1.0, abs=1e-12)
+            assert agg.alpha_grid(c, [g])[0] == pytest.approx(1.0, abs=1e-12)
 
 def test_collapsed_variant_pvalues_from_study_tables():
     # coarsened-test p-values derived from the two study tables; each variant
