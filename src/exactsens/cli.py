@@ -138,7 +138,11 @@ def _build_statistic(args, table: ContingencyTable) -> TestStatistic:
     if spec == "g2":
         return g2_statistic()
     if spec.startswith("cell:"):
-        i, j = (int(v) for v in spec[len("cell:"):].split(","))
+        try:
+            i, j = (int(v) for v in spec[len("cell:"):].split(","))
+        except ValueError:
+            raise CliError(f"bad cell spec {spec!r}; expected cell:i,j (1-based)",
+                           EXIT_BAD_INPUT) from None
         return cell_statistic(i - 1, j - 1)  # CLI is 1-based
     if spec == "ordinal":
         if args.alpha is None or args.beta is None:
@@ -322,10 +326,17 @@ def cmd_size(args) -> int:
     cols = _parse_ints(args.cols)
     margins = Margins(tuple(rows), tuple(cols))
     model = _model(args, len(rows)).with_gamma(_one_gamma(args))
+    if not model.is_binary:
+        raise CliError("size needs a binary --delta: its normal-approximation column "
+                       "takes the Q distribution, derived for binary delta models",
+                       EXIT_MODEL_MISMATCH)
     alpha_scores = _parse_floats(args.alpha) if args.alpha else list(range(len(rows)))
     if len(alpha_scores) != len(rows):
         raise CliError("--alpha length must match --rows", EXIT_BAD_INPUT)
     nominal = _parse_floats(args.nominal) if args.nominal else [v / 100 for v in range(1, 100)]
+    bad = [g for g in nominal if not 0.0 <= g <= 1.0]  # also catches nan
+    if bad:
+        raise CliError(f"--nominal levels must lie in [0, 1], not {bad[0]}", EXIT_BAD_INPUT)
     lines = ["method,nominal_alpha,rate,mc_sigma"]
     for method in ("exact", "normal"):
         rates = size_curve(margins, model, alpha_scores, nominal, method)

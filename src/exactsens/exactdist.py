@@ -57,8 +57,8 @@ Each closed-form law the package shares is implemented once, here:
   is their one P(T >= c) tie rule;
 * ``_sequential_weighted_draw``: the suffix-normalizer sampler behind the
   tilted SIS proposal (``montecarlo``);
-* ``_block_sum_normalizer``: the binary-delta normalizer C(u) in closed block
-  form, shared by ``RejectionAggregate`` and the SIS estimator;
+* ``_log_block_normalizer``: the binary-delta normalizer C(u), from the
+  hypergeometric law of d = delta'q, for ``RejectionAggregate`` and SIS;
 * ``_log_table_weight`` and ``_log_column_profile``: the binary-delta
   factorization v(t) = w(t) prod_j sum_d chi_j[b_j, d] e^{gamma d} into the
   gamma-free table weight w(t) = prod_j a_j! b_j! / prod_ij t_ij! and the
@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Context, Decimal
 from functools import lru_cache
 from math import comb, fsum, lgamma
 from typing import Iterator, NamedTuple, Sequence
@@ -304,6 +305,21 @@ def kernel_t_q(t: ContingencyTable, q: Sequence[int], c: ConfounderClass) -> int
     return total
 
 
+def _resolve_critical(
+    test: TestStatistic, t_obs: ContingencyTable, critical: float | None
+) -> float:
+    """The c of T >= c: ``critical``, or T(t_obs) when None; refused unless finite.
+
+    Every p-value path calls it: a nan or infinite c would reject no table
+    and pass for p = 0.
+    """
+    if critical is None:
+        critical = test(t_obs)
+    if not math.isfinite(critical):
+        raise ValueError("critical value must be finite")
+    return float(critical)
+
+
 def _checked_critical(
     test: TestStatistic,
     t_obs: ContingencyTable,
@@ -321,11 +337,7 @@ def _checked_critical(
     c.validate_for(m)
     if len(model.delta) != m.I:  # type: ignore[arg-type]
         raise ValueError("delta length must match the number of treatment levels")
-    if critical is None:
-        critical = test(t_obs)
-    if not math.isfinite(critical):
-        raise ValueError("critical value must be finite")
-    return float(critical)
+    return _resolve_critical(test, t_obs, critical)
 
 
 def exact_alpha(
@@ -494,31 +506,44 @@ _BUILD_CHUNK_BYTES = 2 << 20
 _BUILD_ROW_BYTES = 96
 
 
-@lru_cache(maxsize=1024)
-def _block_sum_normalizer(
-    rows: tuple[int, ...], block_total: int, ubar: int
-) -> tuple[np.ndarray, float]:
-    """Closed form of C(u) = sum_q e^{gamma delta'q} kernel_q(q) for binary delta.
+def _log_block_normalizer(
+    rows: Sequence[int], block_total: int, totals: np.ndarray, gammas: Sequence[float]
+) -> np.ndarray:
+    """(K, G) log C(u) at ubar total ``totals[k]`` and gamma ``gammas[g]``, binary delta.
 
-    Grouping q by d = delta'q gives C(u) = sum_d K_d e^{gamma d} with
-    K_d = C(ubar, d) C(N - ubar, B - d) B! (N - B)! / prod_i N_i.! and B the
-    delta-block treatment total.  Returns (log C(ubar, d) C(N - ubar, B - d)
-    for d = 0..ubar, -inf where it vanishes; the shared log scale), so
-    log K_d = logk[d] + scale.  Exact integers up to the final log; cached
-    per (rows, B, ubar) as a read-only array, since a candidate scan and a
-    power study meet the same totals again and again.
+    C(u) = sum_q e^{gamma delta'q} kernel_q(q) = N! / prod_i N_i.! E[e^{gamma d}]
+    with d = delta'q hypergeometric (N, ubar, B), B the delta-block treatment
+    total (Vandermonde's identity); the constant is correctly rounded, so at
+    gamma = 0 every total gets the same float.  log h, relative to its mode, is
+    a running sum of log h(d) / h(d - 1) = log (ubar - d + 1)(B - d + 1) /
+    (d (N - ubar - B + d)), integers up to N^2 that float64 holds exactly.
     """
-    N = sum(rows)
-    scale = lgamma(block_total + 1) + lgamma(N - block_total + 1) - fsum(
-        lgamma(r + 1) for r in rows
-    )
-    logk = np.full(ubar + 1, -np.inf)
-    for d in range(ubar + 1):
-        k = _c(ubar, d) * _c(N - ubar, block_total - d)
-        if k:
-            logk[d] = math.log2(k) * math.log(2.0)
-    logk.flags.writeable = False
-    return logk, scale
+    N, B = sum(rows), block_total
+    # N! / prod_i N_i.! as a product of binomials, filling the rows from the last
+    multinomial = math.prod(map(comb, itertools.accumulate(rows[::-1]), rows[::-1]))
+    log_multinomial = float(Decimal(multinomial).ln(Context(prec=30)))
+    g = np.append(0.0, gammas)[:, None]  # gamma 0 first: log E[1], the divisor
+    out = np.empty((len(totals), len(g) - 1))
+    # floats per total: the tilted terms, log-sum-exp temporaries and running sums
+    chunk = max(1, _SCAN_CHUNK_BYTES // (8 * (min(B, N - B) + 1) * (3 * len(g) + 6)))
+    for start in range(0, len(totals), chunk):
+        u = totals[start : start + chunk, None]
+        lo, hi = np.maximum(0, u - (N - B)), np.minimum(u, B)
+        mode = (u + 1) * (B + 1) // (N + 2)
+        d = lo + np.arange(int((hi - lo).max()) + 1)
+        step = (d > lo) & (d <= hi)  # where h(d) / h(d - 1) is defined
+        den = np.where(step, d * (N - u - B + d), 1)
+        ratio = np.log1p((np.where(step, (u - d + 1) * (B - d + 1), 1) - den) / den)
+        # summed as multiples of 2^-20, whose running sums are exact, and the
+        # small remainders, so the sums round once however far d is from the mode
+        coarse = np.round(ratio * 2.0**20) / 2.0**20
+        run = np.cumsum(np.stack([coarse, ratio - coarse]), axis=2)
+        run -= np.take_along_axis(run, (mode - lo)[None], axis=2)
+        logh = np.where(d <= hi, run[0] + run[1], -np.inf)
+        tilted = logsumexp(logh[:, None, :] + g * (d - mode)[:, None, :], axis=-1)
+        out[start : start + chunk] = (
+            tilted[:, 1:] - tilted[:, :1] + g[1:].T * mode + log_multinomial)
+    return out
 
 
 def _log_binom(logfact: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -714,9 +739,7 @@ class RejectionAggregate:
     rejected tables (log-offset floats; all terms positive).  The numerator
     of alpha at a confounder class ubar is S_d = sum_b R[b] sum_{d_1 + ... +
     d_J = d} prod_j chi_j[b_j, d_j] with the column profiles of
-    ``_log_column_profile``.  The denominator has the closed form
-    C(ubar, d) C(N - ubar, B - d) B! (N - B)! / prod N_i.! with B the
-    delta-block treatment total.
+    ``_log_column_profile``.  The denominator C(u) is ``_log_block_normalizer``.
 
     R is built from a stream over the reference set that never holds the
     tables.  log w, b and the built-in statistics are sums of per-column
@@ -735,7 +758,8 @@ class RejectionAggregate:
     float and large column margins cannot overflow.  R is contracted column
     by column as a matmul batched over the classes, convolving d as it goes
     (``_matmul_convolve``), and one log-sum-exp over d gives every (class,
-    gamma) pair (``_tilted_alphas``).  Classes are processed in chunks whose
+    gamma) numerator (``_tilted_alphas``), over denominators taken once per
+    scan.  Classes are processed in chunks whose
     intermediates fit in ``_SCAN_CHUNK_BYTES``.  ``alpha_grid`` is its
     one-class call.  ``suffix_alpha_table`` gives the same alphas for the
     N + 1 ordinal suffix classes from one sweep over R's columns instead of
@@ -885,39 +909,26 @@ class RejectionAggregate:
         U = self._class_array(classes)
         g = np.asarray(gammas, dtype=float)
         out = np.zeros((len(U), len(g)))
+        totals, which = np.unique(U.sum(axis=1), return_inverse=True)
+        logC = _log_block_normalizer(self.margins.rows, self.block_total, totals, g)[which]
         per_class = max(self._floats_per_class(), len(g) * (self.margins.N + 1))
         chunk = max(1, _SCAN_CHUNK_BYTES // (8 * per_class))
         for start in range(0, len(U), chunk):
             Uc = U[start : start + chunk]
             out[start : start + chunk] = self._tilted_alphas(
-                self._log_numerators(Uc), Uc.sum(axis=1), g)
+                self._log_numerators(Uc), g, logC[start : start + chunk])
         return out
 
     def _tilted_alphas(
-        self, logS: np.ndarray, totals: np.ndarray, g: np.ndarray, d0: int = 0
+        self, logS: np.ndarray, g: np.ndarray, logC: np.ndarray, d0: int = 0
     ) -> np.ndarray:
-        """(K, G) alphas from the log numerators of classes with ubar totals ``totals``.
+        """(K, G) alphas from the log numerators ``logS`` (K, D), column i holding d = d0 + i.
 
-        Column i of ``logS`` (K, D) holds d = d0 + i; the d it does not cover
-        have S_d = 0.  One log-sum-exp per (class, gamma) for the numerator and
-        one for the closed-form denominator of the class's total
-        (``_block_sum_normalizer``).  Every term of either has d = delta'q
-        between total - (N - B) and min(total, B), so only that range of d,
-        over the chunk's classes, is summed.
+        One log-sum-exp per (class, gamma) over the numerator, less the
+        class's log C(u) ``logC`` (K, G), which the caller takes once per scan.
         """
-        N, B = self.margins.N, self.block_total
-        lo = max(0, int(totals.min()) - (N - B))
-        hi = min(int(totals.max()), B) + 1
-        num = np.full((len(totals), hi - lo), -np.inf)
-        first, stop = max(lo, d0), min(hi, d0 + logS.shape[1])
-        num[:, first - lo : stop - lo] = logS[:, first - d0 : stop - d0]
-        den = np.full(num.shape, -np.inf)
-        for total in sorted(set(totals.tolist())):
-            logk, scale = _block_sum_normalizer(self.margins.rows, B, total)
-            den[totals == total, : total + 1 - lo] = logk[lo:hi] + scale
-        tilt = g[:, None] * np.arange(lo, hi)
-        return np.exp(logsumexp(num[:, None, :] + tilt, axis=-1)
-                      - logsumexp(den[:, None, :] + tilt, axis=-1))
+        tilt = g[:, None] * np.arange(d0, d0 + logS.shape[1])
+        return np.exp(logsumexp(logS[:, None, :] + tilt, axis=-1) - logC)
 
     def suffix_alpha_table(self, gammas: Sequence[float]) -> np.ndarray:
         """(N + 1, G) array: ``alpha_table`` over the ordinal suffix classes.
@@ -941,6 +952,7 @@ class RejectionAggregate:
         m = self.margins
         g = np.asarray(gammas, dtype=float)
         out = np.zeros((m.N + 1, len(g)))
+        logC = _log_block_normalizer(m.rows, self.block_total, np.arange(m.N + 1), g)
         logb = [_log_binom(self._logfact, cj, np.arange(cj + 1)) for cj in m.cols]
         tops = [float(lb.max()) for lb in logb]
         binoms = [np.exp(lb - top) for lb, top in zip(logb, tops)]
@@ -972,7 +984,7 @@ class RejectionAggregate:
                     chiT, top = _scaled_column_profile(self._logfact, cp, uc, b_range)
                     logS = _log_scaled(_matmul_convolve(chiT, V), logscale + top[:, None])
                     del chiT  # so that it is freed before the next chunk's is made
-                    out[base + uc] = self._tilted_alphas(logS, base + uc, g, s0)
+                    out[base + uc] = self._tilted_alphas(logS, g, logC[base + uc], s0)
             if p == 0:
                 break
             if ns == 1:
@@ -1036,8 +1048,7 @@ def brute_force_alpha(
             f"N = {N} exceeds the oracle cap {ORACLE_CAP}; pass allow_large=True "
             "to run anyway"
         )
-    if critical is None:
-        critical = test(t_obs)
+    critical = _resolve_critical(test, t_obs, critical)
     tol = statistic_tolerance(critical)
     bias = np.asarray(model.bias, dtype=float)
     uvec = np.asarray(u.u, dtype=float)

@@ -25,11 +25,10 @@ same factorization yields the confounder-aware proposal that SIS and snSIS
 draw from (``TILTED_PROPOSAL_NAME``): the block sums come from their exact
 tilted marginal prod_j e^{G_j[b_j]}, then each block is filled by the
 row-fill proposal, which is the uniform-assignment law of a block, so the
-importance ratios are flat.  The block sums are
-drawn by the shared suffix-normalizer sampler and C(u) comes from the closed
-block form, both implemented in ``exactdist`` (``_sequential_weighted_draw``,
-``_block_sum_normalizer``).  ``estimate_alpha_sis_pair`` returns both traces
-from one set of draws.
+importance ratios are flat.  The block sums come from the suffix-normalizer
+sampler and C(u) from the scans' normalizer, both in ``exactdist``
+(``_sequential_weighted_draw``, ``_log_block_normalizer``).
+``estimate_alpha_sis_pair`` returns both traces from one set of draws.
 
 Reproducibility: sample m always consumes uniforms from the stream seeded by
 (seed, m), so traces are identical under any batching or scheduling.
@@ -45,10 +44,11 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
 from exactsens.exactdist import (
-    _block_sum_normalizer,
     _check_subject_data,
+    _log_block_normalizer,
     _log_column_profile,
     _log_table_weight,
+    _resolve_critical,
     _sequential_weighted_draw,
     log_factorials,
     logsumexp,
@@ -279,16 +279,12 @@ def estimate_alpha_sis_pair(
         raise SensitivityError("kernel-weighted estimators require a binary delta")
     m = t_obs.margins()
     c.validate_for(m)
-    if critical is None:
-        critical = test(t_obs)
+    critical = _resolve_critical(test, t_obs, critical)
     tables, log_h = _tilted_fill(m, c, model, _stream_uniforms(seed, M, _free_cells(m)))
     keep = test.evaluate_batch(tables) >= critical - statistic_tolerance(critical)
     log_ratio = _log_v_batch(tables, m, c, model) - log_h
-    # SIS: log C(u) from the closed block form, summed over the d with K_d > 0
     B = sum(r for r, dv in zip(m.rows, model.delta) if dv == 1)  # type: ignore[arg-type]
-    logk, scale = _block_sum_normalizer(m.rows, B, c.total)
-    d = np.flatnonzero(np.isfinite(logk))
-    logC = float(logsumexp(logk[d] + model.gamma * d) + scale)
+    logC = float(_log_block_normalizer(m.rows, B, np.array([c.total]), [model.gamma])[0, 0])
     terms = np.where(keep, np.exp(log_ratio - logC), 0.0)
     running = np.cumsum(terms) / np.arange(1, M + 1)
     sis = EstimatorTrace("SIS", running, float(running[-1]))
@@ -321,8 +317,7 @@ def estimate_alpha_permtreat(
         raise ValueError("M must be at least 1")
     m = t_obs.margins()
     outcomes = _check_subject_data(m, u, outcome_vector, model)
-    if critical is None:
-        critical = test(t_obs)
+    critical = _resolve_critical(test, t_obs, critical)
     N = m.N
     bias = np.asarray(model.bias, dtype=float)
     base = np.repeat(np.arange(m.I), m.rows)

@@ -35,7 +35,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from exactsens.exactdist import RejectionAggregate, _mvehg_base, _mvehg_probs, tail_mass
+from exactsens.exactdist import (
+    RejectionAggregate, _mvehg_base, _mvehg_probs, _resolve_critical, tail_mass,
+)
 from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel, check_gammas
 from exactsens.stats import TestFamily, TestStatistic
 from exactsens.tables import ContingencyTable, Margins
@@ -165,8 +167,7 @@ def worst_case_grid(
     """Worst case at each gamma from one gamma-free build (aggregate or MVEHG support)."""
     check_gammas(gammas)
     m = t_obs.margins()
-    if critical is None:
-        critical = test(t_obs)
+    critical = _resolve_critical(test, t_obs, critical)
     strategy = _resolve_strategy(test, model, m, strategy)
     if strategy == "signscore":
         # T is affine in the column-2 count vector M when J = 2, so evaluate

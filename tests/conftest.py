@@ -5,7 +5,9 @@ the sensitivity model at a confounder class by integer assignment counting
 (per-column multinomial sweeps), independently of the production aggregation
 order.  Moment and pmf checks compare against direct summation over this law.
 ``multiset_permutations`` walks treatment assignments one at a time for the
-tests that group them by hand.
+tests that group them by hand.  ``block_sum_normalizer`` is the exact-integer
+form of the binary-delta normalizer C(u), the reference for the closed form
+the package takes from the hypergeometric law of d.
 """
 
 import math
@@ -14,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import pytest
 
-from exactsens.exactdist import _table_q_weights
+from exactsens.exactdist import _c, _table_q_weights
 from exactsens.sensmodel import ConfounderClass, SensitivityModel
 from exactsens.tables import Margins, enumerate_fixed_margin_array
 
@@ -36,6 +38,27 @@ def table_law(m: Margins, cclass: ConfounderClass, model: SensitivityModel):
     p = np.exp(logw)
     p /= p.sum()
     return tables, p
+
+
+def block_sum_normalizer(rows: Sequence[int], block_total: int, ubar: int):
+    """C(u) = sum_q e^{gamma delta'q} kernel_q(q) for binary delta, from exact integers.
+
+    Grouping q by d = delta'q gives C(u) = sum_d K_d e^{gamma d} with
+    K_d = C(ubar, d) C(N - ubar, B - d) B! (N - B)! / prod_i N_i.! and B the
+    delta-block treatment total.  Returns (log C(ubar, d) C(N - ubar, B - d)
+    for d = 0..ubar, -inf where it vanishes; the shared log scale), so
+    log K_d = logk[d] + scale.  Exact integers up to the final log.
+    """
+    N = sum(rows)
+    scale = math.lgamma(block_total + 1) + math.lgamma(N - block_total + 1) - math.fsum(
+        math.lgamma(r + 1) for r in rows
+    )
+    logk = np.full(ubar + 1, -np.inf)
+    for d in range(ubar + 1):
+        k = _c(ubar, d) * _c(N - ubar, block_total - d)
+        if k:
+            logk[d] = math.log2(k) * math.log(2.0)
+    return logk, scale
 
 
 def multiset_permutations(base: Sequence[int]) -> Iterator[list[int]]:

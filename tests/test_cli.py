@@ -188,9 +188,17 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     for path, test, message in [
         (empty, "chi2", "chi2/G2 need every row and column margin positive"),
         (two_rows, "cell:3,1", "cell index out of range"),
+        # a malformed cell spec gets one plain message, not Python's parse error
+        (two_rows, "cell:1", "bad cell spec 'cell:1'; expected cell:i,j (1-based)"),
+        (two_rows, "cell:a,b", "bad cell spec 'cell:a,b'; expected cell:i,j (1-based)"),
     ]:
         assert run(["analyze", str(path), "--test", test, "--delta", "0,1"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    # a nominal level is a probability: nan, 2 and -1 wrote rates of 0 or 1
+    for nominal in ["nan,0.05", "0.05,2", "-1", "inf"]:
+        assert run(["size", "--rows", "4,3", "--cols", "3,4", "--delta", "0,1",
+                    "--gamma-grid", "0.5", "--nominal", nominal]) == 2
+        assert "--nominal levels must lie in [0, 1]" in capsys.readouterr().err
     # a gamma grid is finite: nan and inf are refused before any model is built
     analyze = ["analyze", str(table), "--test", "ordinal", "--alpha", "0,1,2",
                "--beta", "0,1,2", "--delta", "0,1,1"]
@@ -244,10 +252,15 @@ def test_model_family_mismatch_exits_3(girls_csv, tmp_path, capsys):
         "--gamma-grid", "0.5",
     ])
     assert code == 3
-    # the normal approximation's Q law needs a binary delta
+    # the normal approximation's Q law needs a binary delta, so a dose model
+    # is refused before the exact curve is computed
+    capsys.readouterr()
     code = run(["size", "--rows", "20,5,10", "--cols", "10,25", "--phi", "0,1,2",
                 "--gamma-grid", "0.5"])
     assert code == 3
+    assert capsys.readouterr().err == (
+        "error: size needs a binary --delta: its normal-approximation column takes the Q "
+        "distribution, derived for binary delta models\n")
     # the sign-score worst case is only exact for a sign-score statistic
     table = tmp_path / "t.csv"
     table.write_text("6,4\n4,2\n2,1\n")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from exactsens.exactdist import (
     _SCAN_CHUNK_BYTES,
     ORACLE_CAP,
     RejectionAggregate,
-    _block_sum_normalizer,
     _sequential_weighted_draw,
     _table_q_weights,
     brute_force_alpha,
@@ -44,7 +44,7 @@ from exactsens.tables import (
     enumerate_fixed_margin_tables,
 )
 from exactsens.worstcase import candidates_ordinal, candidates_pi
-from tests.conftest import multiset_permutations
+from tests.conftest import block_sum_normalizer, multiset_permutations
 
 
 def test_kernel_q_uniform_case():
@@ -456,11 +456,78 @@ def test_aggregate_partition_identity_no_mask():
         agg = RejectionAggregate(m, stat, -1e9, delta)
         for ubar in [(0, 0, 0), (1, 2, 0), (3, 4, 2), (2, 2, 1)]:
             logS = agg._log_numerators(np.array([ubar]))[0]
-            logk, scale = _block_sum_normalizer(m.rows, agg.block_total, sum(ubar))
+            logk, scale = block_sum_normalizer(m.rows, agg.block_total, sum(ubar))
             logK = logk + scale
             mask = np.isfinite(logK)
             np.testing.assert_array_equal(np.isfinite(logS), mask)
             np.testing.assert_allclose(logS[mask], logK[mask], rtol=1e-10)
+
+
+def test_log_block_normalizer_matches_the_exact_integer_form():
+    # every total and delta-block size, the empty and full blocks included
+    gammas = [0.0, 0.7, 3.0]
+    for rows in [(4, 3, 2), (1, 5)]:
+        N = sum(rows)
+        for B in range(N + 1):
+            logC = exactdist._log_block_normalizer(rows, B, np.arange(N + 1), gammas)
+            for u in range(N + 1):
+                logk, scale = block_sum_normalizer(rows, B, u)
+                d = np.flatnonzero(np.isfinite(logk))
+                want = [logsumexp(logk[d] + g * d) + scale for g in gammas]
+                np.testing.assert_allclose(logC[u], want, rtol=1e-14, atol=1e-14)
+
+
+def _decimal_log_normalizer(rows, B, u, gammas):
+    """log C(u) at each gamma to 60 digits, from the exact integers C(u, d) C(N - u, B - d)."""
+    N = sum(rows)
+    multinomial, left = 1, N
+    for r in rows:
+        multinomial *= math.comb(left, r)
+        left -= r
+    lo, hi = max(0, u - (N - B)), min(u, B)
+    counts = [math.comb(u, lo) * math.comb(N - u, B - lo)]
+    for d in range(lo + 1, hi + 1):  # each count from the last, exactly
+        count, rem = divmod(counts[-1] * (u - d + 1) * (B - d + 1), d * (N - u - B + d))
+        assert rem == 0
+        counts.append(count)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        terms = [Decimal(k) for k in counts]
+        base = Decimal(multinomial).ln() - Decimal(math.comb(N, B)).ln()
+        out = []
+        for g in gammas:
+            tilt = Decimal(g).exp()
+            total, w = Decimal(0), tilt**lo
+            for t in terms:
+                total += t * w
+                w *= tilt
+            out.append(base + total.ln())
+        return out
+
+
+@pytest.mark.parametrize("rows, B", [
+    ((4, 3, 2), 5), ((50, 60, 70), 130), ((300, 300), 300), ((100, 200, 300), 500),
+    ((1600, 1600, 1600), 1600), ((1600, 1600, 1600), 3200), ((4000, 800), 800),
+])
+def test_log_block_normalizer_within_an_ulp_of_a_decimal_reference(rows, B):
+    # one ulp of log C(u); the exact-integer form in conftest, rounded to a
+    # float log, is off by up to 1.7 ulp at rows (1600, 1600, 1600)
+    N = sum(rows)
+    totals = sorted({0, 1, 7, N // 5, N // 2, 2 * N // 3, N - 3, N})
+    gammas = [0.0, 0.5, 1.0, 3.0]
+    logC = exactdist._log_block_normalizer(rows, B, np.array(totals), gammas)
+    for row, u in zip(logC.tolist(), totals):
+        for got, want in zip(row, _decimal_log_normalizer(rows, B, u, gammas)):
+            assert abs(Decimal(got) - want) <= Decimal(math.ulp(float(want))), (u, got, want)
+
+
+def test_log_block_normalizer_is_one_float_at_gamma_zero():
+    # every class of a scan gets the same gamma = 0 denominator, so a flat
+    # Gamma = 1 scan ties on numerator jitter alone
+    for rows, B in [((4, 3, 2), 5), ((20, 20, 20), 40), ((600, 600), 600)]:
+        logC = exactdist._log_block_normalizer(rows, B, np.arange(sum(rows) + 1), [0.0, 1.0])
+        assert np.all(logC[:, 0] == logC[0, 0])
+        assert len(set(logC[:, 1].tolist())) == sum(rows) + 1
 
 
 def test_fast_path_extreme_gamma_stable():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import exactsens.montecarlo as montecarlo
 from exactsens.exactdist import brute_force_alpha, exact_alpha, kernel_q, kernel_t_q, omega_q
 from exactsens.montecarlo import (
     _free_cells,
@@ -24,6 +25,7 @@ from exactsens.tables import (
     enumerate_fixed_margin_array,
     enumerate_fixed_margin_tables,
 )
+from tests.conftest import block_sum_normalizer
 
 
 def test_proposal_sums_to_one():
@@ -222,3 +224,27 @@ def test_tilted_proposal_ratios_are_flat(gamma, rng):
         log_c = _log_kernel_sum([(q, kernel_q(q, c.total, m)) for q in qs], delta, gamma)
         want = _log_v_batch(tables, m, c, model) - log_c
         np.testing.assert_allclose(log_h, want, rtol=1e-12, atol=1e-12)
+
+
+def test_sis_divides_by_the_shared_normalizer(monkeypatch):
+    # SIS takes log C(u) from the scans' normalizer; with every table
+    # rejected, the exact tilted proposal makes each importance ratio C(u),
+    # so the estimate is 1 whatever the draws
+    seen = []
+    normalizer = montecarlo._log_block_normalizer
+
+    def recording(*args):
+        seen.append(normalizer(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(montecarlo, "_log_block_normalizer", recording)
+    t = ContingencyTable.from_array([[3, 2, 1], [1, 2, 3], [0, 1, 2]])
+    m, c = t.margins(), ConfounderClass((1, 2, 2))
+    model = SensitivityModel(gamma=0.8, delta=(0, 1, 1))
+    sis, _ = estimate_alpha_sis_pair(5, ordinal_statistic((0, 1, 2), (0, 1, 2)), t, c, model,
+                                     critical=-1e9, M=50)
+    logk, scale = block_sum_normalizer(m.rows, 9, c.total)
+    d = np.flatnonzero(np.isfinite(logk))
+    assert len(seen) == 1
+    assert seen[0][0, 0] == pytest.approx(logsumexp(logk[d] + 0.8 * d) + scale, rel=1e-14)
+    assert sis.final == pytest.approx(1.0, rel=1e-12)

@@ -7,15 +7,24 @@ import numpy as np
 import pytest
 
 import exactsens.exactdist as exactdist
-from exactsens.exactdist import RejectionAggregate, exact_alpha, exact_alpha_grid, signscore_tail
+from exactsens.exactdist import (
+    RejectionAggregate,
+    brute_force_alpha,
+    exact_alpha,
+    exact_alpha_grid,
+    kernel_alpha,
+    signscore_tail,
+)
+from exactsens.montecarlo import estimate_alpha_permtreat, estimate_alpha_sis_pair
 from exactsens.oracle import _random_margins
-from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
+from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
 from exactsens.stats import TestFamily as Family  # avoid pytest class collection
 from exactsens.stats import TestStatistic as Statistic
 from exactsens.stats import (
     cell_statistic,
     chi2_statistic,
     ordinal_statistic,
+    permutation_invariant_statistic,
     weighted_sum_statistic,
 )
 from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_array
@@ -433,3 +442,49 @@ def test_ordinal_scan_takes_the_suffix_sweep(monkeypatch, strategy, calls):
                           strategy=strategy)
     assert len(counted) == calls
     assert {r.strategy_used for r in res} == {strategy}
+
+
+# every p-value path on one 2 x 2 table, whose sign-score statistic suits
+# all three scan strategies; the oracle and PermTreat get subject-level data
+_SMALL = ContingencyTable.from_array([[2, 1], [1, 2]])
+_SMALL_MODEL = SensitivityModel(gamma=0.5, delta=(0, 1))
+_SMALL_U = RawConfounder((0.0, 0.0, 1.0, 0.0, 1.0, 1.0))
+_SMALL_OUTCOMES = (0, 0, 0, 1, 1, 1)
+_P_VALUE_PATHS = {
+    **{strategy: lambda stat, c, strategy=strategy: worst_case_grid(
+        stat, _SMALL, _SMALL_MODEL, [0.0, 1.0], c, strategy)
+       for strategy in ("ordinal", "pi", "signscore")},
+    "exact": lambda stat, c: exact_alpha(stat, _SMALL, ConfounderClass((1, 2)), _SMALL_MODEL, c),
+    "kernel": lambda stat, c: kernel_alpha(stat, _SMALL, ConfounderClass((1, 2)), _SMALL_MODEL, c),
+    "oracle": lambda stat, c: brute_force_alpha(
+        stat, _SMALL, _SMALL_U, _SMALL_OUTCOMES, _SMALL_MODEL, c),
+    "sis": lambda stat, c: estimate_alpha_sis_pair(
+        1, stat, _SMALL, ConfounderClass((1, 2)), _SMALL_MODEL, c, M=10),
+    "permtreat": lambda stat, c: estimate_alpha_permtreat(
+        1, stat, _SMALL, _SMALL_U, _SMALL_OUTCOMES, _SMALL_MODEL, c, M=10),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_P_VALUE_PATHS))
+@pytest.mark.parametrize("critical", ["nan", "inf", "nan statistic"])
+def test_non_finite_critical_values_are_refused(path, critical):
+    # a nan or infinite critical value rejects no table, so each path must
+    # refuse it rather than report p = 0
+    stat = ordinal_statistic((0, 1), (0, 1))
+    c = float(critical) if critical != "nan statistic" else None
+    if c is None:
+        stat = permutation_invariant_statistic(lambda a: float("nan"))
+    with pytest.raises(ValueError, match="critical value must be finite"):
+        _P_VALUE_PATHS[path](stat, c)
+
+
+def test_large_ordinal_scan_keeps_the_flat_gamma_one_tie():
+    # rows (600, 600), observed in the upper tail: at Gamma = 1 every suffix
+    # class has the same alpha, so the first class must win the tie, which
+    # denominator errors near _TIE_REL move (log-factorial ones give (0, 0, 21))
+    s, k = 200, 40
+    table = ContingencyTable.from_array([[s + k, s, s - k], [s - k, s, s + k]])
+    res = worst_case_grid(ordinal_statistic((0, 1), (0, 1, 2)), table,
+                          SensitivityModel(gamma=0.0, delta=(0, 1)), [0.0])
+    assert res[0].strategy_used == "ordinal"
+    assert res[0].argmax_class.ubar == (0, 0, 0)
