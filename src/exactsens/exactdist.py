@@ -43,10 +43,13 @@ Two references check it; only the oracle battery and the tests call them.
 tables.  ``brute_force_alpha`` visits every treatment assignment, level by
 level, and also supports real-valued u and dose models.
 
-Each closed-form law the package shares is implemented once, here:
+Each closed-form law the package shares is implemented once.  The
+bounded-composition expander (``_bounded_compositions`` and
+``_bounded_compositions_many``) lives in ``tables``, where it also builds
+``enumerate_fixed_margin_array``; here it gives the supports behind
+``omega_q``, the per-column allocations and the column network.  The rest
+live here:
 
-* ``_bounded_compositions``: the bounded-composition supports behind
-  ``omega_q`` and the per-column allocations;
 * ``_mvehg_law``: the multivariate extended (Fisher noncentral)
   hypergeometric law that the I x 2 column counts follow at the sign-score
   worst case: its gamma-free support and binomial log-terms (``_mvehg_base``,
@@ -84,7 +87,10 @@ from exactsens.sensmodel import (
     ConfounderClass, RawConfounder, SensitivityError, SensitivityModel, check_gammas,
 )
 from exactsens.stats import TestStatistic
-from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_array
+from exactsens.tables import (
+    ContingencyTable, Margins, _bounded_compositions, _bounded_compositions_many,
+    enumerate_fixed_margin_array,
+)
 
 __all__ = [
     "kernel_q",
@@ -169,54 +175,6 @@ def statistic_tolerance(critical: float | np.ndarray) -> float | np.ndarray:
 def omega_q(ubar: int, rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Support of the per-treatment u=1 counts: sum q_i = ubar within bounds."""
     return iter(map(tuple, _bounded_compositions(ubar, rows).tolist()))
-
-
-def _bounded_compositions(total: int, bounds: Sequence[int]) -> np.ndarray:
-    """Non-negative integer vectors with given sum and per-entry caps.
-
-    Returns them as the rows of an (S, n) int64 array in lexicographic order;
-    no rows when ``total`` lies outside ``[0, sum(bounds)]``.  The one-owner
-    case of ``_bounded_compositions_many``, behind ``omega_q``, the MVEHG
-    support and the per-column splits of ``_table_q_weights``.
-    """
-    bounds = np.asarray(bounds, dtype=np.int64).reshape(1, -1)
-    if not 0 <= total <= int(bounds.sum()):
-        return np.zeros((0, bounds.shape[1]), dtype=np.int64)
-    return _bounded_compositions_many(np.array([total]), bounds)[0]
-
-
-def _bounded_compositions_many(
-    totals: np.ndarray, bounds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounded compositions for K (total, caps) owners at once.
-
-    Returns (vectors, owner): the rows of ``vectors`` are every non-negative
-    integer vector with sum ``totals[k]`` and entries at most ``bounds[k]``,
-    grouped by ``owner`` k ascending and lexicographic within a group.
-    Prefixes grow one entry at a time: each prefix is repeated once per
-    feasible value of the next entry (those that leave a remainder the later
-    caps can absorb), in ascending order, so only feasible prefixes are ever
-    made, and the last entry takes the remainder.  An owner whose total its
-    caps cannot meet gets no rows.
-    """
-    bounds = np.asarray(bounds, dtype=np.int64)
-    rem = np.asarray(totals, dtype=np.int64)
-    tails = np.cumsum(bounds[:, ::-1], axis=1)[:, ::-1] - bounds  # caps after entry i
-    n = bounds.shape[1]
-    owner = np.flatnonzero((rem >= 0) & (rem <= (tails[:, 0] + bounds[:, 0] if n else 0)))
-    rem = rem[owner]
-    cols: list[np.ndarray] = []
-    for i in range(n - 1):
-        lo = np.maximum(0, rem - tails[owner, i])
-        count = np.minimum(bounds[owner, i], rem) - lo + 1
-        parent = np.repeat(np.arange(len(rem)), count)
-        v = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(parent))
-        cols = [c[parent] for c in cols] + [v]
-        rem = rem[parent] - v
-        owner = owner[parent]
-    if n:
-        cols.append(rem)
-    return np.stack(cols, axis=1) if n else np.zeros((len(owner), 0), dtype=np.int64), owner
 
 
 def kernel_q(q: Sequence[int], ubar_total: int, m: Margins) -> int:
@@ -702,7 +660,7 @@ def _column_network(
     for j, cj in enumerate(m.cols):
         vec, key, logw, b = _column_vectors(cj, m.rows, tuple(one_rows))
         tterm = (np.zeros(len(vec)) if test.column_terms is None
-                 else np.asarray(test.column_terms(vec, j, m), dtype=float))
+                 else np.asarray(test.column_terms(vec, j, rows, m.J), dtype=float))
         vectors.append(vec)
         keys.append(key)
         scores.append((logw, b * strides[j], tterm))
@@ -1130,7 +1088,12 @@ def _mvehg_law(
 
 
 def tail_mass(values: np.ndarray, probs: np.ndarray, critical: float) -> float:
-    """P(T >= critical) over atoms ``probs`` at ``values``, ties by ``statistic_tolerance``."""
+    """P(T >= critical) over atoms ``probs`` at ``values``, ties by ``statistic_tolerance``.
+
+    A non-finite ``critical`` is refused, as in ``_resolve_critical``.
+    """
+    if not math.isfinite(critical):
+        raise ValueError("critical value must be finite")
     return float(probs[values >= critical - statistic_tolerance(critical)].sum())
 
 

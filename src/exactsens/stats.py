@@ -10,9 +10,10 @@ Three nested families drive how hard the worst-case confounder search is:
   worst case.
 
 Statistics are functions of the table only (the subject-level view lives in
-the brute-force oracle).  The built-in ones are also sums of per-column terms,
-which they expose through ``TestStatistic.column_terms`` so the exact engine
-can score a table from its columns without building it.  All tests are
+the brute-force oracle).  Each built-in statistic is one formula, a sum of
+per-column terms ``TestStatistic.column_terms(vectors, j, rows, J)``: whole
+tables are scored by summing them over the columns, and the exact engine
+scores a table from its columns without building it.  All tests are
 upper-tailed, p = P(T >= c) with ties included; express a lower-tail test by
 negating scores.
 """
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from exactsens.tables import ContingencyTable, Margins
+from exactsens.tables import ContingencyTable
 
 __all__ = [
     "TestFamily",
@@ -51,29 +52,44 @@ class TestFamily(enum.Enum):
 class TestStatistic:
     """A named table statistic with a vectorized evaluator.
 
-    ``batch`` maps an (M, I, J) count array to an (M,) float array; single
-    tables go through the same code path so tie decisions are reproducible.
+    ``column_terms`` states that T(t) = sum_j f_j(t[:, j]):
+    ``column_terms(vectors, j, rows, J)`` maps an (n, I) array of column-j
+    vectors to their (n,) terms f_j, given the row margins ``rows`` (shape
+    (I,), shared by all vectors, or (n, I), one per vector) and the number
+    of columns J.  It raises ``ValueError`` on tables the statistic is not
+    defined for.  ``evaluate_batch`` maps an (M, I, J) count array to an
+    (M,) float array by summing the terms over the columns, and single
+    tables go through the same code path, so tie decisions are reproducible.
 
-    ``column_terms``, when set, states that T(t) = sum_j f_j(t[:, j]) on
-    tables with margins m: ``column_terms(vectors, j, m)`` maps an (n, I)
-    array of candidate column-j vectors to their (n,) terms f_j.  It raises
-    the errors ``batch`` would raise on such tables.  ``None`` marks an
-    opaque statistic, which is only ever evaluated on whole tables.
+    ``batch``, an (M, I, J) -> (M,) function, defines an opaque statistic
+    instead (``column_terms`` None), which is only ever evaluated on whole
+    tables.  A statistic needs one of the two.
     """
 
     family: TestFamily
     name: str
-    batch: Callable[[np.ndarray], np.ndarray]
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
     alpha: tuple[float, ...] | None = None
     beta: tuple[float, ...] | None = None
-    column_terms: Callable[[np.ndarray, int, Margins], np.ndarray] | None = None
+    column_terms: Callable[[np.ndarray, int, np.ndarray, int], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if self.batch is None and self.column_terms is None:
+            raise ValueError("a statistic needs column_terms or a whole-table batch")
 
     def __call__(self, t: ContingencyTable | np.ndarray) -> float:
         arr = t.as_array() if isinstance(t, ContingencyTable) else np.asarray(t)
-        return float(self.batch(arr[None, :, :])[0])
+        return float(self.evaluate_batch(arr[None, :, :])[0])
 
     def evaluate_batch(self, tables: np.ndarray) -> np.ndarray:
-        return np.asarray(self.batch(tables), dtype=float)
+        tables = np.asarray(tables)
+        if self.column_terms is None:
+            return np.asarray(self.batch(tables), dtype=float)
+        rows, J = tables.sum(axis=2), tables.shape[2]
+        out = np.zeros(len(tables))
+        for j in range(J):
+            out += self.column_terms(tables[:, :, j], j, rows, J)
+        return out
 
 
 def _require_monotone(scores: Sequence[float], what: str) -> tuple[float, ...]:
@@ -92,7 +108,7 @@ def ordinal_statistic(alpha: Sequence[float], beta: Sequence[float]) -> TestStat
     # sign-score statistic, so the O(1) worst case applies
     fam = TestFamily.SIGN_SCORE if len(b) == 2 else TestFamily.ORDINAL
     ws = weighted_sum_statistic(a, b)
-    return TestStatistic(fam, f"ordinal[{a}x{b}]", ws.batch, alpha=a, beta=b,
+    return TestStatistic(fam, f"ordinal[{a}x{b}]", alpha=a, beta=b,
                          column_terms=ws.column_terms)
 
 
@@ -100,62 +116,37 @@ def sign_score_statistic(alpha: Sequence[float]) -> TestStatistic:
     """T = sum_i alpha_i N_i2 on an I x 2 table (beta fixed at (0, 1))."""
     stat = ordinal_statistic(alpha, (0.0, 1.0))
     return TestStatistic(
-        TestFamily.SIGN_SCORE, f"signscore[{stat.alpha}]", stat.batch,
+        TestFamily.SIGN_SCORE, f"signscore[{stat.alpha}]",
         alpha=stat.alpha, beta=stat.beta, column_terms=stat.column_terms,
     )
 
 
-def _check_positive_margins(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows = tables.sum(axis=2)
-    cols = tables.sum(axis=1)
+def _expected(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Expected counts N_i. N_.j / N of the columns ``vectors`` under row margins ``rows``."""
+    rows = np.asarray(rows, dtype=float)
+    cols = vectors.sum(axis=-1, dtype=float)
     if np.any(rows <= 0) or np.any(cols <= 0):
         raise ValueError("chi2/G2 need every row and column margin positive")
-    return rows, cols
-
-
-def _column_expected(m: Margins, j: int) -> np.ndarray:
-    """Expected counts N_i. N_.j / N of column j; an empty column is refused as in batch."""
-    if min(m.cols) <= 0:  # Margins already refuses empty rows
-        raise ValueError("chi2/G2 need every row and column margin positive")
-    return np.asarray(m.rows, dtype=float) * float(m.cols[j]) / float(m.N)
+    return rows * cols[:, None] / rows.sum(axis=-1, keepdims=True)
 
 
 def chi2_statistic() -> TestStatistic:
-    def batch(tables: np.ndarray) -> np.ndarray:
-        arr = tables.astype(float)
-        rows, cols = _check_positive_margins(arr)
-        N = arr.sum(axis=(1, 2), keepdims=True)
-        expected = rows[:, :, None] * cols[:, None, :] / N
-        return ((arr - expected) ** 2 / expected).sum(axis=(1, 2))
-
-    def column_terms(vectors: np.ndarray, j: int, m: Margins) -> np.ndarray:
-        expected = _column_expected(m, j)
+    def column_terms(vectors: np.ndarray, j: int, rows: np.ndarray, J: int) -> np.ndarray:
+        expected = _expected(vectors, rows)
         return ((vectors - expected) ** 2 / expected).sum(axis=1)
 
-    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, "chi2", batch,
-                         column_terms=column_terms)
+    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, "chi2", column_terms=column_terms)
 
 
 def g2_statistic() -> TestStatistic:
-    def batch(tables: np.ndarray) -> np.ndarray:
-        arr = tables.astype(float)
-        rows, cols = _check_positive_margins(arr)
-        N = arr.sum(axis=(1, 2), keepdims=True)
-        expected = rows[:, :, None] * cols[:, None, :] / N
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = arr * np.log(arr / expected)
-        terms = np.where(arr > 0, terms, 0.0)  # zero cells contribute 0
-        return 2.0 * terms.sum(axis=(1, 2))
-
-    def column_terms(vectors: np.ndarray, j: int, m: Margins) -> np.ndarray:
-        expected = _column_expected(m, j)
+    def column_terms(vectors: np.ndarray, j: int, rows: np.ndarray, J: int) -> np.ndarray:
+        expected = _expected(vectors, rows)
         v = vectors.astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(v > 0, v * np.log(v / expected), 0.0)
+            terms = np.where(v > 0, v * np.log(v / expected), 0.0)  # zero cells contribute 0
         return 2.0 * terms.sum(axis=1)
 
-    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, "g2", batch,
-                         column_terms=column_terms)
+    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, "g2", column_terms=column_terms)
 
 
 def weighted_sum_statistic(alpha: Sequence[float], beta: Sequence[float]) -> TestStatistic:
@@ -171,20 +162,13 @@ def weighted_sum_statistic(alpha: Sequence[float], beta: Sequence[float]) -> Tes
     av = np.asarray(a)
     bv = np.asarray(b)
 
-    def check(I: int, J: int) -> None:
-        if I != len(a) or J != len(b):
+    def column_terms(vectors: np.ndarray, j: int, rows: np.ndarray, J: int) -> np.ndarray:
+        if vectors.shape[-1] != len(a) or J != len(b):
             raise ValueError("score lengths must match table dimensions")
-
-    def batch(tables: np.ndarray) -> np.ndarray:
-        check(tables.shape[1], tables.shape[2])
-        return np.einsum("i,j,mij->m", av, bv, tables.astype(float))
-
-    def column_terms(vectors: np.ndarray, j: int, m: Margins) -> np.ndarray:
-        check(m.I, m.J)
         return bv[j] * (vectors @ av)
 
     return TestStatistic(
-        TestFamily.PERMUTATION_INVARIANT, f"weighted[{a}x{b}]", batch,
+        TestFamily.PERMUTATION_INVARIANT, f"weighted[{a}x{b}]",
         alpha=a, beta=b, column_terms=column_terms,
     )
 
@@ -194,19 +178,12 @@ def cell_statistic(i: int, j: int) -> TestStatistic:
     if i < 0 or j < 0:
         raise ValueError("cell indices must be non-negative")
 
-    def check(I: int, J: int) -> None:
-        if i >= I or j >= J:
+    def column_terms(vectors: np.ndarray, col: int, rows: np.ndarray, J: int) -> np.ndarray:
+        if i >= vectors.shape[-1] or j >= J:
             raise ValueError("cell index out of range")
-
-    def batch(tables: np.ndarray) -> np.ndarray:
-        check(tables.shape[1], tables.shape[2])
-        return tables[:, i, j].astype(float)
-
-    def column_terms(vectors: np.ndarray, col: int, m: Margins) -> np.ndarray:
-        check(m.I, m.J)
         return vectors[:, i].astype(float) if col == j else np.zeros(len(vectors))
 
-    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, f"cell[{i},{j}]", batch,
+    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, f"cell[{i},{j}]",
                          column_terms=column_terms)
 
 

@@ -182,6 +182,8 @@ def combined_pvalue(
         raise ValueError("tau must lie in (0, 1)")
     if K < 1:
         raise ValueError("K must be at least 1")
+    if math.isnan(W_obs):
+        raise ValueError("W_obs must not be nan")
     if W_obs >= 1.0:
         return 1.0
     if W_obs <= 0.0:

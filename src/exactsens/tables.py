@@ -7,7 +7,9 @@ operation here is a deterministic stream over every non-negative integer
 matrix with given row and column sums.  The stream fills cells row-major with
 per-cell feasibility bounds, forcing the last column of each row and the whole
 last row, so only feasible prefixes are ever visited and the output order is
-lexicographic in the flattened cell vector.
+lexicographic in the flattened cell vector.  ``enumerate_fixed_margin_array``
+gives the same stream as one array, a row at a time, from the
+bounded-composition expander that the exact engine's column network shares.
 
 ``collapse`` and ``crosscut`` are the table transforms used when comparing a
 full I x J test against coarsened variants: collapsing merges adjacent levels
@@ -190,46 +192,77 @@ def _enumerate_rec(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[lis
     yield from fill_row(0, 0, rows[0])
 
 
+def _bounded_compositions(total: int, bounds: Sequence[int]) -> np.ndarray:
+    """Non-negative integer vectors with given sum and per-entry caps.
+
+    Returns them as the rows of an (S, n) int64 array in lexicographic order;
+    no rows when ``total`` lies outside ``[0, sum(bounds)]``.  The one-owner
+    case of ``_bounded_compositions_many``, behind ``exactdist.omega_q``, the
+    MVEHG support and the per-column splits of ``exactdist._table_q_weights``.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64).reshape(1, -1)
+    if not 0 <= total <= int(bounds.sum()):
+        return np.zeros((0, bounds.shape[1]), dtype=np.int64)
+    return _bounded_compositions_many(np.array([total]), bounds)[0]
+
+
+def _bounded_compositions_many(
+    totals: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded compositions for K (total, caps) owners at once.
+
+    Returns (vectors, owner): the rows of ``vectors`` are every non-negative
+    integer vector with sum ``totals[k]`` and entries at most ``bounds[k]``,
+    grouped by ``owner`` k ascending and lexicographic within a group.
+    Prefixes grow one entry at a time: each prefix is repeated once per
+    feasible value of the next entry (those that leave a remainder the later
+    caps can absorb), in ascending order, so only feasible prefixes are ever
+    made, and the last entry takes the remainder.  An owner whose total its
+    caps cannot meet gets no rows.  Behind ``enumerate_fixed_margin_array``
+    (one row of every table per call) and the exact engine's column network
+    (``exactdist._column_network``, one column per call).
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    rem = np.asarray(totals, dtype=np.int64)
+    tails = np.cumsum(bounds[:, ::-1], axis=1)[:, ::-1] - bounds  # caps after entry i
+    n = bounds.shape[1]
+    owner = np.flatnonzero((rem >= 0) & (rem <= (tails[:, 0] + bounds[:, 0] if n else 0)))
+    rem = rem[owner]
+    cols: list[np.ndarray] = []
+    for i in range(n - 1):
+        lo = np.maximum(0, rem - tails[owner, i])
+        count = np.minimum(bounds[owner, i], rem) - lo + 1
+        parent = np.repeat(np.arange(len(rem)), count)
+        v = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(parent))
+        cols = [c[parent] for c in cols] + [v]
+        rem = rem[parent] - v
+        owner = owner[parent]
+    if n:
+        cols.append(rem)
+    return np.stack(cols, axis=1) if n else np.zeros((len(owner), 0), dtype=np.int64), owner
+
+
 def enumerate_fixed_margin_array(m: Margins, dtype=np.int32) -> np.ndarray:
     """All fixed-margin tables as one (ntables, I, J) array, in stream order.
 
-    Batched version of :func:`enumerate_fixed_margin_tables`.  It materializes
-    the reference set, so it is the small-instance and test reference path:
-    the exact engine (``exactdist.RejectionAggregate``) streams the set by
-    column ids instead and never holds it.
+    Batched version of :func:`enumerate_fixed_margin_tables`.  Each row
+    i < I - 1 of every prefix is expanded at once by
+    ``_bounded_compositions_many``, capped by the column totals the prefix
+    leaves, and the last row takes the remainder.  The expansion is
+    lexicographic within each prefix, so the order is the stream's
+    row-major lexicographic one.  It materializes the reference set, so it
+    is the small-instance and test reference path: the exact engine
+    (``exactdist.RejectionAggregate``) streams the set by column ids instead
+    and never holds it.
     """
-    I, J = m.I, m.J
-    rows = np.asarray(m.rows, dtype=dtype)
-    cols = np.asarray(m.cols, dtype=dtype)
-
-    filled = np.zeros((1, 0), dtype=dtype)
-    rrem = np.array([rows[0]], dtype=dtype)
-    crem = cols[None, :].copy()
-
-    for i in range(I - 1):
-        for j in range(J):
-            if j == J - 1:
-                v = rrem
-                filled = np.concatenate([filled, v[:, None]], axis=1)
-                crem = crem.copy()
-                crem[:, j] -= v
-                rrem = np.full(len(filled), rows[i + 1], dtype=dtype)
-                continue
-            rest = crem[:, j + 1 :].sum(axis=1)
-            lo = np.maximum(0, rrem - rest).astype(dtype)
-            hi = np.minimum(rrem, crem[:, j]).astype(dtype)
-            counts = (hi - lo + 1).astype(np.int64)
-            idx = np.repeat(np.arange(len(filled)), counts)
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            v = (np.arange(counts.sum()) - np.repeat(starts, counts)).astype(dtype)
-            v += np.repeat(lo, counts)
-            filled = np.concatenate([filled[idx], v[:, None]], axis=1)
-            crem = crem[idx].copy()
-            crem[:, j] -= v
-            rrem = rrem[idx] - v
-    # last row forced
-    filled = np.concatenate([filled, crem], axis=1)
-    return filled.reshape(-1, I, J)
+    left = np.asarray(m.cols, dtype=np.int64)[None, :]  # column totals still to fill
+    parts: list[np.ndarray] = []
+    for r in m.rows[:-1]:
+        vec, owner = _bounded_compositions_many(np.full(len(left), r), left)
+        parts = [p[owner] for p in parts] + [vec.astype(dtype)]
+        left = left[owner] - vec
+    parts.append(left.astype(dtype))
+    return np.stack(parts, axis=1)
 
 
 def _check_partition(groups: Sequence[Sequence[int]], n: int, what: str) -> list[list[int]]:

@@ -8,6 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from scipy import special
+from scipy.stats import chi2_contingency
 
 from exactsens import exactdist
 from exactsens.exactdist import (
@@ -26,6 +27,7 @@ from exactsens.exactdist import (
     mvehg_pmf,
     omega_q,
     signscore_tail,
+    tail_mass,
 )
 from exactsens.oracle import run_battery, valid_deltas
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
@@ -663,9 +665,32 @@ def test_streamed_build_refuses_empty_outcome_level(stat):
         RejectionAggregate(Margins((3, 4), (5, 0, 2)), stat, 1.0, (0, 1))
 
 
-def test_column_terms_sum_to_the_batch_statistic():
+def test_chi2_and_g2_match_scipy_on_every_table():
+    # an independent reference for the column-term formulas: scipy's
+    # Pearson and log-likelihood statistics on every table of the margins
     m = Margins((5, 5, 5), (2, 5, 8))
     tables = enumerate_fixed_margin_array(m)
-    for stat in _stream_statistics(m, with_opaque=False):
-        summed = sum(stat.column_terms(tables[:, :, j], j, m) for j in range(m.J))
-        np.testing.assert_allclose(summed, stat.evaluate_batch(tables), rtol=1e-12, atol=1e-12)
+    for stat, lambda_ in ((chi2_statistic(), None), (g2_statistic(), "log-likelihood")):
+        want = [chi2_contingency(t, correction=False, lambda_=lambda_)[0] for t in tables]
+        np.testing.assert_allclose(stat.evaluate_batch(tables), want, rtol=1e-12, atol=0,
+                                   err_msg=stat.name)
+
+
+def test_score_length_mismatch_in_j_is_a_value_error():
+    # two column scores on a 3 x 3 table: refused by the column-term hook,
+    # never an IndexError from indexing beta with column 2
+    stat = ordinal_statistic((0, 1, 2), (0, 1))
+    table = ContingencyTable.from_array([[2, 1, 0], [1, 1, 1], [0, 1, 2]])
+    with pytest.raises(ValueError, match="score lengths"):
+        stat(table)
+    with pytest.raises(ValueError, match="score lengths"):
+        RejectionAggregate(table.margins(), stat, 1.0, (0, 1, 1))
+
+
+@pytest.mark.parametrize("critical", [math.nan, math.inf, -math.inf])
+def test_tail_paths_refuse_non_finite_critical_values(critical):
+    # nan compares false with every value, so it would pass for p = 0
+    with pytest.raises(ValueError, match="critical value must be finite"):
+        signscore_tail((0, 1, 2), (3, 3, 3), 4, [0, 0.5, 1.0], critical)
+    with pytest.raises(ValueError, match="critical value must be finite"):
+        tail_mass(np.array([0.0, 1.0]), np.array([0.5, 0.5]), critical)

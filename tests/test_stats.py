@@ -12,6 +12,7 @@ from exactsens.stats import (
     weighted_sum_statistic,
 )
 from exactsens.stats import TestFamily as Family  # avoid pytest class collection
+from exactsens.stats import TestStatistic as Statistic
 from exactsens.tables import ContingencyTable
 
 
@@ -118,11 +119,19 @@ def test_arrangement_increasing(rng):
 
 
 def test_batch_matches_scalar(rng):
+    # the tables' margins differ, so each table's terms use its own rows
     tabs = rng.integers(0, 5, size=(20, 3, 3)) + 1
-    stat = ordinal_statistic((0, 1, 2), (0, 0.5, 2))
-    batch = stat.evaluate_batch(tabs)
-    for k in range(20):
-        assert batch[k] == pytest.approx(stat(tabs[k]))
+    assert len({tuple(r) for r in tabs.sum(axis=2)}) > 1
+    for stat in (ordinal_statistic((0, 1, 2), (0, 0.5, 2)), chi2_statistic(), g2_statistic(),
+                 cell_statistic(1, 2)):
+        batch = stat.evaluate_batch(tabs)
+        for k in range(20):
+            assert batch[k] == pytest.approx(stat(tabs[k]), rel=1e-12), stat.name
+
+
+def test_statistic_needs_column_terms_or_a_batch():
+    with pytest.raises(ValueError, match="column_terms or a whole-table batch"):
+        Statistic(Family.PERMUTATION_INVARIANT, "empty")
 
 
 def test_weighted_sum_accepts_nonmonotone():

@@ -64,6 +64,12 @@ def test_combined_pvalue_k1_analytic():
     assert combined_pvalue(0.0, 2, 0.2) == 0.0
 
 
+def test_combined_pvalue_refuses_nan():
+    # nan fails every comparison, so it would fall through to a p-value
+    with pytest.raises(ValueError, match="nan"):
+        combined_pvalue(float("nan"), 3, 0.2)
+
+
 def test_combined_pvalue_k2_closed_form():
     # for w <= tau^2: P = 2(1-tau) w + w (1 + log(tau^2 / w))
     tau = 0.2

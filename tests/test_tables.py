@@ -6,6 +6,7 @@ import pytest
 from exactsens.tables import (
     ContingencyTable,
     Margins,
+    _enumerate_rec,
     collapse,
     crosscut,
     enumerate_fixed_margin_array,
@@ -39,9 +40,18 @@ def test_margin_preservation_and_uniqueness():
         seen.add(t.counts)
 
 
-def test_lexicographic_order_and_array_agreement():
-    m = Margins((3, 2), (2, 1, 2))
-    flat = [sum(t.counts, ()) for t in enumerate_fixed_margin_tables(m)]
+@pytest.mark.parametrize("rows,cols", [
+    pytest.param((3, 2), (2, 1, 2), id="2x3"),
+    pytest.param((5,), (2, 0, 3), id="one-row"),
+    pytest.param((2, 3), (2, 0, 3), id="empty-middle-column"),
+    pytest.param((2, 2, 1), (3, 2, 0), id="empty-last-column"),
+    pytest.param((3, 2, 4, 1), (4, 3, 3), id="4x3"),
+])
+def test_lexicographic_order_and_array_agreement(rows, cols):
+    # the stream behind enumerate_fixed_margin_tables, which also runs at
+    # I = 1, where no ContingencyTable exists
+    m = Margins(rows, cols)
+    flat = [tuple(cells) for cells in _enumerate_rec(m.rows, m.cols)]
     assert flat == sorted(flat)
     arr = enumerate_fixed_margin_array(m)
     assert [tuple(a.ravel()) for a in arr] == flat

@@ -258,9 +258,11 @@ def test_signscore_grid_evaluates_the_statistic_once():
             return super().evaluate_batch(tables)
 
     base = ordinal_statistic((0, 1, 2), (0, 1))
-    stat = Counting(base.family, base.name, base.batch, base.alpha, base.beta, base.column_terms)
+    stat = Counting(base.family, base.name, alpha=base.alpha, beta=base.beta,
+                    column_terms=base.column_terms)
     model = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
-    res = worst_case_grid(stat, SIGNSCORE_TABLE, model, [0.0, 0.5, 1.0])
+    # critical given (T of the table), so the one counted call is the support's
+    res = worst_case_grid(stat, SIGNSCORE_TABLE, model, [0.0, 0.5, 1.0], critical=24.0)
     assert len(res) == 3 and len(calls) == 1
     assert {r.family_used for r in res} == {Family.SIGN_SCORE}
 
