@@ -204,6 +204,9 @@ def cmd_analyze(args) -> int:
     grid = _gamma_grid(args)
     lines = []
     if args.fixed_ubar is not None:
+        if args.strategy != "auto":
+            raise CliError("--strategy picks the worst-case scan; --fixed-ubar runs none",
+                           EXIT_BAD_INPUT)
         ubar = ConfounderClass(tuple(_parse_ints(args.fixed_ubar)))
         ubar.validate_for(table.margins())
         lines.append("gamma,Gamma,pvalue,ubar")
@@ -515,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--cases", type=int, default=60,
                     help="number of seeded random instances")
     po.add_argument("--tolerance", type=float, default=1e-12)
-    _add_common(po)
+    po.add_argument("--seed", type=int, default=DEFAULT_SEED)
     po.set_defaults(fn=cmd_oracle_check)
 
     return ap

@@ -711,7 +711,8 @@ class RejectionAggregate:
     chunk's tables rebuilt from their column-vector ids.  Precomputed
     ``tables`` (and ``tvals``) feed the same accumulator as one chunk.
 
-    ``alpha_table`` evaluates a whole candidate scan in one batched pass.
+    ``alpha_table`` evaluates a whole candidate scan, given as a (K, J)
+    array of classes, in one batched pass.
     Each (class, column) chi profile is scaled by its maximum, so no exact integer is ever converted to
     float and large column margins cannot overflow.  R is contracted column
     by column as a matmul batched over the classes, convolving d as it goes
@@ -824,11 +825,6 @@ class RejectionAggregate:
                 self._add(len(keep), ridx[parent] + lev.ridx[edge], logw[parent] + lev.logw[edge])
             start = stop
 
-    def _class_array(self, classes: Sequence[ConfounderClass]) -> np.ndarray:
-        for c in classes:
-            c.validate_for(self.margins)
-        return np.array([c.ubar for c in classes], dtype=np.int64).reshape(-1, self.margins.J)
-
     def _floats_per_class(self) -> int:
         """Floats per class live at once in ``_log_numerators`` at its widest column.
 
@@ -858,18 +854,24 @@ class RejectionAggregate:
         return _log_scaled(M[:, :, 0], logscale[:, None])
 
     def alpha_grid(self, c: ConfounderClass, gammas: Sequence[float]) -> list[float]:
-        return self.alpha_table([c], gammas)[0].tolist()
+        return self.alpha_table(np.array([c.ubar]), gammas)[0].tolist()
 
-    def alpha_table(
-        self, classes: Sequence[ConfounderClass], gammas: Sequence[float]
-    ) -> np.ndarray:
-        """(K, G) array: exact alpha of class k (row) at gamma g (column)."""
-        U = self._class_array(classes)
+    def alpha_table(self, U: np.ndarray, gammas: Sequence[float]) -> np.ndarray:
+        """(K, G) array: exact alpha of class k, the ubar in row k of U (K, J), at gamma g.
+
+        A row of the wrong width, or an entry outside 0..N_.j, raises ``ValueError``.
+        """
+        m = self.margins
+        U = np.asarray(U, dtype=np.int64)
+        if U.ndim != 2 or U.shape[1] != m.J:
+            raise ValueError(f"classes must be rows of {m.J} outcome counts, not shape {U.shape}")
+        if (U < 0).any() or (U > np.asarray(m.cols)).any():
+            raise ValueError(f"class counts must lie between 0 and the column margins {m.cols}")
         g = np.asarray(gammas, dtype=float)
         out = np.zeros((len(U), len(g)))
         totals, which = np.unique(U.sum(axis=1), return_inverse=True)
-        logC = _log_block_normalizer(self.margins.rows, self.block_total, totals, g)[which]
-        per_class = max(self._floats_per_class(), len(g) * (self.margins.N + 1))
+        logC = _log_block_normalizer(m.rows, self.block_total, totals, g)[which]
+        per_class = max(self._floats_per_class(), len(g) * (m.N + 1))
         chunk = max(1, _SCAN_CHUNK_BYTES // (8 * per_class))
         for start in range(0, len(U), chunk):
             Uc = U[start : start + chunk]
@@ -891,9 +893,9 @@ class RejectionAggregate:
     def suffix_alpha_table(self, gammas: Sequence[float]) -> np.ndarray:
         """(N + 1, G) array: ``alpha_table`` over the ordinal suffix classes.
 
-        Row k is the class ``candidates_ordinal`` yields k-th: k ones filling
-        the outcome columns from the last down, so columns after some p are
-        full, columns before it empty and column p holds u.  An empty column
+        Row k is row k of ``worstcase._ordinal_classes``: k ones filling the
+        outcome columns from the last down, so columns after some p are full,
+        columns before it empty and column p holds u.  An empty column
         has chi[b, d] = [d = 0] C(c, b) and a full one [d = b] C(c, b), so
         S_d(p, u) = sum_{b, e} chi_p[b, e] V_p[b, d - e] with V_p[b, s] the
         sum of R times prod_{j != p} C(c_j, b_j) over the tensor cells whose

@@ -175,11 +175,7 @@ def _tilted_fill(
     out = np.zeros((size, m.I, J), dtype=np.int64)
     log_h = log_hb
     for rows_idx, colmat in ((zero_rows, adraw), (one_rows, bdraw)):
-        rows_blk = tuple(m.rows[i] for i in rows_idx)
-        if len(rows_blk) == 1:
-            out[:, rows_idx[0], :] = colmat
-            continue
-        sub, lh, ucol = _sis_fill(rows_blk, colmat, U, ucol)
+        sub, lh, ucol = _sis_fill(tuple(m.rows[i] for i in rows_idx), colmat, U, ucol)
         out[:, rows_idx, :] = sub
         log_h += lh
     return out, log_h

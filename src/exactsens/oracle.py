@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +26,8 @@ from exactsens.stats import ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_array
 
 __all__ = ["OracleReport", "run_battery", "valid_deltas", "random_instance"]
+
+_GAMMAS = (0.0, 0.5, 1.0, 2.0)  # every instance is checked at each of these
 
 
 @dataclass
@@ -85,7 +86,6 @@ def run_battery(
     max_n: int = 12,
     cases: int = 60,
     tolerance: float = 1e-12,
-    gammas: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
 ) -> OracleReport:
     if cases < 1:
         raise ValueError("the battery needs at least one case")
@@ -106,7 +106,7 @@ def run_battery(
             cclass = ConfounderClass(tuple(ubar))
             outcomes, raw = cclass.subjects(m)
             for delta in valid_deltas(m.I):
-                for gamma in gammas:
+                for gamma in _GAMMAS:
                     model = SensitivityModel(gamma=gamma, delta=delta)
                     a_kernel = kernel_alpha(stat, t_obs, cclass, model, inst["critical"])
                     a_brute = brute_force_alpha(

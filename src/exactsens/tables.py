@@ -156,10 +156,13 @@ def enumerate_fixed_margin_tables(m: Margins) -> Iterator[ContingencyTable]:
     left of row i and ``rest`` is the capacity of the columns after j, so each
     prefix extends to at least one complete table.  The last column of each
     row and the entire last row are forced.  Output order is lexicographic in
-    the flattened cell vector.
+    the flattened cell vector.  Margins of fewer than 2 rows or 2 columns
+    raise ``ValueError`` at the call, as no table of that shape exists.
     """
-    for flat in _enumerate_rec(m.rows, m.cols):
-        yield ContingencyTable.from_array(np.asarray(flat).reshape(m.I, m.J))
+    if m.I < 2 or m.J < 2:
+        raise ValueError("a contingency table needs at least 2 rows and 2 columns")
+    return (ContingencyTable.from_array(np.asarray(flat).reshape(m.I, m.J))
+            for flat in _enumerate_rec(m.rows, m.cols))
 
 
 def _enumerate_rec(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[list[int]]:
@@ -242,8 +245,8 @@ def _bounded_compositions_many(
     return np.stack(cols, axis=1) if n else np.zeros((len(owner), 0), dtype=np.int64), owner
 
 
-def enumerate_fixed_margin_array(m: Margins, dtype=np.int32) -> np.ndarray:
-    """All fixed-margin tables as one (ntables, I, J) array, in stream order.
+def enumerate_fixed_margin_array(m: Margins) -> np.ndarray:
+    """All fixed-margin tables as one (ntables, I, J) int32 array, in stream order.
 
     Batched version of :func:`enumerate_fixed_margin_tables`.  Each row
     i < I - 1 of every prefix is expanded at once by
@@ -259,9 +262,9 @@ def enumerate_fixed_margin_array(m: Margins, dtype=np.int32) -> np.ndarray:
     parts: list[np.ndarray] = []
     for r in m.rows[:-1]:
         vec, owner = _bounded_compositions_many(np.full(len(left), r), left)
-        parts = [p[owner] for p in parts] + [vec.astype(dtype)]
+        parts = [p[owner] for p in parts] + [vec.astype(np.int32)]
         left = left[owner] - vec
-    parts.append(left.astype(dtype))
+    parts.append(left.astype(np.int32))
     return np.stack(parts, axis=1)
 
 

@@ -13,23 +13,22 @@ admissible confounders.  The search space collapses by test family:
 
 ``worst_case_grid`` picks the cheapest valid strategy (a requested one is
 checked against the same conditions and refused if they fail), records it
-in ``WorstCaseResult.strategy_used``, and builds one gamma-free object for
-the whole grid.  For a corner scan it is a table aggregation, which
-evaluates every candidate class at every gamma in one batched log-domain
-pass: ``RejectionAggregate.suffix_alpha_table`` for the ordinal suffix
-classes (one sweep over the aggregate's columns), ``alpha_table`` for the
-full per-outcome grid.  The maximum is then taken row by row in candidate
-order, keeping the first maximizer up to ``_TIE_REL``, so ties break
-deterministically toward the lexicographically smallest class.  For the
-sign score it is the MVEHG support with the statistic evaluated on it,
-renormalized per gamma.
+in ``WorstCaseResult.strategy_used``, and reduces it to two arrays: the
+(K, J) candidate classes in lexicographic order and their (K, G) alpha
+table from one gamma-free build for the whole grid.  For a corner scan that
+is a table aggregation, ``RejectionAggregate.suffix_alpha_table`` for the
+ordinal suffix classes and ``alpha_table`` for the full per-outcome grid;
+for the sign score, the MVEHG support with the statistic evaluated on it,
+renormalized per gamma.  One tie rule then scans each gamma's column in
+candidate order, keeping the first maximizer up to ``_TIE_REL`` so ties
+break toward the lexicographically smallest class, and builds a
+``ConfounderClass`` for the winner only.
 Dose (phi) models are refused outside the sign-score family: interior
 confounders can beat every corner there, so a corner scan would be wrong.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -74,29 +73,31 @@ class MultiDeltaResult:
     per_delta: tuple[WorstCaseResult, ...]
 
 
-def candidates_pi(m: Margins) -> Iterator[ConfounderClass]:
-    """Every per-outcome count vector 0 <= ubar_j <= N_.j, each exactly once."""
-    for combo in itertools.product(*(range(cj + 1) for cj in m.cols)):
-        yield ConfounderClass(combo)
+def _pi_classes(m: Margins) -> np.ndarray:
+    """(prod_j (N_.j + 1), J) array of every class 0 <= ubar_j <= N_.j, lexicographic."""
+    return np.indices([c + 1 for c in m.cols]).reshape(m.J, -1).T
 
 
-def candidates_ordinal(m: Margins) -> Iterator[ConfounderClass]:
-    """The N + 1 suffix classes: k ones filling outcome levels from J down.
+def _ordinal_classes(m: Margins) -> np.ndarray:
+    """(N + 1, J) array of the suffix classes: row k has k ones filling levels from J down.
 
     With outcomes sorted ascending, the ordinal maximizer has u
     non-decreasing, so the k subjects with u = 1 occupy the top outcome
-    levels; spill the remainder downward.
+    levels; level j takes what the levels after it leave of k, up to N_.j.
     """
-    cols = m.cols
-    J = m.J
-    for k in range(m.N + 1):
-        ubar = [0] * J
-        rem = k
-        for j in range(J - 1, -1, -1):
-            take = min(rem, cols[j])
-            ubar[j] = take
-            rem -= take
-        yield ConfounderClass(tuple(ubar))
+    cols = np.asarray(m.cols)
+    after = np.cumsum(cols[::-1])[::-1] - cols
+    return np.clip(np.arange(m.N + 1)[:, None] - after, 0, cols)
+
+
+def candidates_pi(m: Margins) -> Iterator[ConfounderClass]:
+    """Every per-outcome count vector 0 <= ubar_j <= N_.j, each exactly once."""
+    return map(ConfounderClass, _pi_classes(m).tolist())
+
+
+def candidates_ordinal(m: Margins) -> Iterator[ConfounderClass]:
+    """The N + 1 suffix classes: k ones filling outcome levels from J down."""
+    return map(ConfounderClass, _ordinal_classes(m).tolist())
 
 
 def signscore_u_plus(m: Margins) -> ConfounderClass:
@@ -175,44 +176,35 @@ def worst_case_grid(
         support, logc = _mvehg_base(m.rows, m.cols[1])
         tvals = test.evaluate_batch(
             np.stack([np.asarray(m.rows)[None, :] - support, support], axis=2))
-        results = []
-        for g in gammas:
-            probs = _mvehg_probs(support, logc, [g * b for b in model.bias])
-            results.append(WorstCaseResult(
-                pvalue=min(tail_mass(tvals, probs, critical), 1.0),
-                argmax_class=signscore_u_plus(m),
-                candidates_scanned=1,
-                family_used=TestFamily.SIGN_SCORE,
-                strategy_used=strategy,
-            ))
-        return results
-    agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]
-    if strategy == "ordinal":
-        cands = list(candidates_ordinal(m))
-        table = agg.suffix_alpha_table(gammas)
+        U = np.array([signscore_u_plus(m).ubar])
+        table = np.array([[
+            tail_mass(tvals, _mvehg_probs(support, logc, [g * b for b in model.bias]), critical)
+            for g in gammas
+        ]])
     else:
-        cands = list(candidates_pi(m))
-        table = agg.alpha_table(cands, gammas)
-    # candidate streams are lexicographically ascending, so keeping the first
+        agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]
+        if strategy == "ordinal":
+            U, table = _ordinal_classes(m), agg.suffix_alpha_table(gammas)
+        else:
+            U = _pi_classes(m)
+            table = agg.alpha_table(U, gammas)
+    # candidate rows are lexicographically ascending, so keeping the first
     # maximizer (up to _TIE_REL jitter) realizes the lex-smallest tie-break
     # while the reported p stays equal to alpha at the reported class
-    best_p = [-1.0] * len(gammas)
-    best_c: list[ConfounderClass | None] = [None] * len(gammas)
-    for cand, vals in zip(cands, table.tolist()):
-        for k, v in enumerate(vals):
-            if v > best_p[k] * (1.0 + _TIE_REL):
-                best_p[k] = v
-                best_c[k] = cand
-    return [
-        WorstCaseResult(
-            pvalue=min(p, 1.0),
-            argmax_class=c,  # type: ignore[arg-type]
-            candidates_scanned=len(cands),
+    results = []
+    for col in table.T.tolist():
+        best, top = 0, col[0]
+        for k, v in enumerate(col):
+            if v > top * (1.0 + _TIE_REL):
+                best, top = k, v
+        results.append(WorstCaseResult(
+            pvalue=min(top, 1.0),
+            argmax_class=ConfounderClass(U[best].tolist()),
+            candidates_scanned=len(U),
             family_used=test.family,
             strategy_used=strategy,
-        )
-        for p, c in zip(best_p, best_c)
-    ]
+        ))
+    return results
 
 
 def worst_case_multi_delta(

@@ -527,6 +527,31 @@ def test_oracle_check_refuses_vacuous_settings(capsys, args, message):
     assert "passed" not in out.out and "COUNTEREXAMPLE" not in out.out
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--out", "out.csv"), ("--summary", "run.json"), ("--gamma-grid", "5"), ("--Gamma-grid", "5"),
+])
+def test_oracle_check_refuses_options_it_would_ignore(option, value, tmp_path, monkeypatch,
+                                                      capsys):
+    # the battery writes no CSV or summary and fixes its own gammas
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle-check", "--cases", "1", "--nmax", "5", option, value])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["pi", "ordinal", "signscore"])
+def test_fixed_ubar_refuses_a_strategy(strategy, girls_csv, tmp_path, capsys):
+    # --fixed-ubar evaluates one class, so a requested scan strategy would be ignored
+    out = tmp_path / "out.csv"
+    assert run(["analyze", girls_csv, "--test", "chi2", "--delta", "0,1,1",
+                "--fixed-ubar", "1,1,1", "--strategy", strategy, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: --strategy picks the worst-case scan; --fixed-ubar runs none\n")
+
+
 def test_gamma_grid_validation(girls_csv):
     assert run([
         "analyze", girls_csv, "--test", "chi2", "--delta", "0,1,1",

@@ -177,7 +177,8 @@ def test_exact_vs_fast_paths_agree():
         m = t.margins()
         stat = ordinal_statistic(tuple(range(m.I)), tuple(range(m.J)))
         classes = list(candidates_pi(m))
-        table = RejectionAggregate(m, stat, stat(t), delta).alpha_table(classes, gammas)
+        U = np.array([c.ubar for c in classes])
+        table = RejectionAggregate(m, stat, stat(t), delta).alpha_table(U, gammas)
         assert table.shape == (len(classes), len(gammas))
         for c, row in zip(classes, table):
             for g, b in zip(gammas, row):
@@ -200,9 +201,20 @@ def test_alpha_table_chunks_match_single_class_calls():
     classes = list(candidates_ordinal(m))
     assert len(classes) > _SCAN_CHUNK_BYTES // (8 * agg._floats_per_class())
     gammas = [0.0, 0.7, 3.0]
-    table = agg.alpha_table(classes, gammas)
+    table = agg.alpha_table(np.array([c.ubar for c in classes]), gammas)
     for c, row in zip(classes, table):
         np.testing.assert_allclose(row, agg.alpha_grid(c, gammas), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("U", [
+    [[0, 1]], [[0, 1, 2, 0]], [0, 1, 2], [[0, -1, 2]], [[0, 1, 9]],
+], ids=["too-narrow", "too-wide", "one-dimensional", "negative", "above-margin"])
+def test_alpha_table_refuses_malformed_class_arrays(U):
+    t = ContingencyTable.from_array([[3, 1, 2], [1, 2, 3]])
+    stat = ordinal_statistic((0, 1), (0, 1, 2))
+    agg = RejectionAggregate(t.margins(), stat, stat(t), (0, 1))
+    with pytest.raises(ValueError):
+        agg.alpha_table(np.array(U), [0.0, 1.0])
 
 
 def test_fast_path_large_column_margins():

@@ -57,6 +57,15 @@ def test_lexicographic_order_and_array_agreement(rows, cols):
     assert [tuple(a.ravel()) for a in arr] == flat
 
 
+@pytest.mark.parametrize("rows,cols", [((5,), (2, 0, 3)), ((2, 3), (5,))],
+                         ids=["one-row", "one-column"])
+def test_table_stream_refuses_a_degenerate_shape_at_the_call(rows, cols):
+    # no ContingencyTable has fewer than 2 rows or columns; the refusal must
+    # not wait for the first next() on the stream
+    with pytest.raises(ValueError, match="at least 2 rows and 2 columns"):
+        enumerate_fixed_margin_tables(Margins(rows, cols))
+
+
 def brute_force_table_count(rows, cols):
     """Group every treatment assignment by its induced table."""
     outcomes = []

@@ -1,5 +1,6 @@
 """Candidate sets and worst-case search."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -29,6 +30,8 @@ from exactsens.stats import (
 )
 from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_array
 from exactsens.worstcase import (
+    _ordinal_classes,
+    _pi_classes,
     candidates_ordinal,
     candidates_pi,
     signscore_u_plus,
@@ -49,6 +52,23 @@ def test_pi_candidate_counts():
     assert len(cands) == 3 * 6 * 9 == 162
     assert len(set(c.ubar for c in cands)) == 162
     assert len(cands) <= m.N ** m.J
+
+
+@pytest.mark.parametrize("cols", [(3, 5, 10), (2, 0, 3), (0, 4, 1, 0), (6, 0)])
+def test_class_arrays_match_their_loops(cols):
+    # the candidate loops the class arrays replace, empty outcome levels included
+    m = Margins((sum(cols) - 1, 1), cols)
+    spilled = []
+    for k in range(m.N + 1):
+        ubar, rem = [0] * m.J, k
+        for j in range(m.J - 1, -1, -1):
+            ubar[j] = min(rem, cols[j])
+            rem -= ubar[j]
+        spilled.append(ubar)
+    assert _ordinal_classes(m).tolist() == spilled
+    assert _pi_classes(m).tolist() == [list(u) for u in itertools.product(
+        *(range(c + 1) for c in cols))]
+    assert [c.ubar for c in candidates_ordinal(m)] == [tuple(u) for u in spilled]
 
 
 def test_ordinal_candidates_spill_down():
@@ -345,7 +365,7 @@ def test_suffix_sweep_equals_alpha_table(rng, I, J):
         delta = tuple(int(v) for v in rng.integers(0, 2, size=I))
         agg = RejectionAggregate(m, stat, stat(t), delta)
         _assert_same_alphas(agg.suffix_alpha_table(gammas),
-                            agg.alpha_table(list(candidates_ordinal(m)), gammas))
+                            agg.alpha_table(_ordinal_classes(m), gammas))
 
 
 @pytest.mark.parametrize("arr", [
@@ -356,7 +376,7 @@ def test_suffix_sweep_with_an_empty_outcome_column(arr):
     gammas = [0.0, 1.0, 6.0]
     agg = _ordinal_aggregate(arr, (0, 1))
     _assert_same_alphas(agg.suffix_alpha_table(gammas),
-                        agg.alpha_table(list(candidates_ordinal(agg.margins)), gammas))
+                        agg.alpha_table(_ordinal_classes(agg.margins), gammas))
     t = ContingencyTable.from_array(arr)
     stat = ordinal_statistic(tuple(range(t.I)), tuple(range(t.J)))
     model = SensitivityModel(gamma=1.0, delta=(0, 1))
@@ -390,7 +410,7 @@ SWEEP_MEMORY_CASES = [
 def test_suffix_sweep_peak_memory_within_alpha_table(arr, delta):
     gammas = [0.0, 1.0, 3.0, 6.0]
     agg = _ordinal_aggregate(arr, delta)
-    classes = list(candidates_ordinal(agg.margins))
+    classes = _ordinal_classes(agg.margins)
 
     def peak(scan):
         tracemalloc.start()
@@ -412,7 +432,7 @@ def test_suffix_sweep_tail_sums_no_more_terms_than_alpha_table(monkeypatch):
     # a 100-point grid at 4x4 margins 8: the log-sum-exp tail dominates both
     # scans there, and the sweep's chunks keep only their reachable d
     agg = _ordinal_aggregate([[2] * 4] * 4, (0, 0, 1, 1))
-    classes = list(candidates_ordinal(agg.margins))
+    classes = _ordinal_classes(agg.margins)
     gammas = np.linspace(0.0, 3.0, 100)
     terms = []
     logsumexp = exactdist.logsumexp
