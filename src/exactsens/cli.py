@@ -138,11 +138,13 @@ def _build_statistic(args, table: ContingencyTable) -> TestStatistic:
     if spec == "g2":
         return g2_statistic()
     if spec.startswith("cell:"):
+        bad = CliError(f"bad cell spec {spec!r}; expected cell:i,j (1-based)", EXIT_BAD_INPUT)
         try:
             i, j = (int(v) for v in spec[len("cell:"):].split(","))
         except ValueError:
-            raise CliError(f"bad cell spec {spec!r}; expected cell:i,j (1-based)",
-                           EXIT_BAD_INPUT) from None
+            raise bad from None
+        if i < 1 or j < 1:
+            raise bad
         return cell_statistic(i - 1, j - 1)  # CLI is 1-based
     if spec == "ordinal":
         if args.alpha is None or args.beta is None:

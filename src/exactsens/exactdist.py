@@ -25,7 +25,13 @@ never holds it: the table weight, the block sums and the built-in statistics
 are sums of per-column terms, so a table is a path of per-column vector ids
 through a column-by-column network (after Mehta & Patel, JASA 78:427-434,
 1983), and prefixes of those paths are expanded in chunks of bounded memory
-that carry only a few scalars each.  A candidate
+that carry only a few scalars each.  For a statistic of column terms, one
+backward pass over the network gives every state its largest remaining
+statistic and its number of completions (``_completion_bounds``), and a
+prefix whose bound cannot reach the critical value is counted and dropped
+before it is expanded, as FEXACT cuts with its longest path (Mehta & Patel,
+ACM TOMS 12:154-161, 1986); every table that can still reject is classified
+by its own path sum, so the rejection region does not move.  A candidate
 scan over a Gamma grid is then one batched log-domain pass
 (``RejectionAggregate.alpha_table``): R is contracted column by column
 against the per-column binomial profiles, batched over the classes, while
@@ -689,6 +695,33 @@ def _column_network(
     return levels, vectors
 
 
+def _completion_bounds(levels: list[_ColumnLevel]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level j, (top_j, count_j) over the states before column j, in one backward pass.
+
+    top_j[s] is the largest statistic sum over state s's completions, the
+    max over its edges e of tterm[e] + top_{j+1}[child[e]], and count_j[s]
+    (int64) the number of those completions; every state has an edge, since
+    every edge lies on a complete table.  A float64 shadow of the counts
+    that reaches 2^62 at the root raises ``ValueError``; no state has more
+    completions than the root, so no int64 count can wrap.
+    """
+    out = []
+    for lev in reversed(levels):
+        starts = lev.ptr[:-1]
+        if lev.child is None:
+            top, count = np.maximum.reduceat(lev.tterm, starts), np.diff(lev.ptr)
+            shadow = count.astype(float)
+        else:
+            top = np.maximum.reduceat(lev.tterm + top[lev.child], starts)
+            count = np.add.reduceat(count[lev.child], starts)
+            shadow = np.add.reduceat(shadow[lev.child], starts)
+        out.append((top, count))
+    if shadow[0] >= 2.0**62:
+        raise ValueError(f"the reference set holds about {shadow[0]:.3g} tables, "
+                         "too many to count in 64-bit integers")
+    return out[::-1]
+
+
 class RejectionAggregate:
     """Gamma-free summary of a rejection region for one (margins, test, critical, delta).
 
@@ -710,6 +743,22 @@ class RejectionAggregate:
     so no weight overflows at large margins.  An opaque statistic gets each
     chunk's tables rebuilt from their column-vector ids.  Precomputed
     ``tables`` (and ``tvals``) feed the same accumulator as one chunk.
+
+    Wholly accepted subtrees are never expanded.  For a statistic of column
+    terms, ``_completion_bounds`` gives each network state s at level j the
+    largest statistic sum top_j[s] over its completions and their number
+    count_j[s], and a prefix with partial statistic tterm is dropped when
+    tterm + top_j[s] falls below the rejection threshold less a guard.  The
+    guard, L 2^-51 (M + |threshold|) over L levels whose largest absolute
+    terms sum to M, exceeds the float gap between that bound and any
+    completion's forward path sum, so no table that the per-path sum would
+    reject is dropped, and the last level classifies every surviving path by
+    that sum.  Opaque statistics and precomputed tables are not pruned.
+    ``ntables`` counts the reference set exactly (the dropped prefixes add
+    their count_j[s]; a reference set of 2^62 tables or more raises
+    ``ValueError``), ``nrejected`` the rejected tables, and ``nexpanded``
+    the tables whose statistic was evaluated, at most ``ntables`` and equal
+    to it without pruning.
 
     ``alpha_table`` evaluates a whole candidate scan, given as a (K, J)
     array of classes, in one batched pass.
@@ -748,6 +797,7 @@ class RejectionAggregate:
         self._threshold = self.critical - statistic_tolerance(self.critical)
         self.ntables = 0
         self.nrejected = 0
+        self.nexpanded = 0
         self._R = np.zeros(self._shape)
         self._offset = -math.inf
         network = None
@@ -767,8 +817,9 @@ class RejectionAggregate:
             self._offset = 0.0
 
     def _add(self, ntables: int, ridx: np.ndarray, logw: np.ndarray) -> None:
-        """Count a chunk of ``ntables`` tables and add its rejected ones to R."""
+        """Count a chunk of ``ntables`` evaluated tables and add its rejected ones to R."""
         self.ntables += ntables
+        self.nexpanded += ntables
         self.nrejected += len(logw)
         if not len(logw):
             return
@@ -787,18 +838,42 @@ class RejectionAggregate:
         # an opaque statistic's rows also carry J ids and a rebuilt table
         row_bytes = _BUILD_ROW_BYTES + (8 * (m.J + 3 * m.I * m.J) if opaque else 0)
         budget = max(1, _BUILD_CHUNK_BYTES // row_bytes)
+        prune = None
+        if not opaque:
+            # the forward sum of a path and a prefix's bound are two float
+            # sums of the same L level terms, each within gamma_{L-1} M of
+            # the exact sum, gamma_n = n u / (1 - n u) and u = 2^-53 (Higham,
+            # Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2);
+            # forming the floor rounds by at most u |floor|.  L 2^-51 (M + |t|)
+            # covers all three with room to spare.
+            M = sum(float(np.abs(lev.tterm).max()) for lev in levels)
+            guard = len(levels) * 2.0**-51 * (M + abs(self._threshold))
+            prune = (self._threshold - guard, _completion_bounds(levels))
         root = np.zeros(1, dtype=np.int64)
         prefixes = (root, np.zeros(1), np.zeros(1), root, [] if opaque else None)
-        self._descend(test, levels, vectors, budget, 0, *prefixes)
+        self._descend(test, levels, vectors, budget, prune, 0, *prefixes)
 
-    def _descend(self, test, levels, vectors, budget, j, state, logw, tterm, ridx, ids) -> None:
+    def _descend(
+        self, test, levels, vectors, budget, prune, j, state, logw, tterm, ridx, ids
+    ) -> None:
         """Expand the prefixes at network level j in batches, depth first.
 
         Prefix p sits at ``state[p]`` with partial sums ``logw[p]``,
         ``tterm[p]`` and ``ridx[p]``; for an opaque statistic ``ids`` holds
         its column-vector ids so far, one array per column (else None).
+        With ``prune`` = (floor, ``_completion_bounds``), a prefix whose
+        bound tterm + top_j[state] lies below the floor is dropped first, and
+        its count_j[state] completions are counted as accepted tables.
         """
         lev = levels[j]
+        if prune is not None:
+            floor, bounds = prune
+            top, count = bounds[j]
+            dead = tterm + top[state] < floor
+            if dead.any():
+                self.ntables += int(count[state[dead]].sum())
+                live = ~dead
+                state, logw, tterm, ridx = state[live], logw[live], tterm[live], ridx[live]
         counts = lev.ptr[state + 1] - lev.ptr[state]
         ends = np.cumsum(counts)
         start = 0
@@ -811,7 +886,7 @@ class RejectionAggregate:
             edge += np.arange(len(edge))
             ids_e = None if ids is None else [v[parent] for v in ids] + [v[edge] for v in lev.vids]
             if j + 1 < len(levels):
-                self._descend(test, levels, vectors, budget, j + 1, lev.child[edge],
+                self._descend(test, levels, vectors, budget, prune, j + 1, lev.child[edge],
                               logw[parent] + lev.logw[edge], tterm[parent] + lev.tterm[edge],
                               ridx[parent] + lev.ridx[edge], ids_e)
             else:

@@ -245,6 +245,17 @@ def test_single_gamma_commands_refuse_a_grid(argv, grid, girls_csv, tmp_path, ca
     assert capsys.readouterr().err == f"error: {argv[0]} takes one gamma value, not {n}\n"
 
 
+@pytest.mark.parametrize("spec", ["cell:0,2", "cell:1,0", "cell:-1,1"])
+def test_cell_spec_is_one_based(tmp_path, capsys, spec):
+    # cell indices count from 1 on the command line: 0 or less is a bad spec,
+    # not the library's 0-based "must be non-negative" refusal
+    table = tmp_path / "t.csv"
+    table.write_text("2,3,0\n0,1,4\n0,1,4\n")
+    assert run(["analyze", str(table), "--test", spec, "--delta", "0,1,1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad cell spec {spec!r}; expected cell:i,j (1-based)\n")
+
+
 def test_model_family_mismatch_exits_3(girls_csv, tmp_path, capsys):
     # dose model with a permutation-invariant scan is refused
     code = run([

@@ -677,6 +677,110 @@ def test_streamed_build_refuses_empty_outcome_level(stat):
         RejectionAggregate(Margins((3, 4), (5, 0, 2)), stat, 1.0, (0, 1))
 
 
+
+def _assert_pruned_build_matches(m, stat, critical, delta, tables, tvals):
+    # the streamed build, which drops wholly accepted subtrees, against the
+    # route handed the materialized reference set, which prunes nothing
+    ref = RejectionAggregate(m, stat, critical, delta, tables, tvals)
+    got = RejectionAggregate(m, stat, critical, delta)
+    assert got.ntables == ref.ntables == ref.nexpanded == len(tables)
+    assert got.nrejected == ref.nrejected
+    assert got.nexpanded <= got.ntables
+    np.testing.assert_allclose(got._R * math.exp(got._offset - ref._offset), ref._R,
+                               rtol=1e-12, atol=0, err_msg=f"{stat.name} at {critical}")
+    return got
+
+
+def test_pruned_build_at_tail_and_median_critical_values():
+    # 1,189,507 tables; the tail critical value (z about 1.9, the top 3%)
+    # leaves most subtrees wholly accepted, the median about half of them
+    m = Margins((8, 8, 8, 9), (8, 8, 9, 8))
+    stat = ordinal_statistic((0, 1, 2, 3), (0, 1.05, 2.1, 3.2))
+    tables = enumerate_fixed_margin_array(m)
+    tvals = stat.evaluate_batch(tables)
+    assert len(tables) == 1_189_507
+    expanded = []
+    for critical in np.quantile(tvals, [0.97, 0.5]):
+        got = _assert_pruned_build_matches(m, stat, critical, (0, 0, 1, 1), tables, tvals)
+        expanded.append(got.nexpanded)
+    assert expanded[0] < len(tables) // 2
+    assert expanded[1] < len(tables)
+
+
+@pytest.mark.parametrize("stat", [
+    weighted_sum_statistic((1.0, -2.0, 0.5), (-1.0, 3.0, -0.5, 2.0)),
+    chi2_statistic(),
+    g2_statistic(),
+    cell_statistic(1, 2),
+], ids=lambda s: s.name)
+def test_pruned_build_matches_materialized_route(stat):
+    # mixed-sign scores make a prefix's partial sum rise and fall along a path
+    m = Margins((6, 7, 8), (5, 6, 4, 6))
+    tables = enumerate_fixed_margin_array(m)
+    tvals = stat.evaluate_batch(tables)
+    for critical in np.quantile(tvals, [0.5, 0.9, 0.99]):
+        for delta in [(0, 0, 1), (1, 0, 1)]:
+            got = _assert_pruned_build_matches(m, stat, critical, delta, tables, tvals)
+    assert got.nexpanded < len(tables) // 2
+
+
+def test_pruned_build_keeps_ties_at_an_attained_critical_value():
+    m = Margins((6, 7, 8), (5, 6, 4, 6))
+    stat = ordinal_statistic((0, 1, 2), (0, 1, 2, 3))
+    tables = enumerate_fixed_margin_array(m)
+    tvals = stat.evaluate_batch(tables)
+    critical = float(np.sort(tvals)[int(0.95 * len(tvals))])
+    ties = int(np.sum(tvals == critical))
+    assert ties > 1
+    got = _assert_pruned_build_matches(m, stat, critical, (0, 1, 1), tables, tvals)
+    assert got.nrejected == int(np.sum(tvals >= critical))
+
+
+def test_pruned_build_above_every_statistic_expands_nothing():
+    m = Margins((6, 7, 8), (5, 6, 4, 6))
+    stat = ordinal_statistic((0, 1, 2), (0, 1, 2, 3))
+    tables = enumerate_fixed_margin_array(m)
+    tvals = stat.evaluate_batch(tables)
+    got = _assert_pruned_build_matches(m, stat, tvals.max() + 0.5, (0, 1, 1), tables, tvals)
+    assert (got.nexpanded, got.nrejected) == (0, 0)
+
+
+def test_opaque_build_prunes_nothing():
+    m = Margins((3, 2, 2), (2, 3, 2))
+    stat = permutation_invariant_statistic(
+        lambda t: float(np.abs(np.diff(t, axis=0)).sum()), "rowdiff")
+    tables = enumerate_fixed_margin_array(m)
+    tvals = stat.evaluate_batch(tables)
+    got = _assert_pruned_build_matches(m, stat, tvals.max(), (0, 1, 1), tables, tvals)
+    assert got.nexpanded == got.ntables == len(tables)
+
+
+def test_completion_bounds_of_a_network():
+    # the root's bound is the largest path sum and its count the table count
+    m = Margins((6, 7, 8), (5, 6, 4, 6))
+    stat = weighted_sum_statistic((1.0, -2.0, 0.5), (-1.0, 3.0, -0.5, 2.0))
+    levels, _ = exactdist._column_network(m, [2], stat)
+    (top, count), = exactdist._completion_bounds(levels)[:1]
+    tvals = stat.evaluate_batch(enumerate_fixed_margin_array(m))
+    assert count.tolist() == [len(tvals)]
+    assert top[0] == pytest.approx(tvals.max(), rel=1e-12)
+
+
+def test_completion_count_refused_at_two_to_the_62():
+    # a chain of L levels, one state each with two edges to the next state,
+    # has 2^L completions: 2^61 is counted exactly, 2^62 refused
+    def chain(L):
+        level = exactdist._ColumnLevel(
+            ptr=np.array([0, 2]), child=np.zeros(2, dtype=np.int64), vids=(),
+            logw=np.zeros(2), ridx=np.zeros(2, dtype=np.int64), tterm=np.array([0.0, 1.0]))
+        return [level] * (L - 1) + [level._replace(child=None)]
+
+    bounds = exactdist._completion_bounds(chain(61))
+    assert int(bounds[0][1][0]) == 2**61
+    assert bounds[0][0][0] == 61.0
+    with pytest.raises(ValueError, match="64-bit"):
+        exactdist._completion_bounds(chain(62))
+
 def test_chi2_and_g2_match_scipy_on_every_table():
     # an independent reference for the column-term formulas: scipy's
     # Pearson and log-likelihood statistics on every table of the margins

@@ -124,6 +124,38 @@ def test_collapse_commutes_with_margins():
     assert out.col_margins() == (t.col_margins()[0], sum(t.col_margins()[1:]))
 
 
+
+def _collapse_by_loop(t, rg, cg):
+    # the cell-by-cell definition: cell (a, b) sums the block rg[a] x cg[b]
+    arr = t.as_array()
+    out = np.zeros((len(rg), len(cg)), dtype=np.int64)
+    for a, rr in enumerate(rg):
+        for b, cc in enumerate(cg):
+            out[a, b] = arr[np.ix_(rr, cc)].sum()
+    return out
+
+
+def _random_partition(rng, n):
+    # contiguous runs cut at random points, singletons included, in a
+    # shuffled block order, which collapse accepts
+    cuts = sorted(rng.choice(np.arange(1, n), size=rng.integers(0, n), replace=False).tolist())
+    blocks = [tuple(range(a, b)) for a, b in zip([0] + cuts, cuts + [n])]
+    return [blocks[k] for k in rng.permutation(len(blocks))]
+
+
+def test_collapse_matches_the_blockwise_loop():
+    rng = np.random.default_rng(20)
+    singletons = 0
+    for _ in range(300):
+        I, J = rng.integers(2, 7, size=2)
+        t = ContingencyTable.from_array(rng.integers(0, 9, size=(I, J)) + (rng.random() < 0.5))
+        rg, cg = _random_partition(rng, I), _random_partition(rng, J)
+        if len(rg) < 2 or len(cg) < 2:
+            continue
+        singletons += any(len(b) == 1 for b in rg + cg)
+        assert collapse(t, rg, cg).as_array().tolist() == _collapse_by_loop(t, rg, cg).tolist()
+    assert singletons > 100
+
 def test_collapse_rejects_non_partition():
     t = ContingencyTable.from_array([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
