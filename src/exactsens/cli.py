@@ -14,8 +14,9 @@ Subcommands:
 Outputs are CSV (probabilities printed with 12 significant digits) plus a
 JSON summary embedding the full configuration and package version, so a rerun
 with the same config is byte-identical.  Exit codes: 0 success, 1 oracle
-counterexample, 2 malformed input, 3 model/family mismatch; ``main`` maps a
-``SensitivityError`` to 3 and any other ``ValueError`` to 2.
+counterexample, 2 malformed input or out of memory, 3 model/family mismatch;
+``main`` maps a ``SensitivityError`` to 3, any other ``ValueError`` to 2 and
+a ``MemoryError`` to 2 with one ``error: out of memory: ...`` line.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ def _parse_ints(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
         raise CliError(f"bad integer list {text!r}", EXIT_BAD_INPUT) from exc
+
+
+def _nonempty_floats(text: str, flag: str) -> list[float]:
+    """A list given explicitly: an empty one is refused, not read as the default."""
+    values = _parse_floats(text)
+    if not values:
+        raise CliError(f"empty {flag} list", EXIT_BAD_INPUT)
+    return values
 
 
 def _gamma_grid(args) -> list[float]:
@@ -335,10 +344,12 @@ def cmd_size(args) -> int:
         raise CliError("size needs a binary --delta: its normal-approximation column "
                        "takes the Q distribution, derived for binary delta models",
                        EXIT_MODEL_MISMATCH)
-    alpha_scores = _parse_floats(args.alpha) if args.alpha else list(range(len(rows)))
+    alpha_scores = (_nonempty_floats(args.alpha, "--alpha") if args.alpha is not None
+                    else list(range(len(rows))))
     if len(alpha_scores) != len(rows):
         raise CliError("--alpha length must match --rows", EXIT_BAD_INPUT)
-    nominal = _parse_floats(args.nominal) if args.nominal else [v / 100 for v in range(1, 100)]
+    nominal = (_nonempty_floats(args.nominal, "--nominal") if args.nominal is not None
+               else [v / 100 for v in range(1, 100)])
     bad = [g for g in nominal if not 0.0 <= g <= 1.0]  # also catches nan
     if bad:
         raise CliError(f"--nominal levels must lie in [0, 1], not {bad[0]}", EXIT_BAD_INPUT)
@@ -537,6 +548,8 @@ def main(argv=None) -> int:
         code, message = EXIT_MODEL_MISMATCH, str(exc)
     except ValueError as exc:
         code, message = EXIT_BAD_INPUT, str(exc)
+    except MemoryError as exc:
+        code, message = EXIT_BAD_INPUT, f"out of memory: {exc}"
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -1164,14 +1164,25 @@ def _mvehg_law(
     return support, _mvehg_probs(support, logc, weights)
 
 
-def tail_mass(values: np.ndarray, probs: np.ndarray, critical: float) -> float:
+def tail_mass(
+    values: np.ndarray, probs: np.ndarray, critical: float | np.ndarray
+) -> float | np.ndarray:
     """P(T >= critical) over atoms ``probs`` at ``values``, ties by ``statistic_tolerance``.
 
-    A non-finite ``critical`` is refused, as in ``_resolve_critical``.
+    ``probs`` is one law (S,) or a (G, S) stack over the same support, and
+    ``critical`` a scalar or an array; the result has shape
+    ``probs.shape[:-1] + np.shape(critical)`` (a float when both are single).
+    The support is sorted once and each tail read off its suffix sums.  A
+    non-finite critical value is refused, as in ``_resolve_critical``.
     """
-    if not math.isfinite(critical):
+    critical = np.asarray(critical, dtype=float)
+    if not np.isfinite(critical).all():
         raise ValueError("critical value must be finite")
-    return float(probs[values >= critical - statistic_tolerance(critical)].sum())
+    order = np.argsort(values)
+    suffix = np.cumsum(probs[..., order[::-1]], axis=-1)[..., ::-1]
+    suffix = np.concatenate([suffix, np.zeros(probs.shape[:-1] + (1,))], axis=-1)
+    out = suffix[..., np.searchsorted(values[order], critical - statistic_tolerance(critical))]
+    return float(out) if out.ndim == 0 else out
 
 
 def mvehg_pmf(

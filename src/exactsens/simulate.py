@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
-from exactsens.exactdist import _mvehg_law, statistic_tolerance
+from exactsens.exactdist import _mvehg_law, tail_mass
 from exactsens.moments import normal_tail, test_moments
 from exactsens.sensmodel import SensitivityError, SensitivityModel
 from exactsens.stats import TestStatistic, ordinal_statistic
@@ -309,11 +309,7 @@ def size_curve(
     support, probs = _mvehg_law(margins.rows, margins.cols[1], weights)
     tvals = support @ np.asarray(stat.alpha)
     if method == "exact":
-        # upper tail P(T >= t) of every support point by suffix sums
-        order = np.argsort(tvals)
-        suffix = np.cumsum(probs[order][::-1])[::-1]
-        k = np.searchsorted(tvals[order], tvals - statistic_tolerance(tvals), side="left")
-        pvals = suffix[k]
+        pvals = tail_mass(tvals, probs, tvals)  # P(T >= t) of every support point
     else:
         pvals = normal_tail(tvals, *test_moments(stat, signscore_u_plus(margins), margins, model))
     return [float(probs[pvals <= g].sum()) for g in nominal_grid]

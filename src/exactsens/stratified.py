@@ -21,7 +21,11 @@ random numbers.
 Closed testing turns the combiner into per-stratum familywise-error
 decisions: a stratum is rejected only if every subset containing it rejects,
 singletons using the raw p-value and larger subsets the subset-restricted
-truncated product.
+truncated product.  That local test is symmetric and non-decreasing in each
+p-value, so of the size-L subsets containing k the hardest to reject is k
+with the L - 1 largest other p-values: one nested chain per stratum, at most
+K (K - 1) local tests for any K instead of 2^K - 1 (Dobriban, "Fast closed
+testing for exchangeable local tests", Biometrika 107:761-768, 2020).
 """
 
 from __future__ import annotations
@@ -212,24 +216,18 @@ def closed_testing(
 ) -> tuple[bool, ...]:
     """Familywise decisions: reject k iff every subset containing k rejects.
 
-    ``combined_p_fn`` maps the p-values of a subset of size >= 2 to the
-    subset's combined p-value; singleton hypotheses are judged by their raw
-    p-value.
+    ``combined_p_fn`` maps a subset's p-values (size >= 2, ascending stratum
+    order) to its combined p-value, and must be symmetric in them and
+    non-decreasing in each; singletons are judged by their raw p-value.
+    Stratum k is rejected iff p_k and, for L = 2..K, k with the L - 1 largest
+    other p-values reject; the chain stops at its first non-rejecting subset.
     """
-    K = len(per_stratum_p)
-    if K > 10:
-        raise ValueError("closed testing enumerates 2^K - 1 subsets; K > 10 refused")
     pvals = list(per_stratum_p)
-    subset_reject: dict[frozenset[int], bool] = {}
-    for mask in range(1, 2**K):
-        subset = frozenset(i for i in range(K) if mask & (1 << i))
-        if len(subset) == 1:
-            (k,) = subset
-            subset_reject[subset] = pvals[k] <= alpha_level
-        else:
-            sub_p = combined_p_fn([pvals[k] for k in sorted(subset)])
-            subset_reject[subset] = sub_p <= alpha_level
+    by_p = sorted(range(len(pvals)), key=lambda i: -pvals[i])  # largest first, stable
     out = []
-    for k in range(K):
-        out.append(all(rej for s, rej in subset_reject.items() if k in s))
+    for k, p in enumerate(pvals):
+        others = [i for i in by_p if i != k]
+        out.append(bool(p <= alpha_level) and all(
+            combined_p_fn([pvals[i] for i in sorted([k, *others[:n]])]) <= alpha_level
+            for n in range(1, len(pvals))))
     return tuple(out)

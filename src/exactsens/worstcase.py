@@ -177,10 +177,9 @@ def worst_case_grid(
         tvals = test.evaluate_batch(
             np.stack([np.asarray(m.rows)[None, :] - support, support], axis=2))
         U = np.array([signscore_u_plus(m).ubar])
-        table = np.array([[
-            tail_mass(tvals, _mvehg_probs(support, logc, [g * b for b in model.bias]), critical)
-            for g in gammas
-        ]])
+        probs = np.stack([_mvehg_probs(support, logc, [g * b for b in model.bias])
+                          for g in gammas])
+        table = tail_mass(tvals, probs, critical)[None, :]
     else:
         agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]
         if strategy == "ordinal":

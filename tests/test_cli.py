@@ -1,9 +1,15 @@
 """Command-line surface: outputs, reproducibility, exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exactsens
 from exactsens.cli import main
 
 GIRLS_CSV = "# pre-K care x math proficiency\n12,3,0\n18,12,3\n17,25,4\n"
@@ -586,3 +592,44 @@ def test_nonmonotone_scores_fall_back_to_full_scan(tmp_path):
     row = out.read_text().strip().splitlines()[2]
     scanned = int(row.split(",")[4])
     assert scanned == 5 * 5  # full per-outcome-class grid, not N + 1
+
+
+@pytest.mark.parametrize("flag, value", [("--nominal", ","), ("--nominal", ""),
+                                         ("--alpha", ""), ("--alpha", ",")])
+def test_size_refuses_an_empty_list(flag, value, tmp_path, capsys):
+    # an explicit empty list wrote a header-only CSV or fell back to the default
+    out = tmp_path / "size.csv"
+    assert run(["size", "--rows", "4,3", "--cols", "3,4", "--delta", "0,1",
+                "--gamma-grid", "0.5", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: empty {flag} list\n"
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_2_with_one_line(girls_csv, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.05 GiB for an array")
+
+    monkeypatch.setattr("exactsens.cli.worst_case_grid", exhausted)
+    assert run(["analyze", girls_csv, "--test", "chi2", "--delta", "0,1,1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 7.05 GiB for an array\n")
+
+
+def test_out_of_memory_under_an_address_space_limit(tmp_path):
+    # R of this 2 x 6 ordinal table needs 7.05 GiB, so under a 2 GiB limit its
+    # allocation fails at once
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    (tmp_path / "t.csv").write_text("16,15,15,15,15,15\n15,15,15,15,15,16\n")
+    src = str(Path(exactsens.__file__).resolve().parents[1])
+    argv = ["analyze", "t.csv", "--test", "ordinal", "--alpha", "0,1",
+            "--beta", "0,1,2,3,4,5", "--delta", "0,1", "--Gamma-grid", "1,2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from exactsens.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""

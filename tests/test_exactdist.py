@@ -27,6 +27,7 @@ from exactsens.exactdist import (
     mvehg_pmf,
     omega_q,
     signscore_tail,
+    statistic_tolerance,
     tail_mass,
 )
 from exactsens.oracle import run_battery, valid_deltas
@@ -810,3 +811,22 @@ def test_tail_paths_refuse_non_finite_critical_values(critical):
         signscore_tail((0, 1, 2), (3, 3, 3), 4, [0, 0.5, 1.0], critical)
     with pytest.raises(ValueError, match="critical value must be finite"):
         tail_mass(np.array([0.0, 1.0]), np.array([0.5, 0.5]), critical)
+    with pytest.raises(ValueError, match="critical value must be finite"):
+        tail_mass(np.array([0.0, 1.0]), np.array([0.5, 0.5]), np.array([0.5, critical]))
+
+
+def test_tail_mass_over_a_law_stack_and_many_critical_values(rng):
+    # the suffix-sum tails equal a masked sum per (law, critical value), ties
+    # (within statistic_tolerance) included on the upper side
+    values = rng.integers(0, 6, 40) * 0.5 + rng.choice([0.0, 1e-12], 40)
+    probs = rng.random((3, 40))
+    probs /= probs.sum(axis=1, keepdims=True)
+    critical = np.concatenate([values[:10], [-1.0, 2.5, 2.5 + 1e-7, 99.0]])
+    got = tail_mass(values, probs, critical)
+    assert got.shape == (3, len(critical))
+    for g in range(3):
+        for c, v in zip(critical, got[g]):
+            want = probs[g][values >= c - statistic_tolerance(c)].sum()
+            assert v == pytest.approx(want, rel=1e-14, abs=1e-300)
+            assert tail_mass(values, probs[g], c) == v
+    assert got[:, -1].tolist() == [0.0] * 3

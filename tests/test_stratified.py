@@ -1,11 +1,12 @@
 """Stratified inference: combining and closed testing."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from exactsens import worstcase
+from exactsens import cli, worstcase
 from exactsens.exactdist import RejectionAggregate
 from exactsens.sensmodel import SensitivityModel
 from exactsens.tables import ContingencyTable
@@ -16,6 +17,7 @@ from exactsens.stratified import (
     closed_testing,
     combined_pvalue,
     stratified_worst_case,
+    stratified_worst_case_grid,
     truncated_product,
 )
 
@@ -156,9 +158,75 @@ def test_closed_testing_never_rejects_high_raw_p():
     assert flags == (False, True)
 
 
-def test_closed_testing_k_cap():
-    with pytest.raises(ValueError):
-        closed_testing([0.1] * 11, lambda ps: 0.5, 0.05)
+def closed_testing_by_subsets(pvals, combined_p_fn, alpha_level):
+    """Reference: judge all 2^K - 1 subsets, reject k iff each one holding k rejects."""
+    K = len(pvals)
+    rejects = {}
+    for mask in range(1, 2**K):
+        sub = [i for i in range(K) if mask >> i & 1]
+        p = pvals[sub[0]] if len(sub) == 1 else combined_p_fn([pvals[i] for i in sub])
+        rejects[mask] = p <= alpha_level
+    return tuple(all(rej for mask, rej in rejects.items() if mask >> k & 1) for k in range(K))
+
+
+def truncated_product_test(tau):
+    def comb(ps):
+        return combined_pvalue(truncated_product(ps, tau), len(ps), tau)
+    return comb
+
+
+def test_closed_testing_chain_matches_the_subset_enumeration():
+    # rounding to a few digits makes ties, the case where the chain's choice
+    # of "the largest other p-values" is not unique
+    rng = np.random.default_rng(21)
+    disagree = []
+    for _ in range(60):
+        K = int(rng.integers(1, 8))
+        ps = np.round(rng.random(K) ** rng.choice([1, 3]), int(rng.integers(2, 4))).tolist()
+        for tau in (0.05, 0.2, 0.5):
+            comb = truncated_product_test(tau)
+            for alpha in (0.05, 0.1):
+                got = closed_testing(ps, comb, alpha)
+                if got != closed_testing_by_subsets(ps, comb, alpha):
+                    disagree.append((ps, tau, alpha, got))
+    assert disagree == []
+
+
+def test_closed_testing_calls_the_local_test_at_most_k_k_minus_1_times():
+    K = 8
+    comb = truncated_product_test(0.2)
+    rng = np.random.default_rng(8)
+    for ps in [rng.random(K).tolist(), (rng.random(K) * 0.05).tolist()]:
+        seen = []
+
+        def counting(sub):
+            seen.append([ps.index(v) for v in sub])  # the p-values are distinct
+            return comb(sub)
+
+        assert closed_testing(ps, counting, 0.05) == closed_testing_by_subsets(ps, comb, 0.05)
+        assert len(seen) <= K * (K - 1)
+        assert all(idx == sorted(idx) for idx in seen)  # ascending stratum order
+    # when every subset rejects, every chain runs to the full set
+    seen = []
+    assert closed_testing([1e-4] * K, lambda sub: seen.append(sub) or 0.0, 0.05) == (True,) * K
+    assert len(seen) == K * (K - 1)
+
+
+def test_stratified_cli_runs_twelve_strata(tmp_path):
+    # 4,095 subsets per gamma, beyond the former K <= 10 limit of the subset table
+    tables = [[[n - s, s], [s, n - s]] for n in (10, 12) for s in range(0, 12, 2)]
+    doc = {"strata": [{"counts": t, "alpha": [0, 1], "beta": [0, 1]} for t in tables],
+           "gamma": 0.0, "delta": [0, 1], "tau": 0.2}
+    inp, out = tmp_path / "study.json", tmp_path / "out.csv"
+    inp.write_text(json.dumps(doc))
+    assert cli.main(["stratified", str(inp), "--Gamma-grid", "1,2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    study, _ = StratifiedStudy.from_json(inp.read_text())
+    grid = stratified_worst_case_grid(study, [0.0, math.log(2)])
+    for row, ps in zip(rows, grid):
+        want = closed_testing_by_subsets(ps.tolist(), truncated_product_test(0.2), 0.05)
+        assert tuple(f == "1" for f in row[-12:]) == want
+    assert [f for row in rows for f in row[-12:]].count("1") > 0
 
 
 def test_from_json():
@@ -171,8 +239,6 @@ def test_from_json():
         "delta": [0, 1, 1],
         "tau": 0.3,
     }
-    import json
-
     study, tau = StratifiedStudy.from_json(json.dumps(doc))
     assert study.K == 2 and tau == 0.3 and study.model.gamma == 0.5
     with pytest.raises(ValueError):
