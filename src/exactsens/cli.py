@@ -14,9 +14,13 @@ Subcommands:
 Outputs are CSV (probabilities printed with 12 significant digits) plus a
 JSON summary embedding the full configuration and package version, so a rerun
 with the same config is byte-identical.  Exit codes: 0 success, 1 oracle
-counterexample, 2 malformed input or out of memory, 3 model/family mismatch;
-``main`` maps a ``SensitivityError`` to 3, any other ``ValueError`` to 2 and
-a ``MemoryError`` to 2 with one ``error: out of memory: ...`` line.
+counterexample and nothing else, 2 malformed input, a file that cannot be
+read or written, or out of memory, 3 model/family mismatch; ``main`` maps a
+``SensitivityError`` to 3, any other ``ValueError`` and an ``OSError`` to 2
+and a ``MemoryError`` to 2 with one ``error: out of memory: ...`` line.
+Every number read from a list flag, a table CSV/JSON, a study or a power
+document goes through ``tables.read_numbers``: it is read exactly as written
+or refused with exit 2.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from exactsens.stats import (
     weighted_sum_statistic,
 )
 from exactsens.stratified import StratifiedStudy, analyze_study_grid
-from exactsens.tables import ContingencyTable, Margins
+from exactsens.tables import ContingencyTable, Margins, read_numbers
 from exactsens.worstcase import worst_case_grid
 
 DEFAULT_SEED = 20240901  # documented fixed seed for reproducible reruns
@@ -74,56 +78,29 @@ def _fmt(x: float) -> str:
 
 
 def _read_table(path: str) -> ContingencyTable:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT) from exc
+    text = Path(path).read_text()
     try:
         if path.endswith(".json"):
             return ContingencyTable.from_json(text)
         return ContingencyTable.from_csv(text)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise CliError(f"malformed table input: {exc}", EXIT_BAD_INPUT) from exc
-
-
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise CliError(f"bad numeric list {text!r}", EXIT_BAD_INPUT) from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise CliError(f"bad integer list {text!r}", EXIT_BAD_INPUT) from exc
-
-
-def _nonempty_floats(text: str, flag: str) -> list[float]:
-    """A list given explicitly: an empty one is refused, not read as the default."""
-    values = _parse_floats(text)
-    if not values:
-        raise CliError(f"empty {flag} list", EXIT_BAD_INPUT)
-    return values
 
 
 def _gamma_grid(args) -> list[float]:
     if args.gamma_grid is not None and args.Gamma_grid is not None:
         raise CliError("give only one of --gamma-grid / --Gamma-grid", EXIT_BAD_INPUT)
-    if args.gamma_grid is not None:
-        grid = _parse_floats(args.gamma_grid)
-    elif args.Gamma_grid is not None:
-        Gs = _parse_floats(args.Gamma_grid)
+    if args.Gamma_grid is not None:
+        Gs = read_numbers(args.Gamma_grid, "--Gamma-grid", text=True)
         if not all(1.0 <= g < math.inf for g in Gs):
             raise CliError("Gamma values must be finite and >= 1", EXIT_BAD_INPUT)
-        grid = [math.log(g) for g in Gs]
-    else:
-        grid = [0.0]
-    if not grid:
-        raise CliError("empty gamma grid", EXIT_BAD_INPUT)
+        return [math.log(g) for g in Gs]
+    grid = list(read_numbers(args.gamma_grid if args.gamma_grid is not None else "0",
+                             "--gamma-grid", text=True))
     if not all(0.0 <= g < math.inf for g in grid):
         raise CliError("gamma values must be finite and >= 0", EXIT_BAD_INPUT)
+    if max(grid) > (limit := math.log(sys.float_info.max)):  # Gamma = exp(gamma) is written out
+        raise CliError(f"gamma values must be <= log(max float) = {limit:.12g}", EXIT_BAD_INPUT)
     return grid
 
 
@@ -149,7 +126,7 @@ def _build_statistic(args, table: ContingencyTable) -> TestStatistic:
     if spec.startswith("cell:"):
         bad = CliError(f"bad cell spec {spec!r}; expected cell:i,j (1-based)", EXIT_BAD_INPUT)
         try:
-            i, j = (int(v) for v in spec[len("cell:"):].split(","))
+            i, j = read_numbers(spec[len("cell:"):], "--test", int, text=True)
         except ValueError:
             raise bad from None
         if i < 1 or j < 1:
@@ -158,8 +135,8 @@ def _build_statistic(args, table: ContingencyTable) -> TestStatistic:
     if spec == "ordinal":
         if args.alpha is None or args.beta is None:
             raise CliError("--test ordinal needs --alpha and --beta", EXIT_BAD_INPUT)
-        alpha = _parse_floats(args.alpha)
-        beta = _parse_floats(args.beta)
+        alpha = read_numbers(args.alpha, "--alpha", text=True)
+        beta = read_numbers(args.beta, "--beta", text=True)
         if len(alpha) != table.I or len(beta) != table.J:
             raise CliError("score lengths must match the table", EXIT_BAD_INPUT)
         try:
@@ -175,15 +152,11 @@ def _model(args, I: int) -> SensitivityModel:
         raise CliError("a bias vector is required (--delta or --phi)", EXIT_BAD_INPUT)
     if args.delta is not None and args.phi is not None:
         raise CliError("give only one of --delta / --phi", EXIT_BAD_INPUT)
-    if args.delta is not None:
-        delta = _parse_ints(args.delta)
-        if len(delta) != I:
-            raise CliError("--delta length must match the table rows", EXIT_BAD_INPUT)
-        return SensitivityModel(gamma=0.0, delta=tuple(delta))
-    phi = _parse_floats(args.phi)
-    if len(phi) != I:
-        raise CliError("--phi length must match the table rows", EXIT_BAD_INPUT)
-    return SensitivityModel(gamma=0.0, phi=tuple(phi))
+    name, kind = ("delta", int) if args.delta is not None else ("phi", float)
+    bias = read_numbers(getattr(args, name), f"--{name}", kind, text=True)
+    if len(bias) != I:
+        raise CliError(f"--{name} length must match the table rows", EXIT_BAD_INPUT)
+    return SensitivityModel(gamma=0.0, **{name: bias})
 
 
 def _write_csv(path: str | None, lines: list[str], config: dict) -> None:
@@ -218,7 +191,7 @@ def cmd_analyze(args) -> int:
         if args.strategy != "auto":
             raise CliError("--strategy picks the worst-case scan; --fixed-ubar runs none",
                            EXIT_BAD_INPUT)
-        ubar = ConfounderClass(tuple(_parse_ints(args.fixed_ubar)))
+        ubar = ConfounderClass(read_numbers(args.fixed_ubar, "--fixed-ubar", int, text=True))
         ubar.validate_for(table.margins())
         lines.append("gamma,Gamma,pvalue,ubar")
         ub = ";".join(str(v) for v in ubar.ubar)
@@ -259,10 +232,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_stratified(args) -> int:
     _check_level(args.level)
-    try:
-        study, tau = StratifiedStudy.from_json(Path(args.input).read_text())
-    except OSError as exc:
-        raise CliError(f"cannot read {args.input}: {exc}", EXIT_BAD_INPUT) from exc
+    study, tau = StratifiedStudy.from_json(Path(args.input).read_text())
     if args.tau is not None:
         tau = args.tau
     grid = _gamma_grid(args)
@@ -293,19 +263,18 @@ def cmd_stratified(args) -> int:
 def cmd_power(args) -> int:
     _check_level(args.level)
     try:
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = {"lambda0": 0.0, "w": 1.0, "delta": [0, 1, 1],
+               **json.loads(Path(args.config).read_text())}
         dgp = LogLinearDGP(
-            lambda0=float(cfg.get("lambda0", 0.0)),
-            lambda_z=tuple(cfg["lambda_z"]),
-            lambda_r=tuple(cfg["lambda_r"]),
-            w=float(cfg.get("w", 1.0)),
-            alpha_star=tuple(cfg["alpha_star"]),
-            beta_star=tuple(cfg["beta_star"]),
-            treatment_margins=tuple(cfg["treatment_margins"]),
+            lambda0=read_numbers([cfg["lambda0"]], "lambda0")[0],
+            lambda_z=read_numbers(cfg["lambda_z"], "lambda_z"),
+            lambda_r=read_numbers(cfg["lambda_r"], "lambda_r"),
+            w=read_numbers([cfg["w"]], "w")[0],
+            alpha_star=read_numbers(cfg["alpha_star"], "alpha_star"),
+            beta_star=read_numbers(cfg["beta_star"], "beta_star"),
+            treatment_margins=read_numbers(cfg["treatment_margins"], "treatment_margins", int),
         )
-        delta = tuple(cfg.get("delta", (0, 1, 1)))
-    except OSError as exc:
-        raise CliError(f"cannot read {args.config}: {exc}", EXIT_BAD_INPUT) from exc
+        delta = read_numbers(cfg["delta"], "delta", int)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed power config: {exc}", EXIT_BAD_INPUT) from exc
     grid = _gamma_grid(args)
@@ -336,19 +305,19 @@ def cmd_power(args) -> int:
 
 
 def cmd_size(args) -> int:
-    rows = _parse_ints(args.rows)
-    cols = _parse_ints(args.cols)
-    margins = Margins(tuple(rows), tuple(cols))
+    rows = read_numbers(args.rows, "--rows", int, text=True)
+    cols = read_numbers(args.cols, "--cols", int, text=True)
+    margins = Margins(rows, cols)
     model = _model(args, len(rows)).with_gamma(_one_gamma(args))
     if not model.is_binary:
         raise CliError("size needs a binary --delta: its normal-approximation column "
                        "takes the Q distribution, derived for binary delta models",
                        EXIT_MODEL_MISMATCH)
-    alpha_scores = (_nonempty_floats(args.alpha, "--alpha") if args.alpha is not None
+    alpha_scores = (read_numbers(args.alpha, "--alpha", text=True) if args.alpha is not None
                     else list(range(len(rows))))
     if len(alpha_scores) != len(rows):
         raise CliError("--alpha length must match --rows", EXIT_BAD_INPUT)
-    nominal = (_nonempty_floats(args.nominal, "--nominal") if args.nominal is not None
+    nominal = (read_numbers(args.nominal, "--nominal", text=True) if args.nominal is not None
                else [v / 100 for v in range(1, 100)])
     bad = [g for g in nominal if not 0.0 <= g <= 1.0]  # also catches nan
     if bad:
@@ -381,11 +350,9 @@ def cmd_sample(args) -> int:
     table = _read_table(args.table)
     stat = _build_statistic(args, table)
     model = _model(args, table.I).with_gamma(_one_gamma(args))
-    if args.fixed_ubar is None:
-        raise CliError("sample requires --fixed-ubar", EXIT_BAD_INPUT)
     if args.iterations < 1:
         raise CliError("--iterations must be at least 1", EXIT_BAD_INPUT)
-    ubar = ConfounderClass(tuple(_parse_ints(args.fixed_ubar)))
+    ubar = ConfounderClass(read_numbers(args.fixed_ubar, "--fixed-ubar", int, text=True))
     ubar.validate_for(table.margins())
     sis, snsis = estimate_alpha_sis_pair(args.seed, stat, table, ubar, model, M=args.iterations)
     # permutation baseline on the equivalent subject-level data
@@ -447,14 +414,29 @@ def cmd_oracle_check(args) -> int:
 # ------------------------------------------------------------------- main
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed_help: str | None = None) -> None:
     p.add_argument("--gamma-grid", dest="gamma_grid", default=None,
                    help="comma-separated gamma values (log odds scale)")
     p.add_argument("--Gamma-grid", dest="Gamma_grid", default=None,
                    help="comma-separated Gamma values (odds scale, >= 1)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--summary", default=None, help="JSON summary path")
+
+
+def _add_bias(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--delta", default=None, help="binary bias vector, e.g. 0,1,1")
+    p.add_argument("--phi", default=None, help="monotone dose vector")
+
+
+def _add_table(p: argparse.ArgumentParser, sample: bool) -> None:
+    p.add_argument("table", help="table CSV or JSON path")
+    p.add_argument("--test", required=True, help="ordinal | chi2 | g2 | cell:i,j (1-based)")
+    p.add_argument("--alpha", default=None, help="row scores for --test ordinal")
+    p.add_argument("--beta", default=None, help="column scores for --test ordinal")
+    _add_bias(p)
+    fixed = "evaluate at this confounder class" + ("" if sample else " instead of maximizing")
+    p.add_argument("--fixed-ubar", dest="fixed_ubar", required=sample, help=fixed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,20 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=exactsens.__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    no_draws = "ignored: the command draws no random numbers"
 
     pa = sub.add_parser("analyze", help="worst-case p-values for one table")
-    pa.add_argument("table", help="table CSV or JSON path")
-    pa.add_argument("--test", required=True,
-                    help="ordinal | chi2 | g2 | cell:i,j (1-based)")
-    pa.add_argument("--alpha", default=None, help="row scores for --test ordinal")
-    pa.add_argument("--beta", default=None, help="column scores for --test ordinal")
-    pa.add_argument("--delta", default=None, help="binary bias vector, e.g. 0,1,1")
-    pa.add_argument("--phi", default=None, help="monotone dose vector")
+    _add_table(pa, sample=False)
     pa.add_argument("--strategy", default="auto",
                     choices=["auto", "pi", "ordinal", "signscore"])
-    pa.add_argument("--fixed-ubar", dest="fixed_ubar", default=None,
-                    help="evaluate at this confounder class instead of maximizing")
-    _add_common(pa)
+    _add_common(pa, no_draws + " (it is echoed in the CSV header)")
     pa.set_defaults(fn=cmd_analyze)
 
     ps = sub.add_parser("stratified", help="I x J x K analysis from JSON input")
@@ -488,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ignored: the combined p-value is exact")
     ps.add_argument("--level", type=float, default=0.05,
                     help="familywise level for closed testing")
-    _add_common(ps)
+    _add_common(ps, no_draws)
     ps.set_defaults(fn=cmd_stratified)
 
     pp = sub.add_parser("power", help="power curve under the log-linear DGP")
@@ -503,22 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
     pz = sub.add_parser("size", help="exact vs normal size curves (binary outcome)")
     pz.add_argument("--rows", required=True, help="treatment margins, e.g. 60,10,20")
     pz.add_argument("--cols", required=True, help="outcome margins, e.g. 15,75")
-    pz.add_argument("--delta", default=None)
-    pz.add_argument("--phi", default=None)
+    _add_bias(pz)
     pz.add_argument("--alpha", default=None, help="sign-score treatment scores")
     pz.add_argument("--nominal", default=None,
                     help="comma-separated nominal levels (default 0.01..0.99)")
-    _add_common(pz)
+    _add_common(pz, no_draws)
     pz.set_defaults(fn=cmd_size)
 
     pm = sub.add_parser("sample", help="sampling-estimator convergence trace")
-    pm.add_argument("table")
-    pm.add_argument("--test", required=True)
-    pm.add_argument("--alpha", default=None)
-    pm.add_argument("--beta", default=None)
-    pm.add_argument("--delta", default=None)
-    pm.add_argument("--phi", default=None)
-    pm.add_argument("--fixed-ubar", dest="fixed_ubar", required=True)
+    _add_table(pm, sample=True)
     pm.add_argument("--iterations", type=int, default=10_000)
     pm.add_argument("--with-exact", dest="with_exact", action="store_true",
                     help="append the exact p-value column")
@@ -550,6 +518,8 @@ def main(argv=None) -> int:
         code, message = EXIT_BAD_INPUT, str(exc)
     except MemoryError as exc:
         code, message = EXIT_BAD_INPUT, f"out of memory: {exc}"
+    except OSError as exc:  # an input that cannot be read or an output that cannot be written
+        code, message = EXIT_BAD_INPUT, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code
 

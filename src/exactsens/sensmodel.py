@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from exactsens.tables import Margins
+from exactsens.tables import Margins, read_numbers
 
 __all__ = [
     "SensitivityModel",
@@ -112,9 +112,9 @@ class SensitivityModel:
     def from_json(cls, text: str) -> "SensitivityModel":
         data = json.loads(text)
         return cls(
-            gamma=float(data["gamma"]),
-            delta=tuple(data["delta"]) if "delta" in data else None,
-            phi=tuple(data["phi"]) if "phi" in data else None,
+            gamma=read_numbers([data["gamma"]], "gamma")[0],
+            delta=read_numbers(data["delta"], "delta", int) if "delta" in data else None,
+            phi=read_numbers(data["phi"], "phi") if "phi" in data else None,
         )
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from exactsens.exactdist import _log_binom, log_factorials
 from exactsens.sensmodel import SensitivityModel
 from exactsens.stats import TestStatistic, ordinal_statistic
-from exactsens.tables import ContingencyTable
+from exactsens.tables import ContingencyTable, _read_counts, read_numbers
 from exactsens.worstcase import worst_case_grid
 
 __all__ = [
@@ -88,18 +88,15 @@ class StratifiedStudy:
         """Parse the stratified input document; returns (study, tau)."""
         data = json.loads(text)
         try:
-            strata = [ContingencyTable.from_array(s["counts"]) for s in data["strata"]]
-            alphas = tuple(tuple(float(v) for v in s["alpha"]) for s in data["strata"])
-            betas = tuple(tuple(float(v) for v in s["beta"]) for s in data["strata"])
-            model = SensitivityModel(
-                gamma=float(data["gamma"]),
-                delta=tuple(data["delta"]) if "delta" in data else None,
-                phi=tuple(data["phi"]) if "phi" in data else None,
-            )
-            tau = float(data.get("tau", DEFAULT_TAU))
+            strata = list(enumerate(data["strata"], 1))
+            tables = tuple(_read_counts(s["counts"], f"stratum {k} counts") for k, s in strata)
+            alphas = tuple(read_numbers(s["alpha"], f"stratum {k} alpha") for k, s in strata)
+            betas = tuple(read_numbers(s["beta"], f"stratum {k} beta") for k, s in strata)
+            model = SensitivityModel.from_json(text)  # reads gamma and delta or phi only
+            tau = read_numbers([data.get("tau", DEFAULT_TAU)], "tau")[0]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed stratified input: {exc}") from exc
-        return cls(tuple(strata), alphas, betas, model), tau
+        return cls(tables, alphas, betas, model), tau
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Contingency-table data model, fixed-margin enumeration, and level-merging transforms.
+"""Table data model and input reader, fixed-margin enumeration, and level-merging transforms.
 
 A table is an I x J matrix of non-negative counts cross-classifying treatment
 level (rows) by outcome level (columns).  Inference under the sharp null only
@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "ContingencyTable",
     "Margins",
+    "read_numbers",
     "enumerate_fixed_margin_tables",
     "enumerate_fixed_margin_array",
     "collapse",
@@ -130,22 +131,51 @@ class ContingencyTable:
         data = json.loads(text)
         if not isinstance(data, dict) or "counts" not in data:
             raise ValueError('table JSON must be {"counts": [[...], ...]}')
-        return cls.from_array(data["counts"])
+        return _read_counts(data["counts"], "counts")
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(v) for v in row) for row in self.counts) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "ContingencyTable":
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([int(tok) for tok in line.split(",")])
+        rows = [read_numbers(line, f"line {n}", int, text=True)
+                for n, line in enumerate(text.splitlines(), 1)
+                if line.strip() and not line.strip().startswith("#")]
         if not rows:
             raise ValueError("no table rows found")
-        return cls.from_array(rows)
+        return cls(tuple(rows))
+
+
+def read_numbers(value, field: str, kind: type = float, text: bool = False) -> tuple:
+    """The numbers of a comma-separated flag or CSV row (``text``) or of a decoded JSON array.
+
+    Exactly as written, of ``kind``: an empty entry or list, a count of 3.9
+    or 3.0, and a JSON ``"3"``, ``true`` or ``null`` raise ``ValueError``
+    naming ``field``.  Text entries may carry surrounding spaces.
+    """
+    show = repr if text else json.dumps
+    entries = [tok.strip() for tok in value.split(",")] if text else value
+    if not isinstance(entries, list):
+        raise ValueError(f"{field} must be an array of numbers, not {show(value)}")
+    if all(e == "" for e in entries):
+        raise ValueError(f"empty {field} list")
+    numbers = []
+    for e in entries:
+        try:
+            if not (text or type(e) in (int, kind)):  # exact types: JSON true is not 1
+                raise ValueError
+            numbers.append(kind(e))
+        except (ValueError, OverflowError):
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{field} entry {show(e)} is not {what}: {show(value)}") from None
+    return tuple(numbers)
+
+
+def _read_counts(value, field: str) -> ContingencyTable:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be an array of rows, not {json.dumps(value)}")
+    return ContingencyTable(tuple(read_numbers(row, f"{field} row {i}", int)
+                                  for i, row in enumerate(value, 1)))
 
 
 def enumerate_fixed_margin_tables(m: Margins) -> Iterator[ContingencyTable]:

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, reproducibility, exit codes."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -633,3 +634,152 @@ def test_out_of_memory_under_an_address_space_limit(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: out of memory: Unable to allocate")
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+
+# every comma-separated flag of every command, with a valid value; of each
+# pair in EITHER_OR the second is given unless the first is the flag tested
+LIST_FLAGS = {
+    "analyze": {"--alpha": "0,0.25,1.5", "--beta": "0,1,1.5", "--delta": "0,1,1",
+                "--phi": "0,1,2", "--fixed-ubar": "0,10,3", "--gamma-grid": "0,0.5",
+                "--Gamma-grid": "1,2"},
+    "sample": {"--alpha": "0,0.25,1.5", "--beta": "0,1,1.5", "--delta": "0,1,1",
+               "--phi": "0,1,2", "--fixed-ubar": "0,10,3", "--gamma-grid": "0.5",
+               "--Gamma-grid": "2"},
+    "size": {"--rows": "4,3", "--cols": "3,4", "--delta": "0,1", "--phi": "0,1",
+             "--alpha": "0,1", "--nominal": "0.05,0.5", "--gamma-grid": "0.5",
+             "--Gamma-grid": "2"},
+    "stratified": {"--gamma-grid": "0,0.5", "--Gamma-grid": "1,2"},
+    "power": {"--gamma-grid": "0,0.5", "--Gamma-grid": "1,2"},
+}
+EITHER_OR = {"--phi": "--delta", "--Gamma-grid": "--gamma-grid"}
+# valid documents of the commands that read one
+DOCUMENTS = {
+    "analyze": ("table.json", {"counts": [[12, 3, 0], [18, 12, 3], [17, 25, 4]]}),
+    "stratified": ("study.json", {
+        "strata": [{"counts": [[2, 3, 0], [0, 1, 4], [0, 1, 4]],
+                    "alpha": [0, 1, 2], "beta": [0, 1, 2]}] * 2,
+        "gamma": 0.0, "delta": [0, 1, 1], "tau": 0.2}),
+    "power": ("dgp.json", {
+        "lambda_z": [1.0, 0.0, 0.0], "lambda_r": [1.0, 0.2, 0.0], "w": 1.0,
+        "alpha_star": [0.0, 1.7, 2.45], "beta_star": [0.0, 1.25, 1.4],
+        "treatment_margins": [8, 8, 8], "delta": [0, 1, 1]}),
+}
+DOCUMENTS["sample"] = DOCUMENTS["analyze"]
+
+
+def _command(command, tmp_path, name=None, text=None):
+    """The argv prefix of ``command``, its document written (the valid one by default)."""
+    if command == "size":
+        return ["size"]
+    valid_name, valid = DOCUMENTS[command]
+    path = tmp_path / (name or valid_name)
+    path.write_text(json.dumps(valid) if text is None else text)
+    extra = {"analyze": ["--test", "ordinal"], "power": ["--iterations", "2"],
+             "sample": ["--test", "ordinal", "--iterations", "10"]}.get(command, [])
+    return [command, str(path)] + extra
+
+
+def _refused(argv, tmp_path, capsys):
+    """Run ``argv``: it must exit 2 with one error line and write no --out file."""
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert not out.exists()
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("entry", ["doubled", "trailing", "lone"])
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in LIST_FLAGS.items()
+                                           for f in flags])
+def test_every_list_flag_refuses_an_empty_entry(command, flag, entry, tmp_path, capsys):
+    # an empty entry was dropped: --delta 0,1,,1 ran on (0, 1, 1) with exit 0
+    given = {f: v for f, v in LIST_FLAGS[command].items() if f not in EITHER_OR}
+    given.pop(EITHER_OR.get(flag), None)
+    value = LIST_FLAGS[command][flag]
+    given[flag] = {"doubled": value.replace(",", ",,", 1) if "," in value else f"{value},,{value}",
+                   "trailing": value + ",", "lone": ","}[entry]
+    argv = _command(command, tmp_path) + [a for option in given.items() for a in option]
+    assert flag in _refused(argv, tmp_path, capsys)
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the entry at key path ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+ORDINAL = ["--alpha", "0,0.25,1.5", "--beta", "0,1,1.5", "--delta", "0,1,1"]
+
+
+@pytest.mark.parametrize("command, path, value, field", [
+    ("analyze", ["counts"], 5, "counts"),
+    ("analyze", ["counts"], [1, 2], "counts row 1"),
+    ("analyze", ["counts", 0, 2], None, "counts row 1"),
+    ("analyze", ["counts", 1, 1], "3", "counts row 2"),
+    ("analyze", ["counts", 1, 1], 3.9, "counts row 2"),
+    ("analyze", ["counts", 1, 1], True, "counts row 2"),
+    ("analyze", None, "12,3,0\n18,3.5,3\n17,25,4\n", "line 2"),
+    ("stratified", ["strata", 1, "counts", 2, 0], 3.5, "stratum 2 counts row 3"),
+    ("stratified", ["delta", 1], 1.7, "delta"),
+    ("power", ["lambda_z"], "100", "lambda_z"),
+    ("power", ["treatment_margins"], [8, 8, 8.5], "treatment_margins"),
+], ids=["counts-scalar", "counts-flat", "cell-null", "cell-string", "cell-3.9", "cell-true",
+        "csv-3.5", "study-count-3.5", "study-delta-1.7", "lambda_z-string", "margin-8.5"])
+def test_documents_are_read_exactly_or_refused(command, path, value, field, tmp_path, capsys):
+    # a count of 3.9 was analysed as 3 and a study delta of 1.7 as 1; a null
+    # cell or a scalar where an array belongs ended in a traceback with exit 1
+    if path is None:
+        argv = _command(command, tmp_path, "table.csv", value)
+    else:
+        argv = _command(command, tmp_path, text=json.dumps(_with(DOCUMENTS[command][1], path,
+                                                                 value)))
+    if command == "analyze":
+        argv += ORDINAL
+    assert field in _refused(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", LIST_FLAGS)
+def test_a_gamma_whose_gamma_overflows_is_refused(command, tmp_path, capsys):
+    # exp(800) overflowed with a traceback while the Gamma column was written
+    args = {"analyze": ORDINAL, "sample": ORDINAL + ["--fixed-ubar", "0,10,3"],
+            "size": ["--rows", "4,3", "--cols", "3,4", "--delta", "0,1"]}.get(command, [])
+    err = _refused(_command(command, tmp_path) + args + ["--gamma-grid", "800"], tmp_path, capsys)
+    limit = math.log(sys.float_info.max)
+    assert err == f"error: gamma values must be <= log(max float) = {limit:.12g}\n"
+
+
+def test_list_entries_may_carry_spaces(girls_csv, tmp_path):
+    bodies = []
+    for sep in (",", ", "):
+        out = tmp_path / "out.csv"
+        assert run(["analyze", girls_csv, "--test", "ordinal", "--alpha",
+                    sep.join(["0", "0.25", "1.5"]), "--beta", sep.join(["0", "1", "1.5"]),
+                    "--delta", sep.join("011"), "--Gamma-grid", sep.join("12"),
+                    "--out", str(out)]) == 0
+        bodies.append(out.read_text().splitlines()[1:])
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("command", ["analyze", "stratified", "size"])
+def test_seed_help_says_the_seed_is_ignored(command, capsys):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    assert "ignored: the command draws no random numbers" in " ".join(
+        capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("option", ["--out", "--summary"])
+def test_an_unwritable_output_exits_2(option, girls_csv, tmp_path, capsys):
+    # a file in a missing directory ended in a traceback with exit 1, the
+    # code that means an oracle counterexample
+    target = tmp_path / "missing" / "out"
+    assert run(["analyze", girls_csv, "--test", "chi2", "--delta", "0,1,1",
+                option, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"

@@ -11,6 +11,7 @@ from exactsens.tables import (
     crosscut,
     enumerate_fixed_margin_array,
     enumerate_fixed_margin_tables,
+    read_numbers,
 )
 from tests.conftest import multiset_permutations
 
@@ -189,3 +190,41 @@ def test_csv_json_roundtrip(tmp_path):
     t = ContingencyTable.from_array([[3, 2, 1], [0, 2, 4]])
     assert ContingencyTable.from_csv("# header\n" + t.to_csv()).counts == t.counts
     assert ContingencyTable.from_json(t.to_json()).counts == t.counts
+
+
+def test_read_numbers_returns_exactly_the_values_written():
+    assert read_numbers(" 0, 0.25 ,1.5", "--alpha", text=True) == (0.0, 0.25, 1.5)
+    counts = read_numbers("3, 4", "line 1", int, text=True)
+    assert counts == (3, 4) and all(type(v) is int for v in counts)
+    assert read_numbers([0, 1.5], "alpha") == (0.0, 1.5)
+    assert read_numbers([3, 4], "counts row 1", int) == (3, 4)
+
+
+@pytest.mark.parametrize("value, kind, text, message", [
+    ("", float, True, "empty --x list"),
+    (",", float, True, "empty --x list"),
+    ("0,,1", float, True, "--x entry '' is not a number: '0,,1'"),
+    ("0,1,", int, True, "--x entry '' is not an integer: '0,1,'"),
+    ("1,3.5", int, True, "--x entry '3.5' is not an integer: '1,3.5'"),
+    ("1,a", float, True, "--x entry 'a' is not a number: '1,a'"),
+    ([], float, False, "empty --x list"),
+    ("1,2", float, False, '--x must be an array of numbers, not "1,2"'),
+    (5, int, False, "--x must be an array of numbers, not 5"),
+    ([1, "3"], float, False, '--x entry "3" is not a number: [1, "3"]'),
+    ([1, True], int, False, "--x entry true is not an integer: [1, true]"),
+    ([1, None], float, False, "--x entry null is not a number: [1, null]"),
+    ([1, 3.9], int, False, "--x entry 3.9 is not an integer: [1, 3.9]"),
+    # a count is written as an integer: 3.0 is refused like 3.9, as "3.0" is in a CSV
+    ([1, 3.0], int, False, "--x entry 3.0 is not an integer: [1, 3.0]"),
+])
+def test_read_numbers_refuses_what_it_cannot_read_exactly(value, kind, text, message):
+    with pytest.raises(ValueError) as exc:
+        read_numbers(value, "--x", kind, text=text)
+    assert str(exc.value) == message
+
+
+def test_table_json_count_written_as_a_float_is_refused():
+    with pytest.raises(ValueError, match="counts row 1 entry 3.0 is not an integer"):
+        ContingencyTable.from_json('{"counts": [[3.0, 1], [2, 4]]}')
+    with pytest.raises(ValueError, match="line 2 entry '3.0' is not an integer"):
+        ContingencyTable.from_csv("1,2\n3.0,4\n")
