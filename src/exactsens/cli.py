@@ -13,9 +13,10 @@ Subcommands:
 
 Outputs are CSV (probabilities printed with 12 significant digits) plus a
 JSON summary embedding the full configuration and package version, so a rerun
-with the same config is byte-identical.  Exit codes: 0 success, 1 oracle
-counterexample and nothing else, 2 malformed input, a file that cannot be
-read or written, or out of memory, 3 model/family mismatch; ``main`` maps a
+with the same config is byte-identical; both are written or neither is.  Exit
+codes: 0 success, 1 oracle counterexample and nothing else, 2 malformed input,
+a file that cannot be read or written, or out of memory, 3 model/family
+mismatch.  The exception type alone sets the code: ``main`` maps a
 ``SensitivityError`` to 3, any other ``ValueError`` and an ``OSError`` to 2
 and a ``MemoryError`` to 2 with one ``error: out of memory: ...`` line.
 Every number read from a list flag, a table CSV/JSON, a study or a power
@@ -29,6 +30,7 @@ import argparse
 import json
 import locale  # noqa: F401  (argparse's gettext would import it inside main)
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -67,12 +69,6 @@ EXIT_BAD_INPUT = 2
 EXIT_MODEL_MISMATCH = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -84,36 +80,36 @@ def _read_table(path: str) -> ContingencyTable:
             return ContingencyTable.from_json(text)
         return ContingencyTable.from_csv(text)
     except ValueError as exc:
-        raise CliError(f"malformed table input: {exc}", EXIT_BAD_INPUT) from exc
+        raise ValueError(f"malformed table input: {exc}") from exc
 
 
 def _gamma_grid(args) -> list[float]:
     if args.gamma_grid is not None and args.Gamma_grid is not None:
-        raise CliError("give only one of --gamma-grid / --Gamma-grid", EXIT_BAD_INPUT)
+        raise ValueError("give only one of --gamma-grid / --Gamma-grid")
     if args.Gamma_grid is not None:
         Gs = read_numbers(args.Gamma_grid, "--Gamma-grid", text=True)
         if not all(1.0 <= g < math.inf for g in Gs):
-            raise CliError("Gamma values must be finite and >= 1", EXIT_BAD_INPUT)
+            raise ValueError("Gamma values must be finite and >= 1")
         return [math.log(g) for g in Gs]
     grid = list(read_numbers(args.gamma_grid if args.gamma_grid is not None else "0",
                              "--gamma-grid", text=True))
     if not all(0.0 <= g < math.inf for g in grid):
-        raise CliError("gamma values must be finite and >= 0", EXIT_BAD_INPUT)
+        raise ValueError("gamma values must be finite and >= 0")
     if max(grid) > (limit := math.log(sys.float_info.max)):  # Gamma = exp(gamma) is written out
-        raise CliError(f"gamma values must be <= log(max float) = {limit:.12g}", EXIT_BAD_INPUT)
+        raise ValueError(f"gamma values must be <= log(max float) = {limit:.12g}")
     return grid
 
 
 def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:  # also refuses nan
-        raise CliError(f"--level must lie strictly between 0 and 1, not {level}", EXIT_BAD_INPUT)
+        raise ValueError(f"--level must lie strictly between 0 and 1, not {level}")
 
 
 def _one_gamma(args) -> float:
     """The gamma of a command that evaluates a single model (``size``, ``sample``)."""
     grid = _gamma_grid(args)
     if len(grid) != 1:
-        raise CliError(f"{args.command} takes one gamma value, not {len(grid)}", EXIT_BAD_INPUT)
+        raise ValueError(f"{args.command} takes one gamma value, not {len(grid)}")
     return grid[0]
 
 
@@ -124,7 +120,7 @@ def _build_statistic(args, table: ContingencyTable) -> TestStatistic:
     if spec == "g2":
         return g2_statistic()
     if spec.startswith("cell:"):
-        bad = CliError(f"bad cell spec {spec!r}; expected cell:i,j (1-based)", EXIT_BAD_INPUT)
+        bad = ValueError(f"bad cell spec {spec!r}; expected cell:i,j (1-based)")
         try:
             i, j = read_numbers(spec[len("cell:"):], "--test", int, text=True)
         except ValueError:
@@ -134,48 +130,59 @@ def _build_statistic(args, table: ContingencyTable) -> TestStatistic:
         return cell_statistic(i - 1, j - 1)  # CLI is 1-based
     if spec == "ordinal":
         if args.alpha is None or args.beta is None:
-            raise CliError("--test ordinal needs --alpha and --beta", EXIT_BAD_INPUT)
+            raise ValueError("--test ordinal needs --alpha and --beta")
         alpha = read_numbers(args.alpha, "--alpha", text=True)
         beta = read_numbers(args.beta, "--beta", text=True)
         if len(alpha) != table.I or len(beta) != table.J:
-            raise CliError("score lengths must match the table", EXIT_BAD_INPUT)
+            raise ValueError("score lengths must match the table")
         try:
             return ordinal_statistic(alpha, beta)
         except ValueError:
             # non-monotone scores stay usable, at full-scan cost
             return weighted_sum_statistic(alpha, beta)
-    raise CliError(f"unknown test spec {args.test!r}", EXIT_BAD_INPUT)
+    raise ValueError(f"unknown test spec {args.test!r}")
 
 
 def _model(args, I: int) -> SensitivityModel:
     if args.delta is None and args.phi is None:
-        raise CliError("a bias vector is required (--delta or --phi)", EXIT_BAD_INPUT)
+        raise ValueError("a bias vector is required (--delta or --phi)")
     if args.delta is not None and args.phi is not None:
-        raise CliError("give only one of --delta / --phi", EXIT_BAD_INPUT)
+        raise ValueError("give only one of --delta / --phi")
     name, kind = ("delta", int) if args.delta is not None else ("phi", float)
     bias = read_numbers(getattr(args, name), f"--{name}", kind, text=True)
     if len(bias) != I:
-        raise CliError(f"--{name} length must match the table rows", EXIT_BAD_INPUT)
+        raise ValueError(f"--{name} length must match the table rows")
     return SensitivityModel(gamma=0.0, **{name: bias})
 
 
-def _write_csv(path: str | None, lines: list[str], config: dict) -> None:
-    """CSV output with a leading metadata comment: config echo + version."""
+def _write_outputs(args, lines: list[str], config: dict, **extras) -> None:
+    """Write the CSV (``--out``, else stdout) and the ``--summary`` JSON, all or nothing:
+    every file is opened first, so a refusal leaves none created or truncated."""
+    config = {"command": args.command, **config}
     echo = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    text = f"# exactsens {exactsens.__version__} {echo}\n" + "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
-def _summary(path: str | None, payload: dict) -> None:
-    payload = dict(payload)
-    payload["version"] = exactsens.__version__
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        return
-    Path(path).write_text(text)
+    texts = {args.out: f"# exactsens {exactsens.__version__} {echo}\n" + "\n".join(lines) + "\n"}
+    if args.summary is not None:
+        if args.out is not None and Path(args.out).resolve() == Path(args.summary).resolve():
+            raise ValueError(f"--out and --summary name the same file: {args.summary}")
+        payload = {**config, **extras, "version": exactsens.__version__}
+        texts[args.summary] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    created = []
+    try:
+        for path in (p for p in texts if p is not None):
+            try:
+                open(path, "x").close()
+                created.append(path)
+            except FileExistsError:
+                open(path, "a").close()  # writable, and its bytes left as they are
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    for path, text in texts.items():
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            Path(path).write_text(text)
 
 
 # ---------------------------------------------------------------- analyze
@@ -186,14 +193,12 @@ def cmd_analyze(args) -> int:
     stat = _build_statistic(args, table)
     model = _model(args, table.I)
     grid = _gamma_grid(args)
-    lines = []
     if args.fixed_ubar is not None:
         if args.strategy != "auto":
-            raise CliError("--strategy picks the worst-case scan; --fixed-ubar runs none",
-                           EXIT_BAD_INPUT)
+            raise ValueError("--strategy picks the worst-case scan; --fixed-ubar runs none")
         ubar = ConfounderClass(read_numbers(args.fixed_ubar, "--fixed-ubar", int, text=True))
         ubar.validate_for(table.margins())
-        lines.append("gamma,Gamma,pvalue,ubar")
+        lines = ["gamma,Gamma,pvalue,ubar"]
         ub = ";".join(str(v) for v in ubar.ubar)
         for g, p in zip(grid, exact_alpha_grid(stat, table, ubar, model, grid)):
             lines.append(f"{_fmt(g)},{_fmt(math.exp(g))},{_fmt(p)},{ub}")
@@ -201,7 +206,7 @@ def cmd_analyze(args) -> int:
     else:
         results = worst_case_grid(stat, table, model.with_gamma(grid[0]), grid,
                                   strategy=args.strategy)
-        lines.append("gamma,Gamma,worst_case_p,argmax_ubar,candidates_scanned")
+        lines = ["gamma,Gamma,worst_case_p,argmax_ubar,candidates_scanned"]
         for g, res in zip(grid, results):
             ub = ";".join(str(v) for v in res.argmax_class.ubar)
             lines.append(
@@ -209,7 +214,6 @@ def cmd_analyze(args) -> int:
             )
         mode, strategy_used = "worst-case", results[0].strategy_used
     config = {
-        "command": "analyze",
         "mode": mode,
         "table": args.table,
         "test": args.test,
@@ -222,8 +226,7 @@ def cmd_analyze(args) -> int:
         "fixed_ubar": args.fixed_ubar,
         "seed": args.seed,
     }
-    _write_csv(args.out, lines, config)
-    _summary(args.summary, {**config, "strategy_used": strategy_used})
+    _write_outputs(args, lines, config, strategy_used=strategy_used)
     return EXIT_OK
 
 
@@ -246,14 +249,12 @@ def cmd_stratified(args) -> int:
             + ",".join(str(int(f)) for f in res.closed_testing_rejections)
         )
     config = {
-        "command": "stratified",
         "input": args.input,
         "tau": tau,
         "gamma_grid": grid,
         "level": args.level,
     }
-    _write_csv(args.out, lines, config)
-    _summary(args.summary, config)
+    _write_outputs(args, lines, config)
     return EXIT_OK
 
 
@@ -276,7 +277,7 @@ def cmd_power(args) -> int:
         )
         delta = read_numbers(cfg["delta"], "delta", int)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed power config: {exc}", EXIT_BAD_INPUT) from exc
+        raise ValueError(f"malformed power config: {exc}") from exc
     grid = _gamma_grid(args)
     if args.suite:
         specs = standard_test_suite(dgp.alpha_star, dgp.beta_star, delta)
@@ -288,7 +289,6 @@ def cmd_power(args) -> int:
         for g, r, s in zip(curve.grid, curve.rates, curve.mc_sigma):
             lines.append(f"{name},{_fmt(g)},{_fmt(math.exp(g))},{_fmt(r)},{_fmt(s)}")
     config = {
-        "command": "power",
         "config": args.config,
         "gamma_grid": grid,
         "iterations": args.iterations,
@@ -296,8 +296,7 @@ def cmd_power(args) -> int:
         "level": args.level,
         "suite": bool(args.suite),
     }
-    _write_csv(args.out, lines, config)
-    _summary(args.summary, config)
+    _write_outputs(args, lines, config)
     return EXIT_OK
 
 
@@ -310,18 +309,17 @@ def cmd_size(args) -> int:
     margins = Margins(rows, cols)
     model = _model(args, len(rows)).with_gamma(_one_gamma(args))
     if not model.is_binary:
-        raise CliError("size needs a binary --delta: its normal-approximation column "
-                       "takes the Q distribution, derived for binary delta models",
-                       EXIT_MODEL_MISMATCH)
+        raise SensitivityError("size needs a binary --delta: its normal-approximation column "
+                               "takes the Q distribution, derived for binary delta models")
     alpha_scores = (read_numbers(args.alpha, "--alpha", text=True) if args.alpha is not None
                     else list(range(len(rows))))
     if len(alpha_scores) != len(rows):
-        raise CliError("--alpha length must match --rows", EXIT_BAD_INPUT)
+        raise ValueError("--alpha length must match --rows")
     nominal = (read_numbers(args.nominal, "--nominal", text=True) if args.nominal is not None
                else [v / 100 for v in range(1, 100)])
     bad = [g for g in nominal if not 0.0 <= g <= 1.0]  # also catches nan
     if bad:
-        raise CliError(f"--nominal levels must lie in [0, 1], not {bad[0]}", EXIT_BAD_INPUT)
+        raise ValueError(f"--nominal levels must lie in [0, 1], not {bad[0]}")
     lines = ["method,nominal_alpha,rate,mc_sigma"]
     for method in ("exact", "normal"):
         rates = size_curve(margins, model, alpha_scores, nominal, method)
@@ -329,7 +327,6 @@ def cmd_size(args) -> int:
         for g, r in zip(nominal, rates):
             lines.append(f"{method},{_fmt(g)},{_fmt(r)},0")
     config = {
-        "command": "size",
         "rows": rows,
         "cols": cols,
         "gamma": model.gamma,
@@ -338,8 +335,7 @@ def cmd_size(args) -> int:
         "alpha": args.alpha,
         "nominal": args.nominal,
     }
-    _write_csv(args.out, lines, config)
-    _summary(args.summary, config)
+    _write_outputs(args, lines, config)
     return EXIT_OK
 
 
@@ -351,17 +347,14 @@ def cmd_sample(args) -> int:
     stat = _build_statistic(args, table)
     model = _model(args, table.I).with_gamma(_one_gamma(args))
     if args.iterations < 1:
-        raise CliError("--iterations must be at least 1", EXIT_BAD_INPUT)
+        raise ValueError("--iterations must be at least 1")
     ubar = ConfounderClass(read_numbers(args.fixed_ubar, "--fixed-ubar", int, text=True))
     ubar.validate_for(table.margins())
     sis, snsis = estimate_alpha_sis_pair(args.seed, stat, table, ubar, model, M=args.iterations)
     # permutation baseline on the equivalent subject-level data
     outcomes, u = ubar.subjects(table.margins())
     perm = estimate_alpha_permtreat(args.seed, stat, table, u, outcomes, model, M=args.iterations)
-    exact_col = ""
-    if args.with_exact:
-        p = exact_alpha(stat, table, ubar, model)
-        exact_col = f",{_fmt(p)}"
+    exact_col = f",{_fmt(exact_alpha(stat, table, ubar, model))}" if args.with_exact else ""
     lines = ["iteration,sis,snsis,permtreat" + (",exact" if args.with_exact else "")]
     for i in range(args.iterations):
         lines.append(
@@ -369,7 +362,6 @@ def cmd_sample(args) -> int:
             f"{_fmt(perm.estimates[i])}" + exact_col
         )
     config = {
-        "command": "sample",
         "table": args.table,
         "test": args.test,
         "alpha": args.alpha,
@@ -383,8 +375,7 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "proposal": TILTED_PROPOSAL_NAME,
     }
-    _write_csv(args.out, lines, config)
-    _summary(args.summary, config)
+    _write_outputs(args, lines, config)
     return EXIT_OK
 
 
@@ -510,16 +501,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        code, message = exc.code, str(exc)
     except SensitivityError as exc:
         code, message = EXIT_MODEL_MISMATCH, str(exc)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a file that cannot be read or written
         code, message = EXIT_BAD_INPUT, str(exc)
     except MemoryError as exc:
         code, message = EXIT_BAD_INPUT, f"out of memory: {exc}"
-    except OSError as exc:  # an input that cannot be read or an output that cannot be written
-        code, message = EXIT_BAD_INPUT, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code
 

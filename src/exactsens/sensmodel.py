@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from exactsens.tables import Margins, read_numbers
+from exactsens.tables import Margins, _integers, read_numbers
 
 __all__ = [
     "SensitivityModel",
@@ -64,7 +64,7 @@ class SensitivityModel:
         if (self.delta is None) == (self.phi is None):
             raise ValueError("exactly one of delta and phi must be given")
         if self.delta is not None:
-            delta = tuple(int(v) for v in self.delta)
+            delta = _integers(self.delta, "delta")
             object.__setattr__(self, "delta", delta)
             if any(v not in (0, 1) for v in delta):
                 raise ValueError("delta entries must be 0 or 1")
@@ -125,7 +125,7 @@ class ConfounderClass:
     ubar: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ubar = tuple(int(v) for v in self.ubar)
+        ubar = _integers(self.ubar, "ubar")
         object.__setattr__(self, "ubar", ubar)
         if any(v < 0 for v in ubar):
             raise ValueError("ubar counts must be non-negative")

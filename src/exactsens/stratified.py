@@ -86,15 +86,15 @@ class StratifiedStudy:
     @classmethod
     def from_json(cls, text: str) -> tuple["StratifiedStudy", float]:
         """Parse the stratified input document; returns (study, tau)."""
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             strata = list(enumerate(data["strata"], 1))
             tables = tuple(_read_counts(s["counts"], f"stratum {k} counts") for k, s in strata)
             alphas = tuple(read_numbers(s["alpha"], f"stratum {k} alpha") for k, s in strata)
             betas = tuple(read_numbers(s["beta"], f"stratum {k} beta") for k, s in strata)
             model = SensitivityModel.from_json(text)  # reads gamma and delta or phi only
             tau = read_numbers([data.get("tau", DEFAULT_TAU)], "tau")[0]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ValueError(f"malformed stratified input: {exc}") from exc
         return cls(tables, alphas, betas, model), tau
 

@@ -48,8 +48,7 @@ class Margins:
     cols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(int(v) for v in self.rows)
-        cols = tuple(int(v) for v in self.cols)
+        rows, cols = _integers(self.rows, "rows"), _integers(self.cols, "cols")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         if len(rows) < 1 or len(cols) < 1:
@@ -81,7 +80,7 @@ class ContingencyTable:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(tuple(int(v) for v in row) for row in self.counts)
+        counts = tuple(_integers(row, f"counts row {i}") for i, row in enumerate(self.counts, 1))
         object.__setattr__(self, "counts", counts)
         if len(counts) < 2 or len(counts[0]) < 2:
             raise ValueError("a contingency table needs at least 2 rows and 2 columns")
@@ -95,7 +94,7 @@ class ContingencyTable:
 
     @classmethod
     def from_array(cls, arr: Sequence[Sequence[int]] | np.ndarray) -> "ContingencyTable":
-        return cls(tuple(tuple(int(v) for v in row) for row in np.asarray(arr)))
+        return cls(np.asarray(arr).tolist())
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=np.int64)
@@ -169,6 +168,19 @@ def read_numbers(value, field: str, kind: type = float, text: bool = False) -> t
             what = "an integer" if kind is int else "a number"
             raise ValueError(f"{field} entry {show(e)} is not {what}: {show(value)}") from None
     return tuple(numbers)
+
+
+def _integers(values, field: str) -> tuple[int, ...]:
+    """``values`` as ints.  Numpy integers and integral floats such as 3.0 pass; an entry
+    that ``int`` would change (3.9, nan, inf, a string) raises ``ValueError`` naming ``field``."""
+    values = tuple(values)
+    try:
+        ints = tuple(int(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise ValueError(f"{field} must hold integers, not {values}")
+    return ints
 
 
 def _read_counts(value, field: str) -> ContingencyTable:

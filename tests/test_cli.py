@@ -783,3 +783,43 @@ def test_an_unwritable_output_exits_2(option, girls_csv, tmp_path, capsys):
                 option, str(target)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+# small runs of every command that writes outputs, on the documents of _command
+WRITERS = {"analyze": ORDINAL, "stratified": [], "power": [],
+           "size": ["--rows", "4,3", "--cols", "3,4", "--delta", "0,1"],
+           "sample": ORDINAL + ["--fixed-ubar", "0,10,3", "--iterations", "5"]}
+
+
+def _files(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("outputs", [
+    ["--summary", "missing/s.json"],
+    ["--out", "o.csv", "--summary", "missing/s.json"],
+    ["--out", "missing/o.csv", "--summary", "s.json"],
+    ["--out", "same.txt", "--summary", "./same.txt"],
+], ids=["stdout-summary-missing", "out-summary-missing", "out-missing", "same-file"])
+@pytest.mark.parametrize("command", WRITERS)
+def test_outputs_are_written_all_or_nothing(command, outputs, tmp_path, monkeypatch, capsys):
+    # the CSV went out before an unwritable summary was refused, and --out and
+    # --summary naming one file exited 0 with the summary written over the CSV
+    monkeypatch.chdir(tmp_path)
+    argv = _command(command, tmp_path) + WRITERS[command] + outputs
+    (tmp_path / "same.txt").write_text("kept\n")
+    before = _files(tmp_path)
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert _files(tmp_path) == before
+
+
+def test_an_existing_output_is_replaced_whole(tmp_path, capsys):
+    out, summary = tmp_path / "o.csv", tmp_path / "s.json"
+    for path in (out, summary):
+        path.write_text("x" * 10_000)
+    assert run(["size", *WRITERS["size"], "--out", str(out), "--summary", str(summary)]) == 0
+    assert run(["size", *WRITERS["size"], "--summary", str(tmp_path / "fresh.json")]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert summary.read_text() == (tmp_path / "fresh.json").read_text()

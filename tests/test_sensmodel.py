@@ -14,7 +14,7 @@ from exactsens.sensmodel import (
     conditional_weight,
     odds_ratio_constraint_holds,
 )
-from exactsens.tables import Margins
+from exactsens.tables import ContingencyTable, Margins
 
 
 def test_no_tilt_is_uniform():
@@ -145,6 +145,27 @@ def test_confounder_class_validation():
         ConfounderClass((2, 0)).validate_for(m)
     with pytest.raises(ValueError):
         ConfounderClass((-1, 0))
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SensitivityModel(gamma=0.0, delta=(0, 1.7, 1)), "delta"),
+    (lambda: ContingencyTable.from_array([[3.9, 1], [2, 4]]), "counts row 1"),
+    (lambda: Margins((3.9, 2), (2, 3.9)), "rows"),
+    (lambda: ConfounderClass((1.5, 2)), "ubar"),
+    (lambda: ConfounderClass((math.nan, 2)), "ubar"),
+    (lambda: Margins((2, 2), (math.inf, 2)), "cols"),
+], ids=["delta-1.7", "cell-3.9", "margin-3.9", "ubar-1.5", "ubar-nan", "margin-inf"])
+def test_value_types_refuse_what_int_would_truncate(make, field):
+    # int(v) truncated: delta (0, 1.7, 1) was (0, 1, 1) and a 3.9 count held a 3
+    with pytest.raises(ValueError, match=f"^{field} must hold integers"):
+        make()
+
+
+def test_value_types_take_integral_numbers_of_any_type():
+    assert SensitivityModel(gamma=0.0, delta=np.array([0, 1])).delta == (0, 1)
+    assert ContingencyTable.from_array(np.ones((2, 2))).counts == ((1, 1), (1, 1))
+    assert Margins(np.ones(2), (2.0, 0)).cols == (2, 0)
+    assert ConfounderClass(np.array([1, 2])).ubar == (1, 2)
 
 
 def test_raw_confounder():

@@ -244,6 +244,12 @@ def test_from_json():
     with pytest.raises(ValueError):
         StratifiedStudy.from_json(json.dumps({"strata": [{}]}))
 
+
+def test_from_json_names_the_study_when_the_text_is_not_json():
+    # the decoder's bare "Expecting value: ..." did not say which input was bad
+    with pytest.raises(ValueError, match="^malformed stratified input: Expecting value"):
+        StratifiedStudy.from_json("strata: none")
+
 def test_tau_near_one_is_plain_product():
     ps = (0.3, 0.08, 0.61)
     assert truncated_product(ps, 0.99) == pytest.approx(0.3 * 0.08 * 0.61, rel=1e-12)
