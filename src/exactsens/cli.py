@@ -308,9 +308,6 @@ def cmd_size(args) -> int:
     cols = read_numbers(args.cols, "--cols", int, text=True)
     margins = Margins(rows, cols)
     model = _model(args, len(rows)).with_gamma(_one_gamma(args))
-    if not model.is_binary:
-        raise SensitivityError("size needs a binary --delta: its normal-approximation column "
-                               "takes the Q distribution, derived for binary delta models")
     alpha_scores = (read_numbers(args.alpha, "--alpha", text=True) if args.alpha is not None
                     else list(range(len(rows))))
     if len(alpha_scores) != len(rows):

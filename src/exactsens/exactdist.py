@@ -294,13 +294,13 @@ def _checked_critical(
     """Validate an exact-alpha request; return the critical value to use."""
     if not model.is_binary:
         raise SensitivityError(
-            "exact alphas require a binary delta model; dose models are supported "
-            "only by the sign-score closed form and the brute-force oracle"
+            "exact alphas require a binary delta model; dose models are supported by "
+            "the sign-score worst case, the Q law and its moments (dist_q, cell_moments, "
+            "normal_approx_pvalue), the size study, PermTreat and the brute-force oracle"
         )
     m = t_obs.margins()
     c.validate_for(m)
-    if len(model.delta) != m.I:  # type: ignore[arg-type]
-        raise ValueError("delta length must match the number of treatment levels")
+    model.validate_for(m)
     return _resolve_critical(test, t_obs, critical)
 
 
@@ -1053,8 +1053,7 @@ def _check_subject_data(
     # codes outside 0..J-1 are left uncounted, so the counts cannot sum to N
     if tuple(outcomes.count(j) for j in range(m.J)) != m.cols:
         raise ValueError("outcome vector does not match the table's column margins")
-    if model.I != m.I:
-        raise ValueError("bias length must match the number of treatment levels")
+    model.validate_for(m)
     return np.asarray(outcomes, dtype=np.intp)
 
 

@@ -2,11 +2,12 @@
 
 Q_i is the number of u = 1 subjects receiving treatment i.  Its law is a
 kernel-weighted tilt on a small support (``exactdist._mvehg_law`` at weights
-gamma * delta), so its moments are exact finite sums.  Given Q, the u = 1 and
-u = 0 subjects form two independent uniformly permuted fixed-margin tables,
-whose means and covariances are the classical hypergeometric ones.  The law
-of total covariance over Q then gives the cell means and the full cell
-covariance in one closed form (``cell_moments``).
+gamma * bias, for a binary delta or a dose phi alike), so its moments are
+exact finite sums.  Given Q, the u = 1 and u = 0 subjects form two
+independent uniformly permuted fixed-margin tables, whose means and
+covariances are the classical hypergeometric ones.  The law of total
+covariance over Q then gives the cell means and the full cell covariance in
+one closed form (``cell_moments``).
 
 An ordinal statistic is a linear functional of the vectorized table, so its
 mean and variance are A'mu and A'Sigma A with the row-major index map
@@ -22,7 +23,7 @@ from math import erfc
 import numpy as np
 
 from exactsens.exactdist import _mvehg_law
-from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
+from exactsens.sensmodel import ConfounderClass, SensitivityModel
 from exactsens.stats import TestFamily, TestStatistic
 from exactsens.tables import ContingencyTable, Margins
 
@@ -60,17 +61,14 @@ class CellMoments:
 
 
 def dist_q(c: ConfounderClass, m: Margins, model: SensitivityModel) -> QDistribution:
-    """Probabilities proportional to e^{gamma delta'q} kernel_q(q) over the support.
+    """Probabilities proportional to e^{gamma bias'q} kernel_q(q) over the support.
 
-    kernel_q(q) is prod_i C(N_i., q_i) up to a constant: the MVEHG law.
+    kernel_q(q) is prod_i C(N_i., q_i) up to a constant: the MVEHG law at
+    weights gamma * bias, for a binary delta and a dose phi alike.
     """
-    if not model.is_binary:
-        raise SensitivityError("the Q distribution is derived for binary delta models")
-    if len(model.delta) != m.I:  # type: ignore[arg-type]
-        raise ValueError("delta length must match the number of treatment levels")
+    model.validate_for(m)
     c.validate_for(m)
-    weights = [model.gamma * dv for dv in model.delta]  # type: ignore[union-attr]
-    support, probs = _mvehg_law(m.rows, c.total, weights)
+    support, probs = _mvehg_law(m.rows, c.total, [model.gamma * b for b in model.bias])
     return QDistribution(support=tuple(map(tuple, support.tolist())), probs=probs)
 
 
@@ -92,7 +90,6 @@ def cell_moments(
     given Q and adds nothing; an empty pool takes rho = 0.  Every Q moment
     is an exact sum over the Q support.
     """
-    c.validate_for(m)
     qd = dist_q(c, m, model)
     EQ = qd.mean()
     EQQ = qd.second_moments()

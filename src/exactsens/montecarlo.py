@@ -161,10 +161,8 @@ def _tilted_fill(
     so importance ratios v/h are flat; h stays exact and every table keeps
     positive probability.
     """
-    delta = model.delta
-    assert delta is not None
-    one_rows = [i for i, dv in enumerate(delta) if dv == 1]
-    zero_rows = [i for i, dv in enumerate(delta) if dv == 0]
+    one_rows = [i for i, dv in enumerate(model.delta) if dv == 1]  # type: ignore[arg-type]
+    zero_rows = [i for i, dv in enumerate(model.delta) if dv == 0]  # type: ignore[arg-type]
     B = sum(m.rows[i] for i in one_rows)
     size = U.shape[0]
     J = m.J
@@ -245,10 +243,7 @@ def _log_v_batch(
 
     v(t) = w(t) prod_j e^{G_j[b_j]}, with G_j gathered at the block sums b_j.
     """
-    delta = model.delta
-    if delta is None:
-        raise SensitivityError("the v(t) factorization requires a binary delta")
-    one_rows = [i for i, dv in enumerate(delta) if dv == 1]
+    one_rows = [i for i, dv in enumerate(model.delta) if dv == 1]  # type: ignore[arg-type]
     logv, b = _log_table_weight(tables, one_rows)
     for j, G in enumerate(_tilted_column_weights(m, c, model.gamma)):
         logv = logv + G[b[:, j]]
@@ -274,6 +269,7 @@ def estimate_alpha_sis_pair(
     if not model.is_binary:
         raise SensitivityError("kernel-weighted estimators require a binary delta")
     m = t_obs.margins()
+    model.validate_for(m)
     c.validate_for(m)
     critical = _resolve_critical(test, t_obs, critical)
     tables, log_h = _tilted_fill(m, c, model, _stream_uniforms(seed, M, _free_cells(m)))

@@ -46,7 +46,9 @@ class SensitivityError(ValueError):
 
 
 def check_gammas(gammas: Sequence[float]) -> None:
-    """Raise ``ValueError`` unless every gamma is finite and >= 0."""
+    """Raise ``ValueError`` unless the grid is non-empty and every gamma is finite and >= 0."""
+    if len(gammas) == 0:
+        raise ValueError("gamma grid must be non-empty")
     if not all(0.0 <= g < math.inf for g in gammas):
         raise ValueError("gamma must be finite and >= 0")
 
@@ -99,6 +101,11 @@ class SensitivityModel:
     def monotone_bias(self) -> bool:
         b = self.bias
         return all(x <= y for x, y in zip(b, b[1:]))
+
+    def validate_for(self, m: Margins) -> None:
+        """The one check of the bias vector against a table: one entry per treatment level."""
+        if self.I != m.I:
+            raise ValueError("bias length must match the number of treatment levels")
 
     def with_gamma(self, gamma: float) -> "SensitivityModel":
         return SensitivityModel(gamma=gamma, delta=self.delta, phi=self.phi)

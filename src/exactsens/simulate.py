@@ -32,7 +32,7 @@ import numpy.random  # noqa: F401  (loaded at import, not lazily at the first dr
 
 from exactsens.exactdist import _mvehg_law, tail_mass
 from exactsens.moments import normal_tail, test_moments
-from exactsens.sensmodel import SensitivityError, SensitivityModel
+from exactsens.sensmodel import SensitivityError, SensitivityModel, check_gammas
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, collapse, crosscut
 from exactsens.worstcase import signscore_u_plus, worst_case_grid
@@ -250,8 +250,7 @@ def power_curve(
         raise ValueError("iterations must be at least 1")
     specs = [test_spec] if isinstance(test_spec, PowerTestSpec) else list(test_spec)
     gammas = [float(g) for g in gamma_grid]
-    if not gammas:
-        raise ValueError("gamma grid must be non-empty")
+    check_gammas(gammas)
     full = ContingencyTable.from_array(np.ones((dgp.I, dgp.J), dtype=np.int64))
     for spec in specs:
         # a transform's validity and row count depend on the shape alone, so a
@@ -304,6 +303,7 @@ def size_curve(
         raise ValueError("the size study needs a binary outcome")
     if method not in ("exact", "normal"):
         raise ValueError("method must be 'exact' or 'normal'")
+    model.validate_for(margins)
     stat = ordinal_statistic(alpha_scores, (0.0, 1.0))
     weights = [model.gamma * b for b in model.bias]
     support, probs = _mvehg_law(margins.rows, margins.cols[1], weights)

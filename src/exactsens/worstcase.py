@@ -168,6 +168,7 @@ def worst_case_grid(
     """Worst case at each gamma from one gamma-free build (aggregate or MVEHG support)."""
     check_gammas(gammas)
     m = t_obs.margins()
+    model.validate_for(m)
     critical = _resolve_critical(test, t_obs, critical)
     strategy = _resolve_strategy(test, model, m, strategy)
     if strategy == "signscore":

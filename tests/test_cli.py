@@ -12,6 +12,9 @@ import pytest
 
 import exactsens
 from exactsens.cli import main
+from exactsens.sensmodel import SensitivityModel
+from exactsens.simulate import size_curve
+from exactsens.tables import Margins
 
 GIRLS_CSV = "# pre-K care x math proficiency\n12,3,0\n18,12,3\n17,25,4\n"
 
@@ -270,15 +273,6 @@ def test_model_family_mismatch_exits_3(girls_csv, tmp_path, capsys):
         "--gamma-grid", "0.5",
     ])
     assert code == 3
-    # the normal approximation's Q law needs a binary delta, so a dose model
-    # is refused before the exact curve is computed
-    capsys.readouterr()
-    code = run(["size", "--rows", "20,5,10", "--cols", "10,25", "--phi", "0,1,2",
-                "--gamma-grid", "0.5"])
-    assert code == 3
-    assert capsys.readouterr().err == (
-        "error: size needs a binary --delta: its normal-approximation column takes the Q "
-        "distribution, derived for binary delta models\n")
     # the sign-score worst case is only exact for a sign-score statistic
     table = tmp_path / "t.csv"
     table.write_text("6,4\n4,2\n2,1\n")
@@ -524,6 +518,31 @@ def test_size_command(tmp_path):
     assert len(lines) == 6  # metadata + header + 2 methods x 2 nominal levels
     # the rates are exact, so there is no Monte Carlo error to report
     assert all(line.endswith(",0") for line in lines[2:])
+
+
+def test_size_takes_a_dose_model(tmp_path):
+    # the Q law holds under phi, so both columns are written
+    out = tmp_path / "size.csv"
+    assert run(["size", "--rows", "20,5,10", "--cols", "10,25", "--phi", "0,1,2",
+                "--gamma-grid", "0.5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    model = SensitivityModel(gamma=0.5, phi=(0.0, 1.0, 2.0))
+    nominal = [v / 100 for v in range(1, 100)]
+    for method in ("exact", "normal"):
+        want = size_curve(Margins((20, 5, 10), (10, 25)), model, (0, 1, 2), nominal, method)
+        assert [r[2] for r in rows if r[0] == method] == [format(v, ".12g") for v in want]
+
+
+def test_stratified_refuses_a_bias_of_the_wrong_length(tmp_path, capsys):
+    # a 2-entry delta on 3-row strata died in numpy's matmul (exit 2, numpy's words)
+    strata = [{"counts": counts, "alpha": [0, 1, 2], "beta": [0, 1]}
+              for counts in ([[5, 3], [4, 4], [2, 6]], [[6, 2], [3, 5], [1, 7]])]
+    for bias in ({"delta": [0, 1]}, {"phi": [0, 1, 2, 3]}):
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"strata": strata, "gamma": 0.0, **bias}))
+        assert run(["stratified", str(study), "--gamma-grid", "0,1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: bias length must match the number of treatment levels\n")
 
 
 def test_oracle_check_command(capsys):

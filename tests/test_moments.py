@@ -10,7 +10,7 @@ from exactsens.moments import test_moments as ordinal_moments
 from exactsens.sensmodel import ConfounderClass, SensitivityModel
 from exactsens.stats import ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins
-from tests.conftest import table_law
+from tests.conftest import multiset_permutations, table_law
 
 
 def oracle_moments(m, cclass, model):
@@ -48,6 +48,30 @@ def test_cell_moments_all_ubar_branches(gamma, rng):
             mean, cov = oracle_moments(m, cclass, model)
             np.testing.assert_allclose(got.mean, mean, atol=1e-10)
             np.testing.assert_allclose(got.cov, cov, atol=1e-9)
+
+
+def test_cell_moments_under_a_dose_model_match_every_assignment():
+    # the Q law is the MVEHG at weights gamma * phi, so the closed form holds
+    # for a dose model; the reference weighs each of the 560 assignments
+    m = Margins((3, 2, 3), (3, 5))
+    cclass = ConfounderClass((1, 3))
+    model = SensitivityModel(gamma=0.8, phi=(0.0, 0.7, 1.9))
+    outcomes, u = cclass.subjects(m)
+    tables, logw = [], []
+    for z in multiset_permutations([i for i, r in enumerate(m.rows) for _ in range(r)]):
+        tab = np.zeros((m.I, m.J))
+        np.add.at(tab, (z, outcomes), 1)
+        tables.append(tab.ravel())
+        logw.append(model.gamma * sum(model.phi[i] * us for i, us in zip(z, u.u)))
+    flat = np.asarray(tables)
+    p = np.exp(np.asarray(logw) - max(logw))
+    p /= p.sum()
+    mean = p @ flat
+    cov = (flat - mean).T @ ((flat - mean) * p[:, None])
+    got = cell_moments(cclass, m, model)
+    assert len(tables) == 560
+    np.testing.assert_allclose(got.mean.ravel(), mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.cov, cov, rtol=0, atol=1e-12)
 
 
 def test_cell_moments_binary_outcome_branches(rng):

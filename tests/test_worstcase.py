@@ -16,6 +16,8 @@ from exactsens.exactdist import (
     kernel_alpha,
     signscore_tail,
 )
+from exactsens.moments import cell_moments, dist_q
+from exactsens.moments import test_moments as ordinal_moments
 from exactsens.montecarlo import estimate_alpha_permtreat, estimate_alpha_sis_pair
 from exactsens.oracle import _random_margins
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
@@ -28,6 +30,8 @@ from exactsens.stats import (
     permutation_invariant_statistic,
     weighted_sum_statistic,
 )
+from exactsens.simulate import LogLinearDGP, PowerTestSpec, power_curve, size_curve
+from exactsens.stratified import StratifiedStudy, stratified_worst_case_grid
 from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_array
 from exactsens.worstcase import (
     _ordinal_classes,
@@ -510,3 +514,74 @@ def test_large_ordinal_scan_keeps_the_flat_gamma_one_tie():
                           SensitivityModel(gamma=0.0, delta=(0, 1)), [0.0])
     assert res[0].strategy_used == "ordinal"
     assert res[0].argmax_class.ubar == (0, 0, 0)
+
+
+# every entry point that checks a model against a table, on 3-row tables; on
+# the J = 2 table worst_case_grid takes the sign-score strategy
+_THREE = ContingencyTable.from_array([[2, 1, 0], [1, 1, 1], [0, 1, 2]])
+_THREE_J2 = ContingencyTable.from_array([[2, 1], [1, 1], [0, 2]])
+_THREE_STAT = ordinal_statistic((0, 1, 2), (0, 1, 2))
+_THREE_CLASS = ConfounderClass((0, 1, 2))
+_THREE_OUTCOMES, _THREE_U = _THREE_CLASS.subjects(_THREE.margins())
+_BIAS_PATHS = {
+    "exact_alpha": lambda model: exact_alpha(_THREE_STAT, _THREE, _THREE_CLASS, model),
+    "kernel_alpha": lambda model: kernel_alpha(_THREE_STAT, _THREE, _THREE_CLASS, model),
+    "brute_force_alpha": lambda model: brute_force_alpha(
+        _THREE_STAT, _THREE, _THREE_U, _THREE_OUTCOMES, model),
+    "permtreat": lambda model: estimate_alpha_permtreat(
+        1, _THREE_STAT, _THREE, _THREE_U, _THREE_OUTCOMES, model, M=10),
+    "sis_pair": lambda model: estimate_alpha_sis_pair(
+        1, _THREE_STAT, _THREE, _THREE_CLASS, model, M=10),
+    "worst_case_grid_J2": lambda model: worst_case_grid(
+        ordinal_statistic((0, 1, 2), (0, 1)), _THREE_J2, model, [0.5]),
+    "worst_case_grid_J3": lambda model: worst_case_grid(_THREE_STAT, _THREE, model, [0.5]),
+    "dist_q": lambda model: dist_q(_THREE_CLASS, _THREE.margins(), model),
+    "cell_moments": lambda model: cell_moments(_THREE_CLASS, _THREE.margins(), model),
+    "test_moments": lambda model: ordinal_moments(
+        _THREE_STAT, _THREE_CLASS, _THREE.margins(), model),
+    "size_curve": lambda model: size_curve(_THREE_J2.margins(), model, (0, 1, 2), [0.05]),
+}
+# paths whose computation factors through delta-block sums refuse a dose model first
+_DOSE_REFUSED_FIRST = {"exact_alpha", "kernel_alpha", "sis_pair"}
+
+
+@pytest.mark.parametrize("path", sorted(_BIAS_PATHS))
+@pytest.mark.parametrize("name, bias", [
+    ("delta", (0, 1)), ("delta", (0, 1, 1, 1)), ("phi", (0.0, 1.0)), ("phi", (0.0, 1.0, 2.0, 3.0)),
+], ids=["delta-short", "delta-long", "phi-short", "phi-long"])
+def test_every_entry_point_checks_the_bias_length(path, name, bias):
+    # a bias one entry short or long once gave p = 0, an IndexError or a numpy
+    # shape error, depending on the path
+    model = SensitivityModel(gamma=0.5, **{name: bias})
+    if name == "phi" and path in _DOSE_REFUSED_FIRST:
+        with pytest.raises(SensitivityError):
+            _BIAS_PATHS[path](model)
+        return
+    with pytest.raises(ValueError) as refused:
+        _BIAS_PATHS[path](model)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == "bias length must match the number of treatment levels"
+
+
+_J2_MODEL = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
+_J2_STAT = ordinal_statistic((0, 1, 2), (0, 1))
+_EMPTY_GRID_PATHS = {
+    **{strategy: lambda strategy=strategy: worst_case_grid(
+        _J2_STAT, _THREE_J2, _J2_MODEL, [], strategy=strategy)
+       for strategy in ("signscore", "ordinal", "pi")},
+    "exact_alpha_grid": lambda: exact_alpha_grid(
+        _J2_STAT, _THREE_J2, ConfounderClass((0, 3)), _J2_MODEL, []),
+    "stratified_worst_case_grid": lambda: stratified_worst_case_grid(
+        StratifiedStudy((_THREE_J2,), ((0, 1, 2),), ((0, 1),), _J2_MODEL), []),
+    "power_curve": lambda: power_curve(
+        1, LogLinearDGP(0.0, (0.0, 0.0), (0.0, 0.0), 1.0, (0.0, 1.0), (0.0, 1.0), (3, 3)),
+        PowerTestSpec("2x2", (0.0, 1.0), (0.0, 1.0), (0, 1)), [], 1),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_EMPTY_GRID_PATHS))
+def test_every_grid_refuses_an_empty_gamma_grid(path):
+    # an empty grid returned [] from the ordinal and pi scans and died in
+    # numpy's stack on the sign-score one
+    with pytest.raises(ValueError, match="^gamma grid must be non-empty$"):
+        _EMPTY_GRID_PATHS[path]()

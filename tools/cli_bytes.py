@@ -17,7 +17,8 @@ The cases:
   ``--summary``;
 * the README commands: ``analyze`` with an ordinal, chi2, G2 and cell test and
   with ``--fixed-ubar``, ``stratified``, ``power --suite`` with few
-  iterations, ``size`` and ``sample --with-exact``;
+  iterations, ``size`` with ``--delta`` and with ``--phi``, and
+  ``sample --with-exact``;
 * refusals whose message and exit code both trees must share.
 """
 
@@ -41,11 +42,16 @@ STUDY = {"strata": [{"counts": [[12, 3, 0], [18, 12, 3], [17, 25, 4]],
                     {"counts": [[10, 8, 1], [29, 11, 3], [20, 24, 6]],
                      "alpha": [0, 0.25, 1.5], "beta": [0, 1, 1.5]}],
          "gamma": 0.0, "delta": [0, 1, 1], "tau": 0.2}
+# a binary-outcome study whose delta is one entry short of its three rows
+SHORT_DELTA = {"strata": [{"counts": counts, "alpha": [0, 1, 2], "beta": [0, 1]}
+                          for counts in ([[5, 3], [4, 4], [2, 6]], [[6, 2], [3, 5], [1, 7]])],
+               "gamma": 0.0, "delta": [0, 1]}
 DGP = {"lambda_z": [1.0, 0.0, 0.0], "lambda_r": [1.0, 0.2, 0.0], "w": 1.0,
        "alpha_star": [0.0, 1.7, 2.45], "beta_star": [0.0, 1.25, 1.4],
        "treatment_margins": [10, 10, 10], "delta": [0, 1, 1]}
 FILES = {"girls.csv": GIRLS, "table.csv": GIRLS, "study.json": json.dumps(STUDY),
-         "dgp.json": json.dumps(DGP), "bad.json": json.dumps({"strata": [{}]})}
+         "dgp.json": json.dumps(DGP), "bad.json": json.dumps({"strata": [{}]}),
+         "short-delta.json": json.dumps(SHORT_DELTA)}
 ORDINAL = "--test ordinal --alpha 0,0.25,1.5 --beta 0,1,1.5 --delta 0,1,1"
 SAVE = "--out out.csv --summary summary.json"
 
@@ -60,6 +66,7 @@ README = {
     "stratified": f"stratified study.json --Gamma-grid 1,2,3 {SAVE}",
     "power-suite": f"power dgp.json --gamma-grid 0,0.5,1 --iterations 4 --suite {SAVE}",
     "size": f"size --rows 60,10,20 --cols 15,75 --delta 0,0,1 --alpha 0,1,2 --gamma-grid 1 {SAVE}",
+    "size-phi": f"size --rows 4,3 --cols 3,4 --phi 0,1 --gamma-grid 0.5 {SAVE}",
     "sample": "sample table.csv --test ordinal --alpha 0,1,2 --beta 0,1,2 --delta 0,1,1 "
               f"--gamma-grid 1 --fixed-ubar 0,0,3 --with-exact --iterations 200 {SAVE}",
 }
@@ -71,7 +78,7 @@ REFUSALS = {
                            "--strategy pi",
     "out-missing-dir": "analyze girls.csv --test chi2 --delta 0,1,1 --out missing/o.csv",
     "study-keys": "stratified bad.json",
-    "size-phi": "size --rows 4,3 --cols 3,4 --phi 0,1 --gamma-grid 0.5",
+    "stratified-bias-length": "stratified short-delta.json --gamma-grid 0,1",
 }
 
 
