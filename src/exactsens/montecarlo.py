@@ -17,37 +17,37 @@ C(u) = sum_q e^{gamma delta'q} kernel_q(q), the estimators are
     PermTreat : self-normalized importance ratio over uniformly sampled
                 treatment permutations (no kernels; slow-converging baseline)
 
-For binary delta, v(t) = w(t) prod_j e^{G_j[b_j]} factors per outcome column
-through the delta-block sums b_j, with w(t) from ``exactdist._log_table_weight``
-and G_j[b] = log sum_d chi_j[b, d] e^{gamma d} from the column profiles of
-``exactdist._log_column_profile``; the batch evaluator gathers G_j.  The
-same factorization yields the confounder-aware proposal that SIS and snSIS
-draw from (``TILTED_PROPOSAL_NAME``): the block sums come from their exact
-tilted marginal prod_j e^{G_j[b_j]}, then each block is filled by the
-row-fill proposal, which is the uniform-assignment law of a block, so the
-importance ratios are flat.  The block sums come from the suffix-normalizer
-sampler and C(u) from the scans' normalizer, both in ``exactdist``
-(``_sequential_weighted_draw``, ``_log_block_normalizer``).
-``estimate_alpha_sis_pair`` returns both traces from one set of draws.
+SIS and snSIS draw from the confounder-aware proposal
+(``TILTED_PROPOSAL_NAME``).  For binary delta the target law factors per
+outcome column through the delta-block sums b_j as prod_j e^{G_j[b_j]},
+with G_j[b] = log sum_d chi_j[b, d] e^{gamma d} from the column profiles of
+``exactdist._log_column_profile``.  The proposal draws the block sums from
+that exact tilted marginal (``exactdist._sequential_weighted_draw``) and
+then fills each block by the row-fill proposal, which is the
+uniform-assignment law of a block.  So h(t) = v(t) / C(u) for every table:
+each ratio v/h equals C(u), and both formulas reduce to the running share
+of rejected draws, k_m / m.  ``estimate_alpha_sis_pair`` returns both
+traces from one set of draws; the proposal's exact log h stays available
+from ``_tilted_fill`` as the certificate that the ratios are flat.
 
-Reproducibility: sample m always consumes uniforms from the stream seeded by
-(seed, m), so traces are identical under any batching or scheduling.
+Reproducibility: sample m always draws from its own stream, seeded by
+(seed, m) (``_row_streams``), so traces are identical under any batching or
+scheduling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
 from exactsens.exactdist import (
     _check_subject_data,
-    _log_block_normalizer,
+    _log_binom,
     _log_column_profile,
-    _log_table_weight,
     _resolve_critical,
     _sequential_weighted_draw,
     log_factorials,
@@ -106,23 +106,15 @@ def _sis_fill(
             hi = np.minimum(rrem, crem[:, j])
             width = int((hi - lo).max()) + 1
             xs = lo[:, None] + np.arange(width)[None, :]
-            feasible = xs <= hi[:, None]
-            xs_c = np.where(feasible, xs, lo[:, None])  # keeps every index below in range
-            logw = (
-                lf[crem[:, j, None]]
-                - lf[xs_c]
-                - lf[crem[:, j, None] - xs_c]
-                + lf[rest[:, None]]
-                - lf[rrem[:, None] - xs_c]
-                - lf[rest[:, None] - (rrem[:, None] - xs_c)]
+            logw = _log_binom(lf, crem[:, j, None], xs) + _log_binom(
+                lf, rest[:, None], rrem[:, None] - xs
             )
-            logw = np.where(feasible, logw, -np.inf)
             norm = logsumexp(logw, axis=1)
             p = np.exp(logw - norm[:, None])
             p /= p.sum(axis=1, keepdims=True)
             cum = np.cumsum(p, axis=1)
             pick = (U[:, ucol, None] > cum).sum(axis=1)
-            pick = np.minimum(pick, feasible.sum(axis=1) - 1)
+            pick = np.minimum(pick, hi - lo)
             ucol += 1
             x = lo + pick
             log_h += logw[np.arange(size), pick] - norm
@@ -228,26 +220,11 @@ def sis_sample_batch(
     return tabs, log_h
 
 
-def _stream_uniforms(seed: int, M: int, ncols: int) -> np.ndarray:
-    """Row m comes from the dedicated stream (seed, m)."""
-    U = np.empty((M, ncols))
-    for mi in range(M):
-        U[mi] = np.random.default_rng([seed, mi]).random(ncols)
-    return U
-
-
-def _log_v_batch(
-    tables: np.ndarray, m: Margins, c: ConfounderClass, model: SensitivityModel
+def _row_streams(
+    seed: int, M: int, draw: Callable[[np.random.Generator], np.ndarray]
 ) -> np.ndarray:
-    """log v(t) = log sum_q e^{gamma delta'q} kernel_t_q(t, q), vectorized.
-
-    v(t) = w(t) prod_j e^{G_j[b_j]}, with G_j gathered at the block sums b_j.
-    """
-    one_rows = [i for i, dv in enumerate(model.delta) if dv == 1]  # type: ignore[arg-type]
-    logv, b = _log_table_weight(tables, one_rows)
-    for j, G in enumerate(_tilted_column_weights(m, c, model.gamma)):
-        logv = logv + G[b[:, j]]
-    return logv
+    """Row m is ``draw`` applied to its own generator, seeded by (seed, m)."""
+    return np.stack([draw(np.random.default_rng([seed, mi])) for mi in range(M)])
 
 
 def estimate_alpha_sis_pair(
@@ -259,32 +236,28 @@ def estimate_alpha_sis_pair(
     critical: float | None = None,
     M: int = 10_000,
 ) -> tuple[EstimatorTrace, EstimatorTrace]:
-    """SIS and snSIS traces from one set of M tilted draws and their weights.
+    """SIS and snSIS traces from one set of M tilted draws.
 
-    SIS is the unbiased (1/(M C(u))) sum 1{T>=c} v/h; snSIS is the weighted
-    rejected mass over the total weighted mass.
+    The proposal is the target law, so every importance ratio v/h is C(u):
+    both the unbiased (1/(M C(u))) sum 1{T>=c} v/h and the self-normalized
+    estimator are the running share of rejected draws.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     if not model.is_binary:
-        raise SensitivityError("kernel-weighted estimators require a binary delta")
+        raise SensitivityError(
+            "the SIS proposal draws delta-block column sums, so it requires a binary delta"
+        )
     m = t_obs.margins()
     model.validate_for(m)
     c.validate_for(m)
     critical = _resolve_critical(test, t_obs, critical)
-    tables, log_h = _tilted_fill(m, c, model, _stream_uniforms(seed, M, _free_cells(m)))
+    ncols = _free_cells(m)
+    tables, _ = _tilted_fill(m, c, model, _row_streams(seed, M, lambda g: g.random(ncols)))
     keep = test.evaluate_batch(tables) >= critical - statistic_tolerance(critical)
-    log_ratio = _log_v_batch(tables, m, c, model) - log_h
-    B = sum(r for r, dv in zip(m.rows, model.delta) if dv == 1)  # type: ignore[arg-type]
-    logC = float(_log_block_normalizer(m.rows, B, np.array([c.total]), [model.gamma])[0, 0])
-    terms = np.where(keep, np.exp(log_ratio - logC), 0.0)
-    running = np.cumsum(terms) / np.arange(1, M + 1)
-    sis = EstimatorTrace("SIS", running, float(running[-1]))
-    w = np.exp(log_ratio - log_ratio.max())
-    denom = np.cumsum(w)
-    assert np.all(denom > 0), "positive proposal weights cannot vanish"
-    running = np.cumsum(np.where(keep, w, 0.0)) / denom
-    return sis, EstimatorTrace("snSIS", running, float(running[-1]))
+    running = np.cumsum(keep) / np.arange(1, M + 1)
+    return (EstimatorTrace("SIS", running, float(running[-1])),
+            EstimatorTrace("snSIS", running.copy(), float(running[-1])))
 
 
 def estimate_alpha_permtreat(
@@ -315,9 +288,7 @@ def estimate_alpha_permtreat(
     base = np.repeat(np.arange(m.I), m.rows)
     uvec = np.asarray(u.u)
 
-    Z = np.empty((M, N), dtype=np.int64)
-    for mi in range(M):
-        Z[mi] = np.random.default_rng([seed, mi]).permutation(base)
+    Z = _row_streams(seed, M, lambda g: g.permutation(base))
     tabs = np.zeros((M, m.I, m.J), dtype=np.int64)
     np.add.at(
         tabs,

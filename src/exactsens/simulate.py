@@ -34,7 +34,7 @@ from exactsens.exactdist import _mvehg_law, tail_mass
 from exactsens.moments import normal_tail, test_moments
 from exactsens.sensmodel import SensitivityError, SensitivityModel, check_gammas
 from exactsens.stats import TestStatistic, ordinal_statistic
-from exactsens.tables import ContingencyTable, Margins, collapse, crosscut
+from exactsens.tables import ContingencyTable, Margins, _integers, collapse, crosscut
 from exactsens.worstcase import signscore_u_plus, worst_case_grid
 
 __all__ = [
@@ -68,6 +68,10 @@ class LogLinearDGP:
             raise ValueError("lambda_r and beta_star must share a length")
         if len(self.treatment_margins) != len(self.alpha_star):
             raise ValueError("treatment margins must have one entry per row")
+        for name in ("lambda0", "lambda_z", "lambda_r", "w", "alpha_star", "beta_star"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, not {value}")
         if not self.monotone_association():
             warnings.warn(
                 "alpha*/beta* increments have mixed signs; the association is "
@@ -168,7 +172,7 @@ def standard_test_suite(
     """
     a = tuple(float(v) for v in alpha_star)
     b = tuple(float(v) for v in beta_star)
-    d3 = tuple(int(v) for v in delta3)
+    d3 = _integers(delta3, "delta")
     return [
         PowerTestSpec("3x3-opt", a, b, d3),
         PowerTestSpec(

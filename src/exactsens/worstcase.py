@@ -220,9 +220,8 @@ def worst_case_multi_delta(
         raise ValueError("at least one delta is required")
     results = []
     for d in deltas:
-        model = SensitivityModel(gamma=gamma, delta=tuple(int(v) for v in d))
-        results.append((tuple(int(v) for v in d),
-                        worst_case_pvalue(test, t_obs, model, critical, strategy)))
+        model = SensitivityModel(gamma=gamma, delta=tuple(d))
+        results.append((model.delta, worst_case_pvalue(test, t_obs, model, critical, strategy)))
     best_delta, best = max(results, key=lambda dr: (dr[1].pvalue, tuple(-v for v in dr[0])))
     return MultiDeltaResult(
         pvalue=best.pvalue,

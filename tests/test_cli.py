@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -362,6 +363,16 @@ def test_sample_command(tmp_path):
     assert len(lines) == 402
     exact = float(lines[2].split(",")[4])
     assert round(exact, 2) == 0.01
+    # both SIS columns draw from the exact tilted law, so each row is the
+    # share k/i of rejected draws, correctly rounded
+    g = tmp_path / "girls.csv"
+    g.write_text(GIRLS_CSV)
+    assert run(["sample", str(g), "--test", "ordinal", "--alpha", "0,1,2", "--beta", "0,1,2",
+                "--delta", "0,1,1", "--gamma-grid", "1", "--fixed-ubar", "0,0,3",
+                "--iterations", "300", "--out", str(out)]) == 0
+    for i, line in enumerate(out.read_text().strip().splitlines()[2:], 1):
+        sis, snsis = line.split(",")[1:3]
+        assert sis == snsis == format(round(float(sis) * i) / i, ".12g"), line
 
 
 def test_sample_with_an_empty_top_outcome_level(tmp_path):
@@ -424,6 +435,26 @@ def test_power_misconfiguration_exit_codes(tmp_path):
     with pytest.warns(UserWarning, match="not monotone"):
         assert run(["power", str(cp), "--iterations", "2", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("w", math.inf, "inf"),
+    ("lambda_z", [math.nan, 0, 0], "(nan, 0.0, 0.0)"),
+    ("alpha_star", [0, math.nan, 2.45], "(0.0, nan, 2.45)"),
+    ("lambda0", -math.inf, "-inf"),
+])
+def test_power_refuses_a_non_finite_dgp_parameter(tmp_path, capsys, field, value, shown):
+    # JSON's NaN and Infinity read as floats; the DGP names the field before
+    # any warning or numpy error about the probabilities they would give
+    cfg = {"lambda_z": [1, 0, 0], "lambda_r": [1, 0.2, 0], "alpha_star": [0, 1.7, 2.45],
+           "beta_star": [0, 1.25, 1.4], "treatment_margins": [10, 10, 10], field: value}
+    cp = tmp_path / "dgp.json"
+    cp.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["power", str(cp), "--iterations", "2", "--gamma-grid", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed power config: {field} must be finite, not {shown}\n")
 
 
 def test_power_misconfigured_variant_exits_2(tmp_path, capsys):

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-import exactsens.montecarlo as montecarlo
-from exactsens.exactdist import brute_force_alpha, exact_alpha, kernel_q, kernel_t_q, omega_q
+from exactsens.exactdist import (
+    brute_force_alpha,
+    exact_alpha,
+    kernel_q,
+    kernel_t_q,
+    omega_q,
+    statistic_tolerance,
+)
 from exactsens.montecarlo import (
     _free_cells,
-    _log_v_batch,
     _tilted_fill,
     estimate_alpha_permtreat,
     estimate_alpha_sis_pair,
@@ -19,13 +24,7 @@ from exactsens.montecarlo import (
 )
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityModel
 from exactsens.stats import ordinal_statistic
-from exactsens.tables import (
-    ContingencyTable,
-    Margins,
-    enumerate_fixed_margin_array,
-    enumerate_fixed_margin_tables,
-)
-from tests.conftest import block_sum_normalizer
+from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_tables
 
 
 def test_proposal_sums_to_one():
@@ -197,24 +196,9 @@ def _log_kernel_sum(weights, delta, gamma):
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.7, 2.0])
-def test_log_v_batch_matches_kernel_sum(gamma):
-    # every table of the reference set: w(t) prod_j e^{G_j[b_j]} against the
-    # integer kernel sum over q
-    for m, delta, ubar in FACTORIZATION_CASES:
-        c = ConfounderClass(ubar)
-        model = SensitivityModel(gamma=gamma, delta=delta)
-        tables = enumerate_fixed_margin_array(m)
-        got = _log_v_batch(tables, m, c, model)
-        qs = list(omega_q(c.total, m.rows))
-        for tab, lv in zip(tables, got):
-            t = ContingencyTable.from_array(tab)
-            want = _log_kernel_sum([(q, kernel_t_q(t, q, c)) for q in qs], delta, gamma)
-            assert lv == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-@pytest.mark.parametrize("gamma", [0.0, 0.7, 2.0])
 def test_tilted_proposal_ratios_are_flat(gamma, rng):
-    # h(t) = v(t) / C(u) for every draw: the proposal is the target law
+    # h(t) = v(t) / C(u) for every draw, with v and C from the integer
+    # kernels: the proposal is the target law
     for m, delta, ubar in FACTORIZATION_CASES:
         c = ConfounderClass(ubar)
         model = SensitivityModel(gamma=gamma, delta=delta)
@@ -222,29 +206,35 @@ def test_tilted_proposal_ratios_are_flat(gamma, rng):
         assert (tables.sum(axis=2) == m.rows).all() and (tables.sum(axis=1) == m.cols).all()
         qs = list(omega_q(c.total, m.rows))
         log_c = _log_kernel_sum([(q, kernel_q(q, c.total, m)) for q in qs], delta, gamma)
-        want = _log_v_batch(tables, m, c, model) - log_c
-        np.testing.assert_allclose(log_h, want, rtol=1e-12, atol=1e-12)
+        drawn, which = np.unique(tables, axis=0, return_inverse=True)
+        log_v = np.array([
+            _log_kernel_sum([(q, kernel_t_q(ContingencyTable.from_array(t), q, c)) for q in qs],
+                            delta, gamma)
+            for t in drawn
+        ])
+        np.testing.assert_allclose(log_h, log_v[which.ravel()] - log_c, rtol=1e-12, atol=1e-12)
 
 
-def test_sis_divides_by_the_shared_normalizer(monkeypatch):
-    # SIS takes log C(u) from the scans' normalizer; with every table
-    # rejected, the exact tilted proposal makes each importance ratio C(u),
-    # so the estimate is 1 whatever the draws
-    seen = []
-    normalizer = montecarlo._log_block_normalizer
+def test_sis_traces_are_the_running_share_of_rejected_draws():
+    # the draws of sample m come from the stream (seed, m); both traces are
+    # k/i for the k rejected among the first i draws, bit for bit
+    model = SensitivityModel(gamma=1.0, delta=(0, 1, 1))
+    c = ConfounderClass((0, 0, 3))
+    m, M, seed = T86.margins(), 400, 4
+    U = np.stack([np.random.default_rng([seed, i]).random(_free_cells(m)) for i in range(M)])
+    tables, _ = _tilted_fill(m, c, model, U)
+    critical = STAT(T86)
+    keep = STAT.evaluate_batch(tables) >= critical - statistic_tolerance(critical)
+    want = np.cumsum(keep) / np.arange(1, M + 1)
+    for trace in estimate_alpha_sis_pair(seed, STAT, T86, c, model, M=M):
+        np.testing.assert_array_equal(trace.estimates, want)
+        assert trace.final == want[-1]
 
-    def recording(*args):
-        seen.append(normalizer(*args))
-        return seen[-1]
 
-    monkeypatch.setattr(montecarlo, "_log_block_normalizer", recording)
+def test_sis_traces_are_one_when_every_table_is_rejected():
     t = ContingencyTable.from_array([[3, 2, 1], [1, 2, 3], [0, 1, 2]])
-    m, c = t.margins(), ConfounderClass((1, 2, 2))
     model = SensitivityModel(gamma=0.8, delta=(0, 1, 1))
-    sis, _ = estimate_alpha_sis_pair(5, ordinal_statistic((0, 1, 2), (0, 1, 2)), t, c, model,
-                                     critical=-1e9, M=50)
-    logk, scale = block_sum_normalizer(m.rows, 9, c.total)
-    d = np.flatnonzero(np.isfinite(logk))
-    assert len(seen) == 1
-    assert seen[0][0, 0] == pytest.approx(logsumexp(logk[d] + 0.8 * d) + scale, rel=1e-14)
-    assert sis.final == pytest.approx(1.0, rel=1e-12)
+    for trace in estimate_alpha_sis_pair(5, ordinal_statistic((0, 1, 2), (0, 1, 2)), t,
+                                         ConfounderClass((1, 2, 2)), model,
+                                         critical=-1e9, M=50):
+        assert (trace.estimates == 1.0).all() and trace.final == 1.0

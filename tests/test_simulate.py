@@ -122,6 +122,11 @@ def test_power_delta_mismatch_raises():
         power_curve(1, CASE_I, bad, [0.0], iterations=2)
 
 
+def test_standard_suite_refuses_a_fractional_delta():
+    with pytest.raises(ValueError, match="delta must hold integers"):
+        standard_test_suite(CASE_I.alpha_star, CASE_I.beta_star, (0, 1.7, 1))
+
+
 def test_power_misconfigured_variant_raises_before_simulating(monkeypatch):
     # the suite's 3 x 3 level groups cannot partition a 4 x 4 table: that is
     # reported with the variant's name, not counted as "no rejection"

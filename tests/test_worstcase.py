@@ -196,6 +196,15 @@ def test_multi_delta():
         worst_case_multi_delta(stat, GIRLS, gamma, [])
 
 
+def test_multi_delta_refuses_fractional_entries():
+    # truncating 1.7 to 1 would answer for another bias vector
+    stat = ordinal_statistic(**PRIOR)
+    with pytest.raises(ValueError, match="delta must hold integers"):
+        worst_case_multi_delta(stat, GIRLS, 0.5, [(0, 1.7, 1)])
+    got = worst_case_multi_delta(stat, GIRLS, 0.5, [(0, 1.0, np.int64(1))])
+    assert got.delta == (0, 1, 1) and all(type(v) is int for v in got.delta)
+
+
 def test_dose_model_refusals():
     stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
     t = ContingencyTable.from_array([[2, 1, 0], [1, 1, 1], [0, 1, 2]])

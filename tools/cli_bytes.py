@@ -68,7 +68,7 @@ README = {
     "size": f"size --rows 60,10,20 --cols 15,75 --delta 0,0,1 --alpha 0,1,2 --gamma-grid 1 {SAVE}",
     "size-phi": f"size --rows 4,3 --cols 3,4 --phi 0,1 --gamma-grid 0.5 {SAVE}",
     "sample": "sample table.csv --test ordinal --alpha 0,1,2 --beta 0,1,2 --delta 0,1,1 "
-              f"--gamma-grid 1 --fixed-ubar 0,0,3 --with-exact --iterations 200 {SAVE}",
+              f"--gamma-grid 1 --fixed-ubar 0,0,3 --with-exact {SAVE}",
 }
 REFUSALS = {
     "score-lengths": "analyze girls.csv --test ordinal --alpha 0,1 --beta 0,1,2 --delta 0,1,1",
@@ -79,6 +79,8 @@ REFUSALS = {
     "out-missing-dir": "analyze girls.csv --test chi2 --delta 0,1,1 --out missing/o.csv",
     "study-keys": "stratified bad.json",
     "stratified-bias-length": "stratified short-delta.json --gamma-grid 0,1",
+    "sample-phi": "sample table.csv --test ordinal --alpha 0,1,2 --beta 0,1,2 --phi 0,1,2 "
+                  "--gamma-grid 1 --fixed-ubar 0,0,3",
 }
 
 
