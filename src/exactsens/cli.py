@@ -13,7 +13,8 @@ Subcommands:
 
 Outputs are CSV (probabilities printed with 12 significant digits) plus a
 JSON summary embedding the full configuration and package version, so a rerun
-with the same config is byte-identical; both are written or neither is.  Exit
+with the same config is byte-identical; both are opened before any work, and
+written or neither is (a failed command removes the files it created).  Exit
 codes: 0 success, 1 oracle counterexample and nothing else, 2 malformed input,
 a file that cannot be read or written, or out of memory, 3 model/family
 mismatch.  The exception type alone sets the code: ``main`` maps a
@@ -36,11 +37,7 @@ from pathlib import Path
 
 import exactsens
 from exactsens.exactdist import ORACLE_CAP, exact_alpha, exact_alpha_grid
-from exactsens.montecarlo import (
-    TILTED_PROPOSAL_NAME,
-    estimate_alpha_permtreat,
-    estimate_alpha_sis_pair,
-)
+from exactsens.montecarlo import TILTED_PROPOSAL_NAME, estimate_alpha_permtreat, estimate_alpha_sis
 from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel
 from exactsens.simulate import (
     LogLinearDGP,
@@ -155,29 +152,27 @@ def _model(args, I: int) -> SensitivityModel:
     return SensitivityModel(gamma=0.0, **{name: bias})
 
 
+def _claim_outputs(args, created: list[str]) -> None:
+    """Open ``--out`` and ``--summary`` before any work; each file it creates joins ``created``."""
+    paths = [p for p in (vars(args).get("out"), vars(args).get("summary")) if p is not None]
+    if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
+        raise ValueError(f"--out and --summary name the same file: {paths[1]}")
+    for path in paths:
+        try:
+            open(path, "x").close()
+            created.append(path)
+        except FileExistsError:
+            open(path, "a").close()  # writable, and its bytes left as they are
+
+
 def _write_outputs(args, lines: list[str], config: dict, **extras) -> None:
-    """Write the CSV (``--out``, else stdout) and the ``--summary`` JSON, all or nothing:
-    every file is opened first, so a refusal leaves none created or truncated."""
+    """Write the CSV (``--out``, else stdout) and the ``--summary`` JSON that ``main`` claimed."""
     config = {"command": args.command, **config}
     echo = json.dumps(config, sort_keys=True, separators=(",", ":"))
     texts = {args.out: f"# exactsens {exactsens.__version__} {echo}\n" + "\n".join(lines) + "\n"}
     if args.summary is not None:
-        if args.out is not None and Path(args.out).resolve() == Path(args.summary).resolve():
-            raise ValueError(f"--out and --summary name the same file: {args.summary}")
         payload = {**config, **extras, "version": exactsens.__version__}
         texts[args.summary] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    created = []
-    try:
-        for path in (p for p in texts if p is not None):
-            try:
-                open(path, "x").close()
-                created.append(path)
-            except FileExistsError:
-                open(path, "a").close()  # writable, and its bytes left as they are
-    except OSError:
-        for path in created:
-            os.remove(path)
-        raise
     for path, text in texts.items():
         if path is None:
             sys.stdout.write(text)
@@ -318,8 +313,7 @@ def cmd_size(args) -> int:
     if bad:
         raise ValueError(f"--nominal levels must lie in [0, 1], not {bad[0]}")
     lines = ["method,nominal_alpha,rate,mc_sigma"]
-    for method in ("exact", "normal"):
-        rates = size_curve(margins, model, alpha_scores, nominal, method)
+    for method, rates in size_curve(margins, model, alpha_scores, nominal).items():
         # the rates are exact sums over the null law, so mc_sigma is 0
         for g, r in zip(nominal, rates):
             lines.append(f"{method},{_fmt(g)},{_fmt(r)},0")
@@ -347,17 +341,14 @@ def cmd_sample(args) -> int:
         raise ValueError("--iterations must be at least 1")
     ubar = ConfounderClass(read_numbers(args.fixed_ubar, "--fixed-ubar", int, text=True))
     ubar.validate_for(table.margins())
-    sis, snsis = estimate_alpha_sis_pair(args.seed, stat, table, ubar, model, M=args.iterations)
+    sis = estimate_alpha_sis(args.seed, stat, table, ubar, model, M=args.iterations)
     # permutation baseline on the equivalent subject-level data
     outcomes, u = ubar.subjects(table.margins())
     perm = estimate_alpha_permtreat(args.seed, stat, table, u, outcomes, model, M=args.iterations)
     exact_col = f",{_fmt(exact_alpha(stat, table, ubar, model))}" if args.with_exact else ""
-    lines = ["iteration,sis,snsis,permtreat" + (",exact" if args.with_exact else "")]
+    lines = ["iteration,sis,permtreat" + (",exact" if args.with_exact else "")]
     for i in range(args.iterations):
-        lines.append(
-            f"{i+1},{_fmt(sis.estimates[i])},{_fmt(snsis.estimates[i])},"
-            f"{_fmt(perm.estimates[i])}" + exact_col
-        )
+        lines.append(f"{i+1},{_fmt(sis.estimates[i])},{_fmt(perm.estimates[i])}" + exact_col)
     config = {
         "table": args.table,
         "test": args.test,
@@ -494,16 +485,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    created: list[str] = []
     try:
-        return args.fn(args)
+        _claim_outputs(args, created)  # an unwritable destination is refused before any work
+        code, created = args.fn(args), []  # a finished command keeps what it wrote
+        return code
     except SensitivityError as exc:
         code, message = EXIT_MODEL_MISMATCH, str(exc)
     except (ValueError, OSError) as exc:  # OSError: a file that cannot be read or written
         code, message = EXIT_BAD_INPUT, str(exc)
     except MemoryError as exc:
         code, message = EXIT_BAD_INPUT, f"out of memory: {exc}"
+    finally:
+        for path in created:  # a failed command leaves no file it created
+            os.remove(path)
     print(f"error: {message}", file=sys.stderr)
     return code
 

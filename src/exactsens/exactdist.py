@@ -61,9 +61,9 @@ live here:
   worst case: its gamma-free support and binomial log-terms (``_mvehg_base``,
   built per call, never cached) renormalized per weights (``_mvehg_probs``).
   ``mvehg_pmf``, ``signscore_tail``, the sign-score worst case
-  (``worstcase``, one base per Gamma grid), the size study and the Q law
-  (``moments.dist_q``) take their probabilities from it, and ``tail_mass``
-  is their one P(T >= c) tie rule;
+  (``worstcase``, one base per Gamma grid), the size study (one law for both
+  curves) and the Q law (``moments.dist_q``) take their probabilities from
+  it, and ``tail_mass`` is their one P(T >= c) tie rule;
 * ``_sequential_weighted_draw``: the suffix-normalizer sampler behind the
   tilted SIS proposal (``montecarlo``);
 * ``_log_block_normalizer``: the binary-delta normalizer C(u), from the

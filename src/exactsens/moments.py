@@ -3,7 +3,8 @@
 Q_i is the number of u = 1 subjects receiving treatment i.  Its law is a
 kernel-weighted tilt on a small support (``exactdist._mvehg_law`` at weights
 gamma * bias, for a binary delta or a dose phi alike), so its moments are
-exact finite sums.  Given Q, the u = 1 and u = 0 subjects form two
+exact finite sums: matrix products over the (S, I) support array and its
+probabilities.  Given Q, the u = 1 and u = 0 subjects form two
 independent uniformly permuted fixed-margin tables, whose means and
 covariances are the classical hypergeometric ones.  The law of total
 covariance over Q then gives the cell means and the full cell covariance in
@@ -40,18 +41,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QDistribution:
-    """Exact law of (Q_1, ..., Q_I) on its support."""
+    """Exact law of (Q_1, ..., Q_I): its (S, I) int64 support in ``omega_q`` order, and probs."""
 
-    support: tuple[tuple[int, ...], ...]
+    support: np.ndarray
     probs: np.ndarray
 
     def mean(self) -> np.ndarray:
-        return np.asarray(self.support, dtype=float).T @ self.probs
+        return self.support.T @ self.probs
 
     def second_moments(self) -> np.ndarray:
         """Matrix of E[Q_i Q_i'] (diagonal E[Q_i^2])."""
-        arr = np.asarray(self.support, dtype=float)
-        return (arr[:, :, None] * arr[:, None, :] * self.probs[:, None, None]).sum(axis=0)
+        return (self.support.T * self.probs) @ self.support
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def dist_q(c: ConfounderClass, m: Margins, model: SensitivityModel) -> QDistribu
     model.validate_for(m)
     c.validate_for(m)
     support, probs = _mvehg_law(m.rows, c.total, [model.gamma * b for b in model.bias])
-    return QDistribution(support=tuple(map(tuple, support.tolist())), probs=probs)
+    return QDistribution(support=support, probs=probs)
 
 
 def cell_moments(

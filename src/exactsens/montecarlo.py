@@ -26,9 +26,9 @@ that exact tilted marginal (``exactdist._sequential_weighted_draw``) and
 then fills each block by the row-fill proposal, which is the
 uniform-assignment law of a block.  So h(t) = v(t) / C(u) for every table:
 each ratio v/h equals C(u), and both formulas reduce to the running share
-of rejected draws, k_m / m.  ``estimate_alpha_sis_pair`` returns both
-traces from one set of draws; the proposal's exact log h stays available
-from ``_tilted_fill`` as the certificate that the ratios are flat.
+of rejected draws, k_m / m.  ``estimate_alpha_sis`` returns that one
+trace; the proposal's exact log h stays available from ``_tilted_fill`` as
+the certificate that the ratios are flat.
 
 Reproducibility: sample m always draws from its own stream, seeded by
 (seed, m) (``_row_streams``), so traces are identical under any batching or
@@ -62,7 +62,7 @@ __all__ = [
     "EstimatorTrace",
     "sis_sample_batch",
     "sis_log_proposal",
-    "estimate_alpha_sis_pair",
+    "estimate_alpha_sis",
     "estimate_alpha_permtreat",
     "TILTED_PROPOSAL_NAME",
 ]
@@ -227,7 +227,7 @@ def _row_streams(
     return np.stack([draw(np.random.default_rng([seed, mi])) for mi in range(M)])
 
 
-def estimate_alpha_sis_pair(
+def estimate_alpha_sis(
     seed: int,
     test: TestStatistic,
     t_obs: ContingencyTable,
@@ -235,8 +235,8 @@ def estimate_alpha_sis_pair(
     model: SensitivityModel,
     critical: float | None = None,
     M: int = 10_000,
-) -> tuple[EstimatorTrace, EstimatorTrace]:
-    """SIS and snSIS traces from one set of M tilted draws.
+) -> EstimatorTrace:
+    """The SIS trace of M tilted draws, which is also the snSIS trace.
 
     The proposal is the target law, so every importance ratio v/h is C(u):
     both the unbiased (1/(M C(u))) sum 1{T>=c} v/h and the self-normalized
@@ -256,8 +256,7 @@ def estimate_alpha_sis_pair(
     tables, _ = _tilted_fill(m, c, model, _row_streams(seed, M, lambda g: g.random(ncols)))
     keep = test.evaluate_batch(tables) >= critical - statistic_tolerance(critical)
     running = np.cumsum(keep) / np.arange(1, M + 1)
-    return (EstimatorTrace("SIS", running, float(running[-1])),
-            EstimatorTrace("snSIS", running.copy(), float(running[-1])))
+    return EstimatorTrace("SIS", running, float(running[-1]))
 
 
 def estimate_alpha_permtreat(

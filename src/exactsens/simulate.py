@@ -11,8 +11,8 @@ collapsed / cross-cut alternatives, each carrying its own bias vector.
 
 Size: with a binary outcome, data are generated *adversarially* from the
 worst-case assignment law itself (the multivariate extended hypergeometric
-at the sign-score maximizer).  That law's support is small and enumerated
-exactly, so the rejection rate at nominal level g is the sum of P(t) over
+at the sign-score maximizer).  ``size_curve`` enumerates that law once, and
+for both curves the rejection rate at nominal level g is the sum of P(t) over
 the support points t whose p-value is at most g, for the exact tail p-value
 and for the normal approximation; no tables are drawn.  The exact method
 stays below the diagonal; the normal approximation can cross it.
@@ -31,11 +31,11 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
 from exactsens.exactdist import _mvehg_law, tail_mass
-from exactsens.moments import normal_tail, test_moments
+from exactsens.moments import normal_tail
 from exactsens.sensmodel import SensitivityError, SensitivityModel, check_gammas
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, _integers, collapse, crosscut
-from exactsens.worstcase import signscore_u_plus, worst_case_grid
+from exactsens.worstcase import worst_case_grid
 
 __all__ = [
     "LogLinearDGP",
@@ -294,26 +294,24 @@ def size_curve(
     model: SensitivityModel,
     alpha_scores: Sequence[float],
     nominal_grid: Sequence[float],
-    method: str = "exact",
-) -> list[float]:
+) -> dict[str, list[float]]:
     """Exact P(p <= g) at each nominal level g under the adversarial binary-outcome null.
 
-    The null law is the multivariate extended hypergeometric at the
-    sign-score worst case; the rate at g sums its probabilities over the
-    support points whose p-value is at most g.  ``method`` selects the exact
-    tail p-value or the moment-based normal approximation.
+    The null law is the MVEHG law of Q at the sign-score worst case u+, where
+    T = alpha'Q and each pool is a fixed table given Q.  Returns
+    ``{"exact": rates, "normal": rates}`` from one build of the law: at each g,
+    its mass where the tail p-value, or the normal one at the law's own mean
+    and variance of T (``test_moments`` at u+), is at most g.
     """
     if margins.J != 2:
         raise ValueError("the size study needs a binary outcome")
-    if method not in ("exact", "normal"):
-        raise ValueError("method must be 'exact' or 'normal'")
     model.validate_for(margins)
     stat = ordinal_statistic(alpha_scores, (0.0, 1.0))
     weights = [model.gamma * b for b in model.bias]
     support, probs = _mvehg_law(margins.rows, margins.cols[1], weights)
     tvals = support @ np.asarray(stat.alpha)
-    if method == "exact":
-        pvals = tail_mass(tvals, probs, tvals)  # P(T >= t) of every support point
-    else:
-        pvals = normal_tail(tvals, *test_moments(stat, signscore_u_plus(margins), margins, model))
-    return [float(probs[pvals <= g].sum()) for g in nominal_grid]
+    mean = tvals @ probs
+    pvals = {"exact": tail_mass(tvals, probs, tvals),  # P(T >= t) of every support point
+             "normal": normal_tail(tvals, mean, probs @ (tvals - mean) ** 2)}
+    return {method: [float(probs[p <= g].sum()) for g in nominal_grid]
+            for method, p in pvals.items()}

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from exactsens.exactdist import brute_force_alpha, exact_alpha, mvehg_pmf
-from exactsens.montecarlo import estimate_alpha_sis_pair
+from exactsens.montecarlo import estimate_alpha_sis
 from exactsens.oracle import run_battery, _random_margins
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityModel
 from exactsens.simulate import LogLinearDGP, power_curve, size_curve, standard_test_suite
@@ -261,7 +261,7 @@ def test_criterion_08_sis_convergence():
     exact = exact_alpha(stat, t, c, model)
     hits = 0
     for seed in range(30):
-        tr = estimate_alpha_sis_pair(seed, stat, t, c, model, M=10_000)[1]
+        tr = estimate_alpha_sis(seed, stat, t, c, model, M=10_000)
         hits += abs(tr.final - exact) <= 0.01
     dt = time.time() - t0
     _report(8, "self-normalized sampler lands within 0.01 of exact in >=90% of runs",
@@ -278,8 +278,8 @@ def test_criterion_09_size_control():
     model = SensitivityModel(gamma=1.0, delta=(0, 0, 1))
     nominal = [v / 100 for v in range(1, 100)]
     iters = 1000  # the band is the 3-sigma band of a 1000-draw study
-    ex = size_curve(margins, model, (0, 1, 2), nominal, "exact")
-    no = size_curve(margins, model, (0, 1, 2), nominal, "normal")
+    curves = size_curve(margins, model, (0, 1, 2), nominal)
+    ex, no = curves["exact"], curves["normal"]
     exact_ok = all(
         r <= g + 3 * math.sqrt(g * (1 - g) / iters)
         for g, r in zip(nominal, ex)

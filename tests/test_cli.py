@@ -16,6 +16,7 @@ from exactsens.cli import main
 from exactsens.sensmodel import SensitivityModel
 from exactsens.simulate import size_curve
 from exactsens.tables import Margins
+from exactsens.worstcase import worst_case_grid
 
 GIRLS_CSV = "# pre-K care x math proficiency\n12,3,0\n18,12,3\n17,25,4\n"
 
@@ -359,20 +360,20 @@ def test_sample_command(tmp_path):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("# exactsens ")
-    assert lines[1] == "iteration,sis,snsis,permtreat,exact"
+    assert lines[1] == "iteration,sis,permtreat,exact"
     assert len(lines) == 402
-    exact = float(lines[2].split(",")[4])
+    exact = float(lines[2].split(",")[3])
     assert round(exact, 2) == 0.01
-    # both SIS columns draw from the exact tilted law, so each row is the
-    # share k/i of rejected draws, correctly rounded
+    # SIS draws from the exact tilted law, so each row is the share k/i of
+    # rejected draws, correctly rounded
     g = tmp_path / "girls.csv"
     g.write_text(GIRLS_CSV)
     assert run(["sample", str(g), "--test", "ordinal", "--alpha", "0,1,2", "--beta", "0,1,2",
                 "--delta", "0,1,1", "--gamma-grid", "1", "--fixed-ubar", "0,0,3",
                 "--iterations", "300", "--out", str(out)]) == 0
     for i, line in enumerate(out.read_text().strip().splitlines()[2:], 1):
-        sis, snsis = line.split(",")[1:3]
-        assert sis == snsis == format(round(float(sis) * i) / i, ".12g"), line
+        sis = line.split(",")[1]
+        assert sis == format(round(float(sis) * i) / i, ".12g"), line
 
 
 def test_sample_with_an_empty_top_outcome_level(tmp_path):
@@ -388,9 +389,9 @@ def test_sample_with_an_empty_top_outcome_level(tmp_path):
     ])
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[1] == "iteration,sis,snsis,permtreat"
+    assert lines[1] == "iteration,sis,permtreat"
     assert len(lines) == 52
-    assert all(0.0 <= float(line.split(",")[3]) <= 1.0 for line in lines[2:])
+    assert all(0.0 <= float(line.split(",")[2]) <= 1.0 for line in lines[2:])
 
 
 def test_power_command(tmp_path):
@@ -559,8 +560,8 @@ def test_size_takes_a_dose_model(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
     model = SensitivityModel(gamma=0.5, phi=(0.0, 1.0, 2.0))
     nominal = [v / 100 for v in range(1, 100)]
-    for method in ("exact", "normal"):
-        want = size_curve(Margins((20, 5, 10), (10, 25)), model, (0, 1, 2), nominal, method)
+    for method, want in size_curve(Margins((20, 5, 10), (10, 25)), model, (0, 1, 2),
+                                   nominal).items():
         assert [r[2] for r in rows if r[0] == method] == [format(v, ".12g") for v in want]
 
 
@@ -825,9 +826,14 @@ def test_seed_help_says_the_seed_is_ignored(command, capsys):
 
 
 @pytest.mark.parametrize("option", ["--out", "--summary"])
-def test_an_unwritable_output_exits_2(option, girls_csv, tmp_path, capsys):
+def test_an_unwritable_output_exits_2(option, girls_csv, tmp_path, monkeypatch, capsys):
     # a file in a missing directory ended in a traceback with exit 1, the
-    # code that means an oracle counterexample
+    # code that means an oracle counterexample; and it is refused before the
+    # scan, which once ran all 15,744 classes first
+    def scan(*args, **kwargs):
+        raise AssertionError("the worst-case scan ran before the output was refused")
+
+    monkeypatch.setattr("exactsens.cli.worst_case_grid", scan)
     target = tmp_path / "missing" / "out"
     assert run(["analyze", girls_csv, "--test", "chi2", "--delta", "0,1,1",
                 option, str(target)]) == 2
@@ -862,6 +868,30 @@ def test_outputs_are_written_all_or_nothing(command, outputs, tmp_path, monkeypa
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_a_failed_command_leaves_its_destinations_as_they_were(existing, girls_csv, tmp_path,
+                                                                monkeypatch, capsys):
+    # the destinations are opened before the work; a refusal that comes after
+    # removes the files that opening created, and leaves existing ones alone
+    def scan(*args, **kwargs):
+        claimed.update(p.name for p in tmp_path.iterdir())
+        return worst_case_grid(*args, **kwargs)
+
+    claimed = set()
+    monkeypatch.setattr("exactsens.cli.worst_case_grid", scan)
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        (tmp_path / "o.csv").write_text("kept\n")
+        (tmp_path / "s.json").write_text("{}\n")
+    before = _files(tmp_path)
+    assert run(["analyze", girls_csv, "--test", "chi2", "--delta", "0,1,1",
+                "--strategy", "signscore", "--out", "o.csv", "--summary", "s.json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the signscore strategy needs")
+    assert {"o.csv", "s.json"} <= claimed
     assert _files(tmp_path) == before
 
 

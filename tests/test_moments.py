@@ -125,7 +125,7 @@ def test_dist_q_hypergeometric_mean():
 def test_dist_q_point_mass_at_zero():
     m = Margins((3, 5), (4, 4))
     qd = dist_q(ConfounderClass((0, 0)), m, SensitivityModel(gamma=2.0, delta=(0, 1)))
-    assert qd.support == ((0, 0),)
+    np.testing.assert_array_equal(qd.support, [[0, 0]])
     assert qd.probs[0] == pytest.approx(1.0)
 
 
@@ -194,5 +194,20 @@ def test_dist_q_support_is_omega_q():
     m = Margins((3, 3, 2), (4, 4))
     cclass = ConfounderClass((2, 3))
     qd = dist_q(cclass, m, SensitivityModel(gamma=0.4, delta=(0, 1, 1)))
-    assert qd.support == tuple(omega_q(cclass.total, m.rows))
+    assert qd.support.dtype == np.int64
+    np.testing.assert_array_equal(qd.support, list(omega_q(cclass.total, m.rows)))
     assert abs(qd.probs.sum() - 1.0) < 1e-12
+
+
+def test_dist_q_moments_are_the_sums_over_the_support(rng):
+    # E[Q] and E[QQ'] as matrix products over the (S, I) support equal the
+    # per-point sums of q and of q q'
+    m = Margins((5, 4, 6, 3), (7, 11))
+    cclass = ConfounderClass((3, 5))
+    model = SensitivityModel(gamma=0.9, phi=tuple(np.sort(rng.uniform(0, 2, 4))))
+    qd = dist_q(cclass, m, model)
+    q = qd.support.astype(float)
+    np.testing.assert_allclose(qd.mean(), (q * qd.probs[:, None]).sum(axis=0), rtol=1e-13)
+    np.testing.assert_allclose(
+        qd.second_moments(),
+        (q[:, :, None] * q[:, None, :] * qd.probs[:, None, None]).sum(axis=0), rtol=1e-13)

@@ -18,7 +18,7 @@ from exactsens.montecarlo import (
     _free_cells,
     _tilted_fill,
     estimate_alpha_permtreat,
-    estimate_alpha_sis_pair,
+    estimate_alpha_sis,
     sis_log_proposal,
     sis_sample_batch,
 )
@@ -85,42 +85,37 @@ def test_sis_and_snsis_agree_with_exact():
     model = SensitivityModel(gamma=1.0, delta=(0, 1, 1))
     c = ConfounderClass((0, 0, 3))
     exact = exact_alpha(STAT, T86, c, model)
-    finals_sis = []
-    finals_sn = []
-    for seed in range(30):
-        sis, snsis = estimate_alpha_sis_pair(seed, STAT, T86, c, model, M=2000)
-        finals_sis.append(sis.final)
-        finals_sn.append(snsis.final)
-    for finals in (finals_sis, finals_sn):
-        err = np.mean(finals) - exact
-        se = np.std(finals) / math.sqrt(len(finals))
-        assert abs(err) <= 4 * se + 1e-4
+    # the SIS trace is also the snSIS one: every importance ratio is C(u)
+    finals = [estimate_alpha_sis(seed, STAT, T86, c, model, M=2000).final for seed in range(30)]
+    err = np.mean(finals) - exact
+    se = np.std(finals) / math.sqrt(len(finals))
+    assert abs(err) <= 4 * se + 1e-4
 
 
 def test_gamma_zero_sis_converges_to_randomization_p():
     model = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
     c = ConfounderClass((0, 0, 0))
     exact = exact_alpha(STAT, T86, c, model)
-    tr = estimate_alpha_sis_pair(3, STAT, T86, c, model, M=20_000)[0]
+    tr = estimate_alpha_sis(3, STAT, T86, c, model, M=20_000)
     assert tr.final == pytest.approx(exact, abs=0.02)
 
 
 def test_trace_shape_and_determinism():
     model = SensitivityModel(gamma=0.6, delta=(0, 1, 1))
     c = ConfounderClass((0, 1, 3))
-    t1 = estimate_alpha_sis_pair(11, STAT, T86, c, model, M=500)[1]
-    t2 = estimate_alpha_sis_pair(11, STAT, T86, c, model, M=500)[1]
+    t1 = estimate_alpha_sis(11, STAT, T86, c, model, M=500)
+    t2 = estimate_alpha_sis(11, STAT, T86, c, model, M=500)
     assert len(t1.estimates) == 500
     assert t1.final == t1.estimates[-1]
     np.testing.assert_array_equal(t1.estimates, t2.estimates)
     with pytest.raises(ValueError):
-        estimate_alpha_sis_pair(1, STAT, T86, c, model, M=0)
+        estimate_alpha_sis(1, STAT, T86, c, model, M=0)
 
 
 def test_snsis_degenerate_m1():
     model = SensitivityModel(gamma=0.6, delta=(0, 1, 1))
     c = ConfounderClass((0, 1, 3))
-    tr = estimate_alpha_sis_pair(2, STAT, T86, c, model, M=1)[1]
+    tr = estimate_alpha_sis(2, STAT, T86, c, model, M=1)
     assert tr.final in (0.0, 1.0)  # single indicator
 
 
@@ -216,8 +211,8 @@ def test_tilted_proposal_ratios_are_flat(gamma, rng):
 
 
 def test_sis_traces_are_the_running_share_of_rejected_draws():
-    # the draws of sample m come from the stream (seed, m); both traces are
-    # k/i for the k rejected among the first i draws, bit for bit
+    # the draws of sample m come from the stream (seed, m); the trace is k/i
+    # for the k rejected among the first i draws, bit for bit
     model = SensitivityModel(gamma=1.0, delta=(0, 1, 1))
     c = ConfounderClass((0, 0, 3))
     m, M, seed = T86.margins(), 400, 4
@@ -226,15 +221,14 @@ def test_sis_traces_are_the_running_share_of_rejected_draws():
     critical = STAT(T86)
     keep = STAT.evaluate_batch(tables) >= critical - statistic_tolerance(critical)
     want = np.cumsum(keep) / np.arange(1, M + 1)
-    for trace in estimate_alpha_sis_pair(seed, STAT, T86, c, model, M=M):
-        np.testing.assert_array_equal(trace.estimates, want)
-        assert trace.final == want[-1]
+    trace = estimate_alpha_sis(seed, STAT, T86, c, model, M=M)
+    np.testing.assert_array_equal(trace.estimates, want)
+    assert trace.final == want[-1]
 
 
 def test_sis_traces_are_one_when_every_table_is_rejected():
     t = ContingencyTable.from_array([[3, 2, 1], [1, 2, 3], [0, 1, 2]])
     model = SensitivityModel(gamma=0.8, delta=(0, 1, 1))
-    for trace in estimate_alpha_sis_pair(5, ordinal_statistic((0, 1, 2), (0, 1, 2)), t,
-                                         ConfounderClass((1, 2, 2)), model,
-                                         critical=-1e9, M=50):
-        assert (trace.estimates == 1.0).all() and trace.final == 1.0
+    trace = estimate_alpha_sis(5, ordinal_statistic((0, 1, 2), (0, 1, 2)), t,
+                               ConfounderClass((1, 2, 2)), model, critical=-1e9, M=50)
+    assert (trace.estimates == 1.0).all() and trace.final == 1.0

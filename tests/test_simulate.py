@@ -180,7 +180,7 @@ def test_size_curve_exact_below_diagonal():
     margins = Margins((20, 5, 10), (10, 25))
     model = SensitivityModel(gamma=0.8, delta=(0, 0, 1))
     nominal = [0.05, 0.2, 0.5, 0.8]
-    rates = size_curve(margins, model, (0, 1, 2), nominal, method="exact")
+    rates = size_curve(margins, model, (0, 1, 2), nominal)["exact"]
     for nom, rate in zip(nominal, rates):
         sigma = math.sqrt(nom * (1 - nom) / 400)
         assert rate <= nom + 3 * sigma
@@ -191,16 +191,17 @@ def test_size_curve_exact_below_diagonal():
 def test_size_curve_normal_runs():
     margins = Margins((20, 5, 10), (10, 25))
     model = SensitivityModel(gamma=0.5, delta=(0, 0, 1))
-    rates = size_curve(margins, model, (0, 1, 2), [0.1, 0.5], method="normal")
+    rates = size_curve(margins, model, (0, 1, 2), [0.1, 0.5])["normal"]
     assert all(0 <= r <= 1 for r in rates)
 
 
-# criterion 9's instance and the instances of the size tests in this file
+# criterion 9's instance, the instances of the size tests in this file and a dose model
 SIZE_CASES = [
     (Margins((60, 10, 20), (15, 75)), SensitivityModel(gamma=1.0, delta=(0, 0, 1))),
     (Margins((20, 5, 10), (10, 25)), SensitivityModel(gamma=0.8, delta=(0, 0, 1))),
     (Margins((20, 5, 10), (10, 25)), SensitivityModel(gamma=0.5, delta=(0, 0, 1))),
     (Margins((8, 6, 6), (8, 12)), SensitivityModel(gamma=0.0, delta=(0, 0, 1))),
+    (Margins((9, 7, 8), (10, 14)), SensitivityModel(gamma=0.7, phi=(0.0, 0.5, 1.5))),
 ]
 NOMINAL = [v / 100 for v in range(1, 100)]
 
@@ -250,14 +251,14 @@ def monte_carlo_size(seed, margins, model, alpha, nominal, iterations, method):
 @pytest.mark.parametrize("method", ["exact", "normal"])
 @pytest.mark.parametrize("margins,model", SIZE_CASES)
 def test_size_curve_is_the_pointwise_sum_over_the_null_law(margins, model, method):
-    rates = size_curve(margins, model, (0, 1, 2), NOMINAL, method)
+    rates = size_curve(margins, model, (0, 1, 2), NOMINAL)[method]
     want = pointwise_size(margins, model, (0, 1, 2), NOMINAL, method)
     np.testing.assert_allclose(rates, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("margins,model", SIZE_CASES)
 def test_size_curve_exact_is_super_uniform(margins, model):
-    rates = size_curve(margins, model, (0, 1, 2), NOMINAL, "exact")
+    rates = size_curve(margins, model, (0, 1, 2), NOMINAL)["exact"]
     assert all(r <= g + 1e-12 for g, r in zip(NOMINAL, rates))
 
 
@@ -265,7 +266,7 @@ def test_size_curve_exact_is_super_uniform(margins, model):
 def test_size_curve_matches_monte_carlo(method):
     margins, model = SIZE_CASES[0]
     iterations = 4000
-    rates = size_curve(margins, model, (0, 1, 2), NOMINAL, method)
+    rates = size_curve(margins, model, (0, 1, 2), NOMINAL)[method]
     got = monte_carlo_size(123, margins, model, (0, 1, 2), NOMINAL, iterations, method)
     for r, mc in zip(rates, got):
         assert abs(mc - r) <= 4 * math.sqrt(r * (1 - r) / iterations) + 1e-12
@@ -284,6 +285,6 @@ def test_size_curve_gamma_zero_super_uniform():
     margins = Margins((8, 6, 6), (8, 12))
     model = SensitivityModel(gamma=0.0, delta=(0, 0, 1))
     nominal = [0.1, 0.3, 0.5, 0.9]
-    rates = size_curve(margins, model, (0, 1, 2), nominal, method="exact")
+    rates = size_curve(margins, model, (0, 1, 2), nominal)["exact"]
     for nom, rate in zip(nominal, rates):
         assert rate <= nom + 3 * math.sqrt(nom * (1 - nom) / 1000)

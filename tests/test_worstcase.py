@@ -18,7 +18,7 @@ from exactsens.exactdist import (
 )
 from exactsens.moments import cell_moments, dist_q
 from exactsens.moments import test_moments as ordinal_moments
-from exactsens.montecarlo import estimate_alpha_permtreat, estimate_alpha_sis_pair
+from exactsens.montecarlo import estimate_alpha_permtreat, estimate_alpha_sis
 from exactsens.oracle import _random_margins
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
 from exactsens.stats import TestFamily as Family  # avoid pytest class collection
@@ -493,7 +493,7 @@ _P_VALUE_PATHS = {
     "kernel": lambda stat, c: kernel_alpha(stat, _SMALL, ConfounderClass((1, 2)), _SMALL_MODEL, c),
     "oracle": lambda stat, c: brute_force_alpha(
         stat, _SMALL, _SMALL_U, _SMALL_OUTCOMES, _SMALL_MODEL, c),
-    "sis": lambda stat, c: estimate_alpha_sis_pair(
+    "sis": lambda stat, c: estimate_alpha_sis(
         1, stat, _SMALL, ConfounderClass((1, 2)), _SMALL_MODEL, c, M=10),
     "permtreat": lambda stat, c: estimate_alpha_permtreat(
         1, stat, _SMALL, _SMALL_U, _SMALL_OUTCOMES, _SMALL_MODEL, c, M=10),
@@ -539,7 +539,7 @@ _BIAS_PATHS = {
         _THREE_STAT, _THREE, _THREE_U, _THREE_OUTCOMES, model),
     "permtreat": lambda model: estimate_alpha_permtreat(
         1, _THREE_STAT, _THREE, _THREE_U, _THREE_OUTCOMES, model, M=10),
-    "sis_pair": lambda model: estimate_alpha_sis_pair(
+    "sis_pair": lambda model: estimate_alpha_sis(
         1, _THREE_STAT, _THREE, _THREE_CLASS, model, M=10),
     "worst_case_grid_J2": lambda model: worst_case_grid(
         ordinal_statistic((0, 1, 2), (0, 1)), _THREE_J2, model, [0.5]),

@@ -19,7 +19,9 @@ The cases:
   with ``--fixed-ubar``, ``stratified``, ``power --suite`` with few
   iterations, ``size`` with ``--delta`` and with ``--phi``, and
   ``sample --with-exact``;
-* refusals whose message and exit code both trees must share.
+* two ``size`` runs whose null laws have about 1e6 and 5e5 support points;
+* refusals whose message and exit code both trees must share, one of them
+  raised after ``--out`` and ``--summary`` are opened.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ README = {
     "power-suite": f"power dgp.json --gamma-grid 0,0.5,1 --iterations 4 --suite {SAVE}",
     "size": f"size --rows 60,10,20 --cols 15,75 --delta 0,0,1 --alpha 0,1,2 --gamma-grid 1 {SAVE}",
     "size-phi": f"size --rows 4,3 --cols 3,4 --phi 0,1 --gamma-grid 0.5 {SAVE}",
+    # supports of 1,181,081 and 496,876 points
+    "size-large": "size --rows 120,120,120,120 --cols 240,240 --delta 0,0,1,1 --alpha 0,1,2,3 "
+                  f"--gamma-grid 1 {SAVE}",
+    "size-large-phi": "size --rows 100,100,100,100 --cols 150,250 --phi 0,0.5,1.5,2 "
+                      f"--alpha 0,1,2,3 --gamma-grid 0.7 {SAVE}",
     "sample": "sample table.csv --test ordinal --alpha 0,1,2 --beta 0,1,2 --delta 0,1,1 "
               f"--gamma-grid 1 --fixed-ubar 0,0,3 --with-exact {SAVE}",
 }
@@ -77,6 +84,9 @@ REFUSALS = {
     "fixed-ubar-strategy": "analyze girls.csv --test chi2 --delta 0,1,1 --fixed-ubar 0,10,3 "
                            "--strategy pi",
     "out-missing-dir": "analyze girls.csv --test chi2 --delta 0,1,1 --out missing/o.csv",
+    # refused after the destinations are opened: the files opened are removed
+    "refused-after-claim": f"analyze girls.csv --test chi2 --delta 0,1,1 --strategy signscore "
+                           f"{SAVE}",
     "study-keys": "stratified bad.json",
     "stratified-bias-length": "stratified short-delta.json --gamma-grid 0,1",
     "sample-phi": "sample table.csv --test ordinal --alpha 0,1,2 --beta 0,1,2 --phi 0,1,2 "
