@@ -25,13 +25,17 @@ never holds it: the table weight, the block sums and the built-in statistics
 are sums of per-column terms, so a table is a path of per-column vector ids
 through a column-by-column network (after Mehta & Patel, JASA 78:427-434,
 1983), and prefixes of those paths are expanded in chunks of bounded memory
-that carry only a few scalars each.  For a statistic of column terms, one
-backward pass over the network gives every state its largest remaining
-statistic and its number of completions (``_completion_bounds``), and a
+that carry only a few scalars each.  For a statistic of cell terms, a state
+of the last level (two columns left) gets its largest remaining statistic
+and its number of completions from a max-plus and a plus-times convolution
+over its rows (``_last_level_bounds``), without its edges; one backward
+pass carries both to every earlier state (``_completion_bounds``), and a
 prefix whose bound cannot reach the critical value is counted and dropped
 before it is expanded, as FEXACT cuts with its longest path (Mehta & Patel,
-ACM TOMS 12:154-161, 1986); every table that can still reject is classified
-by its own path sum, so the rejection region does not move.  A candidate
+ACM TOMS 12:154-161, 1986).  The last level's edges, which are as many as
+the tables when J = 3, are made only for the states a surviving prefix
+reaches, and every table that can still reject is classified by its own
+path sum, so the rejection region does not move.  A candidate
 scan over a Gamma grid is then one batched log-domain pass
 (``RejectionAggregate.alpha_table``): R is contracted column by column
 against the per-column binomial profiles, batched over the classes, while
@@ -465,7 +469,8 @@ _SCAN_CHUNK_BYTES = 2 << 20
 # Bytes the streamed aggregate build lets one prefix expansion make: prefix
 # batches are split so that their expanded rows, at about _BUILD_ROW_BYTES
 # each (the carried per-row scalars and the expansion's temporaries), fit.
-# Depth first, the build holds at most one such expansion per column.
+# Depth first, the build holds at most one such expansion per column.  The
+# last level's bounds are taken in batches of states within the same budget.
 _BUILD_CHUNK_BYTES = 2 << 20
 _BUILD_ROW_BYTES = 96
 
@@ -507,6 +512,21 @@ def _log_block_normalizer(
         tilted = logsumexp(logh[:, None, :] + g * (d - mode)[:, None, :], axis=-1)
         out[start : start + chunk] = (
             tilted[:, 1:] - tilted[:, :1] + g[1:].T * mode + log_multinomial)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _suffix_normalizer(
+    rows: tuple[int, ...], block_total: int, gammas: tuple[float, ...]
+) -> np.ndarray:
+    """(N + 1, G) ``_log_block_normalizer`` at every ubar total 0..N, read-only.
+
+    The ordinal suffix sweep's denominators.  Cached per (rows, B, gammas),
+    as ``_column_vectors`` is, since the scans of a power study or a strata
+    grid repeat them.
+    """
+    out = _log_block_normalizer(rows, block_total, np.arange(sum(rows) + 1), gammas)
+    out.flags.writeable = False
     return out
 
 
@@ -595,13 +615,13 @@ class _ColumnLevel(NamedTuple):
     """Edges of the column network from the states before column j.
 
     Edge e leaves state s (edges are grouped by state; s owns
-    ``ptr[s]:ptr[s + 1]``) and reaches state ``child[e]`` of the next level
-    (None on the last level).  The edge fills column j, and on the last level
-    also the forced last column; ``logw``, ``ridx`` and ``tterm`` sum those
-    vectors' log w factors, flat offsets into R and statistic terms.  For an
-    opaque statistic ``vids`` holds, per filled column, the ids of the
-    vectors in that column's list, from which tables are rebuilt (empty
-    otherwise).
+    ``ptr[s]:ptr[s + 1]``, empty for a last-level state that no surviving
+    prefix reaches) and reaches state ``child[e]`` of the next level (None on
+    the last level).  The edge fills column j, and on the last level also the
+    forced last column; ``logw``, ``ridx`` and ``tterm`` sum those vectors'
+    log w factors, flat offsets into R and statistic terms.  For an opaque
+    statistic ``vids`` holds, per filled column, the ids of the vectors in
+    that column's list, from which tables are rebuilt (empty otherwise).
     """
 
     ptr: np.ndarray
@@ -640,81 +660,200 @@ def _column_vectors(
 
 
 def _column_network(
-    m: Margins, one_rows: Sequence[int], test: TestStatistic
-) -> tuple[list[_ColumnLevel], list[np.ndarray]] | None:
+    m: Margins, one_rows: Sequence[int], test: TestStatistic, threshold: float
+) -> tuple[list[_ColumnLevel], list[np.ndarray], tuple | None] | None:
     """The fixed-margin tables as paths through a column-by-column network.
 
     Column j's feasible vectors (``_column_vectors``) are scored once: the
-    log w factor, the flat offset b_j stride_j into R and the statistic term
-    (zero for an opaque statistic).  The states before column j are the
-    distinct vectors of row sums still to fill, level 0 being the row
-    margins, under which every column-0 vector fits.  A later state's edges
-    are the column vectors that fit under it, made from per-cell bounds, so
-    every edge lies on a complete table and each table is one path.  The last
-    column is forced by its state and is folded into the edges that reach it,
-    so the network has max(J - 1, 1) levels.  States and vectors are matched
-    by their mixed-radix keys, under which a child state's key is its
-    parent's minus the edge vector's.  Returns (levels, the per-column vector
-    lists), or None when the key range overflows int64.
+    log w factor, the flat offset b_j stride_j into R and the statistic term,
+    the row sum of the cell terms (zero for an opaque statistic).  The states
+    before column j are the distinct vectors of row sums still to fill,
+    level 0 being the row margins, under which every column-0 vector fits.  A
+    later state's edges are the column vectors that fit under it, made from
+    per-cell bounds, so every edge lies on a complete table and each table is
+    one path.  The last column is forced by its state and is folded into the
+    edges that reach it, so the network has J - 1 levels.  States and vectors
+    are matched by their mixed-radix keys, under which a child state's key is
+    its parent's minus the edge vector's.
+
+    For a statistic of cell terms, the last level is bounded before it is
+    built (``_last_level_bounds``), the pruning floor and every state's bound
+    follow (``_pruning``), and the last level gets edges only for the states
+    that a prefix surviving the pruning reaches: the others are counted
+    without them.  Returns (levels, the per-column vector lists, the pruning
+    (floor, ``_completion_bounds``), None for an opaque statistic), or None
+    when the key range overflows int64.
     """
     if math.prod(r + 1 for r in m.rows) >= 2**63:
         return None
+    bounded = test.cell_terms is not None
     rows = np.asarray(m.rows, dtype=np.int64)
     radix = _place_values(rows + 1)
     strides = _place_values(np.asarray(m.cols, dtype=np.int64) + 1)  # of R
     vectors, keys, scores = [], [], []
     for j, cj in enumerate(m.cols):
         vec, key, logw, b = _column_vectors(cj, m.rows, tuple(one_rows))
-        tterm = (np.zeros(len(vec)) if test.column_terms is None
-                 else np.asarray(test.column_terms(vec, j, rows, m.J), dtype=float))
+        tterm = test.column_terms(vec, j, rows, cj, m.J) if bounded else np.zeros(len(vec))
         vectors.append(vec)
         keys.append(key)
         scores.append((logw, b * strides[j], tterm))
 
     state = rows[None, :]
     state_key = state @ radix
-    levels = []
-    for j in range(max(m.J - 1, 1)):
-        if j == 0:
-            vec, owner = vectors[0], np.zeros(len(vectors[0]), dtype=np.int64)
+    levels: list[_ColumnLevel] = []
+    pruning = None
+    for j in range(m.J - 1):
+        expand = np.arange(len(state))  # the states that get edges
+        if j == m.J - 2 and bounded:
+            pruning, expand = _pruning(m, test, levels, state, threshold)
+        if j == 0 and len(expand):  # the root's edges are column 0's vectors
+            vec, vkey = vectors[0], keys[0]
+            owner, ids = np.zeros(len(vec), dtype=np.int64), np.arange(len(vec))
         else:
-            vec, owner = _bounded_compositions_many(np.full(len(state), m.cols[j]), state)
-        vkey = vec @ radix
+            vec, owner = _bounded_compositions_many(np.full(len(expand), m.cols[j]), state[expand])
+            owner, vkey = expand[owner], vec @ radix
+            ids = np.searchsorted(keys[j], vkey)
         child_key = state_key[owner] - vkey
         ptr = np.searchsorted(owner, np.arange(len(state) + 1))
-        vids = {j: np.searchsorted(keys[j], vkey)}  # column -> vector ids
+        vids = {j: ids}  # column -> vector ids
         child = None
         if j + 2 < m.J:
-            state_key, first, child = np.unique(child_key, return_index=True, return_inverse=True)
+            if j == 0:  # the root's children are distinct, their keys descending
+                state_key, first, child = child_key[::-1], ids[::-1], ids[::-1]
+            else:
+                state_key, first, child = np.unique(
+                    child_key, return_index=True, return_inverse=True)
             state = state[owner[first]] - vec[first]
-        elif m.J > 1:  # the child state is the forced last column
+        else:  # the child state is the forced last column
             vids[m.J - 1] = np.searchsorted(keys[-1], child_key)
+        del vec, vkey, owner, child_key  # before the level's sums: a level can hold every table
         logw, ridx, tterm = (sum(scores[k][q][v] for k, v in vids.items()) for q in range(3))
-        opaque_ids = tuple(vids.values()) if test.column_terms is None else ()
+        opaque_ids = () if bounded else tuple(vids.values())
         levels.append(_ColumnLevel(ptr, child, opaque_ids, logw, ridx, tterm))
-    return levels, vectors
+    return levels, vectors, pruning
 
 
-def _completion_bounds(levels: list[_ColumnLevel]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _pruning(
+    m: Margins, test: TestStatistic, levels: list[_ColumnLevel], state: np.ndarray,
+    threshold: float,
+) -> tuple[tuple[float, list[tuple[np.ndarray, np.ndarray]]], np.ndarray]:
+    """((floor, bounds), the last-level states a surviving prefix reaches), before the last level.
+
+    ``levels`` are the built levels before the last and ``state`` (n, I) the
+    last level's states.  The cell terms of the last two columns, at every
+    count up to their margins, give each state its bound and count
+    (``_last_level_bounds``), and ``_completion_bounds`` the earlier states'.
+
+    The guard: a path's forward sum adds the earlier columns' terms to the
+    row sums of the last two columns' cell terms, and its bound adds the same
+    column terms to a row-by-row sum of those cell terms; each is a float sum
+    of the same leaves, by a summation tree at most I + J deep, so each lies
+    within gamma_{I+J} S of the exact sum, S the sum of the leaves' absolute
+    values, gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 4.2).  S is at most M, the
+    sum of the largest absolute column term of each earlier level and the
+    largest absolute cell term of each (row, last-two column), and forming
+    the floor rounds by at most u |floor|.  (I + J) 2^-51 (M + |threshold|)
+    covers all three with room to spare, so no table that its forward sum
+    would reject is dropped.
+
+    A forward max-plus pass then carries the largest partial sum of a
+    surviving prefix to every state: a prefix survives at a state when its
+    partial sum plus the state's bound reaches the floor, and float addition
+    is monotone, so that largest sum is exactly the stream's largest, and a
+    last-level state it leaves below the floor has no surviving prefix.
+    """
+    rows, J = np.asarray(m.rows, dtype=np.int64), m.J
+    terms = []
+    for j in (J - 2, J - 1):
+        counts = np.repeat(np.arange(m.cols[j] + 1)[:, None], m.I, axis=1)
+        terms.append(np.asarray(test.cell_terms(counts, j, rows, m.cols[j], J), dtype=float))
+    bounds = _completion_bounds(levels, *_last_level_bounds(state, *terms))
+    M = (sum(float(np.abs(lev.tterm).max()) for lev in levels)
+         + float(np.abs(terms[0]).max(axis=0).sum() + np.abs(terms[1]).max(axis=0).sum()))
+    floor = threshold - (m.I + J) * 2.0**-51 * (M + abs(threshold))
+    reach = np.zeros(1)  # the root's partial sum
+    for lev, (top, _), (after, _) in zip(levels, bounds, bounds[1:]):
+        reach = np.where(reach + top >= floor, reach, -np.inf)
+        carried = np.full(len(after), -np.inf)
+        np.maximum.at(carried, lev.child, np.repeat(reach, np.diff(lev.ptr)) + lev.tterm)
+        reach = carried
+    return (floor, bounds), np.flatnonzero(reach + bounds[-1][0] >= floor)
+
+
+def _last_level_bounds(
+    state: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(top, count) per last-level state, without its edges.
+
+    State s (its remaining row sums) completes as v and s - v over the last
+    two columns, v any vector with sum c (the first one's margin) and
+    0 <= v_i <= s_i; the second column's sum is then its margin, and so no
+    entry of s - v exceeds it.  ``first[x, i]`` and ``second[y, i]`` are the
+    columns' cell terms f_i(x) and g_i(y) at counts 0..margin.  With
+    h_i(x) = f_i(x) + g_i(s_i - x), top[s] is the largest sum_i h_i(v_i), a
+    max-plus convolution over the rows in which the last row takes what the
+    others leave.  count[s] (int64) is the number of such v: the numbers of
+    ways to reach each partial sum over the rows before the last two, a
+    plus-times convolution of their ranges taken as prefix-sum differences,
+    times the number of ways the last two rows can share the rest.  No
+    partial count exceeds prod_i (s_i + 1), which the network's int64 keys
+    bound, so none wraps.  The states run along the last axis of every
+    array, so each step is a few whole-array passes.
+    """
+    n, I = state.shape
+    c = len(first) - 1
+    X = np.arange(c + 1)[:, None]
+    # g_i(y) at flat index i W + y: -inf past the margin, and for y < 0, read
+    # from the end of the row before (of the last row, for i = 0)
+    W = len(second) + 2 * c
+    lookup = np.full((I, W), -np.inf)
+    lookup[:, : len(second)] = second.T
+    at = np.arange(I)[:, None, None] * W - X  # + s_i: where g_i(s_i - x) sits
+    back = c + X.T - X  # [x, y]: acc[y - x] in acc padded with c leading -inf
+    top, count = np.empty(n), np.empty(n, dtype=np.int64)
+    step = max(1, _BUILD_CHUNK_BYTES // (8 * (c + 1) * (c + 1 + 2 * I)))
+    for start in range(0, n, step):
+        s = state[start : start + step].T  # (I, k)
+        h = first.T[:, :, None] + lookup.ravel()[at + s[:, None, :]]  # (I, x, k)
+        acc = h[0]  # by y, the partial sum
+        for i in range(1, I - 1):
+            pad = np.full((2 * c + 1, s.shape[1]), -np.inf)
+            pad[c:] = acc
+            acc = (pad[back] + h[i][:, None, :]).max(axis=0)
+        top[start : start + step] = (acc + h[-1][::-1]).max(axis=0)
+        ways = X <= s[0] if I > 2 else X == 0  # to reach y over the rows before the last two
+        for i in range(1, I - 2):
+            run = np.cumsum(ways, axis=0)
+            cap = np.minimum(s[i], c) + 1  # y less this is too small a partial sum for y
+            flat = (X - cap) * s.shape[1] + np.arange(s.shape[1])
+            ways = run - np.where(X >= cap, run.ravel()[flat], 0)
+        rest = c - X  # for the last two rows, x and rest - x within their ranges
+        split = np.minimum(s[-2], rest) - np.maximum(rest - s[-1], 0) + 1
+        count[start : start + step] = (ways * np.maximum(split, 0)).sum(axis=0)
+    return top, count
+
+
+def _completion_bounds(
+    levels: list[_ColumnLevel], top: np.ndarray, count: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per level j, (top_j, count_j) over the states before column j, in one backward pass.
 
-    top_j[s] is the largest statistic sum over state s's completions, the
-    max over its edges e of tterm[e] + top_{j+1}[child[e]], and count_j[s]
-    (int64) the number of those completions; every state has an edge, since
-    every edge lies on a complete table.  A float64 shadow of the counts
-    that reaches 2^62 at the root raises ``ValueError``; no state has more
-    completions than the root, so no int64 count can wrap.
+    ``levels`` are the levels before the last, and (top, count) the last
+    level's states' bounds and int64 completion counts.  top_j[s]
+    is the largest statistic sum over state s's completions, the max over its
+    edges e of tterm[e] + top_{j+1}[child[e]], and count_j[s] (int64) the
+    number of those completions; every state has an edge, since every edge
+    lies on a complete table.  A float64 shadow of the counts that reaches
+    2^62 at the root raises ``ValueError``; no state has more completions
+    than the root, so no int64 count can wrap.
     """
-    out = []
+    out, shadow = [(top, count)], count.astype(float)
     for lev in reversed(levels):
         starts = lev.ptr[:-1]
-        if lev.child is None:
-            top, count = np.maximum.reduceat(lev.tterm, starts), np.diff(lev.ptr)
-            shadow = count.astype(float)
-        else:
-            top = np.maximum.reduceat(lev.tterm + top[lev.child], starts)
-            count = np.add.reduceat(count[lev.child], starts)
-            shadow = np.add.reduceat(shadow[lev.child], starts)
+        top = np.maximum.reduceat(lev.tterm + top[lev.child], starts)
+        count = np.add.reduceat(count[lev.child], starts)
+        shadow = np.add.reduceat(shadow[lev.child], starts)
         out.append((top, count))
     if shadow[0] >= 2.0**62:
         raise ValueError(f"the reference set holds about {shadow[0]:.3g} tables, "
@@ -734,26 +873,26 @@ class RejectionAggregate:
 
     R is built from a stream over the reference set that never holds the
     tables.  log w, b and the built-in statistics are sums of per-column
-    terms (``TestStatistic.column_terms``), so a table is a path of column
-    ids through ``_column_network`` and each prefix carries only its state,
-    partial log w, partial statistic and partial flat index of R.  Prefixes
-    are expanded column by column in batches whose expansion stays within
-    ``_BUILD_CHUNK_BYTES`` (one prefix at least), depth first, and every
-    completed chunk is added to R under a running log offset that only grows,
-    so no weight overflows at large margins.  An opaque statistic gets each
-    chunk's tables rebuilt from their column-vector ids.  Precomputed
-    ``tables`` (and ``tvals``) feed the same accumulator as one chunk.
+    terms (a statistic's are the row sums of ``TestStatistic.cell_terms``),
+    so a table is a path of column ids through ``_column_network`` and each
+    prefix carries only its state, partial log w, partial statistic and
+    partial flat index of R.  Prefixes are expanded column by column in
+    batches whose expansion stays within ``_BUILD_CHUNK_BYTES`` (one prefix
+    at least), depth first, and every completed chunk is added to R under a
+    running log offset that only grows, so no weight overflows at large
+    margins.  An opaque statistic gets each chunk's tables rebuilt from their
+    column-vector ids.  Precomputed ``tables`` (and ``tvals``) feed the same
+    accumulator as one chunk.
 
-    Wholly accepted subtrees are never expanded.  For a statistic of column
-    terms, ``_completion_bounds`` gives each network state s at level j the
-    largest statistic sum top_j[s] over its completions and their number
-    count_j[s], and a prefix with partial statistic tterm is dropped when
-    tterm + top_j[s] falls below the rejection threshold less a guard.  The
-    guard, L 2^-51 (M + |threshold|) over L levels whose largest absolute
-    terms sum to M, exceeds the float gap between that bound and any
-    completion's forward path sum, so no table that the per-path sum would
-    reject is dropped, and the last level classifies every surviving path by
-    that sum.  Opaque statistics and precomputed tables are not pruned.
+    Wholly accepted subtrees are never expanded.  For a statistic of cell
+    terms, each network state s at level j has the largest statistic sum
+    top_j[s] over its completions and their number count_j[s] (``_pruning``),
+    and a prefix with partial statistic tterm is dropped when tterm +
+    top_j[s] falls below the rejection threshold less a guard that exceeds
+    the float gap between that bound and any completion's forward path sum,
+    so no table that the per-path sum would reject is dropped, and the last
+    level classifies every surviving path by that sum.  Opaque statistics
+    and precomputed tables are not pruned.
     ``ntables`` counts the reference set exactly (the dropped prefixes add
     their count_j[s]; a reference set of 2^62 tables or more raises
     ``ValueError``), ``nrejected`` the rejected tables, and ``nexpanded``
@@ -802,7 +941,7 @@ class RejectionAggregate:
         self._offset = -math.inf
         network = None
         if tables is None and tvals is None:
-            network = _column_network(m, one_rows, test)
+            network = _column_network(m, one_rows, test, self._threshold)
         if network is not None:
             self._stream(test, *network)
         else:  # precomputed tables, or margins whose network keys overflow
@@ -830,44 +969,34 @@ class RejectionAggregate:
         np.add.at(self._R.reshape(-1), ridx, np.exp(logw - self._offset))
 
     def _stream(
-        self, test: TestStatistic, levels: list[_ColumnLevel], vectors: list[np.ndarray]
+        self, test: TestStatistic, levels: list[_ColumnLevel], vectors: list[np.ndarray],
+        pruning: tuple | None,
     ) -> None:
         """Accumulate R over the paths of the column network, chunk by chunk."""
         m = self.margins
-        opaque = test.column_terms is None
+        opaque = test.cell_terms is None
         # an opaque statistic's rows also carry J ids and a rebuilt table
         row_bytes = _BUILD_ROW_BYTES + (8 * (m.J + 3 * m.I * m.J) if opaque else 0)
         budget = max(1, _BUILD_CHUNK_BYTES // row_bytes)
-        prune = None
-        if not opaque:
-            # the forward sum of a path and a prefix's bound are two float
-            # sums of the same L level terms, each within gamma_{L-1} M of
-            # the exact sum, gamma_n = n u / (1 - n u) and u = 2^-53 (Higham,
-            # Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2);
-            # forming the floor rounds by at most u |floor|.  L 2^-51 (M + |t|)
-            # covers all three with room to spare.
-            M = sum(float(np.abs(lev.tterm).max()) for lev in levels)
-            guard = len(levels) * 2.0**-51 * (M + abs(self._threshold))
-            prune = (self._threshold - guard, _completion_bounds(levels))
         root = np.zeros(1, dtype=np.int64)
         prefixes = (root, np.zeros(1), np.zeros(1), root, [] if opaque else None)
-        self._descend(test, levels, vectors, budget, prune, 0, *prefixes)
+        self._descend(test, levels, vectors, budget, pruning, 0, *prefixes)
 
     def _descend(
-        self, test, levels, vectors, budget, prune, j, state, logw, tterm, ridx, ids
+        self, test, levels, vectors, budget, pruning, j, state, logw, tterm, ridx, ids
     ) -> None:
         """Expand the prefixes at network level j in batches, depth first.
 
         Prefix p sits at ``state[p]`` with partial sums ``logw[p]``,
         ``tterm[p]`` and ``ridx[p]``; for an opaque statistic ``ids`` holds
         its column-vector ids so far, one array per column (else None).
-        With ``prune`` = (floor, ``_completion_bounds``), a prefix whose
+        With ``pruning`` = (floor, ``_completion_bounds``), a prefix whose
         bound tterm + top_j[state] lies below the floor is dropped first, and
         its count_j[state] completions are counted as accepted tables.
         """
         lev = levels[j]
-        if prune is not None:
-            floor, bounds = prune
+        if pruning is not None:
+            floor, bounds = pruning
             top, count = bounds[j]
             dead = tterm + top[state] < floor
             if dead.any():
@@ -886,7 +1015,7 @@ class RejectionAggregate:
             edge += np.arange(len(edge))
             ids_e = None if ids is None else [v[parent] for v in ids] + [v[edge] for v in lev.vids]
             if j + 1 < len(levels):
-                self._descend(test, levels, vectors, budget, prune, j + 1, lev.child[edge],
+                self._descend(test, levels, vectors, budget, pruning, j + 1, lev.child[edge],
                               logw[parent] + lev.logw[edge], tterm[parent] + lev.tterm[edge],
                               ridx[parent] + lev.ridx[edge], ids_e)
             else:
@@ -987,7 +1116,7 @@ class RejectionAggregate:
         m = self.margins
         g = np.asarray(gammas, dtype=float)
         out = np.zeros((m.N + 1, len(g)))
-        logC = _log_block_normalizer(m.rows, self.block_total, np.arange(m.N + 1), g)
+        logC = _suffix_normalizer(tuple(m.rows), self.block_total, tuple(g.tolist()))
         logb = [_log_binom(self._logfact, cj, np.arange(cj + 1)) for cj in m.cols]
         tops = [float(lb.max()) for lb in logb]
         binoms = [np.exp(lb - top) for lb, top in zip(logb, tops)]
@@ -1009,17 +1138,21 @@ class RejectionAggregate:
                 b_range = range(int(b_nz[0]), int(b_nz[-1]) + 1)
                 s0 = int(s_nz[0])
                 V = V[b_range.start : b_range.stop, s0 : int(s_nz[-1]) + 1].copy()
-                # sized from the margins alone, as in ``alpha_table``: per
-                # class at u = cp and untrimmed b and s, its profile, its
-                # padded convolution and its tail
-                per_class = max((cp + 1) * (2 * cp + ns + 2), len(g) * (base + cp + 1))
-                chunk = max(1, _SCAN_CHUNK_BYTES // (8 * per_class))
-                for start in range(0, len(u), chunk):
-                    uc = u[start : start + chunk]
+                # floats per class of largest u, sized from the margins as in
+                # ``alpha_table`` (untrimmed b and s): its profile, its padded
+                # convolution and its tail.  u ascends, so a chunk's largest u
+                # is its last, and each chunk takes as many classes as fit there.
+                per_class = np.maximum((u + 1) * (cp + ns + u + 2), len(g) * (base + u + 1))
+                start = 0
+                while start < len(u):
+                    fits = np.arange(1, len(u) - start + 1) * per_class[start:]
+                    stop = start + max(1, int(np.sum(8 * fits <= _SCAN_CHUNK_BYTES)))
+                    uc = u[start:stop]
                     chiT, top = _scaled_column_profile(self._logfact, cp, uc, b_range)
                     logS = _log_scaled(_matmul_convolve(chiT, V), logscale + top[:, None])
                     del chiT  # so that it is freed before the next chunk's is made
                     out[base + uc] = self._tilted_alphas(logS, g, logC[base + uc], s0)
+                    start = stop
             if p == 0:
                 break
             if ns == 1:

@@ -153,5 +153,8 @@ def normal_tail(values: float | np.ndarray, mean: float, var: float) -> np.ndarr
     values = np.asarray(values, dtype=float)
     if var <= 0.0:
         return np.where(values <= mean, 1.0, 0.0)
-    z = (values - mean) / math.sqrt(var)
-    return 0.5 * np.vectorize(erfc, otypes=[float])(z / math.sqrt(2.0))
+    # erfc once per distinct value: a statistic takes few on a support
+    distinct, where = np.unique(values, return_inverse=True)
+    z = (distinct - mean) / math.sqrt(var)
+    tail = 0.5 * np.array([erfc(v) for v in (z / math.sqrt(2.0)).tolist()])
+    return tail[where].reshape(values.shape)

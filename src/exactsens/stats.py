@@ -11,9 +11,11 @@ Three nested families drive how hard the worst-case confounder search is:
 
 Statistics are functions of the table only (the subject-level view lives in
 the brute-force oracle).  Each built-in statistic is one formula, a sum of
-per-column terms ``TestStatistic.column_terms(vectors, j, rows, J)``: whole
-tables are scored by summing them over the columns, and the exact engine
-scores a table from its columns without building it.  All tests are
+per-cell terms ``TestStatistic.cell_terms(counts, j, rows, col, J)`` given
+the margins: a column's term is their sum over the rows, whole tables are
+scored by summing those over the columns, the exact engine scores a table
+from its columns without building it, and bounds the statistic over the
+tables a partial table completes to from the cell terms alone.  All tests are
 upper-tailed, p = P(T >= c) with ties included; express a lower-tail test by
 negating scores.
 """
@@ -52,17 +54,18 @@ class TestFamily(enum.Enum):
 class TestStatistic:
     """A named table statistic with a vectorized evaluator.
 
-    ``column_terms`` states that T(t) = sum_j f_j(t[:, j]):
-    ``column_terms(vectors, j, rows, J)`` maps an (n, I) array of column-j
-    vectors to their (n,) terms f_j, given the row margins ``rows`` (shape
-    (I,), shared by all vectors, or (n, I), one per vector) and the number
-    of columns J.  It raises ``ValueError`` on tables the statistic is not
-    defined for.  ``evaluate_batch`` maps an (M, I, J) count array to an
-    (M,) float array by summing the terms over the columns, and single
+    ``cell_terms`` states that T(t) = sum_ij f_ij(t_ij) given the margins:
+    ``cell_terms(counts, j, rows, col, J)`` maps an (n, I) array of column-j
+    counts to their (n, I) terms f_ij, given the row margins ``rows`` (shape
+    (I,), shared by all n, or (n, I)), the column-j margin ``col`` (a scalar
+    or shape (n,)) and the number of columns J.  It raises ``ValueError`` on
+    tables the statistic is not defined for.  ``evaluate_batch`` maps an
+    (M, I, J) count array to an (M,) float array by summing each column's
+    terms over the rows and those column terms over the columns, and single
     tables go through the same code path, so tie decisions are reproducible.
 
     ``batch``, an (M, I, J) -> (M,) function, defines an opaque statistic
-    instead (``column_terms`` None), which is only ever evaluated on whole
+    instead (``cell_terms`` None), which is only ever evaluated on whole
     tables.  A statistic needs one of the two.
     """
 
@@ -71,11 +74,11 @@ class TestStatistic:
     batch: Callable[[np.ndarray], np.ndarray] | None = None
     alpha: tuple[float, ...] | None = None
     beta: tuple[float, ...] | None = None
-    column_terms: Callable[[np.ndarray, int, np.ndarray, int], np.ndarray] | None = None
+    cell_terms: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.batch is None and self.column_terms is None:
-            raise ValueError("a statistic needs column_terms or a whole-table batch")
+        if self.batch is None and self.cell_terms is None:
+            raise ValueError("a statistic needs cell_terms or a whole-table batch")
 
     def __call__(self, t: ContingencyTable | np.ndarray) -> float:
         arr = t.as_array() if isinstance(t, ContingencyTable) else np.asarray(t)
@@ -83,13 +86,27 @@ class TestStatistic:
 
     def evaluate_batch(self, tables: np.ndarray) -> np.ndarray:
         tables = np.asarray(tables)
-        if self.column_terms is None:
+        if self.cell_terms is None:
             return np.asarray(self.batch(tables), dtype=float)
-        rows, J = tables.sum(axis=2), tables.shape[2]
+        # the margins and the column terms are added slice by slice: a numpy
+        # sum over a short axis runs one inner loop per table
+        rows = sum(tables[:, :, 1:].transpose(2, 0, 1), tables[:, :, 0])
+        cols = sum(tables[:, 1:].transpose(1, 0, 2), tables[:, 0])
         out = np.zeros(len(tables))
-        for j in range(J):
-            out += self.column_terms(tables[:, :, j], j, rows, J)
+        for j in range(tables.shape[2]):
+            out += self.column_terms(tables[:, :, j], j, rows, cols[:, j], tables.shape[2])
         return out
+
+    def column_terms(
+        self, counts: np.ndarray, j: int, rows: np.ndarray, col, J: int
+    ) -> np.ndarray:
+        """(n,) column terms: the row sums of ``cell_terms``, added row by row.
+
+        Whole tables and the exact engine's column vectors are scored by this
+        one sum, so both see the same floats.
+        """
+        cells = np.asarray(self.cell_terms(counts, j, rows, col, J), dtype=float)
+        return sum(cells.T[1:], cells[:, 0])
 
 
 def _require_monotone(scores: Sequence[float], what: str) -> tuple[float, ...]:
@@ -108,8 +125,7 @@ def ordinal_statistic(alpha: Sequence[float], beta: Sequence[float]) -> TestStat
     # sign-score statistic, so the O(1) worst case applies
     fam = TestFamily.SIGN_SCORE if len(b) == 2 else TestFamily.ORDINAL
     ws = weighted_sum_statistic(a, b)
-    return TestStatistic(fam, f"ordinal[{a}x{b}]", alpha=a, beta=b,
-                         column_terms=ws.column_terms)
+    return TestStatistic(fam, f"ordinal[{a}x{b}]", alpha=a, beta=b, cell_terms=ws.cell_terms)
 
 
 def sign_score_statistic(alpha: Sequence[float]) -> TestStatistic:
@@ -117,36 +133,36 @@ def sign_score_statistic(alpha: Sequence[float]) -> TestStatistic:
     stat = ordinal_statistic(alpha, (0.0, 1.0))
     return TestStatistic(
         TestFamily.SIGN_SCORE, f"signscore[{stat.alpha}]",
-        alpha=stat.alpha, beta=stat.beta, column_terms=stat.column_terms,
+        alpha=stat.alpha, beta=stat.beta, cell_terms=stat.cell_terms,
     )
 
 
-def _expected(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Expected counts N_i. N_.j / N of the columns ``vectors`` under row margins ``rows``."""
+def _expected(rows: np.ndarray, col: np.ndarray | int) -> np.ndarray:
+    """Expected counts N_i. N_.j / N under row margins ``rows`` and column margin ``col``."""
     rows = np.asarray(rows, dtype=float)
-    cols = vectors.sum(axis=-1, dtype=float)
-    if np.any(rows <= 0) or np.any(cols <= 0):
+    col = np.asarray(col, dtype=float)
+    if np.any(rows <= 0) or np.any(col <= 0):
         raise ValueError("chi2/G2 need every row and column margin positive")
-    return rows * cols[:, None] / rows.sum(axis=-1, keepdims=True)
+    return rows * col[..., None] / rows.sum(axis=-1, keepdims=True)
 
 
 def chi2_statistic() -> TestStatistic:
-    def column_terms(vectors: np.ndarray, j: int, rows: np.ndarray, J: int) -> np.ndarray:
-        expected = _expected(vectors, rows)
-        return ((vectors - expected) ** 2 / expected).sum(axis=1)
+    def cell_terms(counts: np.ndarray, j: int, rows: np.ndarray, col, J: int) -> np.ndarray:
+        expected = _expected(rows, col)
+        return (counts - expected) ** 2 / expected
 
-    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, "chi2", column_terms=column_terms)
+    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, "chi2", cell_terms=cell_terms)
 
 
 def g2_statistic() -> TestStatistic:
-    def column_terms(vectors: np.ndarray, j: int, rows: np.ndarray, J: int) -> np.ndarray:
-        expected = _expected(vectors, rows)
-        v = vectors.astype(float)
+    def cell_terms(counts: np.ndarray, j: int, rows: np.ndarray, col, J: int) -> np.ndarray:
+        expected = _expected(rows, col)
+        v = counts.astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(v > 0, v * np.log(v / expected), 0.0)  # zero cells contribute 0
-        return 2.0 * terms.sum(axis=1)
+        return 2.0 * terms
 
-    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, "g2", column_terms=column_terms)
+    return TestStatistic(TestFamily.PERMUTATION_INVARIANT, "g2", cell_terms=cell_terms)
 
 
 def weighted_sum_statistic(alpha: Sequence[float], beta: Sequence[float]) -> TestStatistic:
@@ -162,14 +178,14 @@ def weighted_sum_statistic(alpha: Sequence[float], beta: Sequence[float]) -> Tes
     av = np.asarray(a)
     bv = np.asarray(b)
 
-    def column_terms(vectors: np.ndarray, j: int, rows: np.ndarray, J: int) -> np.ndarray:
-        if vectors.shape[-1] != len(a) or J != len(b):
+    def cell_terms(counts: np.ndarray, j: int, rows: np.ndarray, col, J: int) -> np.ndarray:
+        if counts.shape[-1] != len(a) or J != len(b):
             raise ValueError("score lengths must match table dimensions")
-        return bv[j] * (vectors @ av)
+        return bv[j] * (counts * av)
 
     return TestStatistic(
         TestFamily.PERMUTATION_INVARIANT, f"weighted[{a}x{b}]",
-        alpha=a, beta=b, column_terms=column_terms,
+        alpha=a, beta=b, cell_terms=cell_terms,
     )
 
 
@@ -178,13 +194,16 @@ def cell_statistic(i: int, j: int) -> TestStatistic:
     if i < 0 or j < 0:
         raise ValueError("cell indices must be non-negative")
 
-    def column_terms(vectors: np.ndarray, col: int, rows: np.ndarray, J: int) -> np.ndarray:
-        if i >= vectors.shape[-1] or j >= J:
+    def cell_terms(counts: np.ndarray, k: int, rows: np.ndarray, col, J: int) -> np.ndarray:
+        if i >= counts.shape[-1] or j >= J:
             raise ValueError("cell index out of range")
-        return vectors[:, i].astype(float) if col == j else np.zeros(len(vectors))
+        out = np.zeros(counts.shape)
+        if k == j:
+            out[..., i] = counts[..., i]
+        return out
 
     return TestStatistic(TestFamily.PERMUTATION_INVARIANT, f"cell[{i},{j}]",
-                         column_terms=column_terms)
+                         cell_terms=cell_terms)
 
 
 def permutation_invariant_statistic(
@@ -192,8 +211,8 @@ def permutation_invariant_statistic(
 ) -> TestStatistic:
     """Wrap a user table-function; batch evaluation falls back to a loop.
 
-    The result is opaque (no ``column_terms``): the exact engine rebuilds
-    whole tables to evaluate it.
+    The result is opaque (no ``cell_terms``): the exact engine rebuilds
+    whole tables to evaluate it, and cannot bound it to skip any.
     """
 
     def batch(tables: np.ndarray) -> np.ndarray:

@@ -687,6 +687,28 @@ def test_out_of_memory_under_an_address_space_limit(tmp_path):
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
+def test_network_last_level_fits_in_one_gib(tmp_path):
+    # a 3 x 3 ordinal table at margins 100 has 13.3M tables, every one a
+    # last-level edge of the column network: built for every state, they
+    # exhausted a 1 GiB address space (peak 1.25 GB unrestricted); built only
+    # for the states a surviving prefix reaches, they fit
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    (tmp_path / "t.csv").write_text("51,8,41\n2,59,39\n47,33,20\n")
+    src = str(Path(exactsens.__file__).resolve().parents[1])
+    argv = ["analyze", "t.csv", "--test", "ordinal", "--alpha", "0,1.7,2.45",
+            "--beta", "0,1.25,1.4", "--delta", "0,1,1", "--Gamma-grid", "1,2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from exactsens.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines() if not line.startswith("#")]
+    assert [r[2] for r in rows[1:]] == ["0.0287795557861", "0.753688703905"]
+
+
 
 # every comma-separated flag of every command, with a valid value; of each
 # pair in EITHER_OR the second is given unless the first is the flag tested

@@ -43,6 +43,7 @@ from exactsens.stats import (
 from exactsens.tables import (
     ContingencyTable,
     Margins,
+    _bounded_compositions,
     enumerate_fixed_margin_array,
     enumerate_fixed_margin_tables,
 )
@@ -602,7 +603,8 @@ def test_exact_vs_fast_n24():
 
 
 # margins of tables in this module and in test_worstcase.py: every shape the
-# two modules use (I x J for I, J in 2..4) and a study table
+# two modules use (I x J for I, J in 2..4), a study table, and J = 5, whose
+# network has two fully built levels before the bounded last one
 STREAM_MARGINS = [
     Margins((3, 3), (2, 4)),
     Margins((3, 2, 2), (2, 3, 2)),
@@ -612,6 +614,8 @@ STREAM_MARGINS = [
     Margins((4, 5), (2, 2, 2, 3)),
     Margins((6, 6, 6, 6), (6, 6, 6, 6)),
     Margins((15, 33, 46), (47, 40, 7)),
+    Margins((3, 4, 5), (2, 3, 2, 3, 2)),
+    Margins((2, 3, 3, 2, 2), (3, 2, 3, 2, 2)),
 ]
 
 
@@ -757,30 +761,64 @@ def test_opaque_build_prunes_nothing():
 
 
 def test_completion_bounds_of_a_network():
-    # the root's bound is the largest path sum and its count the table count
+    # the root's bound is the largest path sum and its count the table count;
+    # the last level has edges only for the states a surviving prefix reaches,
+    # and those are all of each such state's completions
     m = Margins((6, 7, 8), (5, 6, 4, 6))
     stat = weighted_sum_statistic((1.0, -2.0, 0.5), (-1.0, 3.0, -0.5, 2.0))
-    levels, _ = exactdist._column_network(m, [2], stat)
-    (top, count), = exactdist._completion_bounds(levels)[:1]
     tvals = stat.evaluate_batch(enumerate_fixed_margin_array(m))
+    levels, _, (_, bounds) = exactdist._column_network(
+        m, [2], stat, float(np.quantile(tvals, 0.9)))
+    (top, count), = bounds[:1]
     assert count.tolist() == [len(tvals)]
     assert top[0] == pytest.approx(tvals.max(), rel=1e-12)
+    edges = np.diff(levels[-1].ptr)
+    built = edges > 0
+    assert 0 < built.sum() < len(built)
+    assert edges[built].tolist() == bounds[-1][1][built].tolist()
 
 
 def test_completion_count_refused_at_two_to_the_62():
-    # a chain of L levels, one state each with two edges to the next state,
-    # has 2^L completions: 2^61 is counted exactly, 2^62 refused
-    def chain(L):
-        level = exactdist._ColumnLevel(
-            ptr=np.array([0, 2]), child=np.zeros(2, dtype=np.int64), vids=(),
-            logw=np.zeros(2), ridx=np.zeros(2, dtype=np.int64), tterm=np.array([0.0, 1.0]))
-        return [level] * (L - 1) + [level._replace(child=None)]
-
-    bounds = exactdist._completion_bounds(chain(61))
+    # L levels of one state with two edges to the next state, above a last
+    # level whose one state has two completions, give 2^(L + 1) completions:
+    # 2^61 is counted exactly, 2^62 refused
+    level = exactdist._ColumnLevel(
+        ptr=np.array([0, 2]), child=np.zeros(2, dtype=np.int64), vids=(),
+        logw=np.zeros(2), ridx=np.zeros(2, dtype=np.int64), tterm=np.array([0.0, 1.0]))
+    last = (np.array([1.0]), np.array([2]))
+    bounds = exactdist._completion_bounds([level] * 60, *last)
     assert int(bounds[0][1][0]) == 2**61
     assert bounds[0][0][0] == 61.0
     with pytest.raises(ValueError, match="64-bit"):
-        exactdist._completion_bounds(chain(62))
+        exactdist._completion_bounds([level] * 61, *last)
+
+
+@pytest.mark.parametrize("make", [
+    lambda I: weighted_sum_statistic((1.0, -2.0, 0.5, 3.0, -1.5)[:I], (0.5, -1.0, 2.5)),
+    lambda I: chi2_statistic(),
+    lambda I: g2_statistic(),
+    lambda I: cell_statistic(1, 2),
+], ids=["weighted", "chi2", "g2", "cell"])
+def test_last_level_bounds_equal_the_edges(make, rng):
+    # a last-level state's bound is the largest forward sum over its edges,
+    # within the pruning guard, and its count is the number of its edges
+    for _ in range(40):
+        I = int(rng.integers(2, 6))
+        stat = make(I)
+        s = rng.integers(0, 7, size=I) + np.eye(I, dtype=np.int64)[0] * 2
+        c = int(rng.integers(1, s.sum()))  # chi2 and G2 need both margins positive
+        rows, cols = s + rng.integers(1, 4, size=I), (7, c, int(s.sum()) - c)
+        terms = [stat.cell_terms(np.broadcast_to(np.arange(n + 1)[:, None], (n + 1, I)),
+                                 j, rows, n, 3) for j, n in ((1, cols[1]), (2, cols[2]))]
+        top, count = exactdist._last_level_bounds(s[None, :], *terms)
+        v = _bounded_compositions(c, s)
+        paths = (stat.cell_terms(v, 1, rows, cols[1], 3).sum(axis=1)
+                 + stat.cell_terms(s - v, 2, rows, cols[2], 3).sum(axis=1))
+        assert count.tolist() == [len(v)]
+        M = sum(float(np.abs(t).max(axis=0).sum()) for t in terms)
+        assert abs(top[0] - paths.max()) <= (I + 3) * 2.0**-51 * M
+        assert top[0] == pytest.approx(paths.max(), rel=1e-12, abs=1e-12)
+
 
 def test_chi2_and_g2_match_scipy_on_every_table():
     # an independent reference for the column-term formulas: scipy's

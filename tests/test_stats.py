@@ -129,8 +129,8 @@ def test_batch_matches_scalar(rng):
             assert batch[k] == pytest.approx(stat(tabs[k]), rel=1e-12), stat.name
 
 
-def test_statistic_needs_column_terms_or_a_batch():
-    with pytest.raises(ValueError, match="column_terms or a whole-table batch"):
+def test_statistic_needs_cell_terms_or_a_batch():
+    with pytest.raises(ValueError, match="cell_terms or a whole-table batch"):
         Statistic(Family.PERMUTATION_INVARIANT, "empty")
 
 

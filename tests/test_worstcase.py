@@ -292,7 +292,7 @@ def test_signscore_grid_evaluates_the_statistic_once():
 
     base = ordinal_statistic((0, 1, 2), (0, 1))
     stat = Counting(base.family, base.name, alpha=base.alpha, beta=base.beta,
-                    column_terms=base.column_terms)
+                    cell_terms=base.cell_terms)
     model = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
     # critical given (T of the table), so the one counted call is the support's
     res = worst_case_grid(stat, SIGNSCORE_TABLE, model, [0.0, 0.5, 1.0], critical=24.0)
