@@ -62,16 +62,17 @@ live here:
 
 * ``_mvehg_law``: the multivariate extended (Fisher noncentral)
   hypergeometric law that the I x 2 column counts follow at the sign-score
-  worst case: its gamma-free support and binomial log-terms (``_mvehg_base``,
-  built per call, never cached) renormalized per weights (``_mvehg_probs``).
-  ``mvehg_pmf``, ``signscore_tail``, the sign-score worst case
-  (``worstcase``, one base per Gamma grid), the size study (one law for both
-  curves) and the Q law (``moments.dist_q``) take their probabilities from
-  it, and ``tail_mass`` is their one P(T >= c) tie rule;
+  worst case, at one weight vector or a stack of them over one support
+  (built per call, never cached).  ``mvehg_pmf``, ``signscore_tail``, the
+  sign-score worst case (``worstcase``, one call per Gamma grid), the size
+  study (one law for both curves) and the Q law (``moments.dist_q``) take
+  their probabilities from it, and ``tail_mass`` is their one P(T >= c)
+  tie rule;
 * ``_sequential_weighted_draw``: the suffix-normalizer sampler behind the
   tilted SIS proposal (``montecarlo``);
 * ``_log_block_normalizer``: the binary-delta normalizer C(u), from the
-  hypergeometric law of d = delta'q, for ``RejectionAggregate`` and SIS;
+  hypergeometric law of d = delta'q, as one cached table over every ubar
+  total that both ``RejectionAggregate`` scans read;
 * ``_log_table_weight`` and ``_log_column_profile``: the binary-delta
   factorization v(t) = w(t) prod_j sum_d chi_j[b_j, d] e^{gamma d} into the
   gamma-free table weight w(t) = prod_j a_j! b_j! / prod_ij t_ij! and the
@@ -98,7 +99,7 @@ from exactsens.sensmodel import (
 )
 from exactsens.stats import TestStatistic
 from exactsens.tables import (
-    ContingencyTable, Margins, _bounded_compositions, _bounded_compositions_many,
+    ContingencyTable, Margins, _bounded_compositions, _bounded_compositions_many, _integers,
     enumerate_fixed_margin_array,
 )
 
@@ -460,25 +461,28 @@ def _integer_buckets(
 # --------------------------------------------------------------------------
 
 
-# Bytes of intermediates the batched candidate scan holds at once: classes are
-# contracted in chunks no larger than this allows (one class at a time when a
-# single class needs more).  Unchunked, a 61-class scan raised a power study's
-# peak resident memory by about a quarter.
-_SCAN_CHUNK_BYTES = 2 << 20
-
-# Bytes the streamed aggregate build lets one prefix expansion make: prefix
-# batches are split so that their expanded rows, at about _BUILD_ROW_BYTES
-# each (the carried per-row scalars and the expansion's temporaries), fit.
-# Depth first, the build holds at most one such expansion per column.  The
-# last level's bounds are taken in batches of states within the same budget.
-_BUILD_CHUNK_BYTES = 2 << 20
+# Bytes of intermediates one chunk may hold, in the build and in the scans.
+# The streamed aggregate build splits prefix batches so that their expanded
+# rows, at about _BUILD_ROW_BYTES each (the carried per-row scalars and the
+# expansion's temporaries), fit; depth first, it holds at most one such
+# expansion per column, and the last level's bounds are taken in batches of
+# states within the same budget.  The candidate scans and the normalizer
+# table take classes or totals in chunks no larger than this allows (one at a
+# time when a single one needs more).  Unchunked, a 61-class scan raised a
+# power study's peak resident memory by about a quarter.
+_CHUNK_BYTES = 2 << 20
 _BUILD_ROW_BYTES = 96
 
 
+@lru_cache(maxsize=64)
 def _log_block_normalizer(
-    rows: Sequence[int], block_total: int, totals: np.ndarray, gammas: Sequence[float]
+    rows: tuple[int, ...], block_total: int, gammas: tuple[float, ...]
 ) -> np.ndarray:
-    """(K, G) log C(u) at ubar total ``totals[k]`` and gamma ``gammas[g]``, binary delta.
+    """(N + 1, G) log C(u) at every ubar total u = 0..N and gamma ``gammas[g]``, binary delta.
+
+    Both scans' denominators, cached per (rows, B, gammas) and read-only as
+    their power-study and strata-grid repeats need: ``alpha_table`` indexes
+    it by its classes' totals and ``suffix_alpha_table`` reads it whole.
 
     C(u) = sum_q e^{gamma delta'q} kernel_q(q) = N! / prod_i N_i.! E[e^{gamma d}]
     with d = delta'q hypergeometric (N, ubar, B), B the delta-block treatment
@@ -492,11 +496,11 @@ def _log_block_normalizer(
     multinomial = math.prod(map(comb, itertools.accumulate(rows[::-1]), rows[::-1]))
     log_multinomial = float(Decimal(multinomial).ln(Context(prec=30)))
     g = np.append(0.0, gammas)[:, None]  # gamma 0 first: log E[1], the divisor
-    out = np.empty((len(totals), len(g) - 1))
+    out = np.empty((N + 1, len(g) - 1))
     # floats per total: the tilted terms, log-sum-exp temporaries and running sums
-    chunk = max(1, _SCAN_CHUNK_BYTES // (8 * (min(B, N - B) + 1) * (3 * len(g) + 6)))
-    for start in range(0, len(totals), chunk):
-        u = totals[start : start + chunk, None]
+    chunk = max(1, _CHUNK_BYTES // (8 * (min(B, N - B) + 1) * (3 * len(g) + 6)))
+    for start in range(0, N + 1, chunk):
+        u = np.arange(start, min(start + chunk, N + 1))[:, None]
         lo, hi = np.maximum(0, u - (N - B)), np.minimum(u, B)
         mode = (u + 1) * (B + 1) // (N + 2)
         d = lo + np.arange(int((hi - lo).max()) + 1)
@@ -512,20 +516,6 @@ def _log_block_normalizer(
         tilted = logsumexp(logh[:, None, :] + g * (d - mode)[:, None, :], axis=-1)
         out[start : start + chunk] = (
             tilted[:, 1:] - tilted[:, :1] + g[1:].T * mode + log_multinomial)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _suffix_normalizer(
-    rows: tuple[int, ...], block_total: int, gammas: tuple[float, ...]
-) -> np.ndarray:
-    """(N + 1, G) ``_log_block_normalizer`` at every ubar total 0..N, read-only.
-
-    The ordinal suffix sweep's denominators.  Cached per (rows, B, gammas),
-    as ``_column_vectors`` is, since the scans of a power study or a strata
-    grid repeat them.
-    """
-    out = _log_block_normalizer(rows, block_total, np.arange(sum(rows) + 1), gammas)
     out.flags.writeable = False
     return out
 
@@ -812,7 +802,7 @@ def _last_level_bounds(
     at = np.arange(I)[:, None, None] * W - X  # + s_i: where g_i(s_i - x) sits
     back = c + X.T - X  # [x, y]: acc[y - x] in acc padded with c leading -inf
     top, count = np.empty(n), np.empty(n, dtype=np.int64)
-    step = max(1, _BUILD_CHUNK_BYTES // (8 * (c + 1) * (c + 1 + 2 * I)))
+    step = max(1, _CHUNK_BYTES // (8 * (c + 1) * (c + 1 + 2 * I)))
     for start in range(0, n, step):
         s = state[start : start + step].T  # (I, k)
         h = first.T[:, :, None] + lookup.ravel()[at + s[:, None, :]]  # (I, x, k)
@@ -877,7 +867,7 @@ class RejectionAggregate:
     so a table is a path of column ids through ``_column_network`` and each
     prefix carries only its state, partial log w, partial statistic and
     partial flat index of R.  Prefixes are expanded column by column in
-    batches whose expansion stays within ``_BUILD_CHUNK_BYTES`` (one prefix
+    batches whose expansion stays within ``_CHUNK_BYTES`` (one prefix
     at least), depth first, and every completed chunk is added to R under a
     running log offset that only grows, so no weight overflows at large
     margins.  An opaque statistic gets each chunk's tables rebuilt from their
@@ -907,7 +897,7 @@ class RejectionAggregate:
     (``_matmul_convolve``), and one log-sum-exp over d gives every (class,
     gamma) numerator (``_tilted_alphas``), over denominators taken once per
     scan.  Classes are processed in chunks whose
-    intermediates fit in ``_SCAN_CHUNK_BYTES``.  ``alpha_grid`` is its
+    intermediates fit in ``_CHUNK_BYTES``.  ``alpha_grid`` is its
     one-class call.  ``suffix_alpha_table`` gives the same alphas for the
     N + 1 ordinal suffix classes from one sweep over R's columns instead of
     one contraction per class, through the same convolution and tail.
@@ -977,7 +967,7 @@ class RejectionAggregate:
         opaque = test.cell_terms is None
         # an opaque statistic's rows also carry J ids and a rebuilt table
         row_bytes = _BUILD_ROW_BYTES + (8 * (m.J + 3 * m.I * m.J) if opaque else 0)
-        budget = max(1, _BUILD_CHUNK_BYTES // row_bytes)
+        budget = max(1, _CHUNK_BYTES // row_bytes)
         root = np.zeros(1, dtype=np.int64)
         prefixes = (root, np.zeros(1), np.zeros(1), root, [] if opaque else None)
         self._descend(test, levels, vectors, budget, pruning, 0, *prefixes)
@@ -1063,20 +1053,24 @@ class RejectionAggregate:
     def alpha_table(self, U: np.ndarray, gammas: Sequence[float]) -> np.ndarray:
         """(K, G) array: exact alpha of class k, the ubar in row k of U (K, J), at gamma g.
 
-        A row of the wrong width, or an entry outside 0..N_.j, raises ``ValueError``.
+        A row of the wrong width, an entry that is not an integer between 0
+        and N_.j, or a gamma that ``check_gammas`` refuses raises ``ValueError``.
         """
         m = self.margins
-        U = np.asarray(U, dtype=np.int64)
+        U = np.asarray(U)
         if U.ndim != 2 or U.shape[1] != m.J:
             raise ValueError(f"classes must be rows of {m.J} outcome counts, not shape {U.shape}")
+        if U.dtype.kind not in "iu" and not (np.isfinite(U) & (U == np.trunc(U))).all():
+            raise ValueError("class counts must be integers")
+        U = U.astype(np.int64)
         if (U < 0).any() or (U > np.asarray(m.cols)).any():
             raise ValueError(f"class counts must lie between 0 and the column margins {m.cols}")
+        check_gammas(gammas)
         g = np.asarray(gammas, dtype=float)
         out = np.zeros((len(U), len(g)))
-        totals, which = np.unique(U.sum(axis=1), return_inverse=True)
-        logC = _log_block_normalizer(m.rows, self.block_total, totals, g)[which]
+        logC = _log_block_normalizer(m.rows, self.block_total, tuple(g.tolist()))[U.sum(axis=1)]
         per_class = max(self._floats_per_class(), len(g) * (m.N + 1))
-        chunk = max(1, _SCAN_CHUNK_BYTES // (8 * per_class))
+        chunk = max(1, _CHUNK_BYTES // (8 * per_class))
         for start in range(0, len(U), chunk):
             Uc = U[start : start + chunk]
             out[start : start + chunk] = self._tilted_alphas(
@@ -1111,12 +1105,13 @@ class RejectionAggregate:
         batched matmul and d convolution each, over only the box of b and s
         where V_p is nonzero.  So R is contracted J times, not once per class.
         Binomial rows and profiles are scaled by their maxima as in
-        ``alpha_table``, and chunks keep within ``_SCAN_CHUNK_BYTES``.
+        ``alpha_table``, and chunks keep within ``_CHUNK_BYTES``.
         """
         m = self.margins
+        check_gammas(gammas)
         g = np.asarray(gammas, dtype=float)
         out = np.zeros((m.N + 1, len(g)))
-        logC = _suffix_normalizer(tuple(m.rows), self.block_total, tuple(g.tolist()))
+        logC = _log_block_normalizer(m.rows, self.block_total, tuple(g.tolist()))
         logb = [_log_binom(self._logfact, cj, np.arange(cj + 1)) for cj in m.cols]
         tops = [float(lb.max()) for lb in logb]
         binoms = [np.exp(lb - top) for lb, top in zip(logb, tops)]
@@ -1146,7 +1141,7 @@ class RejectionAggregate:
                 start = 0
                 while start < len(u):
                     fits = np.arange(1, len(u) - start + 1) * per_class[start:]
-                    stop = start + max(1, int(np.sum(8 * fits <= _SCAN_CHUNK_BYTES)))
+                    stop = start + max(1, int(np.sum(8 * fits <= _CHUNK_BYTES)))
                     uc = u[start:stop]
                     chiT, top = _scaled_column_profile(self._logfact, cp, uc, b_range)
                     logS = _log_scaled(_matmul_convolve(chiT, V), logscale + top[:, None])
@@ -1260,8 +1255,23 @@ def brute_force_alpha(
 # --------------------------------------------------------------------------
 
 
-def _mvehg_base(m_rows: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(support as an (S, I) array, sum_i log C(m_i, t_i) over it); gamma-free."""
+def _mvehg_law(
+    m_rows: Sequence[int], n: int, weights: Sequence[float] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(support as an (S, I) array, probabilities) of the multivariate extended hypergeometric law.
+
+    P(t) is proportional to prod_i C(m_i, t_i) e^{w_i t_i} on the simplex slice
+    sum t_i = n.  One (I,) weight vector gives (S,) probabilities, a (G, I)
+    stack (G, S), one law per row over the one support.  A non-integer row
+    count or n, or a non-finite weight, raises ``ValueError``.
+    """
+    m_rows = _integers(m_rows, "m_rows")
+    (n,) = _integers([n], "n")
+    w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != len(m_rows):
+        raise ValueError("weights must match m_rows length")
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, not {w.tolist()}")
     support = _bounded_compositions(n, m_rows)
     if not len(support):
         raise ValueError("empty support")
@@ -1269,31 +1279,12 @@ def _mvehg_base(m_rows: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     for i, mi in enumerate(m_rows):
         tab = np.array([math.log(comb(mi, x)) for x in range(min(mi, n) + 1)])
         logc += tab[support[:, i]]
-    return support, logc
-
-
-def _mvehg_probs(support: np.ndarray, logc: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-    """The law's probabilities at ``weights`` over a ``_mvehg_base`` support."""
-    logterms = logc + support @ np.asarray(weights, dtype=float)
-    probs = np.exp(logterms - logterms.max())
-    probs /= probs.sum()
-    return probs
-
-
-def _mvehg_law(
-    m_rows: Sequence[int], n: int, weights: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(support, probabilities) of the multivariate extended hypergeometric law.
-
-    P(t) is proportional to prod_i C(m_i, t_i) e^{w_i t_i} on the simplex slice
-    sum t_i = n: ``_mvehg_probs`` over ``_mvehg_base``.  A caller that needs
-    the law at several weights builds the base once and composes the two.
-    """
-    m_rows = tuple(int(v) for v in m_rows)
-    if len(weights) != len(m_rows):
-        raise ValueError("weights must match m_rows length")
-    support, logc = _mvehg_base(m_rows, int(n))
-    return support, _mvehg_probs(support, logc, weights)
+    probs = np.empty(w.shape[:-1] + logc.shape)
+    for wg, out in zip(w.reshape(-1, len(m_rows)), probs.reshape(-1, len(logc))):
+        logterms = logc + support @ wg
+        np.exp(logterms - logterms.max(), out=out)
+        out /= out.sum()
+    return support, probs
 
 
 def tail_mass(
@@ -1323,10 +1314,11 @@ def mvehg_pmf(
     """P(T = counts) for the multivariate extended hypergeometric law.
 
     Density proportional to prod_i C(m_i, t_i) e^{w_i t_i} on the simplex
-    slice sum t_i = n; returns 0 off support.
+    slice sum t_i = n; returns 0 off support, and refuses non-integers.
     """
-    counts = tuple(int(v) for v in counts)
-    m_rows = tuple(int(v) for v in m_rows)
+    counts = _integers(counts, "counts")
+    m_rows = _integers(m_rows, "m_rows")
+    (n,) = _integers([n], "n")
     if len(counts) != len(m_rows) or len(weights) != len(m_rows):
         raise ValueError("counts, m_rows, weights must share a length")
     if sum(counts) != n or any(t < 0 or t > mi for t, mi in zip(counts, m_rows)):

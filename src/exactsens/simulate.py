@@ -301,7 +301,8 @@ def size_curve(
     T = alpha'Q and each pool is a fixed table given Q.  Returns
     ``{"exact": rates, "normal": rates}`` from one build of the law: at each g,
     its mass where the tail p-value, or the normal one at the law's own mean
-    and variance of T (``test_moments`` at u+), is at most g.
+    and variance of T (``test_moments`` at u+), is at most g: both fall as T
+    grows, so that mass is read off one cumulative sum over descending T.
     """
     if margins.J != 2:
         raise ValueError("the size study needs a binary outcome")
@@ -313,5 +314,7 @@ def size_curve(
     mean = tvals @ probs
     pvals = {"exact": tail_mass(tvals, probs, tvals),  # P(T >= t) of every support point
              "normal": normal_tail(tvals, mean, probs @ (tvals - mean) ** 2)}
-    return {method: [float(probs[p <= g].sum()) for g in nominal_grid]
+    order = np.argsort(-tvals, kind="stable")
+    mass = np.append(0.0, np.cumsum(probs[order]))
+    return {method: mass[np.searchsorted(p[order], nominal_grid, side="right")].tolist()
             for method, p in pvals.items()}

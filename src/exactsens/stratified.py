@@ -195,6 +195,7 @@ def combined_pvalue(
     log_F = k * log_tau  # F_k = tau^k where W_obs > tau^k
     x = k * log_tau - log_w  # decreasing in k; W_obs <= tau^k iff x >= 0
     n = int(np.count_nonzero(x >= 0.0))
+    # np.logaddexp.reduce, not exactdist.logsumexp: same 12 digits, a third of the time per call
     if n:
         s = np.arange(n)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -18,11 +18,11 @@ in ``WorstCaseResult.strategy_used``, and reduces it to two arrays: the
 table from one gamma-free build for the whole grid.  For a corner scan that
 is a table aggregation, ``RejectionAggregate.suffix_alpha_table`` for the
 ordinal suffix classes and ``alpha_table`` for the full per-outcome grid;
-for the sign score, the MVEHG support with the statistic evaluated on it,
-renormalized per gamma.  One tie rule then scans each gamma's column in
-candidate order, keeping the first maximizer up to ``_TIE_REL`` so ties
-break toward the lexicographically smallest class, and builds a
-``ConfounderClass`` for the winner only.
+for the sign score, one ``_mvehg_law`` call for the whole grid, with the
+statistic evaluated once on its support.  One tie rule then scans each
+gamma's column in candidate order, keeping the first maximizer up to
+``_TIE_REL`` so ties break toward the lexicographically smallest class, and
+builds a ``ConfounderClass`` for the winner only.
 Dose (phi) models are refused outside the sign-score family: interior
 confounders can beat every corner there, so a corner scan would be wrong.
 """
@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from exactsens.exactdist import (
-    RejectionAggregate, _mvehg_base, _mvehg_probs, _resolve_critical, tail_mass,
+    RejectionAggregate, _mvehg_law, _resolve_critical, tail_mass,
 )
 from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel, check_gammas
 from exactsens.stats import TestFamily, TestStatistic
@@ -174,12 +174,11 @@ def worst_case_grid(
     if strategy == "signscore":
         # T is affine in the column-2 count vector M when J = 2, so evaluate
         # the statistic once on the reconstructed tables over the support
-        support, logc = _mvehg_base(m.rows, m.cols[1])
+        weights = [[g * b for b in model.bias] for g in gammas]
+        support, probs = _mvehg_law(m.rows, m.cols[1], weights)
         tvals = test.evaluate_batch(
             np.stack([np.asarray(m.rows)[None, :] - support, support], axis=2))
         U = np.array([signscore_u_plus(m).ubar])
-        probs = np.stack([_mvehg_probs(support, logc, [g * b for b in model.bias])
-                          for g in gammas])
         table = tail_mass(tvals, probs, critical)[None, :]
     else:
         agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]

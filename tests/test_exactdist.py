@@ -12,7 +12,7 @@ from scipy.stats import chi2_contingency
 
 from exactsens import exactdist
 from exactsens.exactdist import (
-    _SCAN_CHUNK_BYTES,
+    _CHUNK_BYTES,
     ORACLE_CAP,
     RejectionAggregate,
     _sequential_weighted_draw,
@@ -201,7 +201,7 @@ def test_alpha_table_chunks_match_single_class_calls():
     stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
     agg = RejectionAggregate(m, stat, stat(t), (0, 1, 1))
     classes = list(candidates_ordinal(m))
-    assert len(classes) > _SCAN_CHUNK_BYTES // (8 * agg._floats_per_class())
+    assert len(classes) > _CHUNK_BYTES // (8 * agg._floats_per_class())
     gammas = [0.0, 0.7, 3.0]
     table = agg.alpha_table(np.array([c.ubar for c in classes]), gammas)
     for c, row in zip(classes, table):
@@ -210,13 +210,42 @@ def test_alpha_table_chunks_match_single_class_calls():
 
 @pytest.mark.parametrize("U", [
     [[0, 1]], [[0, 1, 2, 0]], [0, 1, 2], [[0, -1, 2]], [[0, 1, 9]],
-], ids=["too-narrow", "too-wide", "one-dimensional", "negative", "above-margin"])
+    [[0.9, 1.5, 2.0]], [[0, np.nan, 2]],
+], ids=["too-narrow", "too-wide", "one-dimensional", "negative", "above-margin",
+        "fractional", "nan"])
 def test_alpha_table_refuses_malformed_class_arrays(U):
     t = ContingencyTable.from_array([[3, 1, 2], [1, 2, 3]])
     stat = ordinal_statistic((0, 1), (0, 1, 2))
     agg = RejectionAggregate(t.margins(), stat, stat(t), (0, 1))
     with pytest.raises(ValueError):
         agg.alpha_table(np.array(U), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("gammas", [[], [np.nan], [-1.0], [0.5, np.inf]],
+                         ids=["empty", "nan", "negative", "inf"])
+def test_both_scans_refuse_a_bad_gamma_grid(gammas):
+    t = ContingencyTable.from_array([[3, 1, 2], [1, 2, 3]])
+    stat = ordinal_statistic((0, 1), (0, 1, 2))
+    agg = RejectionAggregate(t.margins(), stat, stat(t), (0, 1))
+    with pytest.raises(ValueError):
+        agg.alpha_table(np.array([[0, 1, 2]]), gammas)
+    with pytest.raises(ValueError):
+        agg.suffix_alpha_table(gammas)
+
+
+def test_both_scans_read_one_cached_normalizer_table():
+    t = ContingencyTable.from_array([[4, 1, 2], [1, 3, 3], [0, 2, 4]])
+    m = t.margins()
+    stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
+    agg = RejectionAggregate(m, stat, stat(t), (0, 1, 1))
+    gammas = [0.25, 1.75, 2.125]
+    agg.suffix_alpha_table(gammas)
+    misses = exactdist._log_block_normalizer.cache_info().misses
+    agg.alpha_table(np.array([[0, 2, 5], [3, 3, 3]]), gammas)
+    assert exactdist._log_block_normalizer.cache_info().misses == misses
+    logC = exactdist._log_block_normalizer(m.rows, agg.block_total, tuple(gammas))
+    assert logC.shape == (m.N + 1, len(gammas))
+    assert not logC.flags.writeable
 
 
 def test_fast_path_large_column_margins():
@@ -368,6 +397,32 @@ def test_mvehg_off_support_zero():
     assert mvehg_pmf((1, 1), (2, 2), 3, (0.0, 0.0)) == 0.0
 
 
+@pytest.mark.parametrize("law", [
+    lambda: mvehg_pmf((1, 1), (2.9, 2), 2, (0, 0)),
+    lambda: mvehg_pmf((1.5, 0.5), (2, 2), 2, (0, 0)),
+    lambda: mvehg_pmf((1, 1), (2, 2), 2.5, (0, 0)),
+    lambda: mvehg_pmf((1, 1), (2, 2), 2, (np.nan, 0)),
+    lambda: signscore_tail((0, 1), (2, 2.7), 2.9, (0, 0.5), 0.5),
+    lambda: signscore_tail((0, 1), (2, 2), 2, (0, np.inf), 0.5),
+], ids=["fractional-rows", "fractional-counts", "fractional-n", "nan-weight",
+        "fractional-rows-and-n", "inf-weight"])
+def test_mvehg_law_refuses_non_integers_and_non_finite_weights(law):
+    with pytest.raises(ValueError):
+        law()
+
+
+def test_mvehg_law_of_a_weight_stack_is_each_vector_law():
+    rows, n = (4, 6, 3), 5
+    stack = [[0.0, 0.7, 1.4], [0.0, 0.0, 0.0], [-1.0, 2.5, 0.3]]
+    support, probs = exactdist._mvehg_law(rows, n, stack)
+    assert probs.shape == (len(stack), len(support))
+    for w, row in zip(stack, probs):
+        one_support, one = exactdist._mvehg_law(rows, n, w)
+        assert one.shape == (len(support),)
+        np.testing.assert_array_equal(one_support, support)
+        np.testing.assert_array_equal(row, one)
+
+
 def _product_filter(total, caps):
     """Bounded compositions by brute force, in lexicographic order."""
     return [
@@ -481,11 +536,11 @@ def test_aggregate_partition_identity_no_mask():
 
 def test_log_block_normalizer_matches_the_exact_integer_form():
     # every total and delta-block size, the empty and full blocks included
-    gammas = [0.0, 0.7, 3.0]
+    gammas = (0.0, 0.7, 3.0)
     for rows in [(4, 3, 2), (1, 5)]:
         N = sum(rows)
         for B in range(N + 1):
-            logC = exactdist._log_block_normalizer(rows, B, np.arange(N + 1), gammas)
+            logC = exactdist._log_block_normalizer(rows, B, gammas)
             for u in range(N + 1):
                 logk, scale = block_sum_normalizer(rows, B, u)
                 d = np.flatnonzero(np.isfinite(logk))
@@ -530,8 +585,8 @@ def test_log_block_normalizer_within_an_ulp_of_a_decimal_reference(rows, B):
     # float log, is off by up to 1.7 ulp at rows (1600, 1600, 1600)
     N = sum(rows)
     totals = sorted({0, 1, 7, N // 5, N // 2, 2 * N // 3, N - 3, N})
-    gammas = [0.0, 0.5, 1.0, 3.0]
-    logC = exactdist._log_block_normalizer(rows, B, np.array(totals), gammas)
+    gammas = (0.0, 0.5, 1.0, 3.0)
+    logC = exactdist._log_block_normalizer(rows, B, gammas)[totals]
     for row, u in zip(logC.tolist(), totals):
         for got, want in zip(row, _decimal_log_normalizer(rows, B, u, gammas)):
             assert abs(Decimal(got) - want) <= Decimal(math.ulp(float(want))), (u, got, want)
@@ -541,7 +596,7 @@ def test_log_block_normalizer_is_one_float_at_gamma_zero():
     # every class of a scan gets the same gamma = 0 denominator, so a flat
     # Gamma = 1 scan ties on numerator jitter alone
     for rows, B in [((4, 3, 2), 5), ((20, 20, 20), 40), ((600, 600), 600)]:
-        logC = exactdist._log_block_normalizer(rows, B, np.arange(sum(rows) + 1), [0.0, 1.0])
+        logC = exactdist._log_block_normalizer(rows, B, (0.0, 1.0))
         assert np.all(logC[:, 0] == logC[0, 0])
         assert len(set(logC[:, 1].tolist())) == sum(rows) + 1
 
@@ -651,7 +706,7 @@ def test_streamed_build_matches_precomputed_tables(monkeypatch, m):
             for delta in deltas:
                 ref = RejectionAggregate(m, stat, critical, delta, tables, tvals)
                 for budget in (1, 3000):
-                    monkeypatch.setattr(exactdist, "_BUILD_CHUNK_BYTES", budget)
+                    monkeypatch.setattr(exactdist, "_CHUNK_BYTES", budget)
                     got = RejectionAggregate(m, stat, critical, delta)
                     assert got.ntables == ref.ntables == len(tables)
                     assert got.nrejected == ref.nrejected > 0

@@ -256,6 +256,15 @@ def test_size_curve_is_the_pointwise_sum_over_the_null_law(margins, model, metho
     np.testing.assert_allclose(rates, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("method", ["exact", "normal"])
+@pytest.mark.parametrize("margins,model", SIZE_CASES[1:4:2])
+def test_size_curve_with_tied_scores_is_the_pointwise_sum(margins, model, method):
+    # alpha (0, 1, 1) gives many support points one T, so one p-value each
+    rates = size_curve(margins, model, (0, 1, 1), NOMINAL)[method]
+    want = pointwise_size(margins, model, (0, 1, 1), NOMINAL, method)
+    np.testing.assert_allclose(rates, want, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("margins,model", SIZE_CASES)
 def test_size_curve_exact_is_super_uniform(margins, model):
     rates = size_curve(margins, model, (0, 1, 2), NOMINAL)["exact"]
