@@ -50,8 +50,8 @@ bounded memory.
 
 Two references check it; only the oracle battery and the tests call them.
 ``kernel_alpha`` sums the exact integer kernels per q over the rejected
-tables.  ``brute_force_alpha`` visits every treatment assignment, level by
-level, and also supports real-valued u and dose models.
+tables.  ``brute_force_alpha`` scores every treatment assignment in flat
+label blocks, and also supports real-valued u and dose models.
 
 Each closed-form law the package shares is implemented once.  The
 bounded-composition expander (``_bounded_compositions`` and
@@ -466,9 +466,9 @@ def _integer_buckets(
 # rows, at about _BUILD_ROW_BYTES each (the carried per-row scalars and the
 # expansion's temporaries), fit; depth first, it holds at most one such
 # expansion per column, and the last level's bounds are taken in batches of
-# states within the same budget.  The candidate scans and the normalizer
-# table take classes or totals in chunks no larger than this allows (one at a
-# time when a single one needs more).  Unchunked, a 61-class scan raised a
+# states within the same budget.  The candidate scans, the normalizer table
+# and the oracle take classes, totals or assignments in chunks no larger than
+# this allows (one at a time when a single one needs more).  Unchunked, a 61-class scan raised a
 # power study's peak resident memory by about a quarter.
 _CHUNK_BYTES = 2 << 20
 _BUILD_ROW_BYTES = 96
@@ -890,15 +890,16 @@ class RejectionAggregate:
     to it without pruning.
 
     ``alpha_table`` evaluates a whole candidate scan, given as a (K, J)
-    array of classes, in one batched pass.
-    Each (class, column) chi profile is scaled by its maximum, so no exact integer is ever converted to
-    float and large column margins cannot overflow.  R is contracted column
-    by column as a matmul batched over the classes, convolving d as it goes
+    array of classes, in one batched pass.  Each (class, column) chi profile
+    is scaled by its maximum, so no exact integer is ever converted to float
+    and large column margins cannot overflow.  R is contracted column by
+    column as a matmul batched over the classes, convolving d as it goes
     (``_matmul_convolve``), and one log-sum-exp over d gives every (class,
     gamma) numerator (``_tilted_alphas``), over denominators taken once per
-    scan.  Classes are processed in chunks whose
-    intermediates fit in ``_CHUNK_BYTES``.  ``alpha_grid`` is its
-    one-class call.  ``suffix_alpha_table`` gives the same alphas for the
+    scan.  Gamma is applied only after the d convolution, by that one
+    log-sum-exp over d, so the scans keep the d axis.  Classes are processed
+    in chunks whose intermediates fit in ``_CHUNK_BYTES``.  ``alpha_grid`` is
+    its one-class call.  ``suffix_alpha_table`` gives the same alphas for the
     N + 1 ordinal suffix classes from one sweep over R's columns instead of
     one contraction per class, through the same convolution and tail.
     """
@@ -1171,18 +1172,28 @@ def _check_subject_data(
 ) -> np.ndarray:
     """Outcome codes of subject-level data, checked against the table and the model.
 
-    The outcome vector and u must have length N, the outcome codes must
-    reproduce the column margins, and the bias must have one entry per
-    treatment level.
+    The outcome vector and u must have length N, the outcome codes must be
+    integers that reproduce the column margins, and the bias must have one
+    entry per treatment level.
     """
     if len(outcome_vector) != m.N or len(u.u) != m.N:
         raise ValueError("outcome vector and confounder must have length N")
-    outcomes = [int(r) for r in outcome_vector]
+    outcomes = _integers(outcome_vector, "outcome vector")
     # codes outside 0..J-1 are left uncounted, so the counts cannot sum to N
     if tuple(outcomes.count(j) for j in range(m.J)) != m.cols:
         raise ValueError("outcome vector does not match the table's column margins")
     model.validate_for(m)
     return np.asarray(outcomes, dtype=np.intp)
+
+
+def _assignment_scores(
+    labels: np.ndarray, outcomes: np.ndarray, u: Sequence[float], bias: Sequence[float], m: Margins
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, I, J) tables and (A,) tilts bias[labels] @ u of (A, N) treatment labels."""
+    A, IJ = len(labels), m.I * m.J
+    cells = labels * m.J + outcomes + (np.arange(A) * IJ)[:, None]
+    tables = np.bincount(cells.ravel(), minlength=A * IJ).reshape(A, m.I, m.J)
+    return tables, np.asarray(bias, dtype=float)[labels] @ np.asarray(u, dtype=float)
 
 
 def brute_force_alpha(
@@ -1199,8 +1210,9 @@ def brute_force_alpha(
     Accepts any real-valued confounder vector and either bias form.  Refuses
     N above ORACLE_CAP unless ``allow_large=True`` (factorial cost).  Each
     treatment level i < I - 1 picks its N_i. subjects among those still
-    unassigned, and the last level takes the rest; the innermost picking
-    level runs as one vectorized block per choice of the levels above it.
+    unassigned, and the last level takes the rest.  Assignments numbered in
+    the mixed radix of the levels' pick counts are scored in label blocks, and
+    weighted relative to the largest tilt, so no weight overflows.
     """
     m = t_obs.margins()
     N = m.N
@@ -1212,42 +1224,33 @@ def brute_force_alpha(
         )
     critical = _resolve_critical(test, t_obs, critical)
     tol = statistic_tolerance(critical)
-    bias = np.asarray(model.bias, dtype=float)
-    uvec = np.asarray(u.u, dtype=float)
-    onehot = np.eye(m.J, dtype=np.int64)[outcomes]
+    # the largest u on the largest bias (rearrangement inequality)
+    top = np.sort(np.repeat(model.bias, m.rows)) @ np.sort(u.u)
 
-    # per picking level: (C, N_i.) combinations of positions among the n
-    # subjects still unassigned, and the (C, n - N_i.) complements
-    picks = []
-    n = N
-    for r in m.rows[:-1]:
-        chosen = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp)
-        free = np.ones((len(chosen), n), dtype=bool)
-        free[np.arange(len(chosen))[:, None], chosen] = False
-        picks.append((chosen, np.nonzero(free)[1].reshape(len(chosen), n - r)))
-        n -= r
-
-    num_blocks: list[float] = []
-    den_blocks: list[float] = []
-
-    def walk(levels: list[np.ndarray], unassigned: np.ndarray) -> None:
-        chosen, rest = picks[len(levels)]
-        if len(levels) + 1 < len(picks):
-            for pick, left in zip(unassigned[chosen], unassigned[rest]):
-                walk(levels + [pick], left)
-            return
-        # the innermost picking level, over all its choices at once, and the
-        # last level, which takes the rest
-        levels = levels + [unassigned[chosen], unassigned[rest]]
-        rows = np.broadcast_arrays(*(onehot[s].sum(axis=-2) for s in levels))
-        tilt = sum(b * uvec[s].sum(axis=-1) for b, s in zip(bias, levels))
-        w = np.exp(model.gamma * tilt)
-        ok = test.evaluate_batch(np.stack(rows, axis=-2)) >= critical - tol
-        num_blocks.append(fsum(w[ok].tolist()))
-        den_blocks.append(fsum(w.tolist()))
-
-    walk([], np.arange(N))
-    return fsum(num_blocks) / fsum(den_blocks)
+    # per picking level, the combinations of positions among the subjects
+    # still unassigned, who hold the last level's label until picked
+    picks = [
+        np.array(list(itertools.combinations(range(N - sum(m.rows[:i])), r)), dtype=np.intp)
+        for i, r in enumerate(m.rows[:-1])
+    ]
+    total = math.prod(map(len, picks))
+    block = max(1, _CHUNK_BYTES // (8 * (4 * N + m.I * m.J)))
+    num, den = [], []
+    for start in range(0, total, block):
+        digits = np.arange(start, min(start + block, total))
+        labels = np.full((len(digits), N), m.I - 1, dtype=np.intp)
+        radix = total
+        for level, chosen in enumerate(picks):
+            radix //= len(chosen)
+            k, digits = np.divmod(digits, radix)
+            unassigned = np.nonzero(labels == m.I - 1)[1].reshape(len(k), -1)
+            np.put_along_axis(labels, np.take_along_axis(unassigned, chosen[k], 1), level, 1)
+        tables, tilt = _assignment_scores(labels, outcomes, u.u, model.bias, m)
+        w = np.exp(model.gamma * (tilt - top))
+        ok = test.evaluate_batch(tables) >= critical - tol
+        num.append(fsum(w[ok].tolist()))
+        den.append(fsum(w.tolist()))
+    return fsum(num) / fsum(den)
 
 
 # --------------------------------------------------------------------------

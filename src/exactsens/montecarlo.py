@@ -15,7 +15,8 @@ C(u) = sum_q e^{gamma delta'q} kernel_q(q), the estimators are
     SIS       : (1 / (M C(u))) sum_m 1{T(t_m) >= c} v(t_m) / h(t_m)
     snSIS     : sum_m 1{T >= c} v/h  /  sum_m v/h
     PermTreat : self-normalized importance ratio over uniformly sampled
-                treatment permutations (no kernels; slow-converging baseline)
+                treatment permutations, scored as the oracle scores its
+                assignments (no kernels; slow-converging baseline)
 
 SIS and snSIS draw from the confounder-aware proposal
 (``TILTED_PROPOSAL_NAME``).  For binary delta the target law factors per
@@ -45,6 +46,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
 from exactsens.exactdist import (
+    _assignment_scores,
     _check_subject_data,
     _log_binom,
     _log_column_profile,
@@ -282,21 +284,11 @@ def estimate_alpha_permtreat(
     m = t_obs.margins()
     outcomes = _check_subject_data(m, u, outcome_vector, model)
     critical = _resolve_critical(test, t_obs, critical)
-    N = m.N
-    bias = np.asarray(model.bias, dtype=float)
     base = np.repeat(np.arange(m.I), m.rows)
-    uvec = np.asarray(u.u)
-
     Z = _row_streams(seed, M, lambda g: g.permutation(base))
-    tabs = np.zeros((M, m.I, m.J), dtype=np.int64)
-    np.add.at(
-        tabs,
-        (np.repeat(np.arange(M), N), Z.ravel(), np.tile(outcomes, M)),
-        1,
-    )
-    tol = statistic_tolerance(critical)
-    keep = test.evaluate_batch(tabs) >= critical - tol
-    logw = model.gamma * (bias[Z] @ uvec)
+    tabs, tilt = _assignment_scores(Z, outcomes, u.u, model.bias, m)
+    keep = test.evaluate_batch(tabs) >= critical - statistic_tolerance(critical)
+    logw = model.gamma * tilt
     w = np.exp(logw - logw.max())
     running = np.cumsum(np.where(keep, w, 0.0)) / np.cumsum(w)
     return EstimatorTrace("PermTreat", running, float(running[-1]))

@@ -30,7 +30,7 @@ from exactsens.exactdist import (
     statistic_tolerance,
     tail_mass,
 )
-from exactsens.oracle import run_battery, valid_deltas
+from exactsens.oracle import _random_margins, run_battery, valid_deltas
 from exactsens.sensmodel import ConfounderClass, RawConfounder, SensitivityError, SensitivityModel
 from exactsens.stats import (
     cell_statistic,
@@ -303,6 +303,31 @@ def test_brute_force_rejects_outcome_codes_outside_levels():
     for outcomes in ([0, 0, -1, -1, -1, -1], [0, 0, 2, 2, 2, 2]):
         with pytest.raises(ValueError, match="column margins"):
             brute_force_alpha(stat, t, u, outcomes, model)
+
+
+def test_brute_force_weights_do_not_overflow_at_large_gamma():
+    t = ContingencyTable.from_array([[3, 1], [1, 3]])
+    stat = ordinal_statistic((0, 1), (0, 1))
+    c = ConfounderClass((0, 4))
+    outcomes, u = c.subjects(t.margins())
+    for gamma in (0.0, 2.0, 200.0, 700.0):
+        model = SensitivityModel(gamma=gamma, delta=(0, 1))
+        want = kernel_alpha(stat, t, c, model)
+        assert brute_force_alpha(stat, t, u, outcomes, model) == pytest.approx(want, rel=1e-12)
+    # a dose model with real-valued u, against a log-sum-exp over all 70 assignments
+    u = (0.1, 0.9, 0.5, 0.3, 0.7, 0.2, 0.8, 0.6)
+    model = SensitivityModel(gamma=300.0, phi=(0.0, 2.0))
+    logw, rejected = [], []
+    for z in multiset_permutations([0] * 4 + [1] * 4):
+        tab = np.zeros((2, 2), dtype=int)
+        for zi, rj in zip(z, outcomes):
+            tab[zi, rj] += 1
+        logw.append(300.0 * sum(2.0 * zi * ui for zi, ui in zip(z, u)))
+        rejected.append(stat(ContingencyTable.from_array(tab)) >= stat(t) - 1e-9)
+    logw = np.array(logw)
+    want = math.exp(logsumexp(logw[np.array(rejected)]) - logsumexp(logw))
+    got = brute_force_alpha(stat, t, RawConfounder(u), outcomes, model)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_exact_alpha_clipped_when_every_table_rejected():
@@ -611,6 +636,15 @@ def test_fast_path_extreme_gamma_stable():
         b = exact_alpha(stat, t, c, model)
         assert 0.0 <= b <= 1.0
         assert b == pytest.approx(a, rel=1e-9)
+    # a delta block of B = 5 subjects, so e^{gamma d} spans e^{5 gamma}
+    t = ContingencyTable.from_array([[50, 45], [0, 5]])
+    stat = ordinal_statistic((0, 1), (0, 1))
+    for gamma in (20.0, 100.0, 700.0):
+        model = SensitivityModel(gamma=gamma, delta=(0, 1))
+        for ubar in [(0, 50), (10, 50), (25, 25), (50, 50)]:
+            c = ConfounderClass(ubar)
+            assert exact_alpha(stat, t, c, model) == pytest.approx(
+                kernel_alpha(stat, t, c, model), rel=1e-10)
 
 
 def test_equivalence_wide_and_tall_shapes():
@@ -645,6 +679,28 @@ def test_equivalence_wide_and_tall_shapes():
             f = exact_alpha(stat2, t2, ConfounderClass(ub), model)
             assert a == pytest.approx(b, rel=1e-12)
             assert f == pytest.approx(a, rel=1e-10)
+
+
+@pytest.mark.parametrize("J", [2, 3])
+def test_four_treatment_levels_against_the_kernel(J):
+    # the battery draws I, J <= 3; seeded 4 x J instances take the oracle's
+    # blocks and the production path to a fourth treatment level
+    rng = np.random.default_rng(4000 + J)
+    for _ in range(4):
+        m = _random_margins(rng, int(rng.integers(6, 11)), 4, J)
+        tables = enumerate_fixed_margin_array(m)
+        t = ContingencyTable.from_array(tables[rng.integers(0, len(tables))])
+        stat = ordinal_statistic(tuple(np.sort(rng.uniform(0, 3, size=4))),
+                                 tuple(np.sort(rng.uniform(0, 3, size=J))))
+        c = ConfounderClass(tuple(int(rng.integers(0, k + 1)) for k in m.cols))
+        outcomes, u = c.subjects(m)
+        for delta in valid_deltas(4)[::3]:
+            for gamma in (0.0, 1.0):
+                model = SensitivityModel(gamma=gamma, delta=delta)
+                a = kernel_alpha(stat, t, c, model)
+                assert brute_force_alpha(stat, t, u, outcomes, model) == pytest.approx(
+                    a, rel=1e-12)
+                assert exact_alpha(stat, t, c, model) == pytest.approx(a, rel=1e-10)
 
 
 def test_exact_vs_fast_n24():

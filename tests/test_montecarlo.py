@@ -159,6 +159,7 @@ def test_permtreat_takes_outcome_levels_from_the_table():
     ((0, 0, 1, 1, 1, 1), (0.0,) * 6, (0, 1), "column margins"),
     ((0, 0, 0, 1, 1, 2), (0.0,) * 6, (0, 1), "column margins"),
     ((0, 0, 0, 1, 1, 1), (0.0,) * 6, (0, 1, 1), "bias length"),
+    ((0, 0.9, 0.5, 1.7, 1, 1), (0.0,) * 6, (0, 1), "must hold integers"),
 ])
 def test_permtreat_checks_subject_data_like_the_oracle(outcomes, u, delta, message):
     t = ContingencyTable.from_array([[2, 1], [1, 2]])

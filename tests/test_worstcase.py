@@ -368,7 +368,7 @@ def _assert_same_alphas(sweep, table):
 @pytest.mark.parametrize("J", [2, 3, 4, 5])
 @pytest.mark.parametrize("I", [2, 3, 4])
 def test_suffix_sweep_equals_alpha_table(rng, I, J):
-    gammas = [0.0, 0.5, 2.0, 6.0]
+    gammas = [0.0, 0.5, 2.0, 6.0, 100.0, 700.0]
     for _ in range(3):
         m = _random_margins(rng, int(rng.integers(max(I, J) + 2, 15)), I, J)
         tables = enumerate_fixed_margin_array(m)
