@@ -291,7 +291,9 @@ def cmd_power(args) -> int:
         "level": args.level,
         "suite": bool(args.suite),
     }
-    _write_outputs(args, lines, config)
+    variants = {name: {"strategy": c.strategy, "builds": c.builds, "skipped": c.skipped}
+                for name, c in curves.items()}
+    _write_outputs(args, lines, config, variants=variants)
     return EXIT_OK
 
 

@@ -32,6 +32,7 @@ from exactsens.tables import Margins, _integers, read_numbers
 __all__ = [
     "SensitivityModel",
     "check_gammas",
+    "check_level",
     "ConfounderClass",
     "RawConfounder",
     "assignment_probability",
@@ -51,6 +52,15 @@ def check_gammas(gammas: Sequence[float]) -> None:
         raise ValueError("gamma grid must be non-empty")
     if not all(0.0 <= g < math.inf for g in gammas):
         raise ValueError("gamma must be finite and >= 0")
+
+
+def check_level(alpha_level: float) -> None:
+    """Raise ``ValueError`` unless the test level lies in (0, 1].
+
+    A nan or non-positive level would reject nothing and pass for "no rejection".
+    """
+    if not 0.0 < alpha_level <= 1.0:
+        raise ValueError(f"level must lie in (0, 1], not {alpha_level}")
 
 
 @dataclass(frozen=True)

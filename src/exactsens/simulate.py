@@ -18,7 +18,14 @@ and for the normal approximation; no tables are drawn.  The exact method
 stays below the diagonal; the normal approximation can cross it.
 
 Every power iteration uses the RNG stream (seed, iteration), so all Gamma
-grid points share simulated tables.
+grid points share simulated tables.  ``power_curve`` makes one pass over the
+draws.  An ordinal or pi variant scans each draw with ``worst_case_grid``.  A
+sign-score variant's worst-case null law depends on the draw's rows and
+column-2 total alone, and the treatment margins are fixed by design, so its
+draws are grouped by that pair and each group's p-values come from one MVEHG
+law read at every draw's critical value.  Each curve reports its strategy,
+how many aggregates or laws it built and how many degenerate draws it
+counted as no rejection.
 """
 
 from __future__ import annotations
@@ -30,12 +37,12 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
-from exactsens.exactdist import _mvehg_law, tail_mass
+from exactsens.exactdist import _mvehg_law, _resolve_critical, tail_mass
 from exactsens.moments import normal_tail
-from exactsens.sensmodel import SensitivityError, SensitivityModel, check_gammas
+from exactsens.sensmodel import SensitivityError, SensitivityModel, check_gammas, check_level
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, _integers, collapse, crosscut
-from exactsens.worstcase import worst_case_grid
+from exactsens.worstcase import _resolve_strategy, _signscore_pvalues, worst_case_grid
 
 __all__ = [
     "LogLinearDGP",
@@ -204,32 +211,9 @@ class RejectionCurve:
     seed: int
     alpha_level: float
     mc_sigma: tuple[float, ...]
-
-
-def _power_one_iteration(
-    dgp: LogLinearDGP,
-    spec_list: Sequence[PowerTestSpec],
-    gammas: list[float],
-    alpha_level: float,
-    seed: int,
-    it: int,
-) -> list[list[bool]]:
-    rng = np.random.default_rng([seed, it])
-    t = sample_table_fixed_treatment(rng, dgp)
-    out: list[list[bool]] = []
-    for spec in spec_list:
-        try:
-            tt = spec.transform(t)
-            tt.margins()
-        except ValueError:
-            # a draw can leave a transformed table degenerate (e.g. an empty
-            # cross-cut row); no retained data means no rejection
-            out.append([False] * len(gammas))
-            continue
-        model = SensitivityModel(gamma=gammas[0], delta=spec.delta)
-        results = worst_case_grid(spec.statistic(), tt, model, gammas)
-        out.append([res.pvalue <= alpha_level for res in results])
-    return out
+    strategy: str  # the resolved worst-case strategy: "signscore", "ordinal" or "pi"
+    builds: int  # aggregates (ordinal, pi) or MVEHG laws (signscore) built
+    skipped: int  # draws whose transform left no table, counted as no rejection
 
 
 def power_curve(
@@ -243,37 +227,70 @@ def power_curve(
 ):
     """Rejection rate of the worst-case test per gamma, per test variant.
 
-    All gamma grid points reuse each iteration's table and its gamma-free
-    aggregation, so a grid sweep costs one enumeration per variant; variants
-    share each iteration's table (common random numbers), which makes paired
-    comparisons between tests meaningful.  With ``return_matrix`` the raw
-    (iterations, variant, gamma) rejection indicators are returned alongside
-    the curves.
+    All gamma grid points reuse each iteration's table, and variants share
+    it (common random numbers), which makes paired comparisons between
+    tests meaningful.  An ordinal or pi variant costs one gamma-free
+    aggregate per draw; a sign-score variant costs one MVEHG law per
+    distinct (rows, column-2 total) of its transformed draws, since the
+    worst-case null law depends on the margins alone and each draw only
+    moves the critical value.  With ``return_matrix`` the raw (iterations,
+    variant, gamma) rejection indicators are returned alongside the curves.
+    A level outside (0, 1] raises ``ValueError``.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     specs = [test_spec] if isinstance(test_spec, PowerTestSpec) else list(test_spec)
     gammas = [float(g) for g in gamma_grid]
     check_gammas(gammas)
+    check_level(alpha_level)
     full = ContingencyTable.from_array(np.ones((dgp.I, dgp.J), dtype=np.int64))
+    stats, models, strategies = [], [], []
     for spec in specs:
-        # a transform's validity and row count depend on the shape alone, so a
-        # failure on a table with every cell filled is a misconfigured variant
+        # a transform's validity, its row count and the variant's worst-case
+        # strategy depend on the table's shape alone, so a failure on a table
+        # with every cell filled is a misconfigured variant
         try:
-            rows = spec.transform(full).I
+            m = spec.transform(full).margins()
         except ValueError as exc:
             raise ValueError(f"test variant {spec.name!r}: {exc}") from exc
-        if len(spec.delta) != rows:
+        if len(spec.delta) != m.I:
             raise SensitivityError(
                 f"test variant {spec.name!r}: delta has {len(spec.delta)} entries "
-                f"but the transformed table has {rows} rows"
+                f"but the transformed table has {m.I} rows"
             )
-    rejections = [
-        _power_one_iteration(dgp, specs, gammas, alpha_level, seed, it)
-        for it in range(iterations)
-    ]
+        stats.append(spec.statistic())
+        models.append(SensitivityModel(gamma=gammas[0], delta=spec.delta))
+        strategies.append(_resolve_strategy(stats[-1], models[-1], m, "auto"))
+    arr = np.zeros((iterations, len(specs), len(gammas)))  # (iters, spec, gamma)
+    builds = [0] * len(specs)
+    skipped = [0] * len(specs)
+    # sign-score draws by (variant, rows, column-2 total): (iteration, critical)
+    signscore: dict[tuple, list[tuple[int, float]]] = {}
+    for it in range(iterations):
+        t = sample_table_fixed_treatment(np.random.default_rng([seed, it]), dgp)
+        for si, spec in enumerate(specs):
+            try:
+                tt = spec.transform(t)
+                m = tt.margins()
+            except ValueError:
+                # a draw can leave a transformed table degenerate (e.g. an empty
+                # cross-cut row); no retained data means no rejection
+                skipped[si] += 1
+                continue
+            if strategies[si] == "signscore":
+                crit = _resolve_critical(stats[si], tt, None)
+                signscore.setdefault((si, m.rows, m.cols[1]), []).append((it, crit))
+            else:
+                results = worst_case_grid(stats[si], tt, models[si], gammas,
+                                          strategy=strategies[si])
+                arr[it, si] = [res.pvalue <= alpha_level for res in results]
+                builds[si] += 1
+    for (si, rows, n), draws in signscore.items():
+        its, crits = zip(*draws)
+        p = _signscore_pvalues(stats[si], rows, n, models[si].bias, gammas, crits)  # (G, M)
+        arr[list(its), si] = (np.minimum(p, 1.0) <= alpha_level).T
+        builds[si] += 1
     out: dict[str, RejectionCurve] = {}
-    arr = np.asarray(rejections, dtype=float)  # (iters, spec, gamma)
     for si, spec in enumerate(specs):
         rates = arr[:, si, :].mean(axis=0)
         out[spec.name] = RejectionCurve(
@@ -283,6 +300,9 @@ def power_curve(
             seed=seed,
             alpha_level=alpha_level,
             mc_sigma=tuple(float(v) for v in np.sqrt(rates * (1 - rates) / iterations)),
+            strategy=strategies[si],
+            builds=builds[si],
+            skipped=skipped[si],
         )
     if return_matrix:
         return out, arr

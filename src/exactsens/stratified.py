@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from exactsens.exactdist import _log_binom, log_factorials
-from exactsens.sensmodel import SensitivityModel
+from exactsens.sensmodel import SensitivityModel, check_level
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable, _read_counts, read_numbers
 from exactsens.worstcase import worst_case_grid
@@ -121,7 +121,11 @@ def analyze_study_grid(
     tau: float = DEFAULT_TAU,
     alpha_level: float = 0.05,
 ) -> list[CombinedResult]:
-    """``analyze_study`` at each gamma of ``gammas`` (``study.model.gamma`` is ignored)."""
+    """``analyze_study`` at each gamma of ``gammas`` (``study.model.gamma`` is ignored).
+
+    A level that is not in (0, 1] raises ``ValueError`` before any scan.
+    """
+    check_level(alpha_level)
 
     def subset_comb(ps: Sequence[float]) -> float:
         return combined_pvalue(truncated_product(ps, tau), len(ps), tau)

@@ -18,11 +18,13 @@ in ``WorstCaseResult.strategy_used``, and reduces it to two arrays: the
 table from one gamma-free build for the whole grid.  For a corner scan that
 is a table aggregation, ``RejectionAggregate.suffix_alpha_table`` for the
 ordinal suffix classes and ``alpha_table`` for the full per-outcome grid;
-for the sign score, one ``_mvehg_law`` call for the whole grid, with the
-statistic evaluated once on its support.  One tie rule then scans each
-gamma's column in candidate order, keeping the first maximizer up to
-``_TIE_REL`` so ties break toward the lexicographically smallest class, and
-builds a ``ConfounderClass`` for the winner only.
+for the sign score, ``_signscore_pvalues``: one ``_mvehg_law`` call for
+the whole grid, the statistic evaluated once on its support and one
+``tail_mass`` over any number of critical values (the power study hands it
+every draw that shares the rows and column-2 total).  One tie rule then
+scans each gamma's column in candidate order, keeping the first maximizer
+up to ``_TIE_REL`` so ties break toward the lexicographically smallest
+class, and builds a ``ConfounderClass`` for the winner only.
 Dose (phi) models are refused outside the sign-score family: interior
 confounders can beat every corner there, so a corner scan would be wrong.
 """
@@ -146,6 +148,28 @@ def _resolve_strategy(
     return strategy
 
 
+def _signscore_pvalues(
+    test: TestStatistic,
+    rows: Sequence[int],
+    n: int,
+    bias: Sequence[float],
+    gammas: Sequence[float],
+    criticals: Sequence[float],
+) -> np.ndarray:
+    """(G, M) sign-score worst-case alphas P(T >= c) at u+ = (0, n), per gamma and critical.
+
+    One ``_mvehg_law`` call for the whole grid: when J = 2, T is a function of
+    the column-2 count vector, so the statistic is evaluated once on the
+    reconstructed tables over the support, and one ``tail_mass`` reads off
+    every critical value.  Column m of the result equals a one-critical
+    call with ``criticals[m]`` bit for bit.
+    """
+    weights = [[g * b for b in bias] for g in gammas]
+    support, probs = _mvehg_law(rows, n, weights)
+    tvals = test.evaluate_batch(np.stack([np.asarray(rows)[None, :] - support, support], axis=2))
+    return tail_mass(tvals, probs, np.asarray(criticals, dtype=float))
+
+
 def worst_case_pvalue(
     test: TestStatistic,
     t_obs: ContingencyTable,
@@ -172,14 +196,8 @@ def worst_case_grid(
     critical = _resolve_critical(test, t_obs, critical)
     strategy = _resolve_strategy(test, model, m, strategy)
     if strategy == "signscore":
-        # T is affine in the column-2 count vector M when J = 2, so evaluate
-        # the statistic once on the reconstructed tables over the support
-        weights = [[g * b for b in model.bias] for g in gammas]
-        support, probs = _mvehg_law(m.rows, m.cols[1], weights)
-        tvals = test.evaluate_batch(
-            np.stack([np.asarray(m.rows)[None, :] - support, support], axis=2))
         U = np.array([signscore_u_plus(m).ubar])
-        table = tail_mass(tvals, probs, critical)[None, :]
+        table = _signscore_pvalues(test, m.rows, m.cols[1], model.bias, gammas, [critical]).T
     else:
         agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]
         if strategy == "ordinal":

@@ -19,7 +19,7 @@ from exactsens.simulate import (
 )
 from exactsens.stats import ordinal_statistic
 from exactsens.tables import Margins
-from exactsens.worstcase import signscore_u_plus
+from exactsens.worstcase import signscore_u_plus, worst_case_grid
 
 CASE_I = LogLinearDGP(
     lambda0=0.0,
@@ -140,17 +140,96 @@ def test_power_misconfigured_variant_raises_before_simulating(monkeypatch):
         power_curve(1, dgp4, suite[3], [0.0], iterations=3)
 
 
+# row 1 always lands in the middle outcome, so every cross-cut draw keeps an
+# empty row
+DEGENERATE = LogLinearDGP(0.0, (0.0,) * 3, (-60.0, 0.0, -60.0), 1.0, (0, 1, 2), (0, 0, 61),
+                          (4, 4, 4))
+
+
 def test_power_degenerate_crosscut_counts_as_no_rejection():
-    # row 1 always lands in the middle outcome, so every cross-cut draw keeps
-    # an empty row: nothing is retained to test, which counts as no rejection
-    dgp = LogLinearDGP(0.0, (0.0,) * 3, (-60.0, 0.0, -60.0), 1.0, (0, 1, 2), (0, 0, 61),
-                       (4, 4, 4))
+    # nothing is retained to test, which counts as no rejection
+    dgp = DEGENERATE
     t = sample_table_fixed_treatment(np.random.default_rng(0), dgp)
     assert t.counts[0] == (0, 4, 0) and t.counts[2] == (0, 0, 4)
     spec = PowerTestSpec("crosscut", (0.0, 1.0), (0.0, 1.0), (0, 1),
                          keep_rows=(0, 2), keep_cols=(0, 2))
     curves = power_curve(3, dgp, spec, [0.0], iterations=3, alpha_level=1.0)
     assert curves["crosscut"].rates == (0.0,)
+    assert (curves["crosscut"].skipped, curves["crosscut"].builds) == (3, 0)
+    assert curves["crosscut"].strategy == "signscore"
+
+
+def per_draw_rejections(seed, dgp, specs, gammas, iterations, alpha_level):
+    """(iterations, variant, gamma) indicators from one ``worst_case_grid`` per draw and variant."""
+    out = np.zeros((iterations, len(specs), len(gammas)))
+    for it in range(iterations):
+        t = sample_table_fixed_treatment(np.random.default_rng([seed, it]), dgp)
+        for si, spec in enumerate(specs):
+            try:
+                tt = spec.transform(t)
+                tt.margins()
+            except ValueError:
+                continue
+            model = SensitivityModel(gamma=gammas[0], delta=spec.delta)
+            results = worst_case_grid(spec.statistic(), tt, model, gammas)
+            out[it, si] = [res.pvalue <= alpha_level for res in results]
+    return out
+
+
+@pytest.mark.parametrize("level", [0.05, 1.0])
+@pytest.mark.parametrize("gammas", [[0.0], [0.0, 0.5, 1.0, 2.0]])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_power_grouped_signscore_equals_per_draw_scans(seed, gammas, level):
+    # sign-score variants share one law per (rows, column-2 total); the
+    # indicators must equal a worst_case_grid call per draw, bit for bit
+    suite = standard_test_suite(CASE_I.alpha_star, CASE_I.beta_star)
+    curves, matrix = power_curve(seed, CASE_I, suite, gammas, iterations=12,
+                                 alpha_level=level, return_matrix=True)
+    want = per_draw_rejections(seed, CASE_I, suite, gammas, 12, level)
+    np.testing.assert_array_equal(matrix, want)
+    assert [c.strategy for c in curves.values()] == ["ordinal"] + ["signscore"] * 5
+    assert curves["3x3-opt"].builds == 12
+    assert all(1 <= c.builds <= 12 and c.skipped == 0 for c in curves.values())
+
+
+def test_power_grouping_counts_one_law_per_rows_and_column_total():
+    suite = standard_test_suite(CASE_I.alpha_star, CASE_I.beta_star)
+    curves = power_curve(1, CASE_I, suite, [0.0, 1.0], iterations=30)
+    laws = 0
+    for spec in suite[1:]:
+        keys = set()
+        for it in range(30):
+            m = spec.transform(
+                sample_table_fixed_treatment(np.random.default_rng([1, it]), CASE_I)).margins()
+            keys.add((m.rows, m.cols[1]))
+        assert curves[spec.name].builds == len(keys)
+        laws += len(keys)
+    # the collapsed variants' rows are fixed, so their draws share laws
+    assert laws < 5 * 30
+
+
+def test_power_degenerate_and_pi_variants_equal_per_draw_scans():
+    crosscut = standard_test_suite((0, 1, 2), (0, 0, 61))[5]
+    curves, matrix = power_curve(3, DEGENERATE, crosscut, [0.0, 1.0], iterations=3,
+                                 alpha_level=1.0, return_matrix=True)
+    np.testing.assert_array_equal(matrix, per_draw_rejections(
+        3, DEGENERATE, [crosscut], [0.0, 1.0], 3, 1.0))
+    # a J = 2 variant with a non-monotone delta scans every class per draw
+    pi = PowerTestSpec("3x2-pi", CASE_I.alpha_star, (0.0, 1.0), (1, 0, 1),
+                       col_groups=((0, 1), (2,)))
+    curves, matrix = power_curve(2, CASE_I, pi, [0.0, 1.0], iterations=4,
+                                 return_matrix=True)
+    np.testing.assert_array_equal(matrix, per_draw_rejections(
+        2, CASE_I, [pi], [0.0, 1.0], 4, 0.05))
+    assert (curves["3x2-pi"].strategy, curves["3x2-pi"].builds) == ("pi", 4)
+
+
+@pytest.mark.parametrize("level", [float("nan"), math.inf, 0.0, -1.0, 1.5])
+def test_power_refuses_a_level_outside_the_unit_interval(level):
+    # a nan or negative level rejected nothing and passed for zero power
+    spec = PowerTestSpec("t", CASE_I.alpha_star, CASE_I.beta_star, (0, 1, 1))
+    with pytest.raises(ValueError, match="level must lie in"):
+        power_curve(1, CASE_I, spec, [0.0], iterations=2, alpha_level=level)
 
 
 @pytest.mark.parametrize("cut", [{"keep_rows": (0, 2)}, {"keep_cols": (0, 2)}])

@@ -253,3 +253,17 @@ def test_from_json_names_the_study_when_the_text_is_not_json():
 def test_tau_near_one_is_plain_product():
     ps = (0.3, 0.08, 0.61)
     assert truncated_product(ps, 0.99) == pytest.approx(0.3 * 0.08 * 0.61, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [float("nan"), math.inf, 0.0, -1.0, 1.5])
+def test_study_grid_refuses_a_level_outside_the_unit_interval(level):
+    # a nan level gave closed-testing flags (False, False) where 0.05 rejects both
+    with pytest.raises(ValueError, match="level must lie in"):
+        analyze_study_grid(study_at(0.0), [0.0], 0.2, level)
+    with pytest.raises(ValueError, match="level must lie in"):
+        analyze_study(study_at(0.0), 0.2, level)
+
+
+def test_study_grid_accepts_level_one():
+    (res,) = analyze_study_grid(study_at(0.0), [0.0], 0.2, 1.0)
+    assert res.closed_testing_rejections == (True, True)

@@ -36,6 +36,7 @@ from exactsens.tables import ContingencyTable, Margins, enumerate_fixed_margin_a
 from exactsens.worstcase import (
     _ordinal_classes,
     _pi_classes,
+    _signscore_pvalues,
     candidates_ordinal,
     candidates_pi,
     signscore_u_plus,
@@ -318,6 +319,27 @@ def test_signscore_grid_equals_single_gamma_calls(model):
         weights = [g * b for b in model.bias]
         assert res.pvalue == pytest.approx(
             signscore_tail(alpha, m.rows, m.cols[1], weights, critical), rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    SensitivityModel(gamma=0.0, delta=(0, 1, 1)),
+    SensitivityModel(gamma=0.0, phi=(0.0, 0.5, 1.0)),
+])
+def test_signscore_pvalues_of_many_criticals_equal_one_critical_calls(model):
+    # the power study reads one law at every draw's critical value: each
+    # column must equal a one-critical call and worst_case_grid bit for bit
+    stat = ordinal_statistic((0.0, 1.0, 2.5), (0, 1))
+    m = SIGNSCORE_TABLE.margins()
+    gammas = [0.0, 0.25, 1.0, 2.0]
+    criticals = [stat(SIGNSCORE_TABLE), -1.0, 0.0, 7.5, 10.0, 10.0 + 1e-12, 17.0, 30.0, 45.0]
+    both = _signscore_pvalues(stat, m.rows, m.cols[1], model.bias, gammas, criticals)
+    assert both.shape == (len(gammas), len(criticals))
+    for k, c in enumerate(criticals):
+        one = _signscore_pvalues(stat, m.rows, m.cols[1], model.bias, gammas, [c])
+        assert one.tolist() == both[:, [k]].tolist()
+        grid = worst_case_grid(stat, SIGNSCORE_TABLE, model, gammas, critical=c)
+        assert [r.pvalue for r in grid] == np.minimum(both[:, k], 1.0).tolist()
+        assert {r.strategy_used for r in grid} == {"signscore"}
 
 
 def test_grids_refuse_non_finite_or_negative_gamma():
