@@ -102,6 +102,11 @@ def _check_level(level: float) -> None:
         raise ValueError(f"--level must lie strictly between 0 and 1, not {level}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy refuses it, naming no flag
+        raise ValueError(f"--seed must be a non-negative integer, not {seed}")
+
+
 def _one_gamma(args) -> float:
     """The gamma of a command that evaluates a single model (``size``, ``sample``)."""
     grid = _gamma_grid(args)
@@ -257,6 +262,7 @@ def cmd_stratified(args) -> int:
 
 
 def cmd_power(args) -> int:
+    _check_seed(args.seed)
     _check_level(args.level)
     try:
         cfg = {"lambda0": 0.0, "w": 1.0, "delta": [0, 1, 1],
@@ -336,6 +342,7 @@ def cmd_size(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_seed(args.seed)
     table = _read_table(args.table)
     stat = _build_statistic(args, table)
     model = _model(args, table.I).with_gamma(_one_gamma(args))
@@ -375,6 +382,7 @@ def cmd_sample(args) -> int:
 def cmd_oracle_check(args) -> int:
     from exactsens.oracle import run_battery
 
+    _check_seed(args.seed)
     report = run_battery(
         seed=args.seed,
         max_n=args.nmax,

@@ -1208,10 +1208,10 @@ def brute_force_alpha(
     """Direct enumeration of every treatment assignment (the oracle).
 
     Accepts any real-valued confounder vector and either bias form.  Refuses
-    N above ORACLE_CAP unless ``allow_large=True`` (factorial cost).  Each
-    treatment level i < I - 1 picks its N_i. subjects among those still
-    unassigned, and the last level takes the rest.  Assignments numbered in
-    the mixed radix of the levels' pick counts are scored in label blocks, and
+    N above ORACLE_CAP unless ``allow_large=True`` (factorial cost).  Level
+    i < I - 1 picks N_i. of the n_i subjects the earlier levels left; the last
+    level takes the rest.  Blocks of consecutive mixed-radix assignment numbers
+    are labelled innermost level first from per-level complement tables, and
     weighted relative to the largest tilt, so no weight overflows.
     """
     m = t_obs.margins()
@@ -1227,24 +1227,21 @@ def brute_force_alpha(
     # the largest u on the largest bias (rearrangement inequality)
     top = np.sort(np.repeat(model.bias, m.rows)) @ np.sort(u.u)
 
-    # per picking level, the combinations of positions among the subjects
-    # still unassigned, who hold the last level's label until picked
-    picks = [
-        np.array(list(itertools.combinations(range(N - sum(m.rows[:i])), r)), dtype=np.intp)
-        for i, r in enumerate(m.rows[:-1])
-    ]
-    total = math.prod(map(len, picks))
+    # the n_{i+1} subjects left by level i's k-th pick (lexicographic) of
+    # N_i. among n_i are the (C(n_i, N_i.) - 1 - k)-th n_{i+1}-combination
+    n = [N - sum(m.rows[:i]) for i in range(m.I)]
+    left = [np.array(list(itertools.combinations(range(a), b)), dtype=np.intp)[::-1]
+            for a, b in zip(n, n[1:])]
+    total = math.prod(map(len, left))
     block = max(1, _CHUNK_BYTES // (8 * (4 * N + m.I * m.J)))
     num, den = [], []
     for start in range(0, total, block):
         digits = np.arange(start, min(start + block, total))
-        labels = np.full((len(digits), N), m.I - 1, dtype=np.intp)
-        radix = total
-        for level, chosen in enumerate(picks):
-            radix //= len(chosen)
-            k, digits = np.divmod(digits, radix)
-            unassigned = np.nonzero(labels == m.I - 1)[1].reshape(len(k), -1)
-            np.put_along_axis(labels, np.take_along_axis(unassigned, chosen[k], 1), level, 1)
+        labels = np.full((len(digits), n[-1]), m.I - 1, dtype=np.intp)
+        for i in reversed(range(m.I - 1)):
+            digits, k = np.divmod(digits, len(left[i]))
+            inner, labels = labels, np.full((len(k), n[i]), i, dtype=np.intp)
+            np.put_along_axis(labels, left[i][k], inner, 1)
         tables, tilt = _assignment_scores(labels, outcomes, u.u, model.bias, m)
         w = np.exp(model.gamma * (tilt - top))
         ok = test.evaluate_batch(tables) >= critical - tol

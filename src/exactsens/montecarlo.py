@@ -31,16 +31,16 @@ of rejected draws, k_m / m.  ``estimate_alpha_sis`` returns that one
 trace; the proposal's exact log h stays available from ``_tilted_fill`` as
 the certificate that the ratios are flat.
 
-Reproducibility: sample m always draws from its own stream, seeded by
-(seed, m) (``_row_streams``), so traces are identical under any batching or
-scheduling.
+Reproducibility: an estimator call draws its M rows in order from one
+``np.random.default_rng(seed)``, so the trace of M draws is the first M
+entries of any longer run with the same seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
@@ -222,13 +222,6 @@ def sis_sample_batch(
     return tabs, log_h
 
 
-def _row_streams(
-    seed: int, M: int, draw: Callable[[np.random.Generator], np.ndarray]
-) -> np.ndarray:
-    """Row m is ``draw`` applied to its own generator, seeded by (seed, m)."""
-    return np.stack([draw(np.random.default_rng([seed, mi])) for mi in range(M)])
-
-
 def estimate_alpha_sis(
     seed: int,
     test: TestStatistic,
@@ -254,8 +247,8 @@ def estimate_alpha_sis(
     model.validate_for(m)
     c.validate_for(m)
     critical = _resolve_critical(test, t_obs, critical)
-    ncols = _free_cells(m)
-    tables, _ = _tilted_fill(m, c, model, _row_streams(seed, M, lambda g: g.random(ncols)))
+    U = np.random.default_rng(seed).random((M, _free_cells(m)))
+    tables, _ = _tilted_fill(m, c, model, U)
     keep = test.evaluate_batch(tables) >= critical - statistic_tolerance(critical)
     running = np.cumsum(keep) / np.arange(1, M + 1)
     return EstimatorTrace("SIS", running, float(running[-1]))
@@ -285,10 +278,10 @@ def estimate_alpha_permtreat(
     outcomes = _check_subject_data(m, u, outcome_vector, model)
     critical = _resolve_critical(test, t_obs, critical)
     base = np.repeat(np.arange(m.I), m.rows)
-    Z = _row_streams(seed, M, lambda g: g.permutation(base))
+    Z = np.random.default_rng(seed).permuted(np.tile(base, (M, 1)), axis=1)
     tabs, tilt = _assignment_scores(Z, outcomes, u.u, model.bias, m)
     keep = test.evaluate_batch(tabs) >= critical - statistic_tolerance(critical)
-    logw = model.gamma * tilt
-    w = np.exp(logw - logw.max())
-    running = np.cumsum(np.where(keep, w, 0.0)) / np.cumsum(w)
+    logw = model.gamma * tilt  # running log sums: entry m reads the first m draws only
+    log_num = np.logaddexp.accumulate(np.where(keep, logw, -np.inf))
+    running = np.exp(log_num - np.logaddexp.accumulate(logw))
     return EstimatorTrace("PermTreat", running, float(running[-1]))

@@ -847,6 +847,24 @@ def test_seed_help_says_the_seed_is_ignored(command, capsys):
         capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize("command, work", [
+    ("sample", "exactsens.cli.estimate_alpha_sis"),
+    ("power", "exactsens.cli.power_curve"),
+    ("oracle-check", "exactsens.oracle.run_battery"),
+])
+def test_a_negative_seed_is_refused_by_name(command, work, tmp_path, monkeypatch, capsys):
+    # numpy refused it in the first draw with "expected non-negative integer",
+    # which names no flag
+    def draw(*args, **kwargs):
+        raise AssertionError("the command drew before the seed was refused")
+
+    monkeypatch.setattr(work, draw)
+    argv = (["oracle-check", "--cases", "1", "--nmax", "5"] if command == "oracle-check"
+            else _command(command, tmp_path) + WRITERS[command])
+    assert run(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --seed must be a non-negative integer, not -1\n")
+
+
 @pytest.mark.parametrize("option", ["--out", "--summary"])
 def test_an_unwritable_output_exits_2(option, girls_csv, tmp_path, monkeypatch, capsys):
     # a file in a missing directory ended in a traceback with exit 1, the

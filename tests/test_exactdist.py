@@ -305,6 +305,46 @@ def test_brute_force_rejects_outcome_codes_outside_levels():
             brute_force_alpha(stat, t, u, outcomes, model)
 
 
+# oracle values recorded as float.hex before its labels were built from
+# complement tables: (table, statistic, bias, class ubar or real-valued u,
+# critical, {gamma: p}); 4x3-dose has 25,200 assignments in five label blocks
+_PINNED_ORACLE = {
+    "2x3-ordinal": ([[3, 1, 1], [1, 2, 2]], ordinal_statistic((0, 1), (0, 1, 2)),
+                    {"delta": (0, 1)}, (1, 2, 2), None,
+                    {0.0: "0x1.e79e79e79e79ep-3", 2.0: "0x1.e7d020cbda7dep-2"}),
+    "3x2-chi2-real-u": ([[3, 0], [0, 3], [1, 1]], chi2_statistic(), {"delta": (0, 1, 1)},
+                        (0.3, 0.9, 0.1, 0.5, 0.7, 0.2, 0.8, 0.4), None,
+                        {0.0: "0x1.d41d41d41d41dp-5", 2.0: "0x1.9c9c4bd359cdcp-5"}),
+    "3x3-dose": ([[2, 1, 0], [1, 1, 1], [0, 1, 2]], ordinal_statistic((0, 1, 2), (0, 1, 3)),
+                 {"phi": (0.0, 1.0, 2.5)}, (0.6, 0.1, 0.9, 0.4, 0.35, 0.8, 0.2, 0.05, 0.7),
+                 None, {0.0: "0x1.94b94b94b94b9p-5", 2.0: "0x1.8f47005450689p-8"}),
+    "4x2-ordinal": ([[2, 1], [1, 2], [0, 2], [1, 1]], ordinal_statistic((0, 1, 2, 3), (0, 1)),
+                    {"delta": (0, 0, 1, 1)}, (2, 3), None,
+                    {0.0: "0x1.7297297297297p-2", 2.0: "0x1.60b857b924b90p-2"}),
+    "4x3-g2": ([[3, 0, 0], [0, 2, 1], [0, 0, 2], [1, 0, 0]], g2_statistic(),
+               {"delta": (0, 1, 0, 1)}, (2, 1, 2), None,
+               {0.0: "0x1.d41d41d41d41dp-6", 2.0: "0x1.14457f2286d5fp-6"}),
+    "4x3-dose": ([[1, 1, 1], [1, 2, 0], [0, 1, 1], [1, 0, 1]],
+                 ordinal_statistic((0, 0.5, 1.5, 2), (0, 1, 2)), {"phi": (0.0, 0.5, 1.0, 2.0)},
+                 (0.15, 0.95, 0.5, 0.25, 0.75, 0.05, 0.65, 0.45, 0.85, 0.35), 7.0,
+                 {0.0: "0x1.99b8cec01f352p-1", 2.0: "0x1.a32609dba5229p-1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_ORACLE))
+def test_brute_force_values_are_pinned(name):
+    arr, stat, bias, ubar_or_u, critical, want = _PINNED_ORACLE[name]
+    t = ContingencyTable.from_array(arr)
+    m = t.margins()
+    if len(ubar_or_u) == m.J:
+        outcomes, u = ConfounderClass(ubar_or_u).subjects(m)
+    else:
+        outcomes, u = [j for j, k in enumerate(m.cols) for _ in range(k)], RawConfounder(ubar_or_u)
+    for gamma, p in want.items():
+        model = SensitivityModel(gamma=gamma, **bias)
+        assert brute_force_alpha(stat, t, u, outcomes, model, critical).hex() == p
+
+
 def test_brute_force_weights_do_not_overflow_at_large_gamma():
     t = ContingencyTable.from_array([[3, 1], [1, 3]])
     stat = ordinal_statistic((0, 1), (0, 1))

@@ -212,12 +212,13 @@ def test_tilted_proposal_ratios_are_flat(gamma, rng):
 
 
 def test_sis_traces_are_the_running_share_of_rejected_draws():
-    # the draws of sample m come from the stream (seed, m); the trace is k/i
-    # for the k rejected among the first i draws, bit for bit
+    # the M draws are the rows of one (M, free cells) uniform array from the
+    # seed's stream; the trace is k/i for the k rejected among the first i
+    # draws, bit for bit
     model = SensitivityModel(gamma=1.0, delta=(0, 1, 1))
     c = ConfounderClass((0, 0, 3))
     m, M, seed = T86.margins(), 400, 4
-    U = np.stack([np.random.default_rng([seed, i]).random(_free_cells(m)) for i in range(M)])
+    U = np.random.default_rng(seed).random((M, _free_cells(m)))
     tables, _ = _tilted_fill(m, c, model, U)
     critical = STAT(T86)
     keep = STAT.evaluate_batch(tables) >= critical - statistic_tolerance(critical)
@@ -225,6 +226,25 @@ def test_sis_traces_are_the_running_share_of_rejected_draws():
     trace = estimate_alpha_sis(seed, STAT, T86, c, model, M=M)
     np.testing.assert_array_equal(trace.estimates, want)
     assert trace.final == want[-1]
+
+
+@pytest.mark.parametrize("gamma", [1.0, 700.0])
+def test_traces_of_m_draws_are_the_prefix_of_longer_runs(gamma):
+    # one stream per call: the first 200 draws of a 400-draw run are the
+    # 200-draw run's draws, and each trace entry reads only the draws up to
+    # it; PermTreat's weights were once scaled by the largest of all M, which
+    # moved the prefix with real-valued u and left 0/0 entries at gamma 700
+    model = SensitivityModel(gamma=gamma, delta=(0, 1, 1))
+    c = ConfounderClass((0, 0, 3))
+    outcomes, _ = c.subjects(T86.margins())
+    u = RawConfounder(tuple(np.random.default_rng(1).random(T86.margins().N)))
+    for seed in range(5):
+        sis = [estimate_alpha_sis(seed, STAT, T86, c, model, M=M).estimates for M in (200, 400)]
+        perm = [estimate_alpha_permtreat(seed, STAT, T86, u, outcomes, model, M=M).estimates
+                for M in (200, 400)]
+        for short, long in (sis, perm):
+            np.testing.assert_array_equal(short, long[:200])
+            assert np.isfinite(long).all()
 
 
 def test_sis_traces_are_one_when_every_table_is_rejected():
