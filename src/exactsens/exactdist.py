@@ -57,17 +57,21 @@ Each closed-form law the package shares is implemented once.  The
 bounded-composition expander (``_bounded_compositions`` and
 ``_bounded_compositions_many``) lives in ``tables``, where it also builds
 ``enumerate_fixed_margin_array``; here it gives the supports behind
-``omega_q``, the per-column allocations and the column network.  The rest
-live here:
+``omega_q``, the MVEHG laws, the per-column allocations and the column
+network.  The rest live here:
 
-* ``_mvehg_law``: the multivariate extended (Fisher noncentral)
+* ``_mvehg_laws``: the multivariate extended (Fisher noncentral)
   hypergeometric law that the I x 2 column counts follow at the sign-score
-  worst case, at one weight vector or a stack of them over one support
-  (built per call, never cached).  ``mvehg_pmf``, ``signscore_tail``, the
-  sign-score worst case (``worstcase``, one call per Gamma grid), the size
-  study (one law for both curves) and the Q law (``moments.dist_q``) take
-  their probabilities from it, and ``tail_mass`` is their one P(T >= c)
-  tie rule;
+  worst case, for a stack of (rows, total) keys at one weight vector or a
+  stack of them (built per call, never cached).  One
+  ``_bounded_compositions_many`` call lays the keys' supports end to end,
+  and each key is normalized on its own rows, so it equals its one-key
+  call, ``_mvehg_law``, bit for bit.  ``mvehg_pmf``, ``signscore_tail``,
+  the sign-score worst case (``worstcase``, one call per Gamma grid and,
+  in the power study, one per chunk of keys), the size study (one law for
+  both curves) and the Q law (``moments.dist_q``) take their
+  probabilities from it, and ``tail_mass``, applied per key, is their one
+  P(T >= c) tie rule;
 * ``_sequential_weighted_draw``: the suffix-normalizer sampler behind the
   tilted SIS proposal (``montecarlo``);
 * ``_log_block_normalizer``: the binary-delta normalizer C(u), from the
@@ -1263,28 +1267,62 @@ def _mvehg_law(
     P(t) is proportional to prod_i C(m_i, t_i) e^{w_i t_i} on the simplex slice
     sum t_i = n.  One (I,) weight vector gives (S,) probabilities, a (G, I)
     stack (G, S), one law per row over the one support.  A non-integer row
-    count or n, or a non-finite weight, raises ``ValueError``.
+    count or n, or a non-finite weight, raises ``ValueError``.  The one-key
+    case of ``_mvehg_laws``.
     """
-    m_rows = _integers(m_rows, "m_rows")
-    (n,) = _integers([n], "n")
+    support, _, probs = _mvehg_laws([_integers(m_rows, "m_rows")], _integers([n], "n"), weights)
+    return support, probs
+
+
+def _mvehg_laws(
+    m_rows: Sequence[Sequence[int]] | np.ndarray,
+    totals: Sequence[int] | np.ndarray,
+    weights: Sequence[float] | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(support, starts, probabilities) of K laws, one per key (``m_rows[k]``, ``totals[k]``).
+
+    The keys' supports lie one after another in the (S, I) ``support``, key k
+    in rows ``starts[k]:starts[k + 1]`` (lexicographic, from one
+    ``_bounded_compositions_many`` call), and ``probs`` is (S,) for one (I,)
+    weight vector, shared by the keys, or (G, S) for a (G, I) stack.  Each
+    key is normalized on its own rows by the same operations as a one-key
+    call (``math.log(comb(m, x))``, ``support @ w``, its own max, exp and
+    sum), so its probabilities equal that call's bit for bit.  Rows and
+    totals are integers (``_mvehg_law`` checks them); a key whose total its
+    rows cannot reach raises ``ValueError``.
+    """
+    rows = np.asarray(m_rows, dtype=np.int64).reshape(len(totals), -1)
+    n = np.asarray(totals, dtype=np.int64)
     w = np.asarray(weights, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[-1] != len(m_rows):
+    if w.ndim not in (1, 2) or w.shape[-1] != rows.shape[1]:
         raise ValueError("weights must match m_rows length")
     if not np.isfinite(w).all():
         raise ValueError(f"weights must be finite, not {w.tolist()}")
-    support = _bounded_compositions(n, m_rows)
-    if not len(support):
+    support, owner = _bounded_compositions_many(n, rows)
+    starts = np.searchsorted(owner, np.arange(len(n) + 1))
+    if (np.diff(starts) == 0).any():
         raise ValueError("empty support")
+    # one table of log C(m, x) per distinct row count, up to the largest x read
+    ms, at = np.unique(rows, return_inverse=True)
+    top = int(n.max())
+    logcomb = np.zeros((len(ms), min(int(ms[-1]), top) + 1))
+    for r, m in enumerate(ms.tolist()):
+        logcomb[r, : min(m, top) + 1] = [math.log(comb(m, x)) for x in range(min(m, top) + 1)]
+    at = at.reshape(rows.shape)[owner]
     logc = np.zeros(len(support))
-    for i, mi in enumerate(m_rows):
-        tab = np.array([math.log(comb(mi, x)) for x in range(min(mi, n) + 1)])
-        logc += tab[support[:, i]]
-    probs = np.empty(w.shape[:-1] + logc.shape)
-    for wg, out in zip(w.reshape(-1, len(m_rows)), probs.reshape(-1, len(logc))):
-        logterms = logc + support @ wg
-        np.exp(logterms - logterms.max(), out=out)
-        out /= out.sum()
-    return support, probs
+    for i in range(rows.shape[1]):
+        logc += logcomb[at[:, i], support[:, i]]
+    w2 = w.reshape(-1, rows.shape[1])
+    probs = np.empty((len(w2), len(support)))
+    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        for wg, out in zip(w2, probs[:, a:b]):
+            out[:] = support[a:b] @ wg
+    probs += logc
+    probs -= np.maximum.reduceat(probs, starts[:-1], axis=1)[:, owner]
+    np.exp(probs, out=probs)
+    sums = [probs[:, a:b].sum(axis=1) for a, b in zip(starts[:-1], starts[1:])]
+    probs /= np.stack(sums, axis=1)[:, owner]
+    return support, starts, probs.reshape(w.shape[:-1] + (len(support),))
 
 
 def tail_mass(

@@ -18,14 +18,17 @@ and for the normal approximation; no tables are drawn.  The exact method
 stays below the diagonal; the normal approximation can cross it.
 
 Every power iteration uses the RNG stream (seed, iteration), so all Gamma
-grid points share simulated tables.  ``power_curve`` makes one pass over the
-draws.  An ordinal or pi variant scans each draw with ``worst_case_grid``.  A
-sign-score variant's worst-case null law depends on the draw's rows and
-column-2 total alone, and the treatment margins are fixed by design, so its
-draws are grouped by that pair and each group's p-values come from one MVEHG
-law read at every draw's critical value.  Each curve reports its strategy,
-how many aggregates or laws it built and how many degenerate draws it
-counted as no rejection.
+grid points share simulated tables.  ``power_curve`` draws them all into one
+(iterations, I, J) count stack and makes one pass per variant: one
+transform of the stack, one rule for degenerate draws (a transformed row
+total of 0) and one ``evaluate_batch`` for every critical value.  An ordinal
+or pi variant then scans each draw with ``worst_case_grid``.  A sign-score
+variant's worst-case null law depends on the draw's rows and column-2 total
+alone, and the treatment margins are fixed by design, so one
+``_signscore_pvalues`` call builds the MVEHG law of every distinct pair in
+one law pass and reads each draw's tail off its own pair's law.  Each curve
+reports its strategy, how many aggregates or laws it built and how many
+degenerate draws it counted as no rejection.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not lazily at the first draw)
 
-from exactsens.exactdist import _mvehg_law, _resolve_critical, tail_mass
+from exactsens.exactdist import _mvehg_law, tail_mass
 from exactsens.moments import normal_tail
 from exactsens.sensmodel import SensitivityError, SensitivityModel, check_gammas, check_level
 from exactsens.stats import TestStatistic, ordinal_statistic
@@ -115,25 +118,31 @@ def conditional_outcome_probs(dgp: LogLinearDGP) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def sample_table_fixed_treatment(rng: np.random.Generator, dgp: LogLinearDGP) -> ContingencyTable:
-    """Row i is a multinomial draw of size N_i. from its conditional law."""
+def _multinomial_rows(
+    rng: np.random.Generator, dgp: LogLinearDGP, probs: np.ndarray
+) -> np.ndarray:
+    """(I, J) counts: row i is a multinomial draw of size N_i. from ``probs[i]``."""
     margins = dgp.treatment_margins
     if any(v < 1 for v in margins):
         raise ValueError("treatment margins must be positive")
-    probs = conditional_outcome_probs(dgp)
-    counts = np.stack([rng.multinomial(n, probs[i]) for i, n in enumerate(margins)])
+    return np.stack([rng.multinomial(n, probs[i]) for i, n in enumerate(margins)])
+
+
+def sample_table_fixed_treatment(rng: np.random.Generator, dgp: LogLinearDGP) -> ContingencyTable:
+    """Row i is a multinomial draw of size N_i. from its conditional law."""
     # keep every outcome level present in the type, even if unobserved
-    return ContingencyTable.from_array(counts)
+    return ContingencyTable.from_array(_multinomial_rows(rng, dgp, conditional_outcome_probs(dgp)))
 
 
 @dataclass(frozen=True)
 class PowerTestSpec:
     """One test variant in a power study: an optional transform plus scores.
 
-    ``col_groups``/``row_groups`` collapse levels; ``keep_rows``/``keep_cols``
-    cross-cut; a spec sets one kind or neither.  ``delta`` is the bias vector
-    used for this variant's sensitivity analysis (dimension = rows after
-    transform).
+    ``col_groups``/``row_groups`` collapse levels (an unset one keeps its
+    axis); ``keep_rows``/``keep_cols`` cross-cut (an unset one keeps every
+    level of its axis); a spec sets one kind or neither.  ``delta`` is the
+    bias vector used for this variant's sensitivity analysis (dimension =
+    rows after transform).
     """
 
     name: str
@@ -151,12 +160,14 @@ class PowerTestSpec:
         ):
             raise ValueError(f"test {self.name!r}: set level groups or a cross-cut, not both")
 
-    def transform(self, t: ContingencyTable) -> ContingencyTable:
+    def transform(self, t: ContingencyTable | np.ndarray) -> ContingencyTable | np.ndarray:
+        """The variant's table of ``t``, or of each table of an (M, I, J) count stack."""
         if self.keep_rows is not None or self.keep_cols is not None:
             return crosscut(t, self.keep_rows, self.keep_cols)
         if self.row_groups is not None or self.col_groups is not None:
-            rg = self.row_groups or tuple((i,) for i in range(t.I))
-            cg = self.col_groups or tuple((j,) for j in range(t.J))
+            I, J = (t.I, t.J) if isinstance(t, ContingencyTable) else np.shape(t)[-2:]
+            rg = self.row_groups or tuple((i,) for i in range(I))
+            cg = self.col_groups or tuple((j,) for j in range(J))
             return collapse(t, rg, cg)
         return t
 
@@ -231,9 +242,9 @@ def power_curve(
     it (common random numbers), which makes paired comparisons between
     tests meaningful.  An ordinal or pi variant costs one gamma-free
     aggregate per draw; a sign-score variant costs one MVEHG law per
-    distinct (rows, column-2 total) of its transformed draws, since the
-    worst-case null law depends on the margins alone and each draw only
-    moves the critical value.  With ``return_matrix`` the raw (iterations,
+    distinct (rows, column-2 total) of its transformed draws, all built in
+    one law pass, since the worst-case null law depends on the margins
+    alone and each draw only moves the critical value.  With ``return_matrix`` the raw (iterations,
     variant, gamma) rejection indicators are returned alongside the curves.
     A level outside (0, 1] raises ``ValueError``.
     """
@@ -262,36 +273,30 @@ def power_curve(
         models.append(SensitivityModel(gamma=gammas[0], delta=spec.delta))
         strategies.append(_resolve_strategy(stats[-1], models[-1], m, "auto"))
     arr = np.zeros((iterations, len(specs), len(gammas)))  # (iters, spec, gamma)
-    builds = [0] * len(specs)
-    skipped = [0] * len(specs)
-    # sign-score draws by (variant, rows, column-2 total): (iteration, critical)
-    signscore: dict[tuple, list[tuple[int, float]]] = {}
-    for it in range(iterations):
-        t = sample_table_fixed_treatment(np.random.default_rng([seed, it]), dgp)
-        for si, spec in enumerate(specs):
-            try:
-                tt = spec.transform(t)
-                m = tt.margins()
-            except ValueError:
-                # a draw can leave a transformed table degenerate (e.g. an empty
-                # cross-cut row); no retained data means no rejection
-                skipped[si] += 1
-                continue
-            if strategies[si] == "signscore":
-                crit = _resolve_critical(stats[si], tt, None)
-                signscore.setdefault((si, m.rows, m.cols[1]), []).append((it, crit))
-            else:
-                results = worst_case_grid(stats[si], tt, models[si], gammas,
-                                          strategy=strategies[si])
-                arr[it, si] = [res.pvalue <= alpha_level for res in results]
-                builds[si] += 1
-    for (si, rows, n), draws in signscore.items():
-        its, crits = zip(*draws)
-        p = _signscore_pvalues(stats[si], rows, n, models[si].bias, gammas, crits)  # (G, M)
-        arr[list(its), si] = (np.minimum(p, 1.0) <= alpha_level).T
-        builds[si] += 1
+    probs = conditional_outcome_probs(dgp)
+    counts = np.stack([_multinomial_rows(np.random.default_rng([seed, it]), dgp, probs)
+                       for it in range(iterations)])
     out: dict[str, RejectionCurve] = {}
     for si, spec in enumerate(specs):
+        tabs = spec.transform(counts)
+        # a draw can leave a transformed row empty (e.g. a cross-cut row with
+        # no retained subjects); no retained data means no rejection
+        live = np.flatnonzero(tabs.sum(axis=2).min(axis=1) > 0)
+        tabs = tabs[live]
+        crits = stats[si].evaluate_batch(tabs)
+        if strategies[si] == "signscore":
+            keys, key = np.unique(np.column_stack([tabs.sum(axis=2), tabs[:, :, 1].sum(axis=1)]),
+                                  axis=0, return_inverse=True)
+            p = _signscore_pvalues(stats[si], keys[:, :-1], keys[:, -1], models[si].bias,
+                                   gammas, crits, key.reshape(-1))  # (G, live draws)
+            arr[live, si] = (np.minimum(p, 1.0) <= alpha_level).T
+            builds = len(keys)
+        else:
+            for it, tab, crit in zip(live.tolist(), tabs, crits.tolist()):
+                results = worst_case_grid(stats[si], ContingencyTable.from_array(tab), models[si],
+                                          gammas, crit, strategy=strategies[si])
+                arr[it, si] = [res.pvalue <= alpha_level for res in results]
+            builds = len(live)
         rates = arr[:, si, :].mean(axis=0)
         out[spec.name] = RejectionCurve(
             grid=tuple(gammas),
@@ -301,8 +306,8 @@ def power_curve(
             alpha_level=alpha_level,
             mc_sigma=tuple(float(v) for v in np.sqrt(rates * (1 - rates) / iterations)),
             strategy=strategies[si],
-            builds=builds[si],
-            skipped=skipped[si],
+            builds=builds,
+            skipped=iterations - len(live),
         )
     if return_matrix:
         return out, arr

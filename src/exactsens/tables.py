@@ -14,7 +14,8 @@ bounded-composition expander that the exact engine's column network shares.
 ``collapse`` and ``crosscut`` are the table transforms used when comparing a
 full I x J test against coarsened variants: collapsing merges adjacent levels
 by summation, cross-cutting keeps only extreme levels and drops the subjects
-in between.
+in between.  Both take one table or a stack of count arrays, which the power
+study transforms in one call.
 """
 
 from __future__ import annotations
@@ -242,8 +243,8 @@ def _bounded_compositions(total: int, bounds: Sequence[int]) -> np.ndarray:
 
     Returns them as the rows of an (S, n) int64 array in lexicographic order;
     no rows when ``total`` lies outside ``[0, sum(bounds)]``.  The one-owner
-    case of ``_bounded_compositions_many``, behind ``exactdist.omega_q``, the
-    MVEHG support and the per-column splits of ``exactdist._table_q_weights``.
+    case of ``_bounded_compositions_many``, behind ``exactdist.omega_q`` and
+    the per-column splits of ``exactdist._table_q_weights``.
     """
     bounds = np.asarray(bounds, dtype=np.int64).reshape(1, -1)
     if not 0 <= total <= int(bounds.sum()):
@@ -264,8 +265,9 @@ def _bounded_compositions_many(
     caps can absorb), in ascending order, so only feasible prefixes are ever
     made, and the last entry takes the remainder.  An owner whose total its
     caps cannot meet gets no rows.  Behind ``enumerate_fixed_margin_array``
-    (one row of every table per call) and the exact engine's column network
-    (``exactdist._column_network``, one column per call).
+    (one row of every table per call), the exact engine's column network
+    (``exactdist._column_network``, one column per call) and the MVEHG
+    supports (``exactdist._mvehg_laws``, one (rows, total) key per owner).
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     rem = np.asarray(totals, dtype=np.int64)
@@ -326,31 +328,63 @@ def _check_partition(groups: Sequence[Sequence[int]], n: int, what: str) -> list
     return out
 
 
+def _counts(t: ContingencyTable | np.ndarray) -> np.ndarray:
+    return t.as_array() if isinstance(t, ContingencyTable) else np.asarray(t)
+
+
+def _like(t: ContingencyTable | np.ndarray, out: np.ndarray) -> ContingencyTable | np.ndarray:
+    return ContingencyTable.from_array(out) if isinstance(t, ContingencyTable) else out
+
+
 def collapse(
-    t: ContingencyTable,
+    t: ContingencyTable | np.ndarray,
     row_groups: Sequence[Sequence[int]],
     col_groups: Sequence[Sequence[int]],
-) -> ContingencyTable:
-    """Merge adjacent levels: cell (g, h) sums counts over the given blocks."""
-    rs = [g[0] for g in _check_partition(row_groups, t.I, "row")]
-    cs = [g[0] for g in _check_partition(col_groups, t.J, "column")]
+) -> ContingencyTable | np.ndarray:
+    """Merge adjacent levels: cell (g, h) sums counts over the given blocks.
+
+    ``t`` is a table, giving a table, or an (M, I, J) count stack, giving the
+    (M, G, H) stack of each table's collapse.
+    """
+    arr = _counts(t)
+    rs = [g[0] for g in _check_partition(row_groups, arr.shape[-2], "row")]
+    cs = [g[0] for g in _check_partition(col_groups, arr.shape[-1], "column")]
     # the blocks are contiguous runs, so one reduceat per axis over their
     # sorted starts sums them; blocks given out of order are put back after
-    out = np.add.reduceat(np.add.reduceat(t.as_array(), sorted(rs), axis=0), sorted(cs), axis=1)
+    out = np.add.reduceat(np.add.reduceat(arr, sorted(rs), axis=-2), sorted(cs), axis=-1)
     if rs != sorted(rs) or cs != sorted(cs):
-        out = out[np.ix_([sorted(rs).index(v) for v in rs], [sorted(cs).index(v) for v in cs])]
-    return ContingencyTable.from_array(out)
+        out = out.take([sorted(rs).index(v) for v in rs], axis=-2)
+        out = out.take([sorted(cs).index(v) for v in cs], axis=-1)
+    return _like(t, out)
+
+
+def _kept(keep: Sequence[int] | None, n: int, what: str) -> list[int]:
+    if keep is None:
+        return list(range(n))
+    kept = sorted(int(v) for v in keep)
+    for a, b in zip(kept, kept[1:]):
+        if a == b:
+            raise ValueError(f"cross-cut repeats {what} index {a}")
+    return kept
 
 
 def crosscut(
-    t: ContingencyTable, keep_rows: Sequence[int], keep_cols: Sequence[int]
-) -> ContingencyTable:
-    """Keep only the selected rows and columns; subjects elsewhere are dropped."""
-    kr = sorted(int(v) for v in keep_rows)
-    kc = sorted(int(v) for v in keep_cols)
-    if len(set(kr)) < 2 or len(set(kc)) < 2:
+    t: ContingencyTable | np.ndarray,
+    keep_rows: Sequence[int] | None,
+    keep_cols: Sequence[int] | None,
+) -> ContingencyTable | np.ndarray:
+    """Keep only the selected rows and columns; subjects elsewhere are dropped.
+
+    ``None`` keeps every level of that axis.  The kept levels stay in
+    ascending order, and an index given twice raises ``ValueError``.  ``t``
+    is a table, giving a table, or an (M, I, J) count stack, giving the
+    stack of each table's cross-cut.
+    """
+    arr = _counts(t)
+    I, J = arr.shape[-2:]
+    kr, kc = _kept(keep_rows, I, "row"), _kept(keep_cols, J, "column")
+    if len(kr) < 2 or len(kc) < 2:
         raise ValueError("cross-cut must retain at least 2 rows and 2 columns")
-    if kr[0] < 0 or kr[-1] >= t.I or kc[0] < 0 or kc[-1] >= t.J:
+    if kr[0] < 0 or kr[-1] >= I or kc[0] < 0 or kc[-1] >= J:
         raise ValueError("cross-cut index out of range")
-    arr = t.as_array()[np.ix_(kr, kc)]
-    return ContingencyTable.from_array(arr)
+    return _like(t, arr.take(kr, axis=-2).take(kc, axis=-1))

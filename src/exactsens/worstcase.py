@@ -18,13 +18,16 @@ in ``WorstCaseResult.strategy_used``, and reduces it to two arrays: the
 table from one gamma-free build for the whole grid.  For a corner scan that
 is a table aggregation, ``RejectionAggregate.suffix_alpha_table`` for the
 ordinal suffix classes and ``alpha_table`` for the full per-outcome grid;
-for the sign score, ``_signscore_pvalues``: one ``_mvehg_law`` call for
+for the sign score, ``_signscore_pvalues``: one ``_mvehg_laws`` call for
 the whole grid, the statistic evaluated once on its support and one
-``tail_mass`` over any number of critical values (the power study hands it
-every draw that shares the rows and column-2 total).  One tie rule then
-scans each gamma's column in candidate order, keeping the first maximizer
-up to ``_TIE_REL`` so ties break toward the lexicographically smallest
-class, and builds a ``ConfounderClass`` for the winner only.
+``tail_mass`` over any number of critical values.  The power study hands
+it every distinct (rows, column-2 total) key of a variant's draws at once:
+the keys' laws come from one law pass (in chunks of bounded memory) and
+each draw's tail is read off its own key's law, never a sum across keys.
+One tie rule then scans each gamma's column in candidate order, keeping the
+first maximizer up to ``_TIE_REL`` so ties break toward the
+lexicographically smallest class, and builds a ``ConfounderClass`` for the
+winner only.
 Dose (phi) models are refused outside the sign-score family: interior
 confounders can beat every corner there, so a corner scan would be wrong.
 """
@@ -37,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from exactsens.exactdist import (
-    RejectionAggregate, _mvehg_law, _resolve_critical, tail_mass,
+    _CHUNK_BYTES, RejectionAggregate, _mvehg_laws, _resolve_critical, tail_mass,
 )
 from exactsens.sensmodel import ConfounderClass, SensitivityError, SensitivityModel, check_gammas
 from exactsens.stats import TestFamily, TestStatistic
@@ -150,24 +153,47 @@ def _resolve_strategy(
 
 def _signscore_pvalues(
     test: TestStatistic,
-    rows: Sequence[int],
-    n: int,
+    rows: Sequence[int] | np.ndarray,
+    n: int | np.ndarray,
     bias: Sequence[float],
     gammas: Sequence[float],
     criticals: Sequence[float],
+    key: np.ndarray | None = None,
 ) -> np.ndarray:
     """(G, M) sign-score worst-case alphas P(T >= c) at u+ = (0, n), per gamma and critical.
 
-    One ``_mvehg_law`` call for the whole grid: when J = 2, T is a function of
-    the column-2 count vector, so the statistic is evaluated once on the
-    reconstructed tables over the support, and one ``tail_mass`` reads off
-    every critical value.  Column m of the result equals a one-critical
-    call with ``criticals[m]`` bit for bit.
+    One key is (I,) ``rows`` and an int ``n``; K keys are (K, I) ``rows``
+    and (K,) ``n``, and ``key[m]`` is the key of ``criticals[m]``.  When
+    J = 2, T is a function of the column-2 count vector, so the keys' laws
+    come from ``_mvehg_laws`` at the whole grid, the statistic is evaluated
+    once on the reconstructed tables over their supports, and one
+    ``tail_mass`` per key reads off its critical values, on that key's
+    support alone.  Keys go in chunks whose supports fit ``_CHUNK_BYTES``.
+    Column m of the result equals a one-key, one-critical call with
+    ``criticals[m]`` bit for bit.
     """
     weights = [[g * b for b in bias] for g in gammas]
-    support, probs = _mvehg_law(rows, n, weights)
-    tvals = test.evaluate_batch(np.stack([np.asarray(rows)[None, :] - support, support], axis=2))
-    return tail_mass(tvals, probs, np.asarray(criticals, dtype=float))
+    criticals = np.asarray(criticals, dtype=float)
+    n = np.asarray(n, dtype=np.int64).reshape(-1)
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    key = np.zeros(len(criticals), dtype=np.int64) if key is None else np.asarray(key)
+    order = np.argsort(key, kind="stable")
+    draws = np.split(order, np.searchsorted(key[order], np.arange(1, len(n))))
+    # a key's support has at most prod_{i < I - 1} (min(m_i, n) + 1) rows,
+    # each held as its counts, its table, its statistic and its G probabilities
+    size = np.prod(np.minimum(rows[:, :-1], n[:, None]) + 1.0, axis=1)
+    fits = np.cumsum(size * 8 * (3 * rows.shape[1] + 2 * len(weights) + 4))
+    out = np.empty((len(weights), len(criticals)))
+    lo = 0
+    while lo < len(n):
+        hi = lo + max(1, int(np.sum(fits[lo:] - (fits[lo - 1] if lo else 0) <= _CHUNK_BYTES)))
+        support, starts, probs = _mvehg_laws(rows[lo:hi], n[lo:hi], weights)
+        owner = np.repeat(np.arange(lo, hi), np.diff(starts))
+        tvals = test.evaluate_batch(np.stack([rows[owner] - support, support], axis=2))
+        for k, a, b in zip(range(lo, hi), starts[:-1].tolist(), starts[1:].tolist()):
+            out[:, draws[k]] = tail_mass(tvals[a:b], probs[:, a:b], criticals[draws[k]])
+        lo = hi
+    return out
 
 
 def worst_case_pvalue(

@@ -133,7 +133,7 @@ def test_power_misconfigured_variant_raises_before_simulating(monkeypatch):
     dgp4 = LogLinearDGP(0.0, (0.0,) * 4, (0.0,) * 4, 1.0, (0, 1, 2, 3), (0, 1, 2, 3),
                         (5, 5, 5, 5))
     suite = standard_test_suite(dgp4.alpha_star, dgp4.beta_star, (0, 1, 1, 1))
-    monkeypatch.setattr("exactsens.simulate.sample_table_fixed_treatment", None)
+    monkeypatch.setattr("exactsens.simulate._multinomial_rows", None)
     with pytest.raises(ValueError, match="test variant '3x2-v1': column blocks"):
         power_curve(1, dgp4, suite, [0.0], iterations=3)
     with pytest.raises(ValueError, match="test variant '2x2-v1': row blocks"):
@@ -222,6 +222,37 @@ def test_power_degenerate_and_pi_variants_equal_per_draw_scans():
     np.testing.assert_array_equal(matrix, per_draw_rejections(
         2, CASE_I, [pi], [0.0, 1.0], 4, 0.05))
     assert (curves["3x2-pi"].strategy, curves["3x2-pi"].builds) == ("pi", 4)
+
+
+@pytest.mark.parametrize("cut,delta", [({"keep_rows": (0, 2)}, (0, 1)),
+                                       ({"keep_cols": (0, 2)}, (0, 1, 1))])
+def test_power_one_sided_crosscut_equals_per_draw_scans(cut, delta):
+    # the unset axis keeps every level: a 2 x 3 ordinal or a 3 x 2 sign-score variant
+    rows = CASE_I.alpha_star if "keep_cols" in cut else (0.0, 1.0)
+    cols = CASE_I.beta_star if "keep_rows" in cut else (0.0, 1.0)
+    spec = PowerTestSpec("cut", rows, cols, delta, **cut)
+    curves, matrix = power_curve(5, CASE_I, spec, [0.0, 1.0], iterations=6,
+                                 return_matrix=True)
+    np.testing.assert_array_equal(matrix, per_draw_rejections(
+        5, CASE_I, [spec], [0.0, 1.0], 6, 0.05))
+    assert curves["cut"].strategy == ("ordinal" if "keep_rows" in cut else "signscore")
+
+
+def test_suite_statistics_of_a_stack_equal_per_table_statistics():
+    # the power study transforms and scores every draw in one call per variant
+    from exactsens.tables import ContingencyTable
+
+    counts = np.stack([
+        sample_table_fixed_treatment(np.random.default_rng([4, it]), CASE_I).as_array()
+        for it in range(25)
+    ])
+    counts[:3, 2, [0, 2]] = 0  # the cross-cut keeps nobody of row 2
+    for spec in standard_test_suite(CASE_I.alpha_star, CASE_I.beta_star):
+        stat = spec.statistic()
+        tabs = spec.transform(counts)
+        assert tabs.tolist() == [spec.transform(ContingencyTable.from_array(c)).as_array().tolist()
+                                 for c in counts]
+        assert stat.evaluate_batch(tabs).tolist() == [stat(tab) for tab in tabs]
 
 
 @pytest.mark.parametrize("level", [float("nan"), math.inf, 0.0, -1.0, 1.5])

@@ -175,6 +175,44 @@ def test_crosscut():
         crosscut(t, (0,), (0, 2))
 
 
+def test_crosscut_refuses_a_repeated_index():
+    # a repeated row used to count its subjects twice
+    t = ContingencyTable.from_array([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    with pytest.raises(ValueError, match="repeats row index 0"):
+        crosscut(t, (0, 0, 2), (0, 2))
+    with pytest.raises(ValueError, match="repeats column index 2"):
+        crosscut(t, (0, 1), (2, 0, 2))
+
+
+def test_crosscut_of_an_unset_axis_keeps_every_level():
+    t = ContingencyTable.from_array([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert crosscut(t, (0, 2), None).counts == ((1, 2, 3), (7, 8, 9))
+    assert crosscut(t, None, (2, 0)).counts == ((1, 3), (4, 6), (7, 9))
+    assert crosscut(t, None, None).counts == t.counts
+
+
+def test_stacked_transforms_equal_per_table_transforms():
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, 4, size=(40, 3, 3))
+    stack[:, 2, 2] += 1
+    stack[:5, 1] = 0  # an empty middle row
+    stack[5:9, 0, [0, 2]] = 0  # the cross-cut keeps nobody of row 0
+    cases = [
+        (collapse, [(0,), (1, 2)], [(0, 1), (2,)]),
+        (collapse, [(1, 2), (0,)], [(2,), (0, 1)]),
+        (collapse, [(0,), (1,), (2,)], [(0,), (1, 2)]),
+        (crosscut, (0, 2), (0, 2)),
+        (crosscut, (2, 0), None),
+        (crosscut, None, (1, 2)),
+    ]
+    for transform, a, b in cases:
+        got = transform(stack, a, b)
+        assert got.dtype == stack.dtype and got.ndim == 3
+        want = [transform(ContingencyTable.from_array(tab), a, b).counts for tab in stack]
+        assert [tuple(map(tuple, g)) for g in got.tolist()] == want
+    assert (crosscut(stack, (0, 2), (0, 2))[5:9, 0] == 0).all()
+
+
 def test_validation():
     with pytest.raises(ValueError):
         ContingencyTable.from_array([[0, 0], [0, 0]])

@@ -342,6 +342,50 @@ def test_signscore_pvalues_of_many_criticals_equal_one_critical_calls(model):
         assert {r.strategy_used for r in grid} == {"signscore"}
 
 
+# keys of different rows, as the power study's cross-cut makes; with alpha
+# (0, 1) and no tilt, T >= 400 on rows (400, 400) and n = 400 has mass
+# 1 / C(800, 400), about 1e-240, next to tails near 1
+MULTI_KEYS = [((400, 400), 400), ((5, 7), 6), ((12, 9), 10), ((400, 400), 3), ((5, 7), 0)]
+MULTI_DRAWS = [(0, 400.0), (1, 2.0), (0, 1.0), (2, 9.0), (3, 1.0), (1, 6.0), (0, 0.0),
+               (4, 0.0), (2, 0.5), (0, 399.0), (3, 3.0)]
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.0], [[0.0, 0.0], [0.0, 0.5], [-1.0, 3.0]]])
+def test_mvehg_laws_of_many_keys_equal_one_key_calls(weights):
+    rows = [r for r, _ in MULTI_KEYS]
+    totals = [n for _, n in MULTI_KEYS]
+    support, starts, probs = exactdist._mvehg_laws(rows, totals, weights)
+    assert probs.shape == np.shape(weights)[:-1] + (len(support),)
+    for k, (r, n) in enumerate(MULTI_KEYS):
+        one_support, one = exactdist._mvehg_law(r, n, weights)
+        a, b = starts[k], starts[k + 1]
+        assert support[a:b].tolist() == one_support.tolist()
+        assert probs[..., a:b].tolist() == one.tolist()
+    with pytest.raises(ValueError, match="empty support"):
+        exactdist._mvehg_laws([(5, 7), (2, 2)], [3, 5], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_signscore_pvalues_of_many_keys_equal_one_key_calls(chunk, monkeypatch):
+    # each draw's tail is read from its own key's law, never a suffix sum
+    # across keys: the 1e-240 tail stays exact next to tails near 1
+    if chunk is not None:  # one key per law pass
+        monkeypatch.setattr("exactsens.worstcase._CHUNK_BYTES", chunk)
+    stat = ordinal_statistic((0.0, 1.0), (0, 1))
+    gammas = [0.0, 0.5, 2.0]
+    rows = [r for r, _ in MULTI_KEYS]
+    totals = [n for _, n in MULTI_KEYS]
+    key, crits = zip(*MULTI_DRAWS)
+    got = _signscore_pvalues(stat, rows, totals, (0, 1), gammas, crits, np.array(key))
+    assert got.shape == (len(gammas), len(MULTI_DRAWS))
+    for m, (k, c) in enumerate(MULTI_DRAWS):
+        r, n = MULTI_KEYS[k]
+        one = _signscore_pvalues(stat, r, n, (0, 1), gammas, [c])
+        assert got[:, [m]].tolist() == one.tolist()
+    assert 0 < got[0, 0] < 1e-200 and got[0, 0] == pytest.approx(1 / math.comb(800, 400))
+    assert 0.999 < got[0, 8] < 1 and got[0, 2] == got[0, 6] == 1.0
+
+
 def test_grids_refuse_non_finite_or_negative_gamma():
     model = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
     ordinal = ordinal_statistic((0, 1, 2), (0, 1, 2))
