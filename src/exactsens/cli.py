@@ -34,6 +34,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import exactsens
 from exactsens.exactdist import ORACLE_CAP, exact_alpha, exact_alpha_grid
@@ -428,74 +429,104 @@ def _add_table(p: argparse.ArgumentParser, sample: bool) -> None:
     p.add_argument("--fixed-ubar", dest="fixed_ubar", required=sample, help=fixed)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_NO_DRAWS = "ignored: the command draws no random numbers"
+
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+    _add_table(p, sample=False)
+    p.add_argument("--strategy", default="auto", choices=["auto", "pi", "ordinal", "signscore"])
+    _add_common(p, _NO_DRAWS + " (it is echoed in the CSV header)")
+    p.set_defaults(fn=cmd_analyze)
+
+
+def _stratified_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="stratified JSON document")
+    p.add_argument("--tau", type=float, default=None,
+                   help="truncation threshold (default from input or 0.2)")
+    p.add_argument("--iterations", type=int, default=None,
+                   help="ignored: the combined p-value is exact")
+    p.add_argument("--level", type=float, default=0.05,
+                   help="familywise level for closed testing")
+    _add_common(p, _NO_DRAWS)
+    p.set_defaults(fn=cmd_stratified)
+
+
+def _power_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("config", help="JSON file with the DGP parameters")
+    p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--level", type=float, default=0.05)
+    p.add_argument("--suite", action="store_true",
+                   help="run the full collapsed/cross-cut comparison suite")
+    _add_common(p)
+    p.set_defaults(fn=cmd_power)
+
+
+def _size_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rows", required=True, help="treatment margins, e.g. 60,10,20")
+    p.add_argument("--cols", required=True, help="outcome margins, e.g. 15,75")
+    _add_bias(p)
+    p.add_argument("--alpha", default=None, help="sign-score treatment scores")
+    p.add_argument("--nominal", default=None,
+                   help="comma-separated nominal levels (default 0.01..0.99)")
+    _add_common(p, _NO_DRAWS)
+    p.set_defaults(fn=cmd_size)
+
+
+def _sample_arguments(p: argparse.ArgumentParser) -> None:
+    _add_table(p, sample=True)
+    p.add_argument("--iterations", type=int, default=10_000)
+    p.add_argument("--with-exact", dest="with_exact", action="store_true",
+                   help="append the exact p-value column")
+    _add_common(p)
+    p.set_defaults(fn=cmd_sample)
+
+
+def _oracle_check_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--nmax", type=int, default=ORACLE_CAP,
+                   help=f"largest N in the battery, 4 to {ORACLE_CAP}")
+    p.add_argument("--cases", type=int, default=60, help="number of seeded random instances")
+    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.set_defaults(fn=cmd_oracle_check)
+
+
+# subcommand -> (its line in the top-level help, what adds its arguments)
+_COMMANDS = {
+    "analyze": ("worst-case p-values for one table", _analyze_arguments),
+    "stratified": ("I x J x K analysis from JSON input", _stratified_arguments),
+    "power": ("power curve under the log-linear DGP", _power_arguments),
+    "size": ("exact vs normal size curves (binary outcome)", _size_arguments),
+    "sample": ("sampling-estimator convergence trace", _sample_arguments),
+    "oracle-check": ("kernel vs permutation equivalence battery", _oracle_check_arguments),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The CLI's parser for ``argv``: only the subcommand it names gets its arguments.
+
+    Every subcommand is created, so the top-level help and an unknown
+    command's error list them all; only the one that ``argv`` runs gets its
+    arguments, since each added argument costs a help formatter.  The
+    top-level options take no value, so the command is the first word of
+    ``argv`` that is not an option.
+    """
     ap = argparse.ArgumentParser(
         prog="exactsens",
         description="Exact sensitivity analysis for contingency tables",
     )
     ap.add_argument("--version", action="version", version=exactsens.__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    no_draws = "ignored: the command draws no random numbers"
-
-    pa = sub.add_parser("analyze", help="worst-case p-values for one table")
-    _add_table(pa, sample=False)
-    pa.add_argument("--strategy", default="auto",
-                    choices=["auto", "pi", "ordinal", "signscore"])
-    _add_common(pa, no_draws + " (it is echoed in the CSV header)")
-    pa.set_defaults(fn=cmd_analyze)
-
-    ps = sub.add_parser("stratified", help="I x J x K analysis from JSON input")
-    ps.add_argument("input", help="stratified JSON document")
-    ps.add_argument("--tau", type=float, default=None,
-                    help="truncation threshold (default from input or 0.2)")
-    ps.add_argument("--iterations", type=int, default=None,
-                    help="ignored: the combined p-value is exact")
-    ps.add_argument("--level", type=float, default=0.05,
-                    help="familywise level for closed testing")
-    _add_common(ps, no_draws)
-    ps.set_defaults(fn=cmd_stratified)
-
-    pp = sub.add_parser("power", help="power curve under the log-linear DGP")
-    pp.add_argument("config", help="JSON file with the DGP parameters")
-    pp.add_argument("--iterations", type=int, default=1000)
-    pp.add_argument("--level", type=float, default=0.05)
-    pp.add_argument("--suite", action="store_true",
-                    help="run the full collapsed/cross-cut comparison suite")
-    _add_common(pp)
-    pp.set_defaults(fn=cmd_power)
-
-    pz = sub.add_parser("size", help="exact vs normal size curves (binary outcome)")
-    pz.add_argument("--rows", required=True, help="treatment margins, e.g. 60,10,20")
-    pz.add_argument("--cols", required=True, help="outcome margins, e.g. 15,75")
-    _add_bias(pz)
-    pz.add_argument("--alpha", default=None, help="sign-score treatment scores")
-    pz.add_argument("--nominal", default=None,
-                    help="comma-separated nominal levels (default 0.01..0.99)")
-    _add_common(pz, no_draws)
-    pz.set_defaults(fn=cmd_size)
-
-    pm = sub.add_parser("sample", help="sampling-estimator convergence trace")
-    _add_table(pm, sample=True)
-    pm.add_argument("--iterations", type=int, default=10_000)
-    pm.add_argument("--with-exact", dest="with_exact", action="store_true",
-                    help="append the exact p-value column")
-    _add_common(pm)
-    pm.set_defaults(fn=cmd_sample)
-
-    po = sub.add_parser("oracle-check", help="kernel vs permutation equivalence battery")
-    po.add_argument("--nmax", type=int, default=ORACLE_CAP,
-                    help=f"largest N in the battery, 4 to {ORACLE_CAP}")
-    po.add_argument("--cases", type=int, default=60,
-                    help="number of seeded random instances")
-    po.add_argument("--tolerance", type=float, default=1e-12)
-    po.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    po.set_defaults(fn=cmd_oracle_check)
-
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == named:
+            add_arguments(p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     created: list[str] = []
     try:
         _claim_outputs(args, created)  # an unwritable destination is refused before any work

@@ -804,7 +804,6 @@ def _last_level_bounds(
     lookup = np.full((I, W), -np.inf)
     lookup[:, : len(second)] = second.T
     at = np.arange(I)[:, None, None] * W - X  # + s_i: where g_i(s_i - x) sits
-    back = c + X.T - X  # [x, y]: acc[y - x] in acc padded with c leading -inf
     top, count = np.empty(n), np.empty(n, dtype=np.int64)
     step = max(1, _CHUNK_BYTES // (8 * (c + 1) * (c + 1 + 2 * I)))
     for start in range(0, n, step):
@@ -814,7 +813,13 @@ def _last_level_bounds(
         for i in range(1, I - 1):
             pad = np.full((2 * c + 1, s.shape[1]), -np.inf)
             pad[c:] = acc
-            acc = (pad[back] + h[i][:, None, :]).max(axis=0)
+            # [x, y] = acc[y - x] in acc padded with c leading -inf, that is
+            # row c - x + y of pad: a view of pad whose x stride is minus its
+            # y stride, so nothing is gathered
+            stride = pad.strides[0]
+            back = np.ndarray((c + 1, c + 1, s.shape[1]), buffer=pad, offset=c * stride,
+                              strides=(-stride, stride, pad.strides[1]))
+            acc = (back + h[i][:, None, :]).max(axis=0)
         top[start : start + step] = (acc + h[-1][::-1]).max(axis=0)
         ways = X <= s[0] if I > 2 else X == 0  # to reach y over the rows before the last two
         for i in range(1, I - 2):
@@ -1079,19 +1084,28 @@ class RejectionAggregate:
         for start in range(0, len(U), chunk):
             Uc = U[start : start + chunk]
             out[start : start + chunk] = self._tilted_alphas(
-                self._log_numerators(Uc), g, logC[start : start + chunk])
+                [(self._log_numerators(Uc), 0)], g, logC[start : start + chunk])
         return out
 
     def _tilted_alphas(
-        self, logS: np.ndarray, g: np.ndarray, logC: np.ndarray, d0: int = 0
+        self, parts: Sequence[tuple[np.ndarray, int]], g: np.ndarray, logC: np.ndarray
     ) -> np.ndarray:
-        """(K, G) alphas from the log numerators ``logS`` (K, D), column i holding d = d0 + i.
+        """(K, G) alphas from log numerators given as row blocks (logS (k, D), d0).
 
-        One log-sum-exp per (class, gamma) over the numerator, less the
-        class's log C(u) ``logC`` (K, G), which the caller takes once per scan.
+        Column i of a block's logS holds d = d0 + i, and the blocks' rows
+        are the K classes in order.  One log-sum-exp per (class, gamma) over
+        the tilted numerator, less the class's log C(u) ``logC`` (K, G),
+        which the caller takes once per scan.  Each block is tilted at its
+        own d and laid from the start of the d axis, narrower ones padded
+        with -inf, so a block pays for no other block's range of d.
         """
-        tilt = g[:, None] * np.arange(d0, d0 + logS.shape[1])
-        return np.exp(logsumexp(logS[:, None, :] + tilt, axis=-1) - logC)
+        x, at = np.empty((len(logC), len(g), max(S.shape[1] for S, _ in parts))), 0
+        for S, d0 in parts:
+            k, w = S.shape
+            np.add(S[:, None, :], g[:, None] * np.arange(d0, d0 + w), out=x[at : at + k, :, :w])
+            x[at : at + k, :, w:] = -np.inf
+            at += k
+        return np.exp(logsumexp(x, axis=-1) - logC)
 
     def suffix_alpha_table(self, gammas: Sequence[float]) -> np.ndarray:
         """(N + 1, G) array: ``alpha_table`` over the ordinal suffix classes.
@@ -1110,13 +1124,27 @@ class RejectionAggregate:
         batched matmul and d convolution each, over only the box of b and s
         where V_p is nonzero.  So R is contracted J times, not once per class.
         Binomial rows and profiles are scaled by their maxima as in
-        ``alpha_table``, and chunks keep within ``_CHUNK_BYTES``.
+        ``alpha_table``, and chunks keep within ``_CHUNK_BYTES``.  The chunks'
+        log numerators are held with their first d and tilted together, by
+        one ``_tilted_alphas`` call per sweep; the held ones are tilted early
+        only when they and the new chunk's, padded to the widest range of d,
+        would outgrow half of ``_CHUNK_BYTES`` with their log-sum-exp
+        temporaries.
         """
         m = self.margins
         check_gammas(gammas)
         g = np.asarray(gammas, dtype=float)
         out = np.zeros((m.N + 1, len(g)))
         logC = _log_block_normalizer(m.rows, self.block_total, tuple(g.tolist()))
+        # (rows of ``out``, (log S, its first d)) of each column's chunks,
+        # held until they are tilted together
+        held: list[tuple[np.ndarray, tuple[np.ndarray, int]]] = []
+
+        def tilt() -> None:
+            rows = np.concatenate([r for r, _ in held])
+            out[rows] = self._tilted_alphas([part for _, part in held], g, logC[rows])
+            held.clear()
+
         logb = [_log_binom(self._logfact, cj, np.arange(cj + 1)) for cj in m.cols]
         tops = [float(lb.max()) for lb in logb]
         binoms = [np.exp(lb - top) for lb, top in zip(logb, tops)]
@@ -1151,7 +1179,14 @@ class RejectionAggregate:
                     chiT, top = _scaled_column_profile(self._logfact, cp, uc, b_range)
                     logS = _log_scaled(_matmul_convolve(chiT, V), logscale + top[:, None])
                     del chiT  # so that it is freed before the next chunk's is made
-                    out[base + uc] = self._tilted_alphas(logS, g, logC[base + uc], s0)
+                    # the padded numerators and their log-sum-exp temporaries
+                    # (about 3 G + 2 floats a term) keep to half the budget,
+                    # the other half being the sweep's arrays beside them
+                    K = len(uc) + sum(len(r) for r, _ in held)
+                    D = max([logS.shape[1], *(S.shape[1] for _, (S, _) in held)])
+                    if held and 8 * K * D * (3 * len(g) + 2) > _CHUNK_BYTES // 2:
+                        tilt()
+                    held.append((base + uc, (logS, s0)))
                     start = stop
             if p == 0:
                 break
@@ -1163,6 +1198,8 @@ class RejectionAggregate:
                     folded[:, b : b + ns] += A[:, b, :] * (binoms[p][b] * sw)
                 A, sw = folded, np.ones(ns + cp)
             A = A.reshape(-1, m.cols[p - 1] + 1, A.shape[1])
+        if held:
+            tilt()
         return out
 
 

@@ -123,15 +123,22 @@ def analyze_study_grid(
 ) -> list[CombinedResult]:
     """``analyze_study`` at each gamma of ``gammas`` (``study.model.gamma`` is ignored).
 
-    A level that is not in (0, 1] raises ``ValueError`` before any scan.
+    Closed testing's chains share subsets (the largest p-values enter every
+    chain), so each gamma's local test combines every distinct subset once,
+    remembered by the subset's p-values in stratum order.  A level that is
+    not in (0, 1] raises ``ValueError`` before any scan.
     """
     check_level(alpha_level)
-
-    def subset_comb(ps: Sequence[float]) -> float:
-        return combined_pvalue(truncated_product(ps, tau), len(ps), tau)
-
     out = []
     for pvals in stratified_worst_case_grid(study, gammas):
+        combined: dict[tuple[float, ...], float] = {}
+
+        def subset_comb(ps: Sequence[float]) -> float:
+            key = tuple(ps)
+            if key not in combined:
+                combined[key] = combined_pvalue(truncated_product(ps, tau), len(ps), tau)
+            return combined[key]
+
         W = truncated_product(pvals, tau)
         out.append(CombinedResult(
             per_stratum_p=tuple(float(p) for p in pvals),

@@ -316,7 +316,7 @@ def _check_partition(groups: Sequence[Sequence[int]], n: int, what: str) -> list
     seen: list[int] = []
     out = []
     for g in groups:
-        block = [int(v) for v in g]
+        block = list(_integers(g, f"{what} block"))
         if not block:
             raise ValueError(f"empty {what} block")
         if block != list(range(block[0], block[0] + len(block))):
@@ -361,7 +361,7 @@ def collapse(
 def _kept(keep: Sequence[int] | None, n: int, what: str) -> list[int]:
     if keep is None:
         return list(range(n))
-    kept = sorted(int(v) for v in keep)
+    kept = sorted(_integers(keep, f"cross-cut {what} indices"))
     for a, b in zip(kept, kept[1:]):
         if a == b:
             raise ValueError(f"cross-cut repeats {what} index {a}")

@@ -847,6 +847,25 @@ def test_seed_help_says_the_seed_is_ignored(command, capsys):
         capsys.readouterr().out.split())
 
 
+# written with COLUMNS=80 by the parser that added every command's arguments
+HELP = Path(__file__).resolve().parent / "help"
+COMMAND_ERRORS = {"invalid-command": ["bogus", "--x"], "no-command": []}
+
+
+@pytest.mark.parametrize("name", ["top", "analyze", "stratified", "power", "size", "sample",
+                                  "oracle-check", *COMMAND_ERRORS])
+def test_help_and_command_errors_are_pinned(name, monkeypatch, capsys):
+    # the parser adds arguments only to the command it runs; every help text
+    # and the top-level errors still list all commands and all their options
+    argv = COMMAND_ERRORS.get(name, ["--help"] if name == "top" else [name, "--help"])
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    out = capsys.readouterr()
+    assert exit_.value.code == (2 if name in COMMAND_ERRORS else 0)
+    assert out.out + out.err == (HELP / f"{name}.txt").read_text()
+
+
 @pytest.mark.parametrize("command, work", [
     ("sample", "exactsens.cli.estimate_alpha_sis"),
     ("power", "exactsens.cli.power_curve"),

@@ -272,6 +272,19 @@ def test_power_spec_refuses_groups_with_a_crosscut(cut, groups):
         PowerTestSpec("mixed", (0.0, 1.0), (0.0, 1.0), (0, 1), **cut, **groups)
 
 
+@pytest.mark.parametrize("transform, message", [
+    ({"keep_rows": (0, 1.9)}, "cross-cut row indices"),
+    ({"keep_cols": (0, 2.7)}, "cross-cut column indices"),
+    ({"row_groups": ((0, 1.5), (2,))}, "row block"),
+    ({"col_groups": ((0,), (1, 2.5))}, "column block"),
+], ids=["keep-rows", "keep-cols", "row-groups", "col-groups"])
+def test_power_refuses_a_variant_with_fractional_levels(transform, message):
+    # the levels were truncated, so the study ran on other rows or columns
+    spec = PowerTestSpec("frac", (0.0, 1.0), (0.0, 1.0), (0, 1), **transform)
+    with pytest.raises(ValueError, match=f"test variant 'frac': {message} must hold integers"):
+        power_curve(1, CASE_I, [spec], [0.0], iterations=2)
+
+
 def test_standard_suite_shapes():
     suite = standard_test_suite(CASE_I.alpha_star, CASE_I.beta_star)
     assert [s.name for s in suite] == [

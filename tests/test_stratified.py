@@ -2,11 +2,13 @@
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from exactsens import cli, worstcase
+from exactsens import cli, stratified, worstcase
 from exactsens.exactdist import RejectionAggregate
 from exactsens.sensmodel import SensitivityModel
 from exactsens.tables import ContingencyTable
@@ -210,6 +212,33 @@ def test_closed_testing_calls_the_local_test_at_most_k_k_minus_1_times():
     seen = []
     assert closed_testing([1e-4] * K, lambda sub: seen.append(sub) or 0.0, 0.05) == (True,) * K
     assert len(seen) == K * (K - 1)
+
+
+def test_study_grid_combines_each_chain_subset_once(monkeypatch):
+    # strata-closed seed 1: the chains of six strata share subsets, and each
+    # gamma combines every distinct one once besides the study's own W
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked out
+    import workloads
+
+    _, inputs = workloads.make_inputs(workloads.WORKLOADS["strata-closed"], 1)
+    study, tau = StratifiedStudy.from_json(inputs.files["study.json"])
+    gammas = [0.0, math.log(2.0)]
+    comb = truncated_product_test(tau)
+    subsets = 0
+    for ps in stratified_worst_case_grid(study, gammas).tolist():
+        seen = set()
+        closed_testing(ps, lambda sub: seen.add(tuple(sub)) or comb(sub), 0.05)
+        subsets += len(seen)
+    calls = []
+    monkeypatch.setattr(stratified, "combined_pvalue",
+                        lambda *a: calls.append(a) or combined_pvalue(*a))
+    results = analyze_study_grid(study, gammas, tau)
+    assert len(calls) == subsets + len(gammas) == 29
+    for res in results:
+        assert res.closed_testing_rejections == closed_testing_by_subsets(
+            list(res.per_stratum_p), comb, 0.05)
+        assert res.combined_p == combined_pvalue(res.W, study.K, tau)
 
 
 def test_stratified_cli_runs_twelve_strata(tmp_path):

@@ -184,6 +184,23 @@ def test_crosscut_refuses_a_repeated_index():
         crosscut(t, (0, 1), (2, 0, 2))
 
 
+def test_fractional_level_indices_are_refused():
+    # int() truncated them: the cross-cut kept rows 0-1 and columns 0 and 2,
+    # and the collapse summed rows 0-1 as one block
+    t = ContingencyTable.from_array([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    with pytest.raises(ValueError, match="cross-cut row indices must hold integers"):
+        crosscut(t, (0, 1.9), (0, 2))
+    with pytest.raises(ValueError, match="cross-cut column indices must hold integers"):
+        crosscut(t, (0, 1), (0, 2.7))
+    with pytest.raises(ValueError, match="row block must hold integers"):
+        collapse(t, ((0, 1.5), (2,)), ((0,), (1, 2)))
+    with pytest.raises(ValueError, match="column block must hold integers"):
+        collapse(t, ((0,), (1, 2)), ((0.0, 0.5), (2,)))
+    # integral floats and numpy integers still name levels
+    assert crosscut(t, np.array([0, 2]), (0.0, 2.0)).counts == ((1, 3), (7, 9))
+    assert collapse(t, (np.arange(2), (2,)), ((0,), (1.0, 2.0))).counts == ((5, 16), (7, 17))
+
+
 def test_crosscut_of_an_unset_axis_keeps_every_level():
     t = ContingencyTable.from_array([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert crosscut(t, (0, 2), None).counts == ((1, 2, 3), (7, 8, 9))

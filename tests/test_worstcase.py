@@ -527,6 +527,49 @@ def test_suffix_sweep_tail_sums_no_more_terms_than_alpha_table(monkeypatch):
     assert sum(terms) <= table_terms
 
 
+def _counting_logsumexp(monkeypatch):
+    """A list that gets the input size of every ``exactdist.logsumexp`` call."""
+    calls = []
+    logsumexp = exactdist.logsumexp
+
+    def counting(a, axis=None):
+        calls.append(np.size(a))
+        return logsumexp(a, axis)
+
+    monkeypatch.setattr(exactdist, "logsumexp", counting)
+    return calls
+
+
+def test_suffix_sweep_tilts_once(monkeypatch):
+    # a power-suite draw: 3 x 3, ten subjects per treatment level, gammas 0
+    # and 1; every column's chunks are tilted by one log-sum-exp together
+    agg = _ordinal_aggregate([[6, 3, 1], [3, 4, 3], [1, 4, 5]], (0, 1, 1))
+    gammas = [0.0, 1.0]
+    want = agg.alpha_table(_ordinal_classes(agg.margins), gammas)  # fills the normalizer cache
+    calls = _counting_logsumexp(monkeypatch)
+    _assert_same_alphas(agg.suffix_alpha_table(gammas), want)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("arr, delta", [
+    ([[6, 3, 1], [3, 4, 3], [1, 4, 5]], (0, 1, 1)),
+    ([[5, 0, 2, 3], [1, 3, 2, 4], [2, 2, 3, 1]], (0, 0, 1)),
+    ([[10, 10, 10, 9, 8], [10, 10, 10, 9, 9]], (0, 1)),
+], ids=["3x3", "3x4", "2x5"])
+def test_suffix_sweep_tilts_in_parts_within_a_small_budget(monkeypatch, arr, delta):
+    # a budget below one column's numerators makes the sweep tilt what it
+    # holds before each new chunk; the alphas are those of the default budget
+    agg = _ordinal_aggregate(arr, delta)
+    gammas = [0.0, 0.5, 2.0, 6.0]
+    want = agg.suffix_alpha_table(gammas)  # also fills the normalizer cache
+    calls = _counting_logsumexp(monkeypatch)
+    monkeypatch.setattr(exactdist, "_CHUNK_BYTES", 4096)
+    got = agg.suffix_alpha_table(gammas)
+    assert len(calls) > agg.margins.J
+    np.testing.assert_array_equal(got == 0, want == 0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("strategy, calls", [("ordinal", 0), ("pi", 1)])
 def test_ordinal_scan_takes_the_suffix_sweep(monkeypatch, strategy, calls):
     counted = []
