@@ -91,8 +91,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from decimal import Context, Decimal
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, fsum, lgamma
 from typing import Iterator, NamedTuple, Sequence
 
@@ -472,8 +473,11 @@ def _integer_buckets(
 # expansion per column, and the last level's bounds are taken in batches of
 # states within the same budget.  The candidate scans, the normalizer table
 # and the oracle take classes, totals or assignments in chunks no larger than
-# this allows (one at a time when a single one needs more).  Unchunked, a 61-class scan raised a
-# power study's peak resident memory by about a quarter.
+# this allows (one at a time when a single one needs more), and the suffix
+# sweep folds a column in chunks of rows whose padded buffer fits.  Unchunked,
+# a 61-class scan raised a power study's peak resident memory by about a
+# quarter, and the fold of a 2 x 3 sweep at rows 600 and columns 400 would pad
+# 401 x 401 x 802 floats (1.03 GB) where the chunked sweep peaks under 10 MB.
 _CHUNK_BYTES = 2 << 20
 _BUILD_ROW_BYTES = 96
 
@@ -531,6 +535,21 @@ def _log_binom(logfact: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(ok, logfact[n] - logfact[kk] - logfact[np.where(ok, n - kk, 0)], -np.inf)
 
 
+@lru_cache(maxsize=256)
+def _scaled_binomials(c: int) -> tuple[np.ndarray, float]:
+    """(C(c, b) / m over b = 0..c, log m) with m = max_b C(c, b); the row is read-only.
+
+    The binomial row of a column of margin c, scaled as the scans scale
+    every profile.  Cached per margin, since margins recur across the
+    columns of a table and the sweeps of a study.
+    """
+    logb = _log_binom(log_factorials(c), c, np.arange(c + 1))
+    top = float(logb.max())
+    row = np.exp(logb - top)
+    row.flags.writeable = False
+    return row, top
+
+
 def _log_scaled(x: np.ndarray, logscale: np.ndarray | float) -> np.ndarray:
     """log(x) + logscale for non-negative x, -inf where x = 0."""
     with np.errstate(divide="ignore"):
@@ -561,16 +580,18 @@ def _log_column_profile(
     Returns (K, len(b_range), max(u) + 1), indexed by (class, b, d) for b in
     ``b_range`` (default 0..cj), -inf where chi vanishes.  The second factor
     depends on b - d only, so it is taken per class over that range and read
-    through a sliding-window view, and the sum is the one array of the
-    profile's size that is made.
+    through one strided view whose d stride is minus its b stride, and the
+    sum is the one array of the profile's size that is made.
     """
     b_range = range(cj + 1) if b_range is None else b_range
     u = np.asarray(u, dtype=np.int64)[:, None]
-    n = int(u.max()) + 1
+    K, n, B = len(u), int(u.max()) + 1, len(b_range)
+    # entry i holds b - d = b_range.start + 1 - n + i, so [k, b, d] is entry n - 1 - d + b
     rest = _log_binom(logfact, cj - u, np.arange(b_range.start + 1 - n, b_range.stop))
-    # window b holds b - d for d = n - 1 down to 0
-    windows = np.lib.stride_tricks.sliding_window_view(rest, n, axis=1)[:, :, ::-1]
-    return _log_binom(logfact, u, np.arange(n))[:, None, :] + windows
+    step = rest.strides[1]
+    skew = np.ndarray((K, B, n), buffer=rest, offset=(n - 1) * step,
+                      strides=(rest.strides[0], step, -step))
+    return _log_binom(logfact, u, np.arange(n))[:, None, :] + skew
 
 
 def _scaled_column_profile(
@@ -587,22 +608,53 @@ def _scaled_column_profile(
     return np.exp(chi, out=chi).transpose(0, 2, 1), top
 
 
+def _skewed_sum(pad: np.ndarray, n: int) -> np.ndarray:
+    """out[k, e] = sum_i x[k, i, e - i] for x held in a (K, D, n + D) + rest buffer.
+
+    Row (k, i) of ``pad`` holds x[k, i] in its first n slots and zeros in
+    the D after them.  Re-reading the buffer with rows of n + D - 1 skews row
+    i right by i without a copy, so one sum over axis 1, which adds i in
+    ascending order, gives the (K, n + D - 1) + rest result.
+    """
+    K, D = pad.shape[:2]
+    rest = pad.shape[3:]
+    E = n + D - 1
+    return pad.reshape(K, -1)[:, : D * E * math.prod(rest)].reshape((K, D, E) + rest).sum(axis=1)
+
+
 def _matmul_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The d convolution of a batched matmul: out[k, e] = sum_i (a @ b)[k, i, e - i].
 
     ``a @ b`` has shape (K, D, n) + rest, its axes 1 and 2 indexing two d
     counts that add up; the result has shape (K, D + n - 1) + rest.  The
-    product is written into the first n of n + D slots of each row of a
-    zero-padded buffer, and re-reading that buffer with rows of n + D - 1
-    skews row i right by i without a copy, so one sum over axis 1 convolves.
+    product is written into a zero-padded buffer and summed skewed
+    (``_skewed_sum``).
     """
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
     K, D, n = shape[:3]
-    rest = shape[3:]
-    pad = np.zeros((K, D, n + D) + rest)
+    pad = np.zeros((K, D, n + D) + shape[3:])
     np.matmul(a, b, out=pad[:, :, :n])
-    E = n + D - 1
-    return pad.reshape(K, -1)[:, : D * E * math.prod(rest)].reshape((K, D, E) + rest).sum(axis=1)
+    return _skewed_sum(pad, n)
+
+
+def _skewed_fold(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """out[q, e] = sum_b A[q, b, e - b] w[b, e - b] for a (Q, B, S) A and a (B, S) w.
+
+    The suffix sweep's fold of a column into the running sum s.  Each chunk
+    of rows has its products written into a zero-padded buffer and summed
+    skewed (``_skewed_sum``), so the output adds b in ascending order, as a
+    loop over b adding shifted rows would; chunks keep the buffer within
+    ``_CHUNK_BYTES`` (one row at least), and the buffer is made once.
+    """
+    Q, B, S = A.shape
+    out = np.empty((Q, S + B - 1))
+    step = max(1, _CHUNK_BYTES // (8 * B * (S + B)))
+    pad = np.zeros((min(step, Q), B, S + B))
+    for start in range(0, Q, step):
+        a = A[start : start + step]
+        np.multiply(a, w, out=pad[: len(a), :, :S])
+        out[start : start + len(a)] = _skewed_sum(pad[: len(a)], S)
+    return out
 
 
 class _ColumnLevel(NamedTuple):
@@ -900,8 +952,9 @@ class RejectionAggregate:
 
     ``alpha_table`` evaluates a whole candidate scan, given as a (K, J)
     array of classes, in one batched pass.  Each (class, column) chi profile
-    is scaled by its maximum, so no exact integer is ever converted to float
-    and large column margins cannot overflow.  R is contracted column by
+    is built in the log domain through one strided view and scaled by its
+    maximum, so no exact integer is ever converted to float and large
+    column margins cannot overflow.  R is contracted column by
     column as a matmul batched over the classes, convolving d as it goes
     (``_matmul_convolve``), and one log-sum-exp over d gives every (class,
     gamma) numerator (``_tilted_alphas``), over denominators taken once per
@@ -1117,19 +1170,21 @@ class RejectionAggregate:
         S_d(p, u) = sum_{b, e} chi_p[b, e] V_p[b, d - e] with V_p[b, s] the
         sum of R times prod_{j != p} C(c_j, b_j) over the tensor cells whose
         b_p is b and whose columns after p add up to s.  One sweep from the
-        last column down folds each column into s with its binomials (a
-        shifted add), and V_p is that fold contracted with the binomials of
-        the columns before p; the classes of column p are then scored in
-        chunks of ascending u (d_p truncated to the chunk's largest u) as one
-        batched matmul and d convolution each, over only the box of b and s
-        where V_p is nonzero.  So R is contracted J times, not once per class.
-        Binomial rows and profiles are scaled by their maxima as in
-        ``alpha_table``, and chunks keep within ``_CHUNK_BYTES``.  The chunks'
-        log numerators are held with their first d and tilted together, by
-        one ``_tilted_alphas`` call per sweep; the held ones are tilted early
-        only when they and the new chunk's, padded to the widest range of d,
-        would outgrow half of ``_CHUNK_BYTES`` with their log-sum-exp
-        temporaries.
+        last column down folds each column into s with its binomials, one
+        skewed sum over b per chunk of rows (``_skewed_fold``), and V_p is
+        that fold contracted with the binomials of the columns before p; the
+        classes of column p are then scored in chunks of ascending u (d_p
+        truncated to the chunk's largest u) as one batched matmul and d
+        convolution each, over only the box of b and s where V_p is nonzero.
+        So R is contracted J times, not once per class.  Binomial rows, read
+        from the per-margin cache ``_scaled_binomials``, and profiles are
+        scaled by their maxima as in ``alpha_table``; the fold's row chunks
+        and the class chunks, whose bounds are taken in Python integers, keep
+        within ``_CHUNK_BYTES``.  The chunks' log numerators are held with
+        their first d and tilted together, by one ``_tilted_alphas`` call per
+        sweep; the held ones are tilted early only when they and the new
+        chunk's, padded to the widest range of d, would outgrow half of
+        ``_CHUNK_BYTES`` with their log-sum-exp temporaries.
         """
         m = self.margins
         check_gammas(gammas)
@@ -1145,9 +1200,7 @@ class RejectionAggregate:
             out[rows] = self._tilted_alphas([part for _, part in held], g, logC[rows])
             held.clear()
 
-        logb = [_log_binom(self._logfact, cj, np.arange(cj + 1)) for cj in m.cols]
-        tops = [float(lb.max()) for lb in logb]
-        binoms = [np.exp(lb - top) for lb, top in zip(logb, tops)]
+        binoms, tops = zip(*map(_scaled_binomials, m.cols))
         prefix = [np.ones(1)]  # prefix[p]: prod_{j < p} C(c_j, b_j), flattened
         for w in binoms[:-1]:
             prefix.append(np.multiply.outer(prefix[-1], w).ravel())
@@ -1161,21 +1214,25 @@ class RejectionAggregate:
             b_nz, s_nz = np.flatnonzero(V.any(axis=1)), np.flatnonzero(V.any(axis=0))
             logscale = self._offset + math.fsum(tops) - tops[p]
             base = ns - 1  # the ones in the full columns after p
-            u = np.arange(0 if p == m.J - 1 else 1, cp + 1)
-            if len(b_nz) and len(u):  # else every alpha of the column is 0
+            start = 0 if p == m.J - 1 else 1  # the column's first u
+            if len(b_nz) and start <= cp:  # else every alpha of the column is 0
                 b_range = range(int(b_nz[0]), int(b_nz[-1]) + 1)
                 s0 = int(s_nz[0])
                 V = V[b_range.start : b_range.stop, s0 : int(s_nz[-1]) + 1].copy()
-                # floats per class of largest u, sized from the margins as in
-                # ``alpha_table`` (untrimmed b and s): its profile, its padded
-                # convolution and its tail.  u ascends, so a chunk's largest u
-                # is its last, and each chunk takes as many classes as fit there.
-                per_class = np.maximum((u + 1) * (cp + ns + u + 2), len(g) * (base + u + 1))
-                start = 0
-                while start < len(u):
-                    fits = np.arange(1, len(u) - start + 1) * per_class[start:]
-                    stop = start + max(1, int(np.sum(8 * fits <= _CHUNK_BYTES)))
-                    uc = u[start:stop]
+
+                def chunk_bytes(first: int, last: int) -> int:
+                    # the chunk of u = first..last, sized at its largest u from
+                    # the margins as in ``alpha_table`` (untrimmed b and s):
+                    # each class's profile, padded convolution and tail
+                    return 8 * (last + 1 - first) * max((last + 1) * (cp + ns + last + 2),
+                                                        len(g) * (base + last + 1))
+
+                while start <= cp:
+                    # ``chunk_bytes`` grows with ``last``, so the chunk is its
+                    # first class and every later one within the budget
+                    stop = start + 1 + bisect_right(range(start + 1, cp + 1), _CHUNK_BYTES,
+                                                    key=partial(chunk_bytes, start))
+                    uc = np.arange(start, stop)
                     chiT, top = _scaled_column_profile(self._logfact, cp, uc, b_range)
                     logS = _log_scaled(_matmul_convolve(chiT, V), logscale + top[:, None])
                     del chiT  # so that it is freed before the next chunk's is made
@@ -1193,10 +1250,7 @@ class RejectionAggregate:
             if ns == 1:
                 A, sw = A[:, :, 0], binoms[p] * sw[0]
             else:
-                folded = np.zeros((len(A), ns + cp))
-                for b in range(cp + 1):
-                    folded[:, b : b + ns] += A[:, b, :] * (binoms[p][b] * sw)
-                A, sw = folded, np.ones(ns + cp)
+                A, sw = _skewed_fold(A, binoms[p][:, None] * sw), np.ones(ns + cp)
             A = A.reshape(-1, m.cols[p - 1] + 1, A.shape[1])
         if held:
             tilt()

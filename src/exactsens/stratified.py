@@ -40,7 +40,7 @@ import numpy as np
 from exactsens.exactdist import _log_binom, log_factorials
 from exactsens.sensmodel import SensitivityModel, check_level
 from exactsens.stats import TestStatistic, ordinal_statistic
-from exactsens.tables import ContingencyTable, _read_counts, read_numbers
+from exactsens.tables import ContingencyTable, _integers, _read_counts, read_numbers
 from exactsens.worstcase import worst_case_grid
 
 __all__ = [
@@ -188,10 +188,13 @@ def combined_pvalue(
 
     The law is the closed form in the module docstring.  ``rng`` and ``M``
     are ignored; they remain so that callers written for the former Monte
-    Carlo signature ``(W_obs, K, tau, rng, M)`` keep working.
+    Carlo signature ``(W_obs, K, tau, rng, M)`` keep working.  K is read
+    as ``tables._integers`` reads counts: 2.0 is 2, and 2.5 or "3" raise
+    ``ValueError``.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
+    (K,) = _integers((K,), "K")
     if K < 1:
         raise ValueError("K must be at least 1")
     if math.isnan(W_obs):

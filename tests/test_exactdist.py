@@ -248,6 +248,53 @@ def test_both_scans_read_one_cached_normalizer_table():
     assert not logC.flags.writeable
 
 
+def test_aggregates_share_the_per_margin_caches():
+    # a second aggregate with the same margins and statistic reads the
+    # column vectors and binomial rows of the first, read-only
+    t = ContingencyTable.from_array([[4, 1, 2], [1, 3, 3], [0, 2, 4]])
+    m = t.margins()
+    stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
+    caches = (exactdist._column_vectors, exactdist._scaled_binomials)
+    first = RejectionAggregate(m, stat, stat(t), (0, 1, 1))
+    want = first.suffix_alpha_table([0.0, 1.0])
+    before = [cache.cache_info() for cache in caches]
+    second = RejectionAggregate(m, stat, stat(t), (0, 1, 1))
+    got = second.suffix_alpha_table([0.0, 1.0])
+    for cache, info in zip(caches, before):
+        assert cache.cache_info().misses == info.misses, cache
+        assert cache.cache_info().hits > info.hits, cache
+    assert (second.ntables, second.nrejected) == (first.ntables, first.nrejected)
+    np.testing.assert_array_equal(got, want)
+    shared = [*exactdist._column_vectors(m.cols[0], m.rows, (1, 2)),
+              exactdist._scaled_binomials(m.cols[0])[0]]
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
+def _fold_by_loop(A, w):
+    """The suffix sweep's fold as a loop over b: shifted rows of A times w, added in turn."""
+    Q, B, S = A.shape
+    out = np.zeros((Q, S + B - 1))
+    for b in range(B):
+        out[:, b : b + S] += A[:, b, :] * w[b]
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 1, 600])
+def test_skewed_fold_equals_the_loop_bit_for_bit(monkeypatch, budget):
+    # one chunk, a row per chunk and a few rows per chunk; B = 1 and S = 1
+    # included, and zeros as R has them off its support
+    if budget is not None:
+        monkeypatch.setattr(exactdist, "_CHUNK_BYTES", budget)
+    rng = np.random.default_rng(34)
+    for Q, B, S in [(1, 1, 1), (5, 1, 4), (5, 4, 1), (7, 3, 3), (3, 21, 9), (40, 9, 30)]:
+        for _ in range(20):
+            A = rng.random((Q, B, S)) * (rng.random((Q, B, S)) < 0.7)
+            w = rng.random(B)[:, None] * np.exp(rng.normal(0.0, 20.0, S))
+            np.testing.assert_array_equal(exactdist._skewed_fold(A, w), _fold_by_loop(A, w))
+
+
 def test_fast_path_large_column_margins():
     # column margins of 1200: exact-integer chi profiles overflowed float here
     stat = ordinal_statistic((0, 1), (0, 1))

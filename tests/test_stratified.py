@@ -68,6 +68,16 @@ def test_combined_pvalue_k1_analytic():
     assert combined_pvalue(0.0, 2, 0.2) == 0.0
 
 
+def test_combined_pvalue_reads_k_as_an_integer():
+    # an integral float is its integer; a fractional or text K is refused by name
+    for w in (0.01, 0.3):
+        assert combined_pvalue(w, 2.0, 0.2) == combined_pvalue(w, 2, 0.2)
+        assert combined_pvalue(w, np.int64(3), 0.2) == combined_pvalue(w, 3, 0.2)
+    for K in (2.5, "3", float("nan")):
+        with pytest.raises(ValueError, match="K"):
+            combined_pvalue(0.01, K, 0.2)
+
+
 def test_combined_pvalue_refuses_nan():
     # nan fails every comparison, so it would fall through to a p-value
     with pytest.raises(ValueError, match="nan"):

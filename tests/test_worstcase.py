@@ -570,6 +570,46 @@ def test_suffix_sweep_tilts_in_parts_within_a_small_budget(monkeypatch, arr, del
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+def test_suffix_sweep_folds_in_row_chunks_bit_for_bit(monkeypatch):
+    # 2 x 4, columns of 10: the fold of column 2 has 121 rows of 1936 bytes.
+    # At 150,000 bytes it takes two chunks, while every column's classes
+    # still go in one chunk and all are tilted at once, so the alphas are
+    # those of the default budget bit for bit
+    agg = _ordinal_aggregate([[7, 5, 5, 3], [3, 5, 5, 7]], (0, 1))
+    gammas = [1.5]
+    want = agg.suffix_alpha_table(gammas)
+    folds = []
+    fold = exactdist._skewed_fold
+
+    def recording(A, w):
+        folds.append(A.shape)
+        return fold(A, w)
+
+    monkeypatch.setattr(exactdist, "_skewed_fold", recording)
+    calls = _counting_logsumexp(monkeypatch)
+    monkeypatch.setattr(exactdist, "_CHUNK_BYTES", 150_000)
+    got = agg.suffix_alpha_table(gammas)
+    assert len(calls) == 1
+    assert any(Q > 150_000 // (8 * B * (S + B)) for Q, B, S in folds)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_suffix_sweep_complement_identity():
+    # T >= c and its complement T <= c - 1, which is -T >= -(c - 1) with the
+    # row scores negated, partition an integer-valued statistic's reference
+    # set, so their alphas add up to 1 at every class and gamma
+    t = ContingencyTable.from_array([[60, 50, 40], [40, 50, 60]])
+    m = t.margins()
+    stat = ordinal_statistic((0, 1), (0, 1, 2))
+    c = stat(t)
+    gammas = [0.0, 1.0, 3.0, 6.0]
+    region = RejectionAggregate(m, stat, c, (0, 1))
+    rest = RejectionAggregate(m, weighted_sum_statistic((0, -1), (0, 1, 2)), -(c - 1), (0, 1))
+    assert region.nrejected + rest.nrejected == region.ntables == rest.ntables
+    total = region.suffix_alpha_table(gammas) + rest.suffix_alpha_table(gammas)
+    np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("strategy, calls", [("ordinal", 0), ("pi", 1)])
 def test_ordinal_scan_takes_the_suffix_sweep(monkeypatch, strategy, calls):
     counted = []
