@@ -25,7 +25,9 @@ never holds it: the table weight, the block sums and the built-in statistics
 are sums of per-column terms, so a table is a path of per-column vector ids
 through a column-by-column network (after Mehta & Patel, JASA 78:427-434,
 1983), and prefixes of those paths are expanded in chunks of bounded memory
-that carry only a few scalars each.  For a statistic of cell terms, a state
+that carry only a few scalars each.  Tables that share their shape, delta
+and statistic share one network, whose states carry their table, so a study
+of many small tables pays the network's fixed costs once.  For a statistic of cell terms, a state
 of the last level (two columns left) gets its largest remaining statistic
 and its number of completions from a max-plus and a plus-times convolution
 over its rows (``_last_level_bounds``), without its edges; one backward
@@ -474,7 +476,9 @@ def _integer_buckets(
 # states within the same budget.  The candidate scans, the normalizer table
 # and the oracle take classes, totals or assignments in chunks no larger than
 # this allows (one at a time when a single one needs more), and the suffix
-# sweep folds a column in chunks of rows whose padded buffer fits.  Unchunked,
+# sweep folds a column in chunks of rows whose padded buffer fits.  A stack
+# of tables makes a middle level of its network, or its last level, for runs
+# of tables whose edges, counted first, fit (a table alone at least).  Unchunked,
 # a 61-class scan raised a power study's peak resident memory by about a
 # quarter, and the fold of a 2 x 3 sweep at rows 600 and columns 400 would pad
 # 401 x 401 x 802 floats (1.03 GB) where the chunked sweep peaks under 10 MB.
@@ -658,14 +662,15 @@ def _skewed_fold(A: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _ColumnLevel(NamedTuple):
-    """Edges of the column network from the states before column j.
+    """Edges of a stack's column network from the states before column j.
 
     Edge e leaves state s (edges are grouped by state; s owns
     ``ptr[s]:ptr[s + 1]``, empty for a last-level state that no surviving
-    prefix reaches) and reaches state ``child[e]`` of the next level (None on
-    the last level).  The edge fills column j, and on the last level also the
-    forced last column; ``logw``, ``ridx`` and ``tterm`` sum those vectors'
-    log w factors, flat offsets into R and statistic terms.  For an opaque
+    prefix reaches or whose table another last level holds) and reaches
+    state ``child[e]`` of the next level (None on the last level).  The edge
+    fills column j, and on the last level also the forced last column;
+    ``logw``, ``ridx`` and ``tterm`` sum those vectors' log w factors, flat
+    offsets into their table's R and statistic terms.  For an opaque
     statistic ``vids`` holds, per filled column, the ids of the vectors in
     that column's list, from which tables are rebuilt (empty otherwise).
     """
@@ -678,201 +683,289 @@ class _ColumnLevel(NamedTuple):
     tterm: np.ndarray
 
 
+class _Network(NamedTuple):
+    """A stack's column network up to its last level's states (``_column_network``).
+
+    ``columns[j]`` holds column j's vectors of every table, table after
+    table, as (vectors, keys, log w factors, flat offsets into R, statistic
+    terms), the vectors only for an opaque statistic and the rest only for
+    the last two columns.  ``levels`` are the levels before the last, and
+    ``tables[j]`` the table of each state before column j, the last level's
+    included.  ``state`` and ``state_key`` are the last level's states
+    (their remaining row sums) and keys.  A key is the mixed-radix number
+    of a state's or a vector's entries in radices max rows_i + 1 over the
+    stack (``radix``), plus its table times ``span``, their product, so keys
+    ascend table by table and lexicographically within a table, as a
+    table's own keys do.
+    """
+
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    levels: list[_ColumnLevel]
+    tables: list[np.ndarray]
+    state: np.ndarray
+    state_key: np.ndarray
+    radix: np.ndarray
+    span: int
+
+
 def _place_values(sizes: np.ndarray) -> np.ndarray:
     """C-order place values of a mixed radix with the given digit ranges."""
     return np.cumprod(sizes[::-1])[::-1] // sizes
 
 
-@lru_cache(maxsize=64)
-def _column_vectors(
-    cj: int, rows: tuple[int, ...], one_rows: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One column's feasible vectors and their gamma-free scores, read-only.
+# (cj, rows, one_rows) -> that column's (vectors, log w factors, block sums b)
+_COLUMN_VECTORS: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[np.ndarray, ...]] = {}
+_COLUMN_VECTORS_MAX = 64
 
-    Returns (vectors, keys, log w factors, delta-block sums b): the vectors
-    are ``_bounded_compositions(cj, rows)``, lexicographic, so their
-    mixed-radix keys in radices rows_i + 1 ascend; the factor is
-    log a! + log b! - sum_i log t_i! (``_log_table_weight`` of the column).
-    Cached per (cj, rows, delta), since equal column margins recur within a
-    table and across the calls of a scan or a simulation.
+
+def _column_vectors_many(
+    keys: Sequence[tuple[int, tuple[int, ...], tuple[int, ...]]]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per (cj, rows, one_rows) key, the column's feasible vectors and gamma-free scores.
+
+    Returns (vectors, log w factors, delta-block sums b) per key, read-only:
+    the vectors are the compositions of cj bounded by ``rows``,
+    lexicographic, and the factor is log a! + log b! - sum_i log t_i!
+    (``_log_table_weight`` of the column).  Cached per key, the least
+    recently used leaving past ``_COLUMN_VECTORS_MAX`` keys, since equal
+    column margins recur within a table, across a stack and across the calls
+    of a scan or a simulation.  The keys not cached get their vectors from
+    one ``_bounded_compositions_many`` pass, each key's rows equal to its
+    own call's.
     """
-    vec = _bounded_compositions(cj, rows)
-    key = vec @ _place_values(np.asarray(rows, dtype=np.int64) + 1)
-    logw, b = _log_table_weight(vec[:, :, None], one_rows)
-    out = (vec, key, logw, b[:, 0])
-    for arr in out:
-        arr.flags.writeable = False
+    cache = _COLUMN_VECTORS
+    missing = [k for k in dict.fromkeys(keys) if k not in cache]
+    if missing:
+        vec, owner = _bounded_compositions_many(
+            np.array([c for c, _, _ in missing]), np.array([r for _, r, _ in missing]))
+        ends = np.searchsorted(owner, np.arange(1, len(missing)))
+        for key, part in zip(missing, np.split(vec, ends)):
+            part = part.copy()  # so that leaving the cache frees it
+            logw, b = _log_table_weight(part[:, :, None], key[2])
+            cache[key] = (part, logw, b[:, 0])
+            for arr in cache[key]:
+                arr.flags.writeable = False
+    out = []
+    for k in keys:
+        out.append(cache.pop(k))
+        cache[k] = out[-1]  # the most recently used last
+    for k in list(cache)[: max(0, len(cache) - _COLUMN_VECTORS_MAX)]:
+        del cache[k]
     return out
 
 
-def _column_network(
-    m: Margins, one_rows: Sequence[int], test: TestStatistic, threshold: float
-) -> tuple[list[_ColumnLevel], list[np.ndarray], tuple | None] | None:
-    """The fixed-margin tables as paths through a column-by-column network.
+def _byte_groups(edges: np.ndarray, I: int) -> list[range]:
+    """Consecutive runs of tables whose ``edges`` (per table) fit ``_CHUNK_BYTES`` together.
 
-    Column j's feasible vectors (``_column_vectors``) are scored once: the
-    log w factor, the flat offset b_j stride_j into R and the statistic term,
-    the row sum of the cell terms (zero for an opaque statistic).  The states
-    before column j are the distinct vectors of row sums still to fill,
-    level 0 being the row margins, under which every column-0 vector fits.  A
-    later state's edges are the column vectors that fit under it, made from
-    per-cell bounds, so every edge lies on a complete table and each table is
-    one path.  The last column is forced by its state and is folded into the
-    edges that reach it, so the network has J - 1 levels.  States and vectors
-    are matched by their mixed-radix keys, under which a child state's key is
-    its parent's minus the edge vector's.
-
-    For a statistic of cell terms, the last level is bounded before it is
-    built (``_last_level_bounds``), the pruning floor and every state's bound
-    follow (``_pruning``), and the last level gets edges only for the states
-    that a prefix surviving the pruning reaches: the others are counted
-    without them.  Returns (levels, the per-column vector lists, the pruning
-    (floor, ``_completion_bounds``), None for an opaque statistic), or None
-    when the key range overflows int64.
+    An edge takes 8 (2 I + 8) bytes while its level is made: its vector,
+    the composition's temporaries, keys, ids and sums.  A table whose edges
+    alone do not fit is a run of its own.
     """
-    if math.prod(r + 1 for r in m.rows) >= 2**63:
-        return None
-    bounded = test.cell_terms is not None
-    rows = np.asarray(m.rows, dtype=np.int64)
-    radix = _place_values(rows + 1)
-    strides = _place_values(np.asarray(m.cols, dtype=np.int64) + 1)  # of R
-    vectors, keys, scores = [], [], []
-    for j, cj in enumerate(m.cols):
-        vec, key, logw, b = _column_vectors(cj, m.rows, tuple(one_rows))
-        tterm = test.column_terms(vec, j, rows, cj, m.J) if bounded else np.zeros(len(vec))
-        vectors.append(vec)
-        keys.append(key)
-        scores.append((logw, b * strides[j], tterm))
+    groups, start, total = [], 0, 0
+    for t, n in enumerate(edges.tolist()):
+        if t > start and 8 * (2 * I + 8) * (total + n) > _CHUNK_BYTES:
+            groups.append(range(start, t))
+            start, total = t, 0
+        total += n
+    return groups + [range(start, len(edges))]
 
-    state = rows[None, :]
-    state_key = state @ radix
+
+def _column_network(aggs: list[RejectionAggregate], test: TestStatistic) -> _Network | list[range]:
+    """The fixed-margin tables of a stack as paths through one column-by-column network.
+
+    The stack's tables share I, J, delta and ``test``, each with its own
+    margins.  Column j's feasible vectors of every table
+    (``_column_vectors_many``) are scored once: the log w factor, the flat
+    offset b_j stride_j into the table's R and the statistic term, the row
+    sum of the cell terms (zero for an opaque statistic).  The states before
+    column j are the vectors of row sums still to fill, each carrying its
+    table, level 0 being each table's row margins, under which every
+    column-0 vector of the table fits.  Any vector of at most the row
+    margins whose total is that of columns j.. is left by some filling of
+    the columns before j, so a level's states are those vectors, made
+    directly (``_bounded_compositions_many``) in key order.  A state's
+    edges are the column vectors that fit under it, made from per-cell
+    bounds, so every edge lies on a complete table and each table is one
+    path.  The last column is forced by its state and is folded into the
+    edges that reach it, so the network has J - 1 levels.  States and
+    vectors are matched by their keys (``_Network``), under which a child
+    state's key is its parent's minus the edge vector's entries, and a
+    table's states come in the order of a stack of one.
+
+    Returns the levels before the last and the last level's states; the
+    last level is made by ``_last_level``.  Before a middle level (J >= 4)
+    is made, its edges are counted per table (``_composition_counts``); when
+    a stack of several tables would pass ``_CHUNK_BYTES`` with them, the
+    stack is returned split into runs of tables that fit (``_byte_groups``),
+    to be built apart.  Callers keep T times ``span`` below 2^63.
+    """
+    T, I, J = len(aggs), aggs[0].margins.I, aggs[0].margins.J
+    bounded = test.cell_terms is not None
+    rows = np.array([a.margins.rows for a in aggs], dtype=np.int64)
+    cols = np.array([a.margins.cols for a in aggs], dtype=np.int64)
+    top = rows.max(axis=0)
+    radix, span = _place_values(top + 1), math.prod(int(r) + 1 for r in top)
+    one_rows = aggs[0]._one_rows
+    made = _column_vectors_many([(cj, a.margins.rows, one_rows)
+                                 for a in aggs for cj in a.margins.cols])
+    strides = [_place_values(c + 1) for c in cols]  # of each table's R
+    columns = []
+    for j in range(J):
+        parts = made[j::J]
+        vec = np.concatenate([p[0] for p in parts])
+        owner = np.repeat(np.arange(T), [len(p[0]) for p in parts])
+        if j == 0:
+            roots = owner  # each column-0 vector's table, the root it leaves
+        tterm = (np.concatenate([test.column_terms(p[0], j, rows[t], a.margins.cols[j], J)
+                                 for t, (a, p) in enumerate(zip(aggs, parts))])
+                 if bounded else np.zeros(len(vec)))
+        columns.append((vec, vec @ radix + owner * span, np.concatenate([p[1] for p in parts]),
+                        np.concatenate([p[2] * s[j] for p, s in zip(parts, strides)]), tterm))
+
+    state, tab = rows, np.arange(T)
+    state_key = state @ radix + tab * span
     levels: list[_ColumnLevel] = []
-    pruning = None
-    for j in range(m.J - 1):
-        expand = np.arange(len(state))  # the states that get edges
-        if j == m.J - 2 and bounded:
-            pruning, expand = _pruning(m, test, levels, state, threshold)
-        if j == 0 and len(expand):  # the root's edges are column 0's vectors
-            vec, vkey = vectors[0], keys[0]
-            owner, ids = np.zeros(len(vec), dtype=np.int64), np.arange(len(vec))
+    tables = [tab]
+    left = cols[:, ::-1].cumsum(axis=1)[:, ::-1]  # [t, j]: table t's columns j.. in total
+    for j in range(J - 2):
+        if j == 0:  # each root's edges are its table's column-0 vectors
+            vec, owner = columns[0][0], roots
         else:
-            vec, owner = _bounded_compositions_many(np.full(len(expand), m.cols[j]), state[expand])
-            owner, vkey = expand[owner], vec @ radix
-            ids = np.searchsorted(keys[j], vkey)
-        child_key = state_key[owner] - vkey
+            if T > 1:
+                edges = np.add.reduceat(_composition_counts(state, cols[tab, j]),
+                                        np.searchsorted(tab, np.arange(T)))
+                groups = _byte_groups(edges, I)
+                if len(groups) > 1:
+                    return groups
+            vec, owner = _bounded_compositions_many(cols[tab, j], state)
+        plain = vec @ radix
+        child_key = state_key[owner] - plain
         ptr = np.searchsorted(owner, np.arange(len(state) + 1))
-        vids = {j: ids}  # column -> vector ids
-        child = None
-        if j + 2 < m.J:
-            if j == 0:  # the root's children are distinct, their keys descending
-                state_key, first, child = child_key[::-1], ids[::-1], ids[::-1]
-            else:
-                state_key, first, child = np.unique(
-                    child_key, return_index=True, return_inverse=True)
-            state = state[owner[first]] - vec[first]
-        else:  # the child state is the forced last column
-            vids[m.J - 1] = np.searchsorted(keys[-1], child_key)
-        del vec, vkey, owner, child_key  # before the level's sums: a level can hold every table
-        logw, ridx, tterm = (sum(scores[k][q][v] for k, v in vids.items()) for q in range(3))
-        opaque_ids = () if bounded else tuple(vids.values())
-        levels.append(_ColumnLevel(ptr, child, opaque_ids, logw, ridx, tterm))
-    return levels, vectors, pruning
+        if j == 0:
+            ids = np.arange(len(vec))
+        else:
+            if T > 1:  # the vectors' keys in the column: offset by their tables
+                plain += tab[owner] * span
+            ids = np.searchsorted(columns[j][1], plain)
+        del vec, plain
+        # the next level's states, table by table in key order
+        state, tab = _bounded_compositions_many(left[:, j + 1], rows)
+        state_key = state @ radix + tab * span
+        child = np.searchsorted(state_key, child_key)
+        tables.append(tab)
+        del owner, child_key  # before the level's sums
+        logw, ridx, tterm = (columns[j][q][ids] for q in (2, 3, 4))
+        levels.append(_ColumnLevel(ptr, child, () if bounded else (ids,), logw, ridx, tterm))
+    # kept: the keys and scores of the last two columns, which the last level
+    # reads, and the vectors that an opaque statistic's stream rebuilds
+    for j, (vec, *scores) in enumerate(columns):
+        columns[j] = (None if bounded else vec, *(scores if j >= J - 2 else [None] * 4))
+    return _Network(columns, levels, tables, state, state_key, radix, span)
+
+
+def _last_level(
+    net: _Network, totals: np.ndarray, expand: np.ndarray, opaque: bool
+) -> _ColumnLevel:
+    """The network's last level, with edges for the last-level states ``expand`` only.
+
+    ``totals`` holds each table's margin of column J - 2.  An edge fills
+    that column with a vector that fits under its state and the last column
+    with what the vector leaves, so a state's edges are as many as its
+    completions, which ``_completion_bounds`` counts before any is made.
+    """
+    J = len(net.columns)
+    tab = net.tables[-1]
+    vec, owner = _bounded_compositions_many(totals[tab[expand]], net.state[expand])
+    owner = expand[owner]
+    plain = vec @ net.radix
+    child_key = net.state_key[owner] - plain  # the key of the forced last column
+    if len(net.tables[0]) > 1:  # the vectors' keys in the column: offset by their tables
+        plain += tab[owner] * net.span
+    ids = np.searchsorted(net.columns[J - 2][1], plain)
+    ptr = np.searchsorted(owner, np.arange(len(tab) + 1))
+    vids = {J - 2: ids, J - 1: np.searchsorted(net.columns[J - 1][1], child_key)}
+    del vec, owner, plain, child_key  # before the level's sums: a level can hold every table
+    logw, ridx, tterm = (sum(net.columns[k][q][v] for k, v in vids.items()) for q in (2, 3, 4))
+    return _ColumnLevel(ptr, None, tuple(vids.values()) if opaque else (), logw, ridx, tterm)
 
 
 def _pruning(
-    m: Margins, test: TestStatistic, levels: list[_ColumnLevel], state: np.ndarray,
-    threshold: float,
-) -> tuple[tuple[float, list[tuple[np.ndarray, np.ndarray]]], np.ndarray]:
-    """((floor, bounds), the last-level states a surviving prefix reaches), before the last level.
+    net: _Network, aggs: list[RejectionAggregate], test: TestStatistic
+) -> tuple[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]], np.ndarray]:
+    """((per-table floors, bounds), the last-level states a surviving prefix reaches).
 
-    ``levels`` are the built levels before the last and ``state`` (n, I) the
-    last level's states.  The cell terms of the last two columns, at every
-    count up to their margins, give each state its bound and count
-    (``_last_level_bounds``), and ``_completion_bounds`` the earlier states'.
+    ``net`` is the stack's network before its last level.  Each table's cell
+    terms of its last two columns, at every count up to their margins, give
+    each last-level state its bound and count (``_last_level_bounds``), and
+    ``_completion_bounds`` the earlier states'.
 
-    The guard: a path's forward sum adds the earlier columns' terms to the
-    row sums of the last two columns' cell terms, and its bound adds the same
-    column terms to a row-by-row sum of those cell terms; each is a float sum
-    of the same leaves, by a summation tree at most I + J deep, so each lies
-    within gamma_{I+J} S of the exact sum, S the sum of the leaves' absolute
-    values, gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 4.2).  S is at most M, the
-    sum of the largest absolute column term of each earlier level and the
-    largest absolute cell term of each (row, last-two column), and forming
-    the floor rounds by at most u |floor|.  (I + J) 2^-51 (M + |threshold|)
-    covers all three with room to spare, so no table that its forward sum
-    would reject is dropped.
+    The guard, per table: a path's forward sum adds the earlier columns'
+    terms to the row sums of the last two columns' cell terms, and its bound
+    adds the same column terms to a row-by-row sum of those cell terms; each
+    is a float sum of the same leaves, by a summation tree at most I + J
+    deep, so each lies within gamma_{I+J} S of the exact sum, S the sum of
+    the leaves' absolute values, gamma_n = n u / (1 - n u) and u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2).
+    S is at most M, the sum of the largest absolute column term of the
+    table's edges at each earlier level and the largest absolute cell term
+    of each (row, last-two column), and forming the floor rounds by at most
+    u |floor|.  (I + J) 2^-51 (M + |threshold|) covers all three with room
+    to spare, so no table that its forward sum would reject is dropped.
 
     A forward max-plus pass then carries the largest partial sum of a
     surviving prefix to every state: a prefix survives at a state when its
-    partial sum plus the state's bound reaches the floor, and float addition
-    is monotone, so that largest sum is exactly the stream's largest, and a
-    last-level state it leaves below the floor has no surviving prefix.
+    partial sum plus the state's bound reaches its table's floor, and float
+    addition is monotone, so that largest sum is exactly the stream's
+    largest, and a last-level state it leaves below the floor has no
+    surviving prefix.  Every value is the one a stack of one gets.
     """
-    rows, J = np.asarray(m.rows, dtype=np.int64), m.J
-    terms = []
-    for j in (J - 2, J - 1):
-        counts = np.repeat(np.arange(m.cols[j] + 1)[:, None], m.I, axis=1)
-        terms.append(np.asarray(test.cell_terms(counts, j, rows, m.cols[j], J), dtype=float))
-    bounds = _completion_bounds(levels, *_last_level_bounds(state, *terms))
-    M = (sum(float(np.abs(lev.tterm).max()) for lev in levels)
-         + float(np.abs(terms[0]).max(axis=0).sum() + np.abs(terms[1]).max(axis=0).sum()))
-    floor = threshold - (m.I + J) * 2.0**-51 * (M + abs(threshold))
-    reach = np.zeros(1)  # the root's partial sum
-    for lev, (top, _), (after, _) in zip(levels, bounds, bounds[1:]):
-        reach = np.where(reach + top >= floor, reach, -np.inf)
+    I, J = aggs[0].margins.I, aggs[0].margins.J
+    firsts, seconds, extra = [], [], []
+    for a in aggs:
+        m = a.margins
+        rows = np.asarray(m.rows, dtype=np.int64)
+        terms = []
+        for j in (J - 2, J - 1):
+            counts = np.repeat(np.arange(m.cols[j] + 1)[:, None], I, axis=1)
+            terms.append(np.asarray(test.cell_terms(counts, j, rows, m.cols[j], J), dtype=float))
+        firsts.append(terms[0])
+        seconds.append(terms[1])
+        extra.append(float(np.abs(terms[0]).max(axis=0).sum() + np.abs(terms[1]).max(axis=0).sum()))
+    bounds = _completion_bounds(
+        net.levels, *_last_level_bounds(net.state, net.tables[-1], firsts, seconds))
+    M = 0  # the sum of each level's largest absolute term, table by table
+    for lev, tab in zip(net.levels, net.tables):
+        starts = lev.ptr[np.searchsorted(tab, np.arange(len(aggs)))]  # of each table's edges
+        M = M + np.maximum.reduceat(np.abs(lev.tterm), starts)
+    M = M + np.asarray(extra)
+    threshold = np.array([a._threshold for a in aggs])
+    floor = threshold - (I + J) * 2.0**-51 * (M + np.abs(threshold))
+    reach = np.zeros(len(aggs))  # the roots' partial sums
+    for lev, tab, (top, _), (after, _) in zip(net.levels, net.tables, bounds, bounds[1:]):
+        reach = np.where(reach + top >= floor[tab], reach, -np.inf)
         carried = np.full(len(after), -np.inf)
         np.maximum.at(carried, lev.child, np.repeat(reach, np.diff(lev.ptr)) + lev.tterm)
         reach = carried
-    return (floor, bounds), np.flatnonzero(reach + bounds[-1][0] >= floor)
+    return (floor, bounds), np.flatnonzero(reach + bounds[-1][0] >= floor[net.tables[-1]])
 
 
-def _last_level_bounds(
-    state: np.ndarray, first: np.ndarray, second: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(top, count) per last-level state, without its edges.
+def _composition_counts(state: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """(n,) int64: per row k of ``state``, the vectors v with sum totals[k] and 0 <= v <= state[k].
 
-    State s (its remaining row sums) completes as v and s - v over the last
-    two columns, v any vector with sum c (the first one's margin) and
-    0 <= v_i <= s_i; the second column's sum is then its margin, and so no
-    entry of s - v exceeds it.  ``first[x, i]`` and ``second[y, i]`` are the
-    columns' cell terms f_i(x) and g_i(y) at counts 0..margin.  With
-    h_i(x) = f_i(x) + g_i(s_i - x), top[s] is the largest sum_i h_i(v_i), a
-    max-plus convolution over the rows in which the last row takes what the
-    others leave.  count[s] (int64) is the number of such v: the numbers of
-    ways to reach each partial sum over the rows before the last two, a
-    plus-times convolution of their ranges taken as prefix-sum differences,
-    times the number of ways the last two rows can share the rest.  No
-    partial count exceeds prod_i (s_i + 1), which the network's int64 keys
-    bound, so none wraps.  The states run along the last axis of every
-    array, so each step is a few whole-array passes.
+    The numbers of ways to reach each partial sum over the rows before the
+    last two, a plus-times convolution of their ranges taken as prefix-sum
+    differences, times the number of ways the last two rows can share the
+    rest.  No partial count exceeds prod_i (s_i + 1), which the network's
+    int64 keys bound, so none wraps.  The states run along the last axis of
+    every array, in chunks of a few whole-array passes within
+    ``_CHUNK_BYTES``.
     """
     n, I = state.shape
-    c = len(first) - 1
-    X = np.arange(c + 1)[:, None]
-    # g_i(y) at flat index i W + y: -inf past the margin, and for y < 0, read
-    # from the end of the row before (of the last row, for i = 0)
-    W = len(second) + 2 * c
-    lookup = np.full((I, W), -np.inf)
-    lookup[:, : len(second)] = second.T
-    at = np.arange(I)[:, None, None] * W - X  # + s_i: where g_i(s_i - x) sits
-    top, count = np.empty(n), np.empty(n, dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // (8 * (c + 1) * (c + 1 + 2 * I)))
+    out = np.empty(n, dtype=np.int64)
+    X = np.arange(int(totals.max(initial=0)) + 1)[:, None]
+    step = max(1, _CHUNK_BYTES // (8 * 4 * len(X)))
     for start in range(0, n, step):
-        s = state[start : start + step].T  # (I, k)
-        h = first.T[:, :, None] + lookup.ravel()[at + s[:, None, :]]  # (I, x, k)
-        acc = h[0]  # by y, the partial sum
-        for i in range(1, I - 1):
-            pad = np.full((2 * c + 1, s.shape[1]), -np.inf)
-            pad[c:] = acc
-            # [x, y] = acc[y - x] in acc padded with c leading -inf, that is
-            # row c - x + y of pad: a view of pad whose x stride is minus its
-            # y stride, so nothing is gathered
-            stride = pad.strides[0]
-            back = np.ndarray((c + 1, c + 1, s.shape[1]), buffer=pad, offset=c * stride,
-                              strides=(-stride, stride, pad.strides[1]))
-            acc = (back + h[i][:, None, :]).max(axis=0)
-        top[start : start + step] = (acc + h[-1][::-1]).max(axis=0)
+        s, c = state[start : start + step].T, totals[start : start + step]
         ways = X <= s[0] if I > 2 else X == 0  # to reach y over the rows before the last two
         for i in range(1, I - 2):
             run = np.cumsum(ways, axis=0)
@@ -881,7 +974,79 @@ def _last_level_bounds(
             ways = run - np.where(X >= cap, run.ravel()[flat], 0)
         rest = c - X  # for the last two rows, x and rest - x within their ranges
         split = np.minimum(s[-2], rest) - np.maximum(rest - s[-1], 0) + 1
-        count[start : start + step] = (ways * np.maximum(split, 0)).sum(axis=0)
+        out[start : start + step] = (ways * np.maximum(split, 0)).sum(axis=0)
+    return out
+
+
+def _last_level_bounds(
+    state: np.ndarray, tab: np.ndarray, firsts: Sequence[np.ndarray], seconds: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(top, count) per last-level state, without its edges.
+
+    State s (its remaining row sums) of table ``tab[s]`` completes as v and
+    s - v over the last two columns, v any vector with sum c (the first
+    one's margin) and 0 <= v_i <= s_i; the second column's sum is then its
+    margin, and so no entry of s - v exceeds it.  ``firsts[t][x, i]`` and
+    ``seconds[t][y, i]`` are table t's cell terms f_i(x) and g_i(y) of
+    those columns at counts 0..margin.  With h_i(x) = f_i(x) + g_i(s_i - x),
+    top[s] is the largest sum_i h_i(v_i), a max-plus convolution over the
+    rows in which the last row takes what the others leave, and count[s]
+    (int64) the number of such v (``_composition_counts``).  The states are
+    taken in chunks of ascending c, each padded with -inf only to its own
+    largest c and kept within ``_CHUNK_BYTES``: a padded count adds -inf
+    to every sum it enters, so each state gets the floats of its own
+    margin.  The states run along the last axis of every array, so each
+    step is a few whole-array passes.
+    """
+    n, I = state.shape
+    margin = np.array([len(f) - 1 for f in firsts])
+    c, T, C1 = margin[tab], len(firsts), int(margin.max())
+    # f_i(x) of table t at [i, x, t], -inf past its margin; g_i(y) of table t
+    # at flat index (t I + i) W + y: -inf past its margin, and for y < 0, read
+    # from the end of the row before (of the last table's last row, for t = 0
+    # and i = 0)
+    W = max(len(g) for g in seconds) + 2 * C1
+    F = np.full((I, C1 + 1, T), -np.inf)
+    lookup = np.full((T, I, W), -np.inf)
+    for t, (f, g) in enumerate(zip(firsts, seconds)):
+        F[:, : len(f), t] = f.T
+        lookup[t, :, : len(g)] = g.T
+    order = np.argsort(c, kind="stable")
+    top, count = np.empty(n), np.empty(n, dtype=np.int64)
+    start = 0
+    while start < n:
+        def chunk_bytes(stop: int) -> int:
+            C = int(c[order[stop - 1]])  # the chunk's largest margin
+            return 8 * (stop - start) * (C + 1) * (C + 1 + 2 * I)
+
+        stop = start + max(1, bisect_right(range(start + 1, n + 1), _CHUNK_BYTES, key=chunk_bytes))
+        idx, start = order[start:stop], stop
+        C, cc, t, k = int(c[idx[-1]]), c[idx], tab[idx], len(idx)
+        s = state[idx].T  # (I, k)
+        X = np.arange(C + 1)[:, None]
+        at = (t * I + np.arange(I)[:, None]) * W + s  # - x: where g_i(s_i - x) sits
+        h = (F[:, : C + 1, t] if T > 1 else F[:, : C + 1]) + lookup.ravel()[at[:, None, :] - X]
+        acc = h[0]  # by y, the partial sum
+        pad = np.full((2 * C + 1, k), -np.inf)
+        stride = pad.strides[0]
+        for i in range(1, I - 1):
+            pad[C:] = acc
+            # [x, y] = acc[y - x] in acc padded with C leading -inf, that is
+            # row C - x + y of pad: a view of pad whose x stride is minus its
+            # y stride, so nothing is gathered
+            back = np.ndarray((C + 1, C + 1, k), buffer=pad, offset=C * stride,
+                              strides=(-stride, stride, pad.strides[1]))
+            acc = (back + h[i][:, None, :]).max(axis=0)
+        # the last row takes c - y of the partial sum y, none past c: row
+        # C + c - y of h_last padded with C leading -inf, or with every c = C
+        # (the chunk's first state has its largest margin), h_last reversed
+        if cc[0] == C:
+            last = h[-1][::-1]
+        else:
+            pad[C:] = h[-1]
+            last = np.take_along_axis(pad, C + cc - X, axis=0)
+        top[idx] = (acc + last).max(axis=0)
+        count[idx] = _composition_counts(s.T, cc)
     return top, count
 
 
@@ -896,8 +1061,8 @@ def _completion_bounds(
     edges e of tterm[e] + top_{j+1}[child[e]], and count_j[s] (int64) the
     number of those completions; every state has an edge, since every edge
     lies on a complete table.  A float64 shadow of the counts that reaches
-    2^62 at the root raises ``ValueError``; no state has more completions
-    than the root, so no int64 count can wrap.
+    2^62 at a root raises ``ValueError``; no state has more completions
+    than its root, so no int64 count can wrap.
     """
     out, shadow = [(top, count)], count.astype(float)
     for lev in reversed(levels):
@@ -906,10 +1071,91 @@ def _completion_bounds(
         count = np.add.reduceat(count[lev.child], starts)
         shadow = np.add.reduceat(shadow[lev.child], starts)
         out.append((top, count))
-    if shadow[0] >= 2.0**62:
-        raise ValueError(f"the reference set holds about {shadow[0]:.3g} tables, "
+    if shadow.max() >= 2.0**62:
+        raise ValueError(f"the reference set holds about {shadow.max():.3g} tables, "
                          "too many to count in 64-bit integers")
     return out[::-1]
+
+
+def _key_groups(aggs: list[RejectionAggregate]) -> list[list[RejectionAggregate]]:
+    """Consecutive runs of a stack whose network keys fit int64.
+
+    A run of T tables keys its states up to T prod_i (max rows_i + 1); a
+    table whose own keys pass 2^63 is a run of its own.
+    """
+    groups: list[list[RejectionAggregate]] = []
+    top: list[int] = []
+    for a in aggs:
+        wider = [max(x, y) for x, y in zip(top, a.margins.rows)] if groups else list(a.margins.rows)
+        if groups and (len(groups[-1]) + 1) * math.prod(r + 1 for r in wider) < 2**63:
+            groups[-1].append(a)
+            top = wider
+        else:
+            groups.append([a])
+            top = list(a.margins.rows)
+    return groups
+
+
+def _build_stack(
+    aggs: list[RejectionAggregate], test: TestStatistic
+) -> Iterator[RejectionAggregate]:
+    """Stream R of every aggregate of a stack, yielding each as soon as it is complete.
+
+    Runs of tables whose keys fit int64 (``_key_groups``) share one network;
+    a table whose own keys do not is materialized, as precomputed ones are.
+    The stack's list is emptied, and each yielded aggregate's slot cleared,
+    so that no aggregate outlives its caller's use of it here.
+    """
+    groups = _key_groups(aggs)
+    aggs.clear()
+    for group in groups:
+        if math.prod(r + 1 for r in group[0].margins.rows) >= 2**63:
+            agg = group.pop()
+            agg._add_tables(test, None, None)
+            yield agg
+        else:
+            yield from _build_group(group, test)
+
+
+def _build_group(
+    aggs: list[RejectionAggregate], test: TestStatistic
+) -> Iterator[RejectionAggregate]:
+    """Build one network for ``aggs``, then its last level per run of tables that fits.
+
+    A stack of one is built in one piece.  Otherwise the last level is made
+    for runs of tables whose reached edges, counted before any is made, fit
+    ``_CHUNK_BYTES`` together, and each table of a run is streamed from its
+    own root before the next run's level is made.
+    """
+    net = _column_network(aggs, test)
+    if not isinstance(net, _Network):  # a middle level too large to make at once
+        runs = [[aggs[t] for t in run] for run in net]
+        aggs.clear()
+        for run in runs:
+            yield from _build_group(run, test)
+        return
+    opaque = test.cell_terms is None
+    J, I = aggs[0].margins.J, aggs[0].margins.I
+    tab = net.tables[-1]
+    totals = np.array([a.margins.cols[J - 2] for a in aggs], dtype=np.int64)
+    floor = bounds = None
+    if opaque:
+        expand = np.arange(len(tab))
+    else:
+        (floor, bounds), expand = _pruning(net, aggs, test)
+    runs = [range(len(aggs))]
+    if len(aggs) > 1:
+        edges = _composition_counts(net.state, totals[tab]) if opaque else bounds[-1][1][expand]
+        runs = _byte_groups(np.bincount(tab[expand], edges, len(aggs)).astype(np.int64), I)
+    vectors = [column[0] for column in net.columns]
+    for run in runs:
+        lo, hi = np.searchsorted(tab[expand], [run.start, run.stop])
+        levels = net.levels + [_last_level(net, totals, expand[lo:hi], opaque)]
+        for t in run:
+            agg, aggs[t] = aggs[t], None
+            agg._stream(test, levels, vectors, None if opaque else (floor[t], bounds), t)
+            yield agg
+            del agg
 
 
 class RejectionAggregate:
@@ -934,6 +1180,15 @@ class RejectionAggregate:
     margins.  An opaque statistic gets each chunk's tables rebuilt from their
     column-vector ids.  Precomputed ``tables`` (and ``tvals``) feed the same
     accumulator as one chunk.
+
+    Tables that share I, J, delta and the statistic, each with its own
+    margins and critical value, are built as one stack (``_stack``): one
+    network for all of them, whose states carry their table, one pruning
+    pass, and the last level made for runs of tables whose reached edges fit
+    ``_CHUNK_BYTES`` (``_build_group``).  Each table is then streamed from
+    its own root with the chunks, order and running offset of its own build,
+    so R, the offset and the counts below equal a stack of one's bit for
+    bit; a single table is a stack of one.
 
     Wholly accepted subtrees are never expanded.  For a statistic of cell
     terms, each network state s at level j has the largest statistic sum
@@ -975,6 +1230,35 @@ class RejectionAggregate:
         tables: np.ndarray | None = None,
         tvals: np.ndarray | None = None,
     ) -> None:
+        self._setup(m, critical, delta)
+        if tables is None and tvals is None:
+            for _ in _build_stack([self], test):
+                pass
+        else:
+            self._add_tables(test, tables, tvals)
+
+    @classmethod
+    def _stack(
+        cls, ms: Sequence[Margins], test: TestStatistic, criticals: Sequence[float],
+        delta: Sequence[int],
+    ) -> Iterator[RejectionAggregate]:
+        """Each table's aggregate, in order, as one stack built them (``_build_stack``).
+
+        The margins must share I and J; an aggregate is yielded as soon as
+        it is complete, so a caller that scans and drops it holds one R at a
+        time.
+        """
+        aggs = []
+        for m, critical in zip(ms, criticals):
+            if (m.I, m.J) != (ms[0].I, ms[0].J):
+                raise ValueError("a stack's tables must share I and J")
+            agg = cls.__new__(cls)
+            agg._setup(m, critical, delta)
+            aggs.append(agg)
+        return _build_stack(aggs, test)
+
+    def _setup(self, m: Margins, critical: float, delta: Sequence[int]) -> None:
+        """Check delta and start an empty R."""
         if len(delta) != m.I:
             raise ValueError("delta length must match the number of treatment levels")
         if any(v not in (0, 1) for v in delta):
@@ -982,29 +1266,34 @@ class RejectionAggregate:
         self.margins = m
         self.critical = float(critical)
         self.delta = tuple(int(v) for v in delta)
-        one_rows = [i for i, dv in enumerate(self.delta) if dv == 1]
-        self.block_total = int(np.asarray(m.rows)[one_rows].sum())
+        self._one_rows = tuple(i for i, dv in enumerate(self.delta) if dv == 1)
+        self.block_total = int(np.asarray(m.rows)[list(self._one_rows)].sum())
         self._shape = tuple(int(cj) + 1 for cj in m.cols)
         self._logfact = log_factorials(m.N)
         self._threshold = self.critical - statistic_tolerance(self.critical)
         self.ntables = 0
         self.nrejected = 0
         self.nexpanded = 0
+
+    def _start(self) -> None:
+        """An empty R, made only when the build of this table begins."""
         self._R = np.zeros(self._shape)
         self._offset = -math.inf
-        network = None
-        if tables is None and tvals is None:
-            network = _column_network(m, one_rows, test, self._threshold)
-        if network is not None:
-            self._stream(test, *network)
-        else:  # precomputed tables, or margins whose network keys overflow
-            if tables is None:
-                tables = enumerate_fixed_margin_array(m)
-            if tvals is None:
-                tvals = test.evaluate_batch(tables)
-            mask = np.asarray(tvals) >= self._threshold
-            logw, b = _log_table_weight(np.asarray(tables)[mask].astype(np.int64), one_rows)
-            self._add(len(mask), np.ravel_multi_index(tuple(b.T), self._shape), logw)
+
+    def _add_tables(self, test: TestStatistic, tables: np.ndarray | None,
+                    tvals: np.ndarray | None) -> None:
+        """Build R from the materialized reference set (enumerated when ``tables`` is None)."""
+        self._start()
+        if tables is None:
+            tables = enumerate_fixed_margin_array(self.margins)
+        if tvals is None:
+            tvals = test.evaluate_batch(tables)
+        mask = np.asarray(tvals) >= self._threshold
+        logw, b = _log_table_weight(np.asarray(tables)[mask].astype(np.int64), self._one_rows)
+        self._add(len(mask), np.ravel_multi_index(tuple(b.T), self._shape), logw)
+        self._finish()
+
+    def _finish(self) -> None:
         if self.nrejected == 0:
             self._offset = 0.0
 
@@ -1023,17 +1312,19 @@ class RejectionAggregate:
 
     def _stream(
         self, test: TestStatistic, levels: list[_ColumnLevel], vectors: list[np.ndarray],
-        pruning: tuple | None,
+        pruning: tuple | None, root: int,
     ) -> None:
-        """Accumulate R over the paths of the column network, chunk by chunk."""
+        """Accumulate R over the paths of the network from state ``root``, chunk by chunk."""
+        self._start()
         m = self.margins
         opaque = test.cell_terms is None
         # an opaque statistic's rows also carry J ids and a rebuilt table
         row_bytes = _BUILD_ROW_BYTES + (8 * (m.J + 3 * m.I * m.J) if opaque else 0)
         budget = max(1, _CHUNK_BYTES // row_bytes)
-        root = np.zeros(1, dtype=np.int64)
-        prefixes = (root, np.zeros(1), np.zeros(1), root, [] if opaque else None)
+        zero = np.zeros(1, dtype=np.int64)
+        prefixes = (np.array([root]), np.zeros(1), np.zeros(1), zero, [] if opaque else None)
         self._descend(test, levels, vectors, budget, pruning, 0, *prefixes)
+        self._finish()
 
     def _descend(
         self, test, levels, vectors, budget, pruning, j, state, logw, tterm, ridx, ids

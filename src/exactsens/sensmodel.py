@@ -197,13 +197,23 @@ class RawConfounder:
         return all(v in (0.0, 1.0) for v in self.u)
 
     def to_class(self, outcomes: Sequence[int], J: int) -> ConfounderClass:
-        """Per-outcome u=1 counts; only defined for binary u."""
+        """Per-outcome u=1 counts; only defined for binary u.
+
+        ``outcomes`` holds one outcome code in 0..J-1 per subject, read as
+        ``tables._integers`` reads counts; a fractional or out-of-range code,
+        or a length other than N, raises ``ValueError``.
+        """
         if not self.is_binary():
             raise ValueError("only binary confounders map to a ConfounderClass")
+        codes = _integers(outcomes, "outcome codes")
+        if len(codes) != self.N:
+            raise ValueError(f"{len(codes)} outcome codes for {self.N} subjects")
+        if any(not 0 <= r < J for r in codes):
+            raise ValueError(f"outcome codes must lie in 0..{J - 1}, not {codes}")
         ubar = [0] * J
-        for r, v in zip(outcomes, self.u):
+        for r, v in zip(codes, self.u):
             if v == 1.0:
-                ubar[int(r)] += 1
+                ubar[r] += 1
         return ConfounderClass(tuple(ubar))
 
 
@@ -258,10 +268,15 @@ def odds_ratio_constraint_holds(
 
 
 def conditional_weight(model: SensitivityModel, q: Sequence[int]) -> float:
-    """Log tilt ``gamma * sum_i bias_i q_i`` of an assignment with u-counts q."""
+    """Log tilt ``gamma * sum_i bias_i q_i`` of an assignment with u-counts q.
+
+    q is read as ``tables._integers`` reads counts: 2.0 is 2, and 0.5 raises
+    ``ValueError``.
+    """
+    q = _integers(q, "q")
     if len(q) != model.I:
         raise ValueError(f"q must have length {model.I}")
-    return model.gamma * float(sum(b * int(v) for b, v in zip(model.bias, q)))
+    return model.gamma * float(sum(b * v for b, v in zip(model.bias, q)))
 
 
 def collapsed_odds_bound_holds(

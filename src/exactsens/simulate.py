@@ -22,7 +22,8 @@ grid points share simulated tables.  ``power_curve`` draws them all into one
 (iterations, I, J) count stack and makes one pass per variant: one
 transform of the stack, one rule for degenerate draws (a transformed row
 total of 0) and one ``evaluate_batch`` for every critical value.  An ordinal
-or pi variant then scans each draw with ``worst_case_grid``.  A sign-score
+or pi variant then scans its draws with one ``_worst_case_grids`` call,
+whose aggregates are built as one stack.  A sign-score
 variant's worst-case null law depends on the draw's rows and column-2 total
 alone, and the treatment margins are fixed by design, so one
 ``_signscore_pvalues`` call builds the MVEHG law of every distinct pair in
@@ -45,7 +46,7 @@ from exactsens.moments import normal_tail
 from exactsens.sensmodel import SensitivityError, SensitivityModel, check_gammas, check_level
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable, Margins, _integers, collapse, crosscut
-from exactsens.worstcase import _resolve_strategy, _signscore_pvalues, worst_case_grid
+from exactsens.worstcase import _resolve_strategy, _signscore_pvalues, _worst_case_grids
 
 __all__ = [
     "LogLinearDGP",
@@ -241,11 +242,12 @@ def power_curve(
     All gamma grid points reuse each iteration's table, and variants share
     it (common random numbers), which makes paired comparisons between
     tests meaningful.  An ordinal or pi variant costs one gamma-free
-    aggregate per draw; a sign-score variant costs one MVEHG law per
-    distinct (rows, column-2 total) of its transformed draws, all built in
-    one law pass, since the worst-case null law depends on the margins
-    alone and each draw only moves the critical value.  With ``return_matrix`` the raw (iterations,
-    variant, gamma) rejection indicators are returned alongside the curves.
+    aggregate per draw, a variant's draws built as one stack; a sign-score
+    variant costs one MVEHG law per distinct (rows, column-2 total) of its
+    transformed draws, all built in one law pass, since the worst-case null
+    law depends on the margins alone and each draw only moves the critical
+    value.  With ``return_matrix`` the raw (iterations, variant, gamma)
+    rejection indicators are returned alongside the curves.
     A level outside (0, 1] raises ``ValueError``.
     """
     if iterations < 1:
@@ -292,9 +294,9 @@ def power_curve(
             arr[live, si] = (np.minimum(p, 1.0) <= alpha_level).T
             builds = len(keys)
         else:
-            for it, tab, crit in zip(live.tolist(), tabs, crits.tolist()):
-                results = worst_case_grid(stats[si], ContingencyTable.from_array(tab), models[si],
-                                          gammas, crit, strategy=strategies[si])
+            grids = _worst_case_grids(stats[si], list(map(ContingencyTable.from_array, tabs)),
+                                      models[si], gammas, crits.tolist(), strategies[si])
+            for it, results in zip(live.tolist(), grids):
                 arr[it, si] = [res.pvalue <= alpha_level for res in results]
             builds = len(live)
         rates = arr[:, si, :].mean(axis=0)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from exactsens.exactdist import _log_binom, log_factorials
 from exactsens.sensmodel import SensitivityModel, check_level
 from exactsens.stats import TestStatistic, ordinal_statistic
 from exactsens.tables import ContingencyTable, _integers, _read_counts, read_numbers
-from exactsens.worstcase import worst_case_grid
+from exactsens.worstcase import _worst_case_grids
 
 __all__ = [
     "StratifiedStudy",
@@ -60,12 +60,18 @@ DEFAULT_TAU = 0.2
 
 @dataclass(frozen=True)
 class StratifiedStudy:
-    """K independent tables sharing I and J, with per-stratum ordinal scores."""
+    """K independent tables sharing I and J, with per-stratum ordinal scores.
+
+    Each distinct (alpha, beta) pair gets one ``ordinal_statistic``, built
+    and validated with the study; strata with equal scores share it, so
+    their worst cases are built as one stack.
+    """
 
     strata: tuple[ContingencyTable, ...]
     alphas: tuple[tuple[float, ...], ...]
     betas: tuple[tuple[float, ...], ...]
     model: SensitivityModel
+    _statistics: tuple[TestStatistic, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.strata:
@@ -75,13 +81,20 @@ class StratifiedStudy:
             raise ValueError("all strata must share I and J")
         if len(self.alphas) != len(self.strata) or len(self.betas) != len(self.strata):
             raise ValueError("per-stratum scores must match the number of strata")
+        built: dict[tuple[tuple[float, ...], tuple[float, ...]], TestStatistic] = {}
+        for pair in zip(map(tuple, self.alphas), map(tuple, self.betas)):
+            if pair not in built:
+                built[pair] = ordinal_statistic(*pair)
+        object.__setattr__(self, "_statistics", tuple(
+            built[pair] for pair in zip(map(tuple, self.alphas), map(tuple, self.betas))))
 
     @property
     def K(self) -> int:
         return len(self.strata)
 
     def statistic(self, k: int) -> TestStatistic:
-        return ordinal_statistic(self.alphas[k], self.betas[k])
+        """Stratum k's ordinal statistic, the one object of every stratum with its scores."""
+        return self._statistics[k]
 
     @classmethod
     def from_json(cls, text: str) -> tuple["StratifiedStudy", float]:
@@ -158,14 +171,21 @@ def stratified_worst_case(study: StratifiedStudy) -> np.ndarray:
 def stratified_worst_case_grid(study: StratifiedStudy, gammas: Sequence[float]) -> np.ndarray:
     """(G, K) per-stratum worst-case p-values at each gamma of ``gammas``.
 
-    One ``worst_case_grid`` per stratum: its gamma-free aggregate serves the
-    whole grid.
+    The strata that share a statistic go through one ``_worst_case_grids``
+    call: their gamma-free aggregates are built as one stack, and each
+    serves the whole grid.  Every p-value equals its stratum's own
+    ``worst_case_grid``.
     """
-    return np.asarray([
-        [res.pvalue for res in
-         worst_case_grid(study.statistic(k), study.strata[k], study.model, gammas)]
-        for k in range(study.K)
-    ]).T
+    shared: dict[int, list[int]] = {}  # id of a statistic -> its strata
+    for k in range(study.K):
+        shared.setdefault(id(study.statistic(k)), []).append(k)
+    out = np.empty((len(gammas), study.K))
+    for ks in shared.values():
+        grids = _worst_case_grids(study.statistic(ks[0]), [study.strata[k] for k in ks],
+                                  study.model, gammas)
+        for k, results in zip(ks, grids):
+            out[:, k] = [res.pvalue for res in results]
+    return out
 
 
 def truncated_product(pvals: Sequence[float], tau: float) -> float:

@@ -265,8 +265,10 @@ def _bounded_compositions_many(
     caps can absorb), in ascending order, so only feasible prefixes are ever
     made, and the last entry takes the remainder.  An owner whose total its
     caps cannot meet gets no rows.  Behind ``enumerate_fixed_margin_array``
-    (one row of every table per call), the exact engine's column network
-    (``exactdist._column_network``, one column per call) and the MVEHG
+    (one row of every table per call), the exact engine's column vectors
+    (``exactdist._column_vectors_many``, one (margin, rows) key per owner)
+    and column network (``exactdist._column_network``, one column per
+    call) and the MVEHG
     supports (``exactdist._mvehg_laws``, one (rows, total) key per owner).
     """
     bounds = np.asarray(bounds, dtype=np.int64)

@@ -24,6 +24,10 @@ the whole grid, the statistic evaluated once on its support and one
 it every distinct (rows, column-2 total) key of a variant's draws at once:
 the keys' laws come from one law pass (in chunks of bounded memory) and
 each draw's tail is read off its own key's law, never a sum across keys.
+``_worst_case_grids`` does the same for many tables that share I and J
+(a study's strata, a power study's draws): their aggregates come from one
+stacked build (``RejectionAggregate._stack``), each swept as soon as it is
+streamed, and every result equals the table's own ``worst_case_grid``.
 One tie rule then scans each gamma's column in candidate order, keeping the
 first maximizer up to ``_TIE_REL`` so ties break toward the
 lexicographically smallest class, and builds a ``ConfounderClass`` for the
@@ -215,22 +219,63 @@ def worst_case_grid(
     critical: float | None = None,
     strategy: str = "auto",
 ) -> list[WorstCaseResult]:
-    """Worst case at each gamma from one gamma-free build (aggregate or MVEHG support)."""
+    """Worst case at each gamma from one gamma-free build (aggregate or MVEHG support).
+
+    The one-table call of ``_worst_case_grids``.
+    """
+    criticals = None if critical is None else [critical]
+    return _worst_case_grids(test, [t_obs], model, gammas, criticals, strategy)[0]
+
+
+def _worst_case_grids(
+    test: TestStatistic,
+    tables: Sequence[ContingencyTable],
+    model: SensitivityModel,
+    gammas: Sequence[float],
+    criticals: Sequence[float] | None = None,
+    strategy: str = "auto",
+) -> list[list[WorstCaseResult]]:
+    """``worst_case_grid`` of each table, for tables that share I and J, from one stacked build.
+
+    The observed statistics (when ``criticals`` is None) are evaluated in
+    one batch.  A corner scan's aggregates come from one stack
+    (``RejectionAggregate._stack``), and each is swept as soon as it is
+    streamed, so one R is held at a time; the sign-score worst cases come
+    from one ``_signscore_pvalues`` call over the tables' keys.  Every
+    result equals the table's own ``worst_case_grid`` bit for bit.
+    """
     check_gammas(gammas)
-    m = t_obs.margins()
-    model.validate_for(m)
-    critical = _resolve_critical(test, t_obs, critical)
-    strategy = _resolve_strategy(test, model, m, strategy)
+    if not tables:
+        return []
+    ms = [t.margins() for t in tables]
+    for m in ms:
+        model.validate_for(m)
+    if criticals is None:
+        criticals = test.evaluate_batch(np.stack([t.as_array() for t in tables])).tolist()
+    criticals = [_resolve_critical(test, t, c) for t, c in zip(tables, criticals)]
+    strategy = _resolve_strategy(test, model, ms[0], strategy)
     if strategy == "signscore":
-        U = np.array([signscore_u_plus(m).ubar])
-        table = _signscore_pvalues(test, m.rows, m.cols[1], model.bias, gammas, [critical]).T
-    else:
-        agg = RejectionAggregate(m, test, critical, model.delta)  # type: ignore[arg-type]
+        p = _signscore_pvalues(test, [m.rows for m in ms], [m.cols[1] for m in ms], model.bias,
+                               gammas, criticals, np.arange(len(ms)))
+        return [_scan_results(np.array([signscore_u_plus(m).ubar]), p[:, k : k + 1].T, test,
+                              strategy) for k, m in enumerate(ms)]
+    out = []
+    aggs = RejectionAggregate._stack(ms, test, criticals, model.delta)  # type: ignore[arg-type]
+    for m, agg in zip(ms, aggs):
         if strategy == "ordinal":
             U, table = _ordinal_classes(m), agg.suffix_alpha_table(gammas)
         else:
             U = _pi_classes(m)
             table = agg.alpha_table(U, gammas)
+        del agg  # so that it is freed before the next table's is built
+        out.append(_scan_results(U, table, test, strategy))
+    return out
+
+
+def _scan_results(
+    U: np.ndarray, table: np.ndarray, test: TestStatistic, strategy: str
+) -> list[WorstCaseResult]:
+    """Per gamma, the first maximizer of the (K, G) alpha ``table`` over the classes U."""
     # candidate rows are lexicographically ascending, so keeping the first
     # maximizer (up to _TIE_REL jitter) realizes the lex-smallest tie-break
     # while the reported p stays equal to alpha at the reported class

@@ -710,6 +710,30 @@ def test_network_last_level_fits_in_one_gib(tmp_path):
 
 
 
+def test_stratified_study_at_margins_100_fits_in_one_gib(tmp_path):
+    # two strata at that table's margins, the table and its transpose, share
+    # one network and one pruning pass; each stratum's reached last level is
+    # past _CHUNK_BYTES alone, so each is made in a run of its own and the
+    # study fits where one table does
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    table = [[51, 8, 41], [2, 59, 39], [47, 33, 20]]
+    scores = {"alpha": [0, 1.7, 2.45], "beta": [0, 1.25, 1.4]}
+    strata = [dict(scores, counts=table), dict(scores, counts=list(map(list, zip(*table))))]
+    doc = {"strata": strata, "gamma": 0.0, "delta": [0, 1, 1]}
+    (tmp_path / "study.json").write_text(json.dumps(doc))
+    src = str(Path(exactsens.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from exactsens.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "stratified", "study.json", "--Gamma-grid", "1,2"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines() if not line.startswith("#")]
+    assert [r[2] for r in rows[1:]] == ["0.0287795557861", "0.753688703905"]
+
+
 # every comma-separated flag of every command, with a valid value; of each
 # pair in EITHER_OR the second is given unless the first is the flag tested
 LIST_FLAGS = {

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 import warnings
 from decimal import Decimal, localcontext
 
@@ -254,18 +255,19 @@ def test_aggregates_share_the_per_margin_caches():
     t = ContingencyTable.from_array([[4, 1, 2], [1, 3, 3], [0, 2, 4]])
     m = t.margins()
     stat = ordinal_statistic((0, 1, 2), (0, 1, 2))
-    caches = (exactdist._column_vectors, exactdist._scaled_binomials)
+    binomials = exactdist._scaled_binomials
     first = RejectionAggregate(m, stat, stat(t), (0, 1, 1))
     want = first.suffix_alpha_table([0.0, 1.0])
-    before = [cache.cache_info() for cache in caches]
+    before, vectors = binomials.cache_info(), dict(exactdist._COLUMN_VECTORS)
     second = RejectionAggregate(m, stat, stat(t), (0, 1, 1))
     got = second.suffix_alpha_table([0.0, 1.0])
-    for cache, info in zip(caches, before):
-        assert cache.cache_info().misses == info.misses, cache
-        assert cache.cache_info().hits > info.hits, cache
+    assert binomials.cache_info().misses == before.misses
+    assert binomials.cache_info().hits > before.hits
+    assert exactdist._COLUMN_VECTORS.keys() == vectors.keys()
+    assert all(exactdist._COLUMN_VECTORS[k] is v for k, v in vectors.items())
     assert (second.ntables, second.nrejected) == (first.ntables, first.nrejected)
     np.testing.assert_array_equal(got, want)
-    shared = [*exactdist._column_vectors(m.cols[0], m.rows, (1, 2)),
+    shared = [*exactdist._column_vectors_many([(m.cols[0], m.rows, (1, 2))])[0],
               exactdist._scaled_binomials(m.cols[0])[0]]
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -872,6 +874,98 @@ def test_streamed_build_with_overflowing_state_keys():
     assert p2 == pytest.approx(math.exp(2.0) / (7 + math.exp(2.0)), rel=1e-12)
 
 
+def _bits(agg):
+    """What a build leaves, as exact bits: R, the running offset and the three counts."""
+    return (agg._R.tobytes(), struct.pack("d", agg._offset),
+            agg.ntables, agg.nrejected, agg.nexpanded)
+
+
+def _stack_margins(m: Margins) -> list[Margins]:
+    """m, m with one subject more in its first row and last column, and m reversed."""
+    rows, cols = list(m.rows), list(m.cols)
+    return [m, Margins([rows[0] + 1] + rows[1:], cols[:-1] + [cols[-1] + 1]),
+            Margins(rows[::-1], cols[::-1])]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 3000])
+@pytest.mark.parametrize("m", STREAM_MARGINS, ids=str)
+def test_stacks_equal_stacks_of_one(monkeypatch, m, budget):
+    # one stack per statistic and delta holds three margins of the shape, each
+    # at its median and tail critical value, in mixed order; every aggregate
+    # equals its table built alone, bit for bit.  Budget 1 makes each last
+    # level's run of tables, and each split of a middle level (J >= 4), a
+    # single table; 3000 bytes gives runs of a few tables; None keeps the
+    # default.  Above 10000 tables, as in the streamed-build test, only the
+    # tail value and one delta run, without the opaque statistic.
+    if budget is not None:
+        monkeypatch.setattr(exactdist, "_CHUNK_BYTES", budget)
+    ms = _stack_margins(m)
+    refs = [enumerate_fixed_margin_array(v) for v in ms]
+    small = max(map(len, refs)) < 10000
+    quantiles = [0.5, 0.9] if small else [0.9]
+    deltas = [(0,) * (m.I - 1) + (1,), (1,) + (0,) * (m.I - 1)][: 2 if small else 1]
+    for stat in _stream_statistics(m, with_opaque=small):
+        stack = [(v, float(np.quantile(stat.evaluate_batch(t), q)))
+                 for v, t in zip(ms, refs) for q in quantiles]
+        stack = stack[::2] + stack[1::2]
+        for delta in deltas:
+            got = RejectionAggregate._stack([v for v, _ in stack], stat,
+                                            [c for _, c in stack], delta)
+            want = [RejectionAggregate(v, stat, c, delta) for v, c in stack]
+            assert [_bits(a) for a in got] == [_bits(a) for a in want], (stat.name, delta)
+
+
+def test_stack_past_the_key_range_splits_instead_of_materializing(monkeypatch):
+    # each table keys its states below 251^7 * 101 < 2^63, two tables of the
+    # stack would key them up to twice that, so the stack splits into two
+    # networks; neither table is materialized.  At 251^7 * 41 two fit.
+    delta = (0,) * 7 + (1,)
+    m = Margins((250,) * 7 + (100,), (1849, 1))
+    stat = cell_statistic(7, 1)
+    want = [RejectionAggregate(m, stat, 1.0, delta) for _ in range(2)]
+
+    def pair(last_row):
+        aggs = [RejectionAggregate.__new__(RejectionAggregate) for _ in range(2)]
+        for agg in aggs:
+            agg._setup(Margins((250,) * 7 + (last_row,), (1749 + last_row, 1)), 1.0, delta)
+        return aggs
+
+    assert [len(g) for g in exactdist._key_groups(pair(100))] == [1, 1]
+    assert [len(g) for g in exactdist._key_groups(pair(40))] == [2]
+
+    def refuse(m):
+        raise AssertionError("materialized")
+
+    monkeypatch.setattr(exactdist, "enumerate_fixed_margin_array", refuse)
+    got = list(RejectionAggregate._stack([m, m], stat, [1.0, 1.0], delta))
+    assert [(a.ntables, a.nrejected) for a in got] == [(8, 1)] * 2
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+def test_middle_level_past_the_budget_splits_the_stack(monkeypatch):
+    # J = 4: the middle level of a stack, counted before it is made, splits
+    # the stack into runs that fit; a table alone is built whatever its
+    # level's size, and every aggregate equals its own build
+    ms = _stack_margins(Margins((6, 6, 6, 6), (6, 6, 6, 6)))
+    stat = ordinal_statistic(range(4), (0.0, 1.0, 1.5, 3.0))
+    calls = []
+    network = exactdist._column_network
+
+    def spy(aggs, test):
+        out = network(aggs, test)
+        calls.append((len(aggs), None if isinstance(out, exactdist._Network) else len(out)))
+        return out
+
+    monkeypatch.setattr(exactdist, "_column_network", spy)
+    monkeypatch.setattr(exactdist, "_CHUNK_BYTES", 200_000)
+    want = [RejectionAggregate(v, stat, 15.0, (0, 0, 1, 1)) for v in ms]
+    assert calls == [(1, None)] * 3  # alone, never split
+    calls.clear()
+    got = list(RejectionAggregate._stack(ms, stat, [15.0] * 3, (0, 0, 1, 1)))
+    assert calls[0] == (3, 3) and calls[1:] == [(1, None)] * 3
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
 @pytest.mark.parametrize("stat", [chi2_statistic(), g2_statistic()])
 def test_streamed_build_refuses_empty_outcome_level(stat):
     # the column-term hook keeps the batch's positive-margin refusal, also
@@ -965,12 +1059,14 @@ def test_completion_bounds_of_a_network():
     m = Margins((6, 7, 8), (5, 6, 4, 6))
     stat = weighted_sum_statistic((1.0, -2.0, 0.5), (-1.0, 3.0, -0.5, 2.0))
     tvals = stat.evaluate_batch(enumerate_fixed_margin_array(m))
-    levels, _, (_, bounds) = exactdist._column_network(
-        m, [2], stat, float(np.quantile(tvals, 0.9)))
+    agg = RejectionAggregate.__new__(RejectionAggregate)
+    agg._setup(m, float(np.quantile(tvals, 0.9)), (0, 0, 1))
+    net = exactdist._column_network([agg], stat)
+    (_, bounds), expand = exactdist._pruning(net, [agg], stat)
     (top, count), = bounds[:1]
     assert count.tolist() == [len(tvals)]
     assert top[0] == pytest.approx(tvals.max(), rel=1e-12)
-    edges = np.diff(levels[-1].ptr)
+    edges = np.diff(exactdist._last_level(net, np.array([m.cols[-2]]), expand, False).ptr)
     built = edges > 0
     assert 0 < built.sum() < len(built)
     assert edges[built].tolist() == bounds[-1][1][built].tolist()
@@ -999,7 +1095,10 @@ def test_completion_count_refused_at_two_to_the_62():
 ], ids=["weighted", "chi2", "g2", "cell"])
 def test_last_level_bounds_equal_the_edges(make, rng):
     # a last-level state's bound is the largest forward sum over its edges,
-    # within the pruning guard, and its count is the number of its edges
+    # within the pruning guard, and its count is the number of its edges;
+    # the states of one row count, each with its own terms, taken as one
+    # stack padded to their largest margin get the same floats
+    stacks = {}
     for _ in range(40):
         I = int(rng.integers(2, 6))
         stat = make(I)
@@ -1008,7 +1107,9 @@ def test_last_level_bounds_equal_the_edges(make, rng):
         rows, cols = s + rng.integers(1, 4, size=I), (7, c, int(s.sum()) - c)
         terms = [stat.cell_terms(np.broadcast_to(np.arange(n + 1)[:, None], (n + 1, I)),
                                  j, rows, n, 3) for j, n in ((1, cols[1]), (2, cols[2]))]
-        top, count = exactdist._last_level_bounds(s[None, :], *terms)
+        top, count = exactdist._last_level_bounds(s[None, :], np.zeros(1, dtype=np.int64),
+                                                  [terms[0]], [terms[1]])
+        stacks.setdefault(I, []).append((s, terms, top[0], count[0]))
         v = _bounded_compositions(c, s)
         paths = (stat.cell_terms(v, 1, rows, cols[1], 3).sum(axis=1)
                  + stat.cell_terms(s - v, 2, rows, cols[2], 3).sum(axis=1))
@@ -1016,6 +1117,12 @@ def test_last_level_bounds_equal_the_edges(make, rng):
         M = sum(float(np.abs(t).max(axis=0).sum()) for t in terms)
         assert abs(top[0] - paths.max()) <= (I + 3) * 2.0**-51 * M
         assert top[0] == pytest.approx(paths.max(), rel=1e-12, abs=1e-12)
+    for states in stacks.values():
+        top, count = exactdist._last_level_bounds(
+            np.array([s for s, *_ in states]), np.arange(len(states)),
+            [terms[0] for _, terms, *_ in states], [terms[1] for _, terms, *_ in states])
+        assert top.tolist() == [t for *_, t, _ in states]
+        assert count.tolist() == [n for *_, n in states]
 
 
 def test_chi2_and_g2_match_scipy_on_every_table():

@@ -179,6 +179,26 @@ def test_raw_confounder():
         RawConfounder((0.0, 1.2))
 
 
+@pytest.mark.parametrize("codes, message", [
+    ((0, 1.7, 1, 0), "integers"),  # counted as level 1 before
+    ((0, -1, 1, 0), "lie in 0..1"),  # counted as level J - 1 before
+    ((0, 5, 1, 0), "lie in 0..1"),  # a bare IndexError before
+    ((0, 1), "2 outcome codes for 4 subjects"),  # the last two subjects dropped before
+])
+def test_to_class_refuses_bad_outcome_codes(codes, message):
+    raw = RawConfounder((1.0, 1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match=message):
+        raw.to_class(codes, 2)
+    assert raw.to_class((0, 1.0, np.int64(1), 0), 2) == ConfounderClass((2, 1))
+
+
+def test_conditional_weight_reads_q_as_integers():
+    model = SensitivityModel(gamma=1.0, delta=(0, 1))
+    with pytest.raises(ValueError, match="q must hold integers"):
+        conditional_weight(model, (0.5, 1.9))  # 1.0, as if q were (0, 1), before
+    assert conditional_weight(model, (0.0, 2.0)) == conditional_weight(model, (0, 2)) == 2.0
+
+
 @pytest.mark.parametrize("m, ubar", [
     (Margins((2, 2), (1, 3)), (1, 2)),
     (Margins((3, 2, 2), (3, 0, 4)), (1, 0, 4)),  # an empty outcome level

@@ -125,9 +125,10 @@ def test_analyze_study_grid_builds_one_aggregate_per_stratum(monkeypatch):
     builds = []
 
     class CountingAggregate(RejectionAggregate):
-        def __init__(self, *args, **kwargs):
-            builds.append(args[0])
-            super().__init__(*args, **kwargs)
+        # every aggregate, alone or in a stack, starts its R here
+        def _setup(self, m, *args):
+            builds.append(m)
+            super()._setup(m, *args)
 
     monkeypatch.setattr(worstcase, "RejectionAggregate", CountingAggregate)
     gammas = [0.0, math.log(2), math.log(3)]

@@ -2,12 +2,18 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import exactsens.exactdist as exactdist
+import exactsens.simulate as simulate
+import exactsens.stratified as stratified
+import exactsens.worstcase as worstcase
+from exactsens.cli import main
 from exactsens.exactdist import (
     RejectionAggregate,
     brute_force_alpha,
@@ -743,3 +749,51 @@ def test_every_grid_refuses_an_empty_gamma_grid(path):
     # numpy's stack on the sign-score one
     with pytest.raises(ValueError, match="^gamma grid must be non-empty$"):
         _EMPTY_GRID_PATHS[path]()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name, module", [("strata-closed", stratified),
+                                          ("power-suite", simulate)], ids=["strata", "power"])
+def test_worst_case_grids_equal_one_table_calls(name, module, seed, tmp_path, monkeypatch):
+    # the stacked worst cases of a benchmark workload's tables, as its CLI run
+    # hands them over, against each table's own ``worst_case_grid``: p-value,
+    # argmax class and candidates at every gamma; the pi scan of the first
+    # few tables too
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked out
+    import workloads
+
+    _, inputs = workloads.make_inputs(workloads.WORKLOADS[name], seed)
+    workloads.write_inputs(inputs, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    grids = worstcase._worst_case_grids
+
+    def spy(*args):
+        calls.append(args)
+        return grids(*args)
+
+    monkeypatch.setattr(module, "_worst_case_grids", spy)
+    assert main(inputs.argv + ["--out", "out.csv"]) == 0
+    assert calls
+    for test, tables, model, gammas, *rest in calls:
+        criticals = rest[0] if rest else None
+        crits = [None] * len(tables) if criticals is None else criticals
+        assert len(tables) > 1
+        for strategy in ("ordinal", "pi"):
+            n = len(tables) if strategy == "ordinal" else 2
+            got = grids(test, tables[:n], model, gammas,
+                        None if criticals is None else criticals[:n], strategy)
+            assert got == [worst_case_grid(test, t, model, gammas, c, strategy)
+                           for t, c in zip(tables[:n], crits)]
+
+
+def test_signscore_worst_case_grids_equal_one_table_calls():
+    rng = np.random.default_rng(35)
+    stat = ordinal_statistic((0.0, 0.5, 2.0), (0.0, 1.0))
+    model = SensitivityModel(gamma=0.0, delta=(0, 1, 1))
+    tables = [ContingencyTable.from_array(rng.integers(1, 9, size=(3, 2))) for _ in range(6)]
+    gammas = [0.0, 0.5, 1.5]
+    got = worstcase._worst_case_grids(stat, tables, model, gammas)
+    assert {r.strategy_used for grid in got for r in grid} == {"signscore"}
+    assert got == [worst_case_grid(stat, t, model, gammas) for t in tables]
