@@ -758,8 +758,10 @@ def _byte_groups(edges: np.ndarray, I: int) -> list[range]:
     """Consecutive runs of tables whose ``edges`` (per table) fit ``_CHUNK_BYTES`` together.
 
     An edge takes 8 (2 I + 8) bytes while its level is made: its vector,
-    the composition's temporaries, keys, ids and sums.  A table whose edges
-    alone do not fit is a run of its own.
+    the composition's temporaries, keys, ids and sums; a column vector or a
+    state (``_network_sizes``) is counted at the same size, which covers its
+    entries, key, table, scores and bounds.  A table whose edges alone do
+    not fit is a run of its own.
     """
     groups, start, total = [], 0, 0
     for t, n in enumerate(edges.tolist()):
@@ -797,7 +799,9 @@ def _column_network(aggs: list[RejectionAggregate], test: TestStatistic) -> _Net
     is made, its edges are counted per table (``_composition_counts``); when
     a stack of several tables would pass ``_CHUNK_BYTES`` with them, the
     stack is returned split into runs of tables that fit (``_byte_groups``),
-    to be built apart.  Callers keep T times ``span`` below 2^63.
+    to be built apart.  Callers keep T times ``span`` below 2^63, and the
+    column vectors, level-0 edges and states the stack holds within
+    ``_CHUNK_BYTES`` unless it is a single table (``_build_stack``).
     """
     T, I, J = len(aggs), aggs[0].margins.I, aggs[0].margins.J
     bounded = test.cell_terms is not None
@@ -843,10 +847,8 @@ def _column_network(aggs: list[RejectionAggregate], test: TestStatistic) -> _Net
         ptr = np.searchsorted(owner, np.arange(len(state) + 1))
         if j == 0:
             ids = np.arange(len(vec))
-        else:
-            if T > 1:  # the vectors' keys in the column: offset by their tables
-                plain += tab[owner] * span
-            ids = np.searchsorted(columns[j][1], plain)
+        else:  # the vectors' keys in the column: offset by their tables
+            ids = np.searchsorted(columns[j][1], plain + tab[owner] * span)
         del vec, plain
         # the next level's states, table by table in key order
         state, tab = _bounded_compositions_many(left[:, j + 1], rows)
@@ -879,9 +881,8 @@ def _last_level(
     owner = expand[owner]
     plain = vec @ net.radix
     child_key = net.state_key[owner] - plain  # the key of the forced last column
-    if len(net.tables[0]) > 1:  # the vectors' keys in the column: offset by their tables
-        plain += tab[owner] * net.span
-    ids = np.searchsorted(net.columns[J - 2][1], plain)
+    # the vectors' keys in the column: offset by their tables
+    ids = np.searchsorted(net.columns[J - 2][1], plain + tab[owner] * net.span)
     ptr = np.searchsorted(owner, np.arange(len(tab) + 1))
     vids = {J - 2: ids, J - 1: np.searchsorted(net.columns[J - 1][1], child_key)}
     del vec, owner, plain, child_key  # before the level's sums: a level can hold every table
@@ -1025,7 +1026,7 @@ def _last_level_bounds(
         s = state[idx].T  # (I, k)
         X = np.arange(C + 1)[:, None]
         at = (t * I + np.arange(I)[:, None]) * W + s  # - x: where g_i(s_i - x) sits
-        h = (F[:, : C + 1, t] if T > 1 else F[:, : C + 1]) + lookup.ravel()[at[:, None, :] - X]
+        h = F[:, : C + 1, t] + lookup.ravel()[at[:, None, :] - X]
         acc = h[0]  # by y, the partial sum
         pad = np.full((2 * C + 1, k), -np.inf)
         stride = pad.strides[0]
@@ -1038,13 +1039,9 @@ def _last_level_bounds(
                               strides=(-stride, stride, pad.strides[1]))
             acc = (back + h[i][:, None, :]).max(axis=0)
         # the last row takes c - y of the partial sum y, none past c: row
-        # C + c - y of h_last padded with C leading -inf, or with every c = C
-        # (the chunk's first state has its largest margin), h_last reversed
-        if cc[0] == C:
-            last = h[-1][::-1]
-        else:
-            pad[C:] = h[-1]
-            last = np.take_along_axis(pad, C + cc - X, axis=0)
+        # C + c - y of h_last padded with C leading -inf
+        pad[C:] = h[-1]
+        last = np.take_along_axis(pad, C + cc - X, axis=0)
         top[idx] = (acc + last).max(axis=0)
         count[idx] = _composition_counts(s.T, cc)
     return top, count
@@ -1096,15 +1093,36 @@ def _key_groups(aggs: list[RejectionAggregate]) -> list[list[RejectionAggregate]
     return groups
 
 
+def _network_sizes(aggs: list[RejectionAggregate]) -> np.ndarray:
+    """(T,) int64: per table, what its network holds through the whole build, counted from margins.
+
+    That is the table's column vectors of every column, its level-0 edges
+    (one per column-0 vector) and the states of levels 1..J - 2, the last
+    level's included (``_composition_counts`` of the rows at each total);
+    the middle levels' edges and the last level's are counted later, from
+    their states.  The tables' own keys must fit int64.
+    """
+    J = aggs[0].margins.J
+    rows = np.array([a.margins.rows for a in aggs], dtype=np.int64)
+    cols = np.array([a.margins.cols for a in aggs], dtype=np.int64)
+    left = cols[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1 : J - 1]  # the totals of levels 1..J - 2
+    vectors = _composition_counts(np.repeat(rows, J, axis=0), cols.ravel()).reshape(len(aggs), J)
+    states = _composition_counts(np.repeat(rows, J - 2, axis=0), left.ravel())
+    return vectors.sum(axis=1) + vectors[:, 0] + states.reshape(len(aggs), J - 2).sum(axis=1)
+
+
 def _build_stack(
     aggs: list[RejectionAggregate], test: TestStatistic
 ) -> Iterator[RejectionAggregate]:
     """Stream R of every aggregate of a stack, yielding each as soon as it is complete.
 
-    Runs of tables whose keys fit int64 (``_key_groups``) share one network;
-    a table whose own keys do not is materialized, as precomputed ones are.
-    The stack's list is emptied, and each yielded aggregate's slot cleared,
-    so that no aggregate outlives its caller's use of it here.
+    Runs of tables whose keys fit int64 (``_key_groups``) and whose networks
+    fit ``_CHUNK_BYTES`` together (``_network_sizes``, ``_byte_groups``)
+    share one network, so a stack of any length holds about one run's
+    network at a time; a table whose own keys do not fit is materialized,
+    as precomputed ones are.  The stack's list is emptied, and each yielded
+    aggregate's slot cleared, so that no aggregate outlives its caller's use
+    of it here.
     """
     groups = _key_groups(aggs)
     aggs.clear()
@@ -1113,8 +1131,14 @@ def _build_stack(
             agg = group.pop()
             agg._add_tables(test, None, None)
             yield agg
-        else:
-            yield from _build_group(group, test)
+            continue
+        runs = [group]
+        if len(group) > 1:  # a table alone is a run whatever its network's size
+            runs = [[group[t] for t in run]
+                    for run in _byte_groups(_network_sizes(group), group[0].margins.I)]
+            group.clear()
+        for run in runs:
+            yield from _build_group(run, test)
 
 
 def _build_group(
@@ -1183,9 +1207,12 @@ class RejectionAggregate:
 
     Tables that share I, J, delta and the statistic, each with its own
     margins and critical value, are built as one stack (``_stack``): one
-    network for all of them, whose states carry their table, one pruning
-    pass, and the last level made for runs of tables whose reached edges fit
-    ``_CHUNK_BYTES`` (``_build_group``).  Each table is then streamed from
+    network for each run of tables whose networks, counted from their
+    margins, fit ``_CHUNK_BYTES`` together (``_build_stack``), its states
+    carrying their table, one pruning pass per run, and the last level made
+    for runs of tables whose reached edges fit ``_CHUNK_BYTES``
+    (``_build_group``), so a stack of any length holds about one run's
+    network at a time.  Each table is then streamed from
     its own root with the chunks, order and running offset of its own build,
     so R, the offset and the counts below equal a stack of one's bit for
     bit; a single table is a stack of one.

@@ -242,7 +242,9 @@ def power_curve(
     All gamma grid points reuse each iteration's table, and variants share
     it (common random numbers), which makes paired comparisons between
     tests meaningful.  An ordinal or pi variant costs one gamma-free
-    aggregate per draw, a variant's draws built as one stack; a sign-score
+    aggregate per draw, a variant's draws built as one stack, whose
+    networks are made for runs of draws that fit a fixed byte budget, so
+    memory does not grow with ``iterations``; a sign-score
     variant costs one MVEHG law per distinct (rows, column-2 total) of its
     transformed draws, all built in one law pass, since the worst-case null
     law depends on the margins alone and each draw only moves the critical

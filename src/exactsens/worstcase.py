@@ -26,8 +26,9 @@ the keys' laws come from one law pass (in chunks of bounded memory) and
 each draw's tail is read off its own key's law, never a sum across keys.
 ``_worst_case_grids`` does the same for many tables that share I and J
 (a study's strata, a power study's draws): their aggregates come from one
-stacked build (``RejectionAggregate._stack``), each swept as soon as it is
-streamed, and every result equals the table's own ``worst_case_grid``.
+stacked build (``RejectionAggregate._stack``, one network per run of tables
+that fits a fixed byte budget), each swept as soon as it is streamed, and
+every result equals the table's own ``worst_case_grid``.
 One tie rule then scans each gamma's column in candidate order, keeping the
 first maximizer up to ``_TIE_REL`` so ties break toward the
 lexicographically smallest class, and builds a ``ConfounderClass`` for the

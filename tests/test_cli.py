@@ -711,10 +711,10 @@ def test_network_last_level_fits_in_one_gib(tmp_path):
 
 
 def test_stratified_study_at_margins_100_fits_in_one_gib(tmp_path):
-    # two strata at that table's margins, the table and its transpose, share
-    # one network and one pruning pass; each stratum's reached last level is
-    # past _CHUNK_BYTES alone, so each is made in a run of its own and the
-    # study fits where one table does
+    # two strata at that table's margins, the table and its transpose: each
+    # stratum's network, counted from its margins, is past _CHUNK_BYTES
+    # alone, so each is built as a network of its own and the study fits
+    # where one table does
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

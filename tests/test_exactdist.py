@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -943,9 +944,11 @@ def test_stack_past_the_key_range_splits_instead_of_materializing(monkeypatch):
 
 
 def test_middle_level_past_the_budget_splits_the_stack(monkeypatch):
-    # J = 4: the middle level of a stack, counted before it is made, splits
-    # the stack into runs that fit; a table alone is built whatever its
-    # level's size, and every aggregate equals its own build
+    # J = 4: the three tables' networks, counted from their margins, fit
+    # 300,000 bytes together, but their middle level, counted before it is
+    # made, does not, so the stack splits into runs that fit; a table alone
+    # is built whatever its level's size, and every aggregate equals its own
+    # build
     ms = _stack_margins(Margins((6, 6, 6, 6), (6, 6, 6, 6)))
     stat = ordinal_statistic(range(4), (0.0, 1.0, 1.5, 3.0))
     calls = []
@@ -957,13 +960,89 @@ def test_middle_level_past_the_budget_splits_the_stack(monkeypatch):
         return out
 
     monkeypatch.setattr(exactdist, "_column_network", spy)
-    monkeypatch.setattr(exactdist, "_CHUNK_BYTES", 200_000)
+    monkeypatch.setattr(exactdist, "_CHUNK_BYTES", 300_000)
     want = [RejectionAggregate(v, stat, 15.0, (0, 0, 1, 1)) for v in ms]
     assert calls == [(1, None)] * 3  # alone, never split
     calls.clear()
     got = list(RejectionAggregate._stack(ms, stat, [15.0] * 3, (0, 0, 1, 1)))
     assert calls[0] == (3, 3) and calls[1:] == [(1, None)] * 3
     assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+def _unbuilt(ms: list[Margins], delta) -> list[RejectionAggregate]:
+    aggs = [RejectionAggregate.__new__(RejectionAggregate) for _ in ms]
+    for agg, m in zip(aggs, ms):
+        agg._setup(m, 1.0, delta)
+    return aggs
+
+
+@pytest.mark.parametrize("m", STREAM_MARGINS, ids=str)
+def test_network_sizes_count_what_a_network_holds(monkeypatch, m):
+    # per table: its column vectors of every column, its level-0 edges (one
+    # per column-0 vector) and its states of levels 1..J - 2, counted from
+    # the margins before any is made, equal what the stack's network holds
+    monkeypatch.setattr(exactdist, "_CHUNK_BYTES", 1 << 40)
+    aggs = _unbuilt(_stack_margins(m), (0,) * (m.I - 1) + (1,))
+    net = exactdist._column_network(aggs, _stream_statistics(m, False)[0])
+    want = []
+    for t, agg in enumerate(aggs):
+        vectors = [len(v) for v, *_ in exactdist._column_vectors_many(
+            [(cj, agg.margins.rows, agg._one_rows) for cj in agg.margins.cols])]
+        want.append(sum(vectors) + vectors[0] + sum(int((tab == t).sum()) for tab in net.tables[1:]))
+    assert exactdist._network_sizes(aggs).tolist() == want
+
+
+def test_stack_past_the_budget_splits_before_its_network_is_made(monkeypatch):
+    # the three tables' networks, counted from their margins, fit 40,000
+    # bytes two at a time, so the stack is built as two networks, the first
+    # holding two tables; every aggregate equals its own build
+    ms = _stack_margins(Margins((6, 6, 6), (6, 6, 6)))
+    stat = ordinal_statistic(range(3), (0.0, 1.0, 3.0))
+    sizes = 8 * (2 * 3 + 8) * exactdist._network_sizes(_unbuilt(ms, (0, 1, 1)))
+    assert sizes[:2].sum() <= 40_000 < sizes.sum()
+    want = [RejectionAggregate(v, stat, 9.0, (0, 1, 1)) for v in ms]
+    calls = []
+    network = exactdist._column_network
+
+    def spy(aggs, test):
+        calls.append(len(aggs))
+        return network(aggs, test)
+
+    monkeypatch.setattr(exactdist, "_column_network", spy)
+    monkeypatch.setattr(exactdist, "_CHUNK_BYTES", 40_000)
+    got = list(RejectionAggregate._stack(ms, stat, [9.0] * 3, (0, 1, 1)))
+    assert calls == [2, 1]
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+def test_stack_of_many_tables_peaks_as_one_tables_build(monkeypatch):
+    # a hundred 3x3 draws at margins near 60, each network about 1 MB: the
+    # stack's traced peak stays within a quarter of the largest peak of the
+    # draws built one at a time, where one network for all of them would
+    # hold some 70 MB.  A critical value above every table prunes each at
+    # its root, so the builds are the networks and their bounds; each
+    # aggregate is dropped before the next is built, as a scan does, and the
+    # column-vector cache holds one table's columns
+    monkeypatch.setattr(exactdist, "_COLUMN_VECTORS_MAX", 3)
+    rng = np.random.default_rng(35)
+    ms = []
+    for _ in range(100):
+        rows = 60 + rng.integers(-5, 6, size=3)
+        c0, c1 = (60 + rng.integers(-5, 6, size=2)).tolist()
+        ms.append(Margins(rows.tolist(), (c0, c1, int(rows.sum()) - c0 - c1)))
+    stat = ordinal_statistic((0, 1.7, 2.45), (0, 1.25, 1.4))
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            for agg in build():
+                del agg
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = max(peak(lambda: [RejectionAggregate(m, stat, 1e9, (0, 1, 1))]) for m in ms[::5])
+    assert peak(lambda: RejectionAggregate._stack(ms, stat, [1e9] * len(ms), (0, 1, 1))) < 1.25 * one
 
 
 @pytest.mark.parametrize("stat", [chi2_statistic(), g2_statistic()])
